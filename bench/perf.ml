@@ -210,11 +210,11 @@ let corpus_results () =
   |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
-(* Fleet scaling: the same golden sweep pushed through the
-   work-stealing executor at increasing worker counts.  The executor
-   (and its per-worker engine forks) persists across rounds, like a
-   long-lived hth_serve process; each measured round submits the whole
-   corpus and drains it in order.  Speedup is bounded by the host's
+(* Fleet scaling: the same golden sweep pushed through the fleet
+   executor (one shared FIFO queue) at increasing worker counts.  The
+   executor (and its per-worker engine forks) persists across rounds,
+   like a long-lived hth_serve process; each measured round submits the
+   whole corpus and drains it in order.  Speedup is bounded by the host's
    core count — recorded in the JSON row so a 1-core CI box reporting
    1.0x is not mistaken for a scheduler regression. *)
 
@@ -493,23 +493,11 @@ let human_ns ns =
   else Printf.sprintf "%.0f ns" ns
 
 (* Machine-readable results so future PRs can track the trajectory. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_group name results extra =
   let entry (bench, ns) =
     let fields =
-      Printf.sprintf "\"name\": \"%s\", \"ns_per_run\": %.1f"
-        (json_escape bench) ns
+      Printf.sprintf "\"name\": %s, \"ns_per_run\": %.1f"
+        (Obs.json_string bench) ns
       ::
       (match extra bench ns with [] -> [] | fs -> fs)
     in
@@ -573,8 +561,6 @@ let write_json path ~levels ~native ~components ~policies ~corpus ~fleet
           (Domain.recommended_domain_count ());
         Printf.sprintf "\"sessions_per_sec\": %.0f"
           (float_of_int corpus_size *. 1e9 /. ns);
-        Printf.sprintf "\"steals_per_sweep\": %.1f"
-          (float_of_int st.stolen /. float_of_int total_rounds);
         Printf.sprintf "\"parks_per_sweep\": %.1f"
           (float_of_int st.parks /. float_of_int total_rounds) ]
       @
@@ -691,15 +677,12 @@ let run ?(json_path = "BENCH_perf.json") () =
          corpus_size
          (Domain.recommended_domain_count ()))
     ~headers:
-      [ "Configuration"; "time/sweep"; "sessions/s"; "vs jobs=1";
-        "steals/sweep" ]
+      [ "Configuration"; "time/sweep"; "sessions/s"; "vs jobs=1" ]
     (List.map
-       (fun (name, ns, (st : Fleet.Pool.stats)) ->
+       (fun (name, ns, _) ->
          [ name; human_ns ns;
            Printf.sprintf "%.0f" (float_of_int corpus_size *. 1e9 /. ns);
-           Printf.sprintf "%.2fx" (jobs1 /. ns);
-           Printf.sprintf "%.1f"
-             (float_of_int st.stolen /. float_of_int (fleet_rounds + 2)) ])
+           Printf.sprintf "%.2fx" (jobs1 /. ns) ])
        fleet);
   let serve = serve_results () in
   Grid.print

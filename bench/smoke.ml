@@ -125,7 +125,7 @@ let () =
         { Fleet.Pool.executed = 9; stolen = 0; injected = 9; parks = 0;
           exceptions = 0; respawns = 0 };
         "fleet/jobs=2", 1e6,
-        { Fleet.Pool.executed = 9; stolen = 3; injected = 9; parks = 1;
+        { Fleet.Pool.executed = 9; stolen = 0; injected = 9; parks = 1;
           exceptions = 0; respawns = 0 } ]
     ~serve:
       [ "serve/jobs=1", 2e6, (0.8, 1.4, 2.1);

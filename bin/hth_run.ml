@@ -339,7 +339,7 @@ let batch_cmd =
   in
   let jobs_arg =
     let doc =
-      "Run scenarios on $(docv) worker domains (work-stealing fleet; \
+      "Run scenarios on $(docv) worker domains (one shared FIFO queue; \
        each worker forks the engine's mutable pools).  Output is \
        byte-identical whatever $(docv) is."
     in

@@ -13,7 +13,7 @@
    Ordering: submissions get a dense sequence number; finished
    outcomes land in a reorder buffer and [next] releases them strictly
    in sequence, so downstream output is byte-identical to a sequential
-   run no matter how the pool interleaved.
+   run no matter which worker finished first.
 
    Supervision: each job may carry a wall-clock deadline.  A running
    job is tracked (worker, epoch, start time); [force_timeout]
@@ -222,12 +222,6 @@ let next t =
       end
   in
   wait ()
-
-let pending t =
-  Mutex.lock t.mu;
-  let n = t.next_seq - t.next_out in
-  Mutex.unlock t.mu;
-  n
 
 let overdue t ~now =
   Mutex.lock t.mu;

@@ -7,7 +7,9 @@
     replaced), sessions run as pool tasks, and outcomes come back
     {e in submission order} through a reorder buffer — so batch output
     derived from {!next} is byte-identical to running the same jobs
-    sequentially, independent of interleaving.
+    sequentially.  The pool starts sessions in submission order, but
+    they finish in whatever order their lengths and the workers
+    dictate; the reorder buffer is what makes the output order fixed.
 
     Determinism: a session's result (trace bytes included) depends only
     on its own job, never on which worker ran it or what ran before —
@@ -82,9 +84,6 @@ val try_submit : t -> job -> int option
     number; [None] once the executor is closed and every outcome has
     been released.  Call from one consumer at a time. *)
 val next : t -> outcome option
-
-(** Sequence numbers assigned but not yet released by {!next}. *)
-val pending : t -> int
 
 (** [overdue t ~now] is the sorted sequence numbers of running jobs
     whose wall-clock deadline has passed at time [now]

@@ -1,44 +1,32 @@
-(* N-domain work-stealing pool over stdlib Domain/Mutex/Condition.
+(* N-domain task pool over stdlib Domain/Mutex/Condition: one FIFO
+   queue behind one lock.
 
-   Topology: a sharded injector (one locked FIFO per worker, submits
-   round-robin) feeds per-worker Chase-Lev deques.  A worker looks for
-   work in warmth order — own deque, then injector shards (taking a
-   chunk: run one, deque the rest, where thieves can reach them), then
-   stealing from other workers' deques.
-
-   Parking protocol: [gen] (under [lock]) counts work-arrival events —
-   every submission and every chunk-move into a stealable deque bumps
-   it and broadcasts.  A worker snapshots [gen] under the lock *before*
-   scanning; if the scan comes up empty it sleeps until [gen] moves.
-   Work arriving after the snapshot flips the predicate (no lost
-   wakeup); work that existed before the snapshot was either found by
-   the scan or legitimately claimed by someone else — in which case
-   sleeping is correct.  Crucially a worker that loses every race goes
-   to sleep rather than rescanning: on an oversubscribed host, spinning
-   idle domains steal the cores from the domains doing the work (and
-   drag every stop-the-world minor GC into a context-switch storm).
+   Tasks are whole analysis sessions (milliseconds each), so taking one
+   lock per task costs nothing measurable, and a single queue starts
+   work in submission order — at jobs=1 it also finishes in that order,
+   so the in-order emitters above (Executor.next, Serve) never hold a
+   finished response for an earlier request that started later.  An
+   idle worker sleeps on [work] rather than spinning: on an
+   oversubscribed host, spinning domains would take the cores from the
+   domains doing the work.
 
    Supervision: a domain cannot be killed, so a wedged worker (a task
-   that never returns) is *abandoned*: [respawn] bumps the slot's
-   epoch, writes the stuck task off the finished count, rescues
-   whatever still sits in the old deque, and spawns a replacement
-   domain on the same slot.  The abandoned domain, should its task
-   ever return, notices the stale epoch: its own claimed work is still
-   accounted (the write-off entry pays for exactly one in-flight task,
-   whichever one the epoch bump caught), it re-injects anything left
-   on its private deque, and it exits without touching the replacement
-   worker's state.  Tasks receive their worker's epoch so layers above
-   (the executor) can keep per-(slot, epoch) state — e.g. engine
-   forks — that a live replacement and a not-yet-dead ghost never
-   share.
+   that never returns) is *abandoned*.  With one shared queue it owns
+   nothing but the task it is running, so [respawn] just bumps the
+   slot's epoch and spawns a replacement domain on the same slot.  The
+   abandoned domain, should its task ever return, sees the stale epoch
+   the next time it takes the lock and exits without claiming more
+   work.  Tasks receive their worker's epoch so layers above (the
+   executor) can keep per-(slot, epoch) state — e.g. engine forks —
+   that a live replacement and a not-yet-dead ghost never share.
 
-   Observability: scheduler counters (fleet.tasks / steals / parks /
-   exceptions / respawns) are incremented between task executions,
-   never inside one, so they cannot leak into a session's per-run
-   counter diff or trace.  Each worker accumulates all its Obs state
-   domain-locally; at [shutdown] the shards are folded into the caller
-   in worker-index order — a deterministic merge (see Obs.absorb).
-   An abandoned domain's shard is lost with it. *)
+   Observability: scheduler counters (fleet.tasks / parks / exceptions
+   / respawns) are incremented between task executions, never inside
+   one, so they cannot leak into a session's per-run counter diff or
+   trace.  Each worker accumulates all its Obs state domain-locally; at
+   [shutdown] the shards are folded into the caller in worker-index
+   order — a deterministic merge (see Obs.absorb).  An abandoned
+   domain's shard is lost with it. *)
 
 type task = int -> int -> unit
 
@@ -53,48 +41,27 @@ type stats = {
 
 type t = {
   jobs : int;
-  chunk : int;
-  deques : task Deque.t array;
-  shards : task Queue.t array;
-  shard_mu : Mutex.t array;
-  rr : int Atomic.t;  (* round-robin submit cursor *)
-  stop : bool Atomic.t;
-  epochs : int Atomic.t array;  (* per-slot incarnation, bumped by respawn *)
+  queue : task Queue.t;  (* under [lock] *)
   lock : Mutex.t;
-  work_cv : Condition.t;  (* "new work arrived" *)
-  done_cv : Condition.t;  (* "a task finished" *)
-  mutable gen : int;  (* work-arrival generation; under [lock] *)
-  mutable submitted : int;  (* under [lock] *)
-  mutable finished : int;  (* under [lock] *)
-  writeoffs : (int * int, unit) Hashtbl.t;
-      (* (slot, epoch) whose in-flight task [respawn] already counted
-         as finished; consumed by that task's own completion so the
-         books balance exactly once.  Under [lock]. *)
+  work : Condition.t;  (* a task was queued, an epoch moved, or stopping *)
+  mutable stopping : bool;  (* under [lock] *)
+  epochs : int Atomic.t array;
+      (* per-slot incarnation; bumped under [lock] by [respawn] *)
   s_executed : int Atomic.t;
-  s_stolen : int Atomic.t;
   s_injected : int Atomic.t;
   s_parks : int Atomic.t;
   s_exceptions : int Atomic.t;
   s_respawns : int Atomic.t;
   exports : Obs.export option array;  (* worker Obs shards, set at exit *)
   mutable domains : unit Domain.t array;
-  mutable abandoned : unit Domain.t list;
-      (* wedged incarnations; never joined — they may never return *)
+      (* live incarnations; abandoned ones are never joined — they may
+         never return *)
 }
 
 let c_tasks = Obs.Counter.make "fleet.tasks"
-let c_steals = Obs.Counter.make "fleet.steals"
 let c_parks = Obs.Counter.make "fleet.parks"
 let c_exceptions = Obs.Counter.make "fleet.exceptions"
 let c_respawns = Obs.Counter.make "fleet.respawns"
-
-(* Announce new claimable work.  Must not be called from inside
-   [lock]. *)
-let announce p =
-  Mutex.lock p.lock;
-  p.gen <- p.gen + 1;
-  Condition.broadcast p.work_cv;
-  Mutex.unlock p.lock
 
 let exec p w epoch task =
   (try task w epoch
@@ -105,164 +72,53 @@ let exec p w epoch task =
      Atomic.incr p.s_exceptions;
      Obs.Counter.incr c_exceptions);
   Atomic.incr p.s_executed;
-  Obs.Counter.incr c_tasks;
-  Mutex.lock p.lock;
-  if Hashtbl.mem p.writeoffs (w, epoch) then
-    (* [respawn] caught this incarnation mid-task and already counted
-       one finish on its behalf — consume the credit instead of
-       double-counting *)
-    Hashtbl.remove p.writeoffs (w, epoch)
-  else begin
-    p.finished <- p.finished + 1;
-    Condition.broadcast p.done_cv
-  end;
-  Mutex.unlock p.lock
+  Obs.Counter.incr c_tasks
 
-(* Scan injector shards (own shard first); move up to [chunk] tasks
-   out of the first non-empty one — run the first, push the rest onto
-   our deque where thieves can reach them.  [dq] is the worker's own
-   deque captured at spawn: a stale incarnation must keep using the
-   deque it owns, never the replacement's. *)
-let from_injector p w epoch dq =
-  let first = ref None in
-  let moved = ref 0 in
-  let i = ref 0 in
-  while !first = None && !i < p.jobs do
-    let s = (w + !i) mod p.jobs in
-    Mutex.lock p.shard_mu.(s);
-    let q = p.shards.(s) in
-    if not (Queue.is_empty q) then begin
-      first := Some (Queue.pop q);
-      (* a freshly-abandoned worker must not bury injector tasks in a
-         deque nobody scans any more; the epoch check shrinks that
-         window to a few instructions and the exit path re-injects
-         whatever still slips through *)
-      if Atomic.get p.epochs.(w) = epoch then
-        while !moved < p.chunk - 1 && not (Queue.is_empty q) do
-          Deque.push dq (Queue.pop q);
-          incr moved
-        done
-    end;
-    Mutex.unlock p.shard_mu.(s);
-    incr i
-  done;
-  if !moved > 0 then announce p;
-  !first
-
-let try_steal p w =
-  let rec scan k =
-    if k >= p.jobs then None
-    else
-      match Deque.steal p.deques.((w + k) mod p.jobs) with
-      | Some _ as r ->
-        Atomic.incr p.s_stolen;
-        Obs.Counter.incr c_steals;
-        r
-      | None -> scan (k + 1)
-  in
-  scan 1
-
-let read_gen p =
-  Mutex.lock p.lock;
-  let g = p.gen in
-  Mutex.unlock p.lock;
-  g
-
-(* Sleep until the generation moves past the pre-scan snapshot [g].
-   Returns [false] when the pool is stopping. *)
-let park p g =
-  Mutex.lock p.lock;
-  let waited = ref false in
-  while (not (Atomic.get p.stop)) && p.gen = g do
-    if not !waited then begin
-      waited := true;
+(* Under [lock]: the next task for incarnation [epoch] of slot [w], or
+   [None] once that incarnation is stale or the pool is stopping with
+   nothing left to run.  Checking the epoch first means a ghost whose
+   wedged task finally returned claims nothing more. *)
+let rec take p w epoch =
+  if Atomic.get p.epochs.(w) <> epoch then None
+  else
+    match Queue.take_opt p.queue with
+    | Some _ as task -> task
+    | None when p.stopping -> None
+    | None ->
       Atomic.incr p.s_parks;
-      Obs.Counter.incr c_parks
-    end;
-    Condition.wait p.work_cv p.lock
-  done;
-  Mutex.unlock p.lock;
-  not (Atomic.get p.stop)
-
-(* Push a rescued/returned task where any live worker can claim it. *)
-let reinject p w task =
-  Mutex.lock p.shard_mu.(w);
-  Queue.push task p.shards.(w);
-  Mutex.unlock p.shard_mu.(w)
+      Obs.Counter.incr c_parks;
+      Condition.wait p.work p.lock;
+      take p w epoch
 
 let worker p w epoch =
-  let dq = p.deques.(w) in
-  let stale () = Atomic.get p.epochs.(w) <> epoch in
   let rec loop () =
-    if Atomic.get p.stop || stale () then ()
-    else begin
-      (* snapshot before scanning: any work announced after this point
-         flips the park predicate *)
-      let g = read_gen p in
-      match Deque.pop dq with
-      | Some task ->
-        exec p w epoch task;
-        loop ()
-      | None -> (
-        match from_injector p w epoch dq with
-        | Some task ->
-          exec p w epoch task;
-          loop ()
-        | None -> (
-          match try_steal p w with
-          | Some task ->
-            exec p w epoch task;
-            loop ()
-          | None -> if park p g then loop ()))
-    end
+    match Mutex.protect p.lock (fun () -> take p w epoch) with
+    | Some task ->
+      exec p w epoch task;
+      loop ()
+    | None -> ()
   in
   loop ();
-  if stale () then begin
-    (* abandoned incarnation bowing out: hand back anything it still
-       owns so no claimed-but-unrun task is stranded in a dead deque *)
-    let returned = ref 0 in
-    let rec give_back () =
-      match Deque.pop dq with
-      | Some t ->
-        reinject p w t;
-        incr returned;
-        give_back ()
-      | None -> ()
-    in
-    give_back ();
-    if !returned > 0 then announce p
-  end
-  else
+  if Atomic.get p.epochs.(w) = epoch then
     (* hand this domain's Obs shard (counters, histograms) to shutdown *)
     p.exports.(w) <- Some (Obs.export ())
 
-let create ?(chunk = 4) ~jobs () =
+let create ~jobs () =
   let jobs = max 1 jobs in
   let p =
     { jobs;
-      chunk = max 1 chunk;
-      deques = Array.init jobs (fun _ -> Deque.create ());
-      shards = Array.init jobs (fun _ -> Queue.create ());
-      shard_mu = Array.init jobs (fun _ -> Mutex.create ());
-      rr = Atomic.make 0;
-      stop = Atomic.make false;
-      epochs = Array.init jobs (fun _ -> Atomic.make 0);
+      queue = Queue.create ();
       lock = Mutex.create ();
-      work_cv = Condition.create ();
-      done_cv = Condition.create ();
-      gen = 0;
-      submitted = 0;
-      finished = 0;
-      writeoffs = Hashtbl.create 4;
+      work = Condition.create ();
+      stopping = false;
+      epochs = Array.init jobs (fun _ -> Atomic.make 0);
       s_executed = Atomic.make 0;
-      s_stolen = Atomic.make 0;
       s_injected = Atomic.make 0;
       s_parks = Atomic.make 0;
       s_exceptions = Atomic.make 0;
       s_respawns = Atomic.make 0;
       exports = Array.make jobs None;
-      domains = [||];
-      abandoned = [] }
+      domains = [||] }
   in
   p.domains <-
     Array.init jobs (fun w -> Domain.spawn (fun () -> worker p w 0));
@@ -273,82 +129,42 @@ let jobs p = p.jobs
 let epoch p w = Atomic.get p.epochs.(w)
 
 let submit p task =
-  if Atomic.get p.stop then invalid_arg "Fleet.Pool.submit: pool is shut down";
-  let s = Atomic.fetch_and_add p.rr 1 mod p.jobs in
-  Mutex.lock p.shard_mu.(s);
-  Queue.push task p.shards.(s);
-  Mutex.unlock p.shard_mu.(s);
-  Atomic.incr p.s_injected;
-  Mutex.lock p.lock;
-  p.submitted <- p.submitted + 1;
-  p.gen <- p.gen + 1;
-  Condition.broadcast p.work_cv;
-  Mutex.unlock p.lock
+  Mutex.protect p.lock (fun () ->
+      if p.stopping then invalid_arg "Fleet.Pool.submit: pool is shut down";
+      Queue.push task p.queue;
+      Condition.signal p.work);
+  Atomic.incr p.s_injected
 
-(* Abandon slot [w]'s current incarnation (presumed wedged inside a
-   task) and spawn a replacement.  Single supervising caller assumed —
-   concurrent respawns of the same slot are not supported.  Returns
-   the replacement's epoch.  The ordering matters: the write-off entry
-   lands under [lock] before the epoch bump, so by the time the ghost
-   observes staleness its credit is already in the table. *)
+(* Single supervising caller assumed — concurrent respawns of the same
+   slot are not supported.  The broadcast wakes the old incarnation if
+   it was idle rather than wedged, so it exits instead of lingering. *)
 let respawn p w =
-  if Atomic.get p.stop then
-    invalid_arg "Fleet.Pool.respawn: pool is shut down";
-  let old_epoch = Atomic.get p.epochs.(w) in
-  let old_deque = p.deques.(w) in
-  let next_epoch = old_epoch + 1 in
-  Mutex.lock p.lock;
-  Hashtbl.replace p.writeoffs (w, old_epoch) ();
-  (* the wedged task will never be waited for: count it finished now
-     so [drain] does not hang on a ghost *)
-  p.finished <- p.finished + 1;
-  Condition.broadcast p.done_cv;
-  Mutex.unlock p.lock;
-  p.deques.(w) <- Deque.create ();
-  Atomic.set p.epochs.(w) next_epoch;
-  (* rescue queued tasks the wedged owner will never run; steals are
-     safe against the ghost's own pops, and claims are exclusive *)
-  let rescued = ref 0 in
-  let rec rescue () =
-    match Deque.steal old_deque with
-    | Some t ->
-      reinject p w t;
-      incr rescued;
-      rescue ()
-    | None -> ()
+  let next_epoch =
+    Mutex.protect p.lock (fun () ->
+        if p.stopping then invalid_arg "Fleet.Pool.respawn: pool is shut down";
+        let e = Atomic.get p.epochs.(w) + 1 in
+        Atomic.set p.epochs.(w) e;
+        Condition.broadcast p.work;
+        e)
   in
-  rescue ();
-  if !rescued > 0 then announce p;
-  p.abandoned <- p.domains.(w) :: p.abandoned;
   Atomic.incr p.s_respawns;
   Obs.Counter.incr c_respawns;
   p.domains.(w) <- Domain.spawn (fun () -> worker p w next_epoch);
-  announce p;
   next_epoch
 
-let drain p =
-  Mutex.lock p.lock;
-  while p.finished < p.submitted do
-    Condition.wait p.done_cv p.lock
-  done;
-  Mutex.unlock p.lock
-
 let shutdown p =
-  drain p;
-  Atomic.set p.stop true;
-  Mutex.lock p.lock;
-  Condition.broadcast p.work_cv;
-  Mutex.unlock p.lock;
-  (* join live incarnations only: an abandoned domain may be wedged
-     forever — it dies with the process *)
+  Mutex.protect p.lock (fun () ->
+      p.stopping <- true;
+      Condition.broadcast p.work);
+  (* live workers empty the queue before they exit *)
   Array.iter Domain.join p.domains;
   (* fold worker Obs shards into this domain, in worker-index order:
-     the merge result is independent of how tasks were interleaved *)
+     the merge result is independent of which worker ran which task *)
   Array.iter (function Some x -> Obs.absorb x | None -> ()) p.exports
 
 let stats p =
   { executed = Atomic.get p.s_executed;
-    stolen = Atomic.get p.s_stolen;
+    stolen = 0;
     injected = Atomic.get p.s_injected;
     parks = Atomic.get p.s_parks;
     exceptions = Atomic.get p.s_exceptions;

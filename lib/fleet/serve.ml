@@ -67,36 +67,18 @@ let h_latency = Obs.Histogram.make "serve.latency.ms"
 
 type field = I of int | S of string | B of bool
 
-let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let render fields =
   let b = Buffer.create 128 in
   Buffer.add_char b '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      add_escaped b k;
-      Buffer.add_string b "\":";
+      Obs.add_json_string b k;
+      Buffer.add_char b ':';
       match v with
       | I n -> Buffer.add_string b (string_of_int n)
       | B bo -> Buffer.add_string b (if bo then "true" else "false")
-      | S s ->
-        Buffer.add_char b '"';
-        add_escaped b s;
-        Buffer.add_char b '"')
+      | S s -> Obs.add_json_string b s)
     fields;
   Buffer.add_char b '}';
   Buffer.contents b
@@ -398,9 +380,8 @@ let health_line svc seq id =
             "inflight", I h.Supervisor.h_inflight;
             "draining", B h.Supervisor.h_draining;
             "timeouts", I h.Supervisor.h_timeouts;
-            "respawns", I h.Supervisor.h_respawns;
-            "executed", I h.Supervisor.h_stats.Pool.executed;
-            "stolen", I h.Supervisor.h_stats.Pool.stolen ])
+            "respawns", I h.Supervisor.h_stats.Pool.respawns;
+            "executed", I h.Supervisor.h_stats.Pool.executed ])
 
 let stats_line svc seq id =
   Mutex.lock svc.sv_obs_mu;

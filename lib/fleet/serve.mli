@@ -19,9 +19,10 @@
     segment indexes via {!Store.Fleet_query} — the fleet-forensics
     surface of [hth_trace fleet], served remotely.  Each request yields
     exactly one response line, emitted
-    {e in that connection's input order} even though sessions run on
-    the fleet in whatever order stealing produces.  Malformed lines
-    become [{"status":"bad_request"}] responses at their position.
+    {e in that connection's input order} even though sessions on the
+    shared fleet finish in whatever order their lengths dictate.
+    Malformed lines become [{"status":"bad_request"}] responses at
+    their position.
 
     Overload and shutdown policy (DESIGN.md §17): the per-connection
     in-flight window {e blocks the reader} — backpressure that cannot

@@ -29,7 +29,6 @@ type health = {
   h_inflight : int;
   h_draining : bool;
   h_timeouts : int;
-  h_respawns : int;
   h_stats : Pool.stats;
 }
 
@@ -44,7 +43,6 @@ type t = {
   mutable draining : bool;
   mutable stopping : bool;  (* watchdog exit flag *)
   mutable timeouts : int;
-  mutable respawns : int;
   mutable watchdog : Thread.t option;
 }
 
@@ -61,10 +59,8 @@ let scan t =
       | Some (w, epoch) ->
         Mutex.lock t.mu;
         t.timeouts <- t.timeouts + 1;
-        let current = Executor.epoch t.ex w = epoch in
-        if current then t.respawns <- t.respawns + 1;
         Mutex.unlock t.mu;
-        if current then Executor.respawn t.ex w)
+        if Executor.epoch t.ex w = epoch then Executor.respawn t.ex w)
     (Executor.overdue t.ex ~now)
 
 let watchdog_loop t =
@@ -90,15 +86,10 @@ let create ?deadline ?(max_inflight = 256) ?(poll = 0.02) ?(jobs = 1)
       draining = false;
       stopping = false;
       timeouts = 0;
-      respawns = 0;
       watchdog = None }
   in
   t.watchdog <- Some (Thread.create watchdog_loop t);
   t
-
-let executor t = t.ex
-
-let jobs t = Executor.jobs t.ex
 
 let submit t job =
   let job =
@@ -145,12 +136,6 @@ let begin_drain t =
   t.draining <- true;
   Mutex.unlock t.mu
 
-let draining t =
-  Mutex.lock t.mu;
-  let d = t.draining in
-  Mutex.unlock t.mu;
-  d
-
 let await_drain t =
   Mutex.lock t.mu;
   while t.inflight > 0 do
@@ -165,7 +150,6 @@ let health t =
       h_inflight = t.inflight;
       h_draining = t.draining;
       h_timeouts = t.timeouts;
-      h_respawns = t.respawns;
       h_stats = Executor.stats t.ex }
   in
   Mutex.unlock t.mu;

@@ -30,8 +30,7 @@ type health = {
   h_inflight : int;  (** admitted and not yet released by {!next} *)
   h_draining : bool;
   h_timeouts : int;  (** jobs failed by the watchdog *)
-  h_respawns : int;  (** worker domains replaced *)
-  h_stats : Pool.stats;
+  h_stats : Pool.stats;  (** [respawns] counts worker domains replaced *)
 }
 
 (** [create ?deadline ?max_inflight ?poll ~jobs engines] builds an
@@ -48,10 +47,6 @@ val create :
   (string * Hth.Engine.t) list ->
   t
 
-val executor : t -> Executor.t
-
-val jobs : t -> int
-
 (** Admission-controlled {!Executor.try_submit}. *)
 val submit : t -> Executor.job -> admission
 
@@ -62,8 +57,6 @@ val next : t -> Executor.outcome option
 (** Refuse new submissions from now on ({!submit} answers
     {!Draining}).  Idempotent. *)
 val begin_drain : t -> unit
-
-val draining : t -> bool
 
 (** Block until the in-flight count reaches zero.  Watchdog deadlines
     guarantee progress even if a worker is wedged — provided the

@@ -255,32 +255,16 @@ let pp_chains ppf chains =
 (* ------------------------------------------------------------------ *)
 (* Rendering: JSON                                                     *)
 
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.add_char b '"'
-
 let add_kv b ~first k add_v =
   if not first then Buffer.add_char b ',';
-  add_json_string b k;
+  Obs.add_json_string b k;
   Buffer.add_char b ':';
   add_v ()
 
 let json_of_chain (c : t) =
   let b = Buffer.create 512 in
   let str k v ~first =
-    add_kv b ~first k (fun () -> add_json_string b v)
+    add_kv b ~first k (fun () -> Obs.add_json_string b v)
   in
   let int k v ~first =
     add_kv b ~first k (fun () -> Buffer.add_string b (string_of_int v))

@@ -383,6 +383,30 @@ let absorb x =
     x.x_hists
 
 (* ------------------------------------------------------------------ *)
+(* JSON string literals: the one escaper every JSONL writer shares     *)
+
+let add_json_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  add_json_string b s;
+  Buffer.contents b
+
+(* ------------------------------------------------------------------ *)
 (* Structured-event trace sink                                         *)
 
 module Trace = struct
@@ -454,27 +478,10 @@ module Trace = struct
 
   let steps () = (state ()).step
 
-  let add_escaped buf s =
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s
-
   let add_value buf = function
     | Int n -> Buffer.add_string buf (string_of_int n)
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Str s ->
-      Buffer.add_char buf '"';
-      add_escaped buf s;
-      Buffer.add_char buf '"'
+    | Str s -> add_json_string buf s
 
   (* Render one line, newline included, directly into [buf] — the
      destination itself for [Direct] sinks, the reused staging buffer
@@ -483,14 +490,13 @@ module Trace = struct
   let render buf st ev fields =
     Buffer.add_string buf "{\"step\":";
     Buffer.add_string buf (string_of_int st.step);
-    Buffer.add_string buf ",\"ev\":\"";
-    add_escaped buf ev;
-    Buffer.add_char buf '"';
+    Buffer.add_string buf ",\"ev\":";
+    add_json_string buf ev;
     List.iter
       (fun (k, v) ->
-        Buffer.add_string buf ",\"";
-        add_escaped buf k;
-        Buffer.add_string buf "\":";
+        Buffer.add_char buf ',';
+        add_json_string buf k;
+        Buffer.add_char buf ':';
         add_value buf v)
       fields;
     Buffer.add_char buf '}';

@@ -131,6 +131,21 @@ val export : unit -> export
 val absorb : export -> unit
 (** Fold an exported shard into the calling domain's own cells. *)
 
+(** {2 JSON strings}
+
+    The one JSON string escaper shared by every JSONL writer (trace
+    sink, serve responses, store metadata, evidence chains, bench
+    output), so they all emit the flat dialect [Forensics.Jsonl] reads
+    back: double quote, backslash, newline, carriage return and tab get
+    their two-character escapes, other control characters [\u00XX],
+    and every other byte is copied verbatim. *)
+
+val add_json_string : Buffer.t -> string -> unit
+(** [add_json_string b s] appends [s] as a quoted JSON string literal. *)
+
+val json_string : string -> string
+(** [json_string s] is [s] as a quoted JSON string literal. *)
+
 (** The structured-event sink.  Exactly one sink {e per domain}: the
     no-op backend (default, near-zero overhead) or a JSONL line writer.
     Every emitted event carries a monotone [step] index, reset to 0

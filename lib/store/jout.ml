@@ -2,23 +2,4 @@
    in the same flat JSONL dialect the trace emitter uses, so
    [Forensics.Jsonl.parse_line] reads it back. *)
 
-let add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let quote s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  add_escaped b s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+let quote = Obs.json_string

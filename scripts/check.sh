@@ -143,7 +143,7 @@ echo "== tiering gate =="
 # off differ in nothing but speed.  Then an aggressive tier
 # (threshold 1, every block compiled on first entry) fleet sweep on
 # two workers must be byte-identical to a --no-tier sweep — tiering
-# and work-stealing parity hold together, not just separately.
+# and fleet parity hold together, not just separately.
 for s in "sleeper daemon idle" "sleeper daemon triggered" \
          "sleeper daemon disarmed" "logic bomb idle" \
          "logic bomb triggered" "logic bomb defused" \
@@ -377,6 +377,17 @@ then
   echo "  ok: SIGTERM-drained store complete-or-absent ($stored runs)"
 else
   echo "  STORE DRAIN: drained store failed to read back" >&2
+  status=1
+fi
+
+echo "== bench selftest =="
+# The end-to-end benchmark's own checks (perfbench/selftest.sh): a short
+# untraced and traced run of each workload must pass every output
+# check, and each planted error must be caught.
+if bash perfbench/selftest.sh; then
+  echo "  ok: bench selftest"
+else
+  echo "  BENCH SELFTEST FAILED" >&2
   status=1
 fi
 

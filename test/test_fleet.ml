@@ -3,10 +3,10 @@
    The contract from DESIGN.md §15: a batch run on an N-worker fleet is
    observationally identical to the same batch run sequentially —
    byte-identical per-session traces, identical warnings, verdicts and
-   error outcomes, in submission order — no matter how the
-   work-stealing interleaved the sessions, and no matter which worker
-   ran which session.  One crashing task or failing session must never
-   take down its worker, let alone the pool. *)
+   error outcomes, in submission order — no matter in which order the
+   sessions finished, and no matter which worker ran which session.
+   One crashing task or failing session must never take down its
+   worker, let alone the pool. *)
 
 let golden_scenarios =
   [ "ElmExploit"; "nlspath"; "procex"; "grabem"; "vixie crontab"; "pma";
@@ -23,61 +23,101 @@ let check_same_trace msg ~expected ~actual =
   | Some d -> Alcotest.failf "%s@.%s" msg (Hth.Golden.report ~name:msg d)
 
 (* ------------------------------------------------------------------ *)
-(* deque unit behavior                                                 *)
-
-let deque_case =
-  Alcotest.test_case "deque: owner LIFO, thief FIFO, grow" `Quick (fun () ->
-      let d = Fleet.Deque.create ~capacity:2 () in
-      for i = 0 to 99 do
-        Fleet.Deque.push d i
-      done;
-      (* growth happened (capacity hint was 2) and nothing was lost *)
-      Alcotest.(check int) "size" 100 (Fleet.Deque.size d);
-      Alcotest.(check (option int)) "thief takes the oldest" (Some 0)
-        (Fleet.Deque.steal d);
-      Alcotest.(check (option int)) "owner takes the newest" (Some 99)
-        (Fleet.Deque.pop d);
-      let rest = ref [] in
-      let rec drain () =
-        match Fleet.Deque.pop d with
-        | Some v ->
-          rest := v :: !rest;
-          drain ()
-        | None -> ()
-      in
-      drain ();
-      Alcotest.(check int) "drained" 98 (List.length !rest);
-      Alcotest.(check (option int)) "empty pop" None (Fleet.Deque.pop d);
-      Alcotest.(check (option int)) "empty steal" None (Fleet.Deque.steal d))
-
-let deque_race_case =
-  Alcotest.test_case "deque: concurrent thieves lose nothing" `Quick
-    (fun () ->
-      let d = Fleet.Deque.create () in
-      let n = 10_000 in
-      let stolen = Atomic.make 0 and sum = Atomic.make 0 in
-      let thief () =
-        let rec go () =
-          match Fleet.Deque.steal d with
-          | Some v ->
-            Atomic.incr stolen;
-            ignore (Atomic.fetch_and_add sum v);
-            go ()
-          | None -> if Atomic.get stolen < n then (Domain.cpu_relax (); go ())
-        in
-        go ()
-      in
-      let thieves = List.init 3 (fun _ -> Domain.spawn thief) in
-      for i = 1 to n do
-        Fleet.Deque.push d i
-      done;
-      List.iter Domain.join thieves;
-      (* every pushed task was claimed exactly once *)
-      Alcotest.(check int) "claims" n (Atomic.get stolen);
-      Alcotest.(check int) "sum" (n * (n + 1) / 2) (Atomic.get sum))
-
-(* ------------------------------------------------------------------ *)
 (* pool scheduling and crash isolation                                 *)
+
+(* Poll [cond] until it holds; fail the test after [timeout] seconds. *)
+let await ?(timeout = 10.) msg cond =
+  let give_up = Unix.gettimeofday () +. timeout in
+  while not (cond ()) do
+    if Unix.gettimeofday () > give_up then
+      Alcotest.failf "timed out waiting for: %s" msg;
+    Unix.sleepf 0.001
+  done
+
+(* A one-shot gate: [wait] blocks until [release] has been called. *)
+type latch = { l_mu : Mutex.t; l_cv : Condition.t; mutable l_open : bool }
+
+let latch () =
+  { l_mu = Mutex.create (); l_cv = Condition.create (); l_open = false }
+
+let wait l =
+  Mutex.protect l.l_mu (fun () ->
+      while not l.l_open do
+        Condition.wait l.l_cv l.l_mu
+      done)
+
+let release l =
+  Mutex.protect l.l_mu (fun () ->
+      l.l_open <- true;
+      Condition.broadcast l.l_cv)
+
+(* A start log: tasks [record] their [(id, epoch)] as they begin, and
+   [read] returns the entries in start order. *)
+let start_log () =
+  let mu = Mutex.create () and log = ref [] in
+  let record id epoch =
+    Mutex.protect mu (fun () -> log := (id, epoch) :: !log)
+  in
+  let read () = Mutex.protect mu (fun () -> List.rev !log) in
+  record, read
+
+let fifo_case =
+  Alcotest.test_case "pool: queued tasks start in submission order"
+    `Quick (fun () ->
+      let p = Fleet.Pool.create ~jobs:1 () in
+      let record, read = start_log () in
+      let started = latch () and gate = latch () in
+      Fleet.Pool.submit p (fun _w e ->
+          record 0 e;
+          release started;
+          wait gate);
+      (* the only worker is inside task 0 while 1..8 queue up *)
+      wait started;
+      for i = 1 to 8 do
+        Fleet.Pool.submit p (fun _w e -> record i e)
+      done;
+      release gate;
+      Fleet.Pool.shutdown p;
+      Alcotest.(check (list int)) "start order" (List.init 9 Fun.id)
+        (List.map fst (read ())))
+
+let respawn_case =
+  Alcotest.test_case "pool: respawn past a wedged task, ghost runs nothing"
+    `Quick (fun () ->
+      let p = Fleet.Pool.create ~jobs:1 () in
+      let record, read = start_log () in
+      let started = latch () and wedge = latch () and busy = latch () in
+      Fleet.Pool.submit p (fun _w e ->
+          record 0 e;
+          release started;
+          wait wedge);
+      wait started;
+      (* task 1 holds the replacement busy, so tasks 2 and 3 are still
+         queued when the ghost's task returns *)
+      Fleet.Pool.submit p (fun _w e ->
+          record 1 e;
+          wait busy);
+      Fleet.Pool.submit p (fun _w e -> record 2 e);
+      Fleet.Pool.submit p (fun _w e -> record 3 e);
+      Alcotest.(check int) "replacement epoch" 1 (Fleet.Pool.respawn p 0);
+      Alcotest.(check int) "slot epoch" 1 (Fleet.Pool.epoch p 0);
+      await "task 1 started on the replacement" (fun () ->
+          List.mem (1, 1) (read ()));
+      release wedge;
+      (* the ghost finishes task 0; with 2 and 3 queued and the
+         replacement still busy, a ghost that kept working would take
+         task 2 now *)
+      await "ghost task returned" (fun () ->
+          (Fleet.Pool.stats p).Fleet.Pool.executed >= 1);
+      Unix.sleepf 0.05;
+      release busy;
+      Fleet.Pool.shutdown p;
+      Alcotest.(check (list (pair int int)))
+        "each task once, queued ones on epoch 1"
+        [ 0, 0; 1, 1; 2, 1; 3, 1 ] (read ());
+      let s = Fleet.Pool.stats p in
+      Alcotest.(check int) "executed" 4 s.Fleet.Pool.executed;
+      Alcotest.(check int) "respawns" 1 s.Fleet.Pool.respawns)
 
 let pool_case =
   Alcotest.test_case "pool: completes all tasks, survives crashes" `Quick
@@ -89,7 +129,8 @@ let pool_case =
             if i mod 10 = 3 then failwith "injected task crash";
             Atomic.incr hits)
       done;
-      Fleet.Pool.drain p;
+      await "200 tasks executed" (fun () ->
+          (Fleet.Pool.stats p).Fleet.Pool.executed >= 200);
       (* the pool is still alive after 20 crashing tasks *)
       Fleet.Pool.submit p (fun _w _e -> Atomic.incr hits);
       Fleet.Pool.shutdown p;
@@ -349,5 +390,5 @@ let serve_case =
       Alcotest.(check (list string)) "deterministic service" out out2)
 
 let suite =
-  [ deque_case; deque_race_case; pool_case; identity_case; seeds_case;
+  [ fifo_case; respawn_case; pool_case; identity_case; seeds_case;
     unknown_engine_case; fault_isolation_case; absorb_case; serve_case ]
