@@ -5,7 +5,7 @@
    - basic-block frequency (the Medium escalation of Table 4). *)
 
 let run_with ?monitor_config ?trust (sc : Guest.Scenario.t) =
-  Hth.Session.run ?monitor_config ?trust sc.sc_setup
+  Hth.Engine.run (Hth.Engine.create ?monitor_config ?trust ()) sc.sc_setup
 
 let verdict ?monitor_config ?trust sc =
   Hth.Report.verdict_label
@@ -39,7 +39,7 @@ let shortcircuit () =
     rows
 
 let trust () =
-  let execve_warned (r : Hth.Session.result) =
+  let execve_warned (r : Hth.Engine.result) =
     List.exists
       (fun (w : Secpert.Warning.t) -> String.equal w.rule "check_execve")
       r.warnings

@@ -80,14 +80,14 @@ let rec run () =
 and run_chaos () =
   let seed = 42 in
   let budgets =
-    { Hth.Session.no_budgets with b_shadow_pages = Some 64 }
+    { Hth.Engine.no_budgets with b_shadow_pages = Some 64 }
   in
   let before = Obs.snapshot () in
   List.iter
     (fun (sc : Guest.Scenario.t) ->
       ignore
-        (Hth.Session.run_outcome ~fault:(Osim.Fault.seeded seed) ~budgets
-           sc.sc_setup))
+        (Hth.Engine.run_outcome (Hth.Engine.create ())
+           ~fault:(Osim.Fault.seeded seed) ~budgets sc.sc_setup))
     Guest.Corpus.all;
   let stats = Obs.diff ~before ~after:(Obs.snapshot ()) in
   let prefixed p =

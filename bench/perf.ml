@@ -38,10 +38,10 @@ let full_config = { Harrier.Monitor.default_config with tier = false }
 let session_tests () =
   let sc = workload () in
   let run_unmonitored () =
-    ignore (Hth.Session.run_unmonitored sc.sc_setup)
+    ignore (Hth.Engine.run_unmonitored sc.sc_setup)
   in
   let run_with config () =
-    ignore (Hth.Session.run ~monitor_config:config sc.sc_setup)
+    ignore (Guest.Scenario.run ~monitor_config:config sc)
   in
   Test.make_grouped ~name:"harrier-levels"
     [ Test.make ~name:"native (no monitor)"
@@ -155,8 +155,8 @@ let component_tests () =
 
 (* ------------------------------------------------------------------ *)
 (* Corpus throughput: the nine golden scenarios swept back-to-back.
-   Cold per-session setup (one single-use engine per run, as
-   Hth.Session does) against one shared engine whose compiled policy
+   Cold per-session setup (one single-use engine per run) against one
+   shared engine whose compiled policy
    and linked-image cache persist across the sweep, and against the
    shared engine in its fast configuration (no event accumulation, one
    shared taint arena). *)
@@ -171,6 +171,9 @@ let corpus_size = List.length (golden_corpus ())
 
 let sweep run_one scs () =
   List.iter (fun (sc : Guest.Scenario.t) -> ignore (run_one sc.sc_setup)) scs
+
+(* One single-use engine per session: the cold rows. *)
+let cold ?policy setup = Hth.Engine.run (Hth.Engine.create ?policy ()) setup
 
 (* Corpus rows are measured by sustained averaging, not bechamel's
    OLS.  A cold sweep allocates (and drops) two dozen one-megabyte
@@ -198,11 +201,11 @@ let corpus_results () =
     Hth.Engine.create ~keep_events:false ~share_taint_space:true ()
   in
   [ "corpus/cold per-session setup (native)",
-    sustained_ns (sweep Hth.Session.run scs);
+    sustained_ns (sweep cold scs);
     "corpus/shared engine (native)",
     sustained_ns (sweep (Hth.Engine.run shared) scs);
     "corpus/cold per-session setup (clips)",
-    sustained_ns (sweep (Hth.Session.run ~policy:Secpert.System.Clips) scs);
+    sustained_ns (sweep (cold ~policy:Secpert.System.Clips) scs);
     "corpus/shared engine (clips)",
     sustained_ns (sweep (Hth.Engine.run shared_clips) scs);
     "corpus/shared engine (native, no events, shared taint)",

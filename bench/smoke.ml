@@ -7,9 +7,9 @@ let check name cond = if not cond then failwith ("bench smoke: " ^ name)
 let () =
   (* session monitoring levels, one short run each *)
   let sc = Guest.Perf_workload.scenario ~iters:2 in
-  ignore (Hth.Session.run_unmonitored sc.sc_setup);
+  ignore (Hth.Engine.run_unmonitored sc.sc_setup);
   List.iter
-    (fun cfg -> ignore (Hth.Session.run ~monitor_config:cfg sc.sc_setup))
+    (fun cfg -> ignore (Guest.Scenario.run ~monitor_config:cfg sc))
     [ Perf.bare_config; Perf.freq_config; Perf.dataflow_config;
       Harrier.Monitor.default_config ];
   (* component micro-operations *)
@@ -33,7 +33,7 @@ let () =
   let eng = Hth.Engine.create () in
   List.iter
     (fun (sc : Guest.Scenario.t) ->
-      let cold = Hth.Session.run sc.sc_setup in
+      let cold = Guest.Scenario.run sc in
       let warm = Hth.Engine.run eng sc.sc_setup in
       check
         ("engine verdict matches cold: " ^ sc.sc_name)
@@ -70,7 +70,7 @@ let () =
     ((Fleet.Executor.stats ex).executed = List.length scs);
   (* observability: counters move, the JSONL trace is byte-deterministic,
      and the no-op sink is restored afterwards *)
-  let r = Hth.Session.run sc.sc_setup in
+  let r = Guest.Scenario.run sc in
   let stat name = Option.value (List.assoc_opt name r.stats) ~default:0 in
   check "instructions counted" (stat "vm.instructions" > 0);
   check "syscalls counted" (stat "osim.syscalls" > 0);
@@ -79,7 +79,7 @@ let () =
     let buf = Buffer.create 512 in
     Obs.Trace.to_buffer buf;
     Fun.protect ~finally:Obs.Trace.disable (fun () ->
-        ignore (Hth.Session.run sc.sc_setup));
+        ignore (Guest.Scenario.run sc));
     Buffer.contents buf
   in
   let t1 = capture () in

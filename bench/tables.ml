@@ -20,7 +20,7 @@ let classification_table ~title scenarios =
   let rows = run_scenarios scenarios in
   let cells =
     List.map
-      (fun ((sc : Guest.Scenario.t), (r : Hth.Session.result), v) ->
+      (fun ((sc : Guest.Scenario.t), (r : Hth.Engine.result), v) ->
         [ sc.sc_name; Guest.Scenario.expected_label sc.sc_expected;
           verdict_cell v; mark (Guest.Scenario.matches sc.sc_expected v);
           string_of_int (List.length r.distinct) ])

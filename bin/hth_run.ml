@@ -180,7 +180,7 @@ let seed_arg =
 
 let budget_conv =
   let parse s =
-    match Hth.Session.parse_budgets [ s ] with
+    match Hth.Engine.parse_budgets [ s ] with
     | Ok _ -> Ok s
     | Error e -> Error (`Msg e)
   in
@@ -205,7 +205,7 @@ let fault_of plan seed =
 
 let budgets_of specs =
   (* specs were validated one by one by [budget_conv] *)
-  match Hth.Session.parse_budgets specs with
+  match Hth.Engine.parse_budgets specs with
   | Ok b -> b
   | Error e ->
     Printf.eprintf "%s\n" e;
@@ -270,7 +270,8 @@ let run_scenario name events no_dataflow no_freq no_shortcircuit no_tier
       Fun.protect
         ~finally:(fun () -> Option.iter close_out trace_oc)
         (fun () ->
-          Hth.Session.run_outcome ~monitor_config ~trust ~policy ?auto_kill
+          Hth.Engine.run_outcome
+            (Hth.Engine.create ~monitor_config ~trust ~policy ?auto_kill ())
             ~budgets:(budgets_of budget_specs)
             ~fault:(fault_of fault_plan seed) ?trace sc.sc_setup)
     in
@@ -478,50 +479,6 @@ let batch_cmd =
       $ fault_plan_arg $ seed_arg $ budget_args $ share_taint_flag
       $ jobs_arg $ trace_dir_arg $ batch_store_arg)
 
-let trace_cmd =
-  let doc =
-    "Run a scenario and print its event trace (replayable s-expressions)."
-  in
-  let run name =
-    match Guest.Corpus.find name with
-    | None ->
-      Printf.eprintf "unknown scenario %S; try `list`\n" name;
-      exit 2
-    | Some sc ->
-      let r = Hth.Session.run sc.sc_setup in
-      print_string (Hth.Trace.record r)
-  in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ scenario_arg)
-
-let replay_cmd =
-  let doc =
-    "Replay a recorded trace file through Secpert (offline analysis)."
-  in
-  let file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc:"Trace file.")
-  in
-  let run file clips =
-    let ic = open_in_bin file in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    match Hth.Trace.of_string contents with
-    | Error msg ->
-      Printf.eprintf "bad trace: %s\n" msg;
-      exit 2
-    | Ok events ->
-      let policy =
-        if clips then Secpert.System.Clips else Secpert.System.Native
-      in
-      let warnings = Hth.Trace.replay ~policy events in
-      Fmt.pr "%d events, %d warnings@." (List.length events)
-        (List.length warnings);
-      List.iter
-        (fun w -> Fmt.pr "%s@." (Secpert.Warning.to_string w))
-        (Secpert.Warning.dedup warnings)
-  in
-  Cmd.v (Cmd.info "replay" ~doc) Term.(const run $ file_arg $ clips_flag)
-
 let default =
   Term.(ret (const (`Help (`Pager, None))))
 
@@ -533,4 +490,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [ list_cmd; run_cmd; batch_cmd; trace_cmd; replay_cmd ]))
+          [ list_cmd; run_cmd; batch_cmd ]))

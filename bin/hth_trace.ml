@@ -7,6 +7,7 @@
      hth_trace query trace.jsonl --ev flow    filter the event stream
      hth_trace diff a.jsonl b.jsonl           first-divergence step
      hth_trace profile trace.jsonl            hot blocks / syscall mix
+     hth_trace replay trace.jsonl             re-judge the recorded events
      hth_trace fleet ls --store DIR           the manifest, one row per run
      hth_trace fleet query --store DIR ...    cross-run search by index
      hth_trace fleet profile --store DIR      fleet-wide hot blocks
@@ -233,6 +234,41 @@ let profile_cmd =
     Term.(const run $ store_opt_arg $ trace_arg $ top_arg)
 
 (* ------------------------------------------------------------------ *)
+(* replay                                                              *)
+
+let replay_cmd =
+  let doc =
+    "Re-judge a recorded trace: decode its flow lines back into Harrier \
+     events and push them through a fresh Secpert.  Prints the event and \
+     warning counts, then each distinct warning."
+  in
+  let clips_flag =
+    Arg.(
+      value & flag
+      & info [ "clips-policy" ]
+          ~doc:"Judge with the textual CLIPS policy instead of the native \
+                rules.")
+  in
+  let run store path clips =
+    match Forensics.Reader.events (load ~store path) with
+    | Error m ->
+      Printf.eprintf "hth_trace: %s: %s\n" path m;
+      exit 2
+    | Ok events ->
+      let policy =
+        if clips then Secpert.System.Clips else Secpert.System.Native
+      in
+      let warnings = Secpert.System.replay ~policy events in
+      Fmt.pr "%d events, %d warnings@." (List.length events)
+        (List.length warnings);
+      List.iter
+        (fun w -> Fmt.pr "%s@." (Secpert.Warning.to_string w))
+        (Secpert.Warning.dedup warnings)
+  in
+  Cmd.v (Cmd.info "replay" ~doc)
+    Term.(const run $ store_opt_arg $ trace_arg $ clips_flag)
+
+(* ------------------------------------------------------------------ *)
 (* fleet: cross-run queries over a warehouse                           *)
 
 let store_req_arg =
@@ -414,4 +450,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [ explain_cmd; query_cmd; diff_cmd; profile_cmd; fleet_cmd ]))
+          [ explain_cmd; query_cmd; diff_cmd; profile_cmd; replay_cmd;
+            fleet_cmd ]))

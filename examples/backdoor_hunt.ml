@@ -10,7 +10,7 @@ let find name =
   | Some sc -> sc
   | None -> failwith ("missing corpus scenario: " ^ name)
 
-let describe title (r : Hth.Session.result) =
+let describe title (r : Hth.Engine.result) =
   Fmt.pr "--- %s ---@." title;
   Fmt.pr "verdict: %a, %d distinct warnings@." Hth.Report.pp_verdict
     (Hth.Report.verdict r)
@@ -27,8 +27,10 @@ let describe title (r : Hth.Session.result) =
 let () =
   let pma = find "pma" in
   (* 1. observe only: the daemon runs to completion, every flow logged *)
-  describe "observe (no enforcement)" (Hth.Session.run pma.sc_setup);
+  describe "observe (no enforcement)" (Guest.Scenario.run pma);
   (* 2. enforce: kill on the first High warning — the daemon dies before
         it can bridge the attacker to the shell pipes *)
   describe "enforce (kill at HIGH)"
-    (Hth.Session.run ~auto_kill:Secpert.Severity.High pma.sc_setup)
+    (Hth.Engine.run
+       (Hth.Engine.create ~auto_kill:Secpert.Severity.High ())
+       pma.sc_setup)

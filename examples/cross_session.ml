@@ -18,7 +18,7 @@ let find name =
   | Some sc -> sc
   | None -> failwith ("missing corpus scenario: " ^ name)
 
-let show title profile (r : Hth.Session.result) =
+let show title profile (r : Hth.Engine.result) =
   let novel = Hth.Profile.novel profile r.warnings in
   Fmt.pr "--- %s ---@." title;
   Fmt.pr "raw verdict:       %a (%d warnings)@." Hth.Report.pp_verdict

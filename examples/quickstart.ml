@@ -31,10 +31,10 @@ let () =
   (* 1. describe the world: which images exist, what the user typed,
         what the network looks like *)
   let setup =
-    Hth.Session.setup ~programs:[ dropper ] ~main:"/demo/dropper" ()
+    Hth.Engine.setup ~programs:[ dropper ] ~main:"/demo/dropper" ()
   in
   (* 2. run it under Harrier + Secpert *)
-  let result = Hth.Session.run setup in
+  let result = Hth.Engine.run (Hth.Engine.create ()) setup in
   (* 3. inspect the outcome *)
   Fmt.pr "HTH verdict: %a@.@." Hth.Report.pp_verdict
     (Hth.Report.verdict result);

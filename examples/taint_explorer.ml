@@ -14,7 +14,7 @@ let find name =
   | Some sc -> sc
   | None -> failwith ("missing corpus scenario: " ^ name)
 
-let connect_events (r : Hth.Session.result) =
+let connect_events (r : Hth.Engine.result) =
   List.filter_map
     (function
       | Harrier.Events.Access { call = "SYS_connect"; res; _ } ->
@@ -25,7 +25,7 @@ let connect_events (r : Hth.Session.result) =
 
 let () =
   let sc = find "File->Socket: Hardcoded, Hardcoded" in
-  let r = Hth.Session.run sc.sc_setup in
+  let r = Guest.Scenario.run sc in
   Fmt.pr "=== event stream (%d events) ===@." r.event_count;
   List.iter (fun e -> Fmt.pr "  %a@." Harrier.Events.pp e) r.events;
 
@@ -33,10 +33,10 @@ let () =
   Fmt.pr "with short-circuit:@.";
   List.iter (Fmt.pr "  %s@.") (connect_events r);
   let no_sc =
-    Hth.Session.run
+    Guest.Scenario.run
       ~monitor_config:
         { Harrier.Monitor.default_config with shortcircuit = [] }
-      sc.sc_setup
+      sc
   in
   Fmt.pr "without short-circuit (address origin degrades to the hosts \
           database):@.";

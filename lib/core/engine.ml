@@ -48,9 +48,6 @@ type tier_counts = {
   tc_deopt : int;
 }
 
-let no_tier_counts =
-  { tc_interpreted = 0; tc_compiled = 0; tc_summarized = 0; tc_deopt = 0 }
-
 type result = {
   os_report : Osim.Kernel.report;
   events : Harrier.Events.t list;
@@ -137,14 +134,13 @@ type t = {
          at tear-down.  Buffers are zeroed or overwritten on reuse, so
          guest behaviour — and therefore every counter and trace line —
          is identical to fresh allocation. *)
-  e_mem_pool_cap : int;  (* remembered so [fork] can size worker pools *)
 }
 
 let space_pool_cap = 4
 
 let create ?monitor_config ?trust ?thresholds ?auto_kill
     ?(policy = Secpert.System.Native) ?(keep_events = true)
-    ?(share_taint_space = false) ?(mem_pool_cap = 16) () =
+    ?(share_taint_space = false) () =
   { e_monitor_config =
       Option.value monitor_config ~default:Harrier.Monitor.default_config;
     e_trust = trust;
@@ -156,8 +152,7 @@ let create ?monitor_config ?trust ?thresholds ?auto_kill
       (if share_taint_space then Some (Taint.Space.create ()) else None);
     e_images = [];
     e_space_pool = [];
-    e_mem_pool = Vm.Machine.mem_pool ~cap:mem_pool_cap ();
-    e_mem_pool_cap = mem_pool_cap }
+    e_mem_pool = Vm.Machine.mem_pool () }
 
 (* A worker's view of the same engine.  The shared artifacts — compiled
    policy (for CLIPS, the parsed rule forms as finished values), trust
@@ -177,8 +172,7 @@ let fork eng =
        means every worker maps the same text arrays, whose decoded
        block tables and compiled-insn slots are shared fleet-wide *)
     e_space_pool = [];
-    e_mem_pool = Vm.Machine.mem_pool ~cap:eng.e_mem_pool_cap ();
-    e_mem_pool_cap = eng.e_mem_pool_cap;
+    e_mem_pool = Vm.Machine.mem_pool ();
     e_shared_space =
       Option.map (fun _ -> Taint.Space.create ()) eng.e_shared_space }
 

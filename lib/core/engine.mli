@@ -12,7 +12,7 @@
 
     Determinism contract: a session run through a warm shared engine
     produces byte-identical traces, warnings and verdicts to the same
-    session run cold ({!Session.run}).  All shared-artifact resolution
+    session run cold, on a fresh engine.  All shared-artifact resolution
     (image-cache lookups, linking) happens before the run's counter
     snapshot, so it never leaks into [result.stats] or the trace.  The
     one documented exception is [share_taint_space]: sharing one taint
@@ -64,8 +64,6 @@ type tier_counts = {
       (** deoptimizations: promotion rejections (flow not exactly
           summarizable) plus runtime bounds bail-outs *)
 }
-
-val no_tier_counts : tier_counts
 
 type result = {
   os_report : Osim.Kernel.report;
@@ -137,10 +135,8 @@ type t
     faster on a corpus, but per-run [taint.*] counters become
     warm-dependent and are omitted from traces.
 
-    [mem_pool_cap] (default 16) bounds the guest address-space buffers
-    (1 MiB each) recycled between sessions; [0] disables pooling —
-    right for single-use engines, where retaining buffers only delays
-    their collection. *)
+    Guest address-space buffers (1 MiB each) are recycled between the
+    engine's sessions, at most 16 at a time. *)
 val create :
   ?monitor_config:Harrier.Monitor.config ->
   ?trust:Secpert.Trust.t ->
@@ -149,7 +145,6 @@ val create :
   ?policy:Secpert.System.policy ->
   ?keep_events:bool ->
   ?share_taint_space:bool ->
-  ?mem_pool_cap:int ->
   unit ->
   t
 

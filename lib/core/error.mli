@@ -26,7 +26,7 @@ type t =
           terminating guests) *)
 
 (** [Error_exn e] carries a typed error through exception-only call
-    sites ({!Session.run} raises it when its result-returning sibling
+    sites ({!Engine.run} raises it when its result-returning sibling
     would return [Error]). *)
 exception Error_exn of t
 

@@ -15,7 +15,7 @@ let origin_tags (e : Harrier.Events.t) =
     @ (match via_server with Some s -> [ s.r_origin ] | None -> [])
   | Clone _ | Alloc _ -> []
 
-let derive ?(trust = Secpert.Trust.default) (r : Session.result) =
+let derive ?(trust = Secpert.Trust.default) (r : Engine.result) =
   let tags = List.concat_map origin_tags r.events in
   let classify tag = Secpert.Trust.classify trust tag in
   let user_seen =

@@ -18,7 +18,7 @@ type t = {
 
 (** [derive ?trust result] inspects the events (and warnings) of a
     session. *)
-val derive : ?trust:Secpert.Trust.t -> Session.result -> t
+val derive : ?trust:Secpert.Trust.t -> Engine.result -> t
 
 (** [row t] renders the four columns as check marks / blanks. *)
 val row : t -> string list

@@ -21,7 +21,7 @@ let acknowledge t ws =
 
 let novel t ws = List.filter (fun w -> not (known t w)) ws
 
-let effective_verdict t (r : Session.result) =
+let effective_verdict t (r : Engine.result) =
   match Secpert.Warning.max_severity (novel t r.warnings) with
   | None -> Report.Benign
   | Some s -> Report.Suspicious s

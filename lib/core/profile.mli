@@ -27,7 +27,7 @@ val novel : t -> Secpert.Warning.t list -> Secpert.Warning.t list
 
 (** [effective_verdict t result] is the verdict computed from the novel
     warnings only. *)
-val effective_verdict : t -> Session.result -> Report.verdict
+val effective_verdict : t -> Engine.result -> Report.verdict
 
 (** {2 Persistence}
 

@@ -2,7 +2,7 @@ type verdict =
   | Benign
   | Suspicious of Secpert.Severity.t
 
-let verdict (r : Session.result) =
+let verdict (r : Engine.result) =
   match r.max_severity with
   | None -> Benign
   | Some s -> Suspicious s
@@ -19,7 +19,7 @@ let verdict_label = function
 
 let pp_verdict ppf v = Fmt.string ppf (verdict_label v)
 
-let pp_result ~verbose ppf (r : Session.result) =
+let pp_result ~verbose ppf (r : Engine.result) =
   Fmt.pf ppf "@[<v>verdict: %a%s@,warnings: %d (%d distinct)@,@]" pp_verdict
     (verdict r)
     (if r.degraded = [] then "" else " (degraded)")
@@ -65,7 +65,7 @@ let pp_stats ppf (stats : Obs.snapshot) =
        hs);
   Fmt.pf ppf "@]"
 
-let pp_tier ppf (t : Session.tier_counts) =
+let pp_tier ppf (t : Engine.tier_counts) =
   Fmt.pf ppf
     "@[<v>tiers:@,  interpreted     %d@,  compiled        %d@,\
     \  summary-applied %d@,  deopted         %d@,@]"

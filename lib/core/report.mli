@@ -5,7 +5,7 @@ type verdict =
   | Benign  (** no warnings at all *)
   | Suspicious of Secpert.Severity.t  (** highest warning severity *)
 
-val verdict : Session.result -> verdict
+val verdict : Engine.result -> verdict
 
 val equal_verdict : verdict -> verdict -> bool
 
@@ -15,7 +15,7 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 (** [pp_result ~verbose ppf r] prints warnings (deduplicated) and, when
     [verbose], the raw event stream and the OS report. *)
-val pp_result : verbose:bool -> Format.formatter -> Session.result -> unit
+val pp_result : verbose:bool -> Format.formatter -> Engine.result -> unit
 
 (** [pp_stats ppf stats] renders a session's observability counters as
     an aligned name/value table, followed by the non-empty histograms
@@ -24,11 +24,11 @@ val pp_result : verbose:bool -> Format.formatter -> Session.result -> unit
     run to run). *)
 val pp_stats : Format.formatter -> Obs.snapshot -> unit
 
-(** [pp_tier ppf t] renders {!Session.result.tier} — per-tier block
+(** [pp_tier ppf t] renders {!Engine.result.tier} — per-tier block
     execution counts (interpreted / compiled / summary-applied /
     deopted). *)
-val pp_tier : Format.formatter -> Session.tier_counts -> unit
+val pp_tier : Format.formatter -> Engine.tier_counts -> unit
 
-(** [pp_hot_blocks ppf blocks] renders {!Session.result.hot_blocks}
+(** [pp_hot_blocks ppf blocks] renders {!Engine.result.hot_blocks}
     as a [pid addr count] table; prints nothing for an empty list. *)
 val pp_hot_blocks : Format.formatter -> (int * int * int) list -> unit

@@ -63,27 +63,6 @@ let c_overloaded = Obs.Counter.make "serve.overloaded"
 let h_latency = Obs.Histogram.make "serve.latency.ms"
 
 (* ------------------------------------------------------------------ *)
-(* flat-JSON response rendering (mirrors the escapes Jsonl accepts)    *)
-
-type field = I of int | S of string | B of bool
-
-let render fields =
-  let b = Buffer.create 128 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Obs.add_json_string b k;
-      Buffer.add_char b ':';
-      match v with
-      | I n -> Buffer.add_string b (string_of_int n)
-      | B bo -> Buffer.add_string b (if bo then "true" else "false")
-      | S s -> Obs.add_json_string b s)
-    fields;
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
 (* request parsing                                                     *)
 
 type request = {
@@ -320,7 +299,11 @@ let take_meta svc eseq =
 (* ------------------------------------------------------------------ *)
 (* response rendering                                                  *)
 
-let opt_id id rest = match id with None -> rest | Some i -> ("id", S i) :: rest
+(* Every response line: its sequence number, the request's id when it
+   had one, then the response's own fields. *)
+let response seq id fields =
+  let id = match id with None -> [] | Some i -> [ "id", Obs.Str i ] in
+  Obs.json_object ((("seq", Obs.Int seq) :: id) @ fields)
 
 let ok_line seq (req : request) (r : Hth.Engine.result) =
   let v = Hth.Report.verdict r in
@@ -328,60 +311,43 @@ let ok_line seq (req : request) (r : Hth.Engine.result) =
   let findings =
     String.concat "\n" (List.map Secpert.Warning.to_string distinct)
   in
-  render
-    (("seq", I seq)
-     :: opt_id req.r_id
-          [ "scenario", S req.r_scenario;
-            "status", S "ok";
-            "verdict", S (Hth.Report.verdict_label v);
-            "expected", S req.r_expected;
-            "match", B (req.r_matches v);
-            "warnings", I (List.length r.warnings);
-            "distinct", I (List.length distinct);
-            "events", I r.event_count;
-            "degraded", B (r.degraded <> []);
-            "findings", S findings ])
+  response seq req.r_id
+    Obs.[ "scenario", Str req.r_scenario; "status", Str "ok";
+          "verdict", Str (Hth.Report.verdict_label v);
+          "expected", Str req.r_expected; "match", Bool (req.r_matches v);
+          "warnings", Int (List.length r.warnings);
+          "distinct", Int (List.length distinct);
+          "events", Int r.event_count; "degraded", Bool (r.degraded <> []);
+          "findings", Str findings ]
 
 let error_line seq (req : request) e =
-  render
-    (("seq", I seq)
-     :: opt_id req.r_id
-          [ "scenario", S req.r_scenario;
-            "status", S "error";
-            "kind", S (Hth.Error.kind e);
-            "error", S (Hth.Error.to_string e) ])
+  response seq req.r_id
+    Obs.[ "scenario", Str req.r_scenario; "status", Str "error";
+          "kind", Str (Hth.Error.kind e);
+          "error", Str (Hth.Error.to_string e) ]
 
 let bad_line seq msg =
-  render [ "seq", I seq; "status", S "bad_request"; "error", S msg ]
+  response seq None Obs.[ "status", Str "bad_request"; "error", Str msg ]
 
 let overloaded_line seq (req : request) =
-  render
-    (("seq", I seq)
-     :: opt_id req.r_id
-          [ "scenario", S req.r_scenario;
-            "status", S "overloaded";
-            "retry", B true ])
+  response seq req.r_id
+    Obs.[ "scenario", Str req.r_scenario; "status", Str "overloaded";
+          "retry", Bool true ]
 
 let draining_line seq (req : request) =
-  render
-    (("seq", I seq)
-     :: opt_id req.r_id
-          [ "scenario", S req.r_scenario;
-            "status", S "shutting_down";
-            "retry", B false ])
+  response seq req.r_id
+    Obs.[ "scenario", Str req.r_scenario; "status", Str "shutting_down";
+          "retry", Bool false ]
 
 let health_line svc seq id =
   let h = Supervisor.health svc.sv_sup in
-  render
-    (("seq", I seq)
-     :: opt_id id
-          [ "status", S "health";
-            "jobs", I h.Supervisor.h_jobs;
-            "inflight", I h.Supervisor.h_inflight;
-            "draining", B h.Supervisor.h_draining;
-            "timeouts", I h.Supervisor.h_timeouts;
-            "respawns", I h.Supervisor.h_stats.Pool.respawns;
-            "executed", I h.Supervisor.h_stats.Pool.executed ])
+  response seq id
+    Obs.[ "status", Str "health"; "jobs", Int h.Supervisor.h_jobs;
+          "inflight", Int h.Supervisor.h_inflight;
+          "draining", Bool h.Supervisor.h_draining;
+          "timeouts", Int h.Supervisor.h_timeouts;
+          "respawns", Int h.Supervisor.h_stats.Pool.respawns;
+          "executed", Int h.Supervisor.h_stats.Pool.executed ]
 
 let stats_line svc seq id =
   Mutex.lock svc.sv_obs_mu;
@@ -393,23 +359,16 @@ let stats_line svc seq id =
   let us p = int_of_float (Obs.Histogram.percentile h_latency p *. 1000.) in
   let p50 = us 50. and p95 = us 95. and p99 = us 99. in
   Mutex.unlock svc.sv_obs_mu;
-  render
-    (("seq", I seq)
-     :: opt_id id
-          [ "status", S "stats";
-            "requests", I requests;
-            "overloaded", I overloaded;
-            "latency_count", I n;
-            "latency_p50_us", I p50;
-            "latency_p95_us", I p95;
-            "latency_p99_us", I p99 ])
+  response seq id
+    Obs.[ "status", Str "stats"; "requests", Int requests;
+          "overloaded", Int overloaded; "latency_count", Int n;
+          "latency_p50_us", Int p50; "latency_p95_us", Int p95;
+          "latency_p99_us", Int p99 ]
 
 let store_stats_line svc seq id =
   match svc.sv_store with
   | None ->
-    render
-      (("seq", I seq)
-       :: opt_id id [ "status", S "store_stats"; "enabled", B false ])
+    response seq id Obs.[ "status", Str "store_stats"; "enabled", Bool false ]
   | Some wh ->
     Mutex.lock svc.sv_obs_mu;
     let total = Store.Warehouse.total wh in
@@ -417,16 +376,11 @@ let store_stats_line svc seq id =
     let raw = Store.Warehouse.raw_bytes wh in
     let framed = Store.Warehouse.framed_bytes wh in
     Mutex.unlock svc.sv_obs_mu;
-    render
-      (("seq", I seq)
-       :: opt_id id
-            [ "status", S "store_stats";
-              "enabled", B true;
-              "dir", S (Store.Warehouse.dir wh);
-              "runs", I total;
-              "appended", I appended;
-              "raw_bytes", I raw;
-              "framed_bytes", I framed ])
+    response seq id
+      Obs.[ "status", Str "store_stats"; "enabled", Bool true;
+            "dir", Str (Store.Warehouse.dir wh); "runs", Int total;
+            "appended", Int appended; "raw_bytes", Int raw;
+            "framed_bytes", Int framed ]
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
@@ -442,79 +396,75 @@ let store_query_line svc seq (id, kind, limit) =
                   | Q_diff _ -> "diff"
   in
   let base rest =
-    ("seq", I seq)
-    :: opt_id id (("status", S "store_query") :: ("kind", S kind_label) :: rest)
+    response seq id
+      (Obs.[ "status", Str "store_query"; "kind", Str kind_label ] @ rest)
+  in
+  let found label n key rows =
+    base
+      Obs.[ "enabled", Bool true; label, Int n;
+            key, Str (String.concat "\n" rows) ]
   in
   let err e =
-    base [ "enabled", B true; "error", S (Hth.Error.to_string e) ]
+    base Obs.[ "enabled", Bool true; "error", Str (Hth.Error.to_string e) ]
   in
   match svc.sv_store with
-  | None -> render (base [ "enabled", B false ])
+  | None -> base [ "enabled", Obs.Bool false ]
   | Some wh ->
     (* snapshot the manifest under the append lock so a response never
        observes a half-appended entry *)
     Mutex.lock svc.sv_obs_mu;
     let view = Store.Warehouse.load (Store.Warehouse.dir wh) in
     Mutex.unlock svc.sv_obs_mu;
-    let fields =
-      match view with
-      | Error e -> err e
-      | Ok view ->
-        (match kind with
-         | Q_hits f ->
-           (match Store.Fleet_query.query view f with
-            | Error e -> err e
-            | Ok hits ->
-              let rows =
-                List.map
-                  (fun (h : Store.Fleet_query.hit) ->
-                    Printf.sprintf "%s %s %s" h.h_entry.e_run
-                      h.h_entry.e_verdict
-                      (match h.h_steps with
-                       | [] -> "-"
-                       | steps ->
-                         "steps "
-                         ^ String.concat ","
-                             (List.map string_of_int steps)))
-                  (take limit hits)
-              in
-              base
-                [ "enabled", B true;
-                  "runs", I (List.length hits);
-                  "hits", S (String.concat "\n" rows) ])
-         | Q_profile ->
-           (match Store.Fleet_query.profile view with
-            | Error e -> err e
-            | Ok blocks ->
-              let rows =
-                List.map
-                  (fun (b : Store.Fleet_query.block) ->
-                    Printf.sprintf "pid %d 0x%06x hits %d runs %d" b.b_pid
-                      b.b_addr b.b_count b.b_runs)
-                  (take limit blocks)
-              in
-              base
-                [ "enabled", B true;
-                  "blocks", I (List.length blocks);
-                  "profile", S (String.concat "\n" rows) ])
-         | Q_diff run ->
-           (match Store.Fleet_query.diff view ~run with
-            | Error e -> err e
-            | Ok (drifts, compared) ->
-              let rows =
-                List.map
-                  (fun (d : Store.Fleet_query.drift) ->
-                    Printf.sprintf "%s %d median %d" d.d_name d.d_value
-                      d.d_median)
-                  (take limit drifts)
-              in
-              base
-                [ "enabled", B true;
-                  "drifts", I (List.length drifts);
-                  "compared", I compared;
-                  "diff", S (String.concat "\n" rows) ]))
-    in
-    render fields
+    match view with
+    | Error e -> err e
+    | Ok view ->
+      (match kind with
+       | Q_hits f ->
+         (match Store.Fleet_query.query view f with
+          | Error e -> err e
+          | Ok hits ->
+            let rows =
+              List.map
+                (fun (h : Store.Fleet_query.hit) ->
+                  Printf.sprintf "%s %s %s" h.h_entry.e_run
+                    h.h_entry.e_verdict
+                    (match h.h_steps with
+                     | [] -> "-"
+                     | steps ->
+                       "steps "
+                       ^ String.concat ","
+                           (List.map string_of_int steps)))
+                (take limit hits)
+            in
+            found "runs" (List.length hits) "hits" rows)
+       | Q_profile ->
+         (match Store.Fleet_query.profile view with
+          | Error e -> err e
+          | Ok blocks ->
+            let rows =
+              List.map
+                (fun (b : Store.Fleet_query.block) ->
+                  Printf.sprintf "pid %d 0x%06x hits %d runs %d" b.b_pid
+                    b.b_addr b.b_count b.b_runs)
+                (take limit blocks)
+            in
+            found "blocks" (List.length blocks) "profile" rows)
+       | Q_diff run ->
+         (match Store.Fleet_query.diff view ~run with
+          | Error e -> err e
+          | Ok (drifts, compared) ->
+            let rows =
+              List.map
+                (fun (d : Store.Fleet_query.drift) ->
+                  Printf.sprintf "%s %d median %d" d.d_name d.d_value
+                    d.d_median)
+                (take limit drifts)
+            in
+            base
+              Obs.[ "enabled", Bool true;
+                    "drifts", Int (List.length drifts);
+                    "compared", Int compared;
+                    "diff", Str (String.concat "\n" rows) ]))
 
 (* ------------------------------------------------------------------ *)
 (* collector: routes global-order outcomes to per-connection emitters  *)

@@ -4,7 +4,7 @@
    booleans (exactly the Obs.value type).  The parser accepts only
    that shape and reports anything else as an error. *)
 
-type value = Int of int | Str of string | Bool of bool
+type value = Obs.value = Int of int | Str of string | Bool of bool
 
 exception Parse_error of string
 

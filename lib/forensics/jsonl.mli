@@ -6,7 +6,7 @@
     mirror the emitter (backslash-escaped quote/backslash/slash/n/t/r
     and [\uXXXX] for control bytes). *)
 
-type value = Int of int | Str of string | Bool of bool
+type value = Obs.value = Int of int | Str of string | Bool of bool
 
 val parse_line : string -> ((string * value) list, string) result
 (** [parse_line line] parses one JSONL line into its fields in

@@ -1,7 +1,7 @@
 (* Offline profiling from the counters a session embeds at the end of
    its trace ("counter" and "hot_block" lines) plus the event stream
    itself.  Because the embedded lines are the live run's own
-   [Session.result.stats] / [hot_blocks], the offline numbers
+   [Engine.result.stats] / [hot_blocks], the offline numbers
    reproduce [hth_run --stats] exactly. *)
 
 type t = {

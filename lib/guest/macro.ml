@@ -6,7 +6,7 @@ let benign = Scenario.Benign
 let medium = Scenario.Malicious Secpert.Severity.Medium
 let high = Scenario.Malicious Secpert.Severity.High
 
-let setup = Hth.Session.setup
+let setup = Hth.Engine.setup
 
 let db_path = "/home/user/.pwsafe.dat"
 let db_content = "site:bank.example user:alice pass:hunter2\n"

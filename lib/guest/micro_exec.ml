@@ -19,7 +19,7 @@ let user_input =
   Scenario.make ~name:"User input" ~group
     ~descr:"execve of a program named on the command line"
     ~expected:Scenario.Benign
-    (Hth.Session.setup
+    (Hth.Engine.setup
        ~programs:[ user_input_exe; Common.trivial "/bin/true" ]
        ~argv:[ "/bin/exec_user"; "/bin/true" ]
        ~main:"/bin/exec_user" ())
@@ -40,7 +40,7 @@ let hardcode =
   Scenario.make ~name:"Hardcode" ~group
     ~descr:"execve of a hard-coded program name"
     ~expected:(Scenario.Malicious Secpert.Severity.Low)
-    (Hth.Session.setup ~programs:[ hardcode_exe; Common.trivial "/bin/true" ]
+    (Hth.Engine.setup ~programs:[ hardcode_exe; Common.trivial "/bin/true" ]
        ~main:"/bin/exec_hard" ())
 
 (* execve a program name received over a hard-coded socket *)
@@ -64,7 +64,7 @@ let remote =
   Scenario.make ~name:"Remote execve" ~group
     ~descr:"execve of a program name received from a remote attacker"
     ~expected:(Scenario.Malicious Secpert.Severity.High)
-    (Hth.Session.setup
+    (Hth.Engine.setup
        ~programs:[ remote_exe; Common.trivial "/bin/true" ]
        ~hosts:Common.all_hosts
        ~servers:
@@ -91,7 +91,7 @@ let infrequent =
   Scenario.make ~name:"Infrequent execve" ~group
     ~descr:"hard-coded execve in code that runs rarely, late in execution"
     ~expected:(Scenario.Malicious Secpert.Severity.Medium)
-    (Hth.Session.setup
+    (Hth.Engine.setup
        ~programs:[ infrequent_exe; Common.trivial "/bin/true" ]
        ~main:"/bin/exec_rare" ())
 

@@ -105,7 +105,7 @@ let gen ~prog ~src ~dst =
     movl u (mlbl ("sa_" ^ tag)) eax
   in
   let accept_server () =
-    Runtime.static_sockaddr u "listen_sa" ~ip:Hth.Session.localhost_ip
+    Runtime.static_sockaddr u "listen_sa" ~ip:Hth.Engine.localhost_ip
       ~port:serve_port;
     Runtime.sys_socket u;
     movl u (mlbl "dfd") eax;
@@ -256,7 +256,7 @@ let scenario ~name ~descr ~src ~dst ~expected =
               else [])
   in
   Scenario.make ~name ~group ~descr ~expected
-    (Hth.Session.setup ~programs ~files ~hosts:Common.all_hosts ~servers
+    (Hth.Engine.setup ~programs ~files ~hosts:Common.all_hosts ~servers
        ~incoming
        ~argv:[ prog; argv1; argv2 ]
        ~main:prog ())

@@ -31,7 +31,7 @@ let loop_forker =
   Scenario.make ~name:"loop forker" ~group
     ~descr:"main thread forks 12 children that loop and sleep"
     ~expected:(Scenario.Malicious Secpert.Severity.Medium)
-    (Hth.Session.setup ~programs:[ loop_forker_exe ] ~max_ticks:100_000
+    (Hth.Engine.setup ~programs:[ loop_forker_exe ] ~max_ticks:100_000
        ~main:"/bin/loop_forker" ())
 
 (* Every process forks in a loop: 2^4 process tree. *)
@@ -55,7 +55,7 @@ let tree_forker =
   Scenario.make ~name:"tree forker" ~group
     ~descr:"parent and child both keep forking (2^4 processes)"
     ~expected:(Scenario.Malicious Secpert.Severity.Medium)
-    (Hth.Session.setup ~programs:[ tree_forker_exe ] ~max_ticks:100_000
+    (Hth.Engine.setup ~programs:[ tree_forker_exe ] ~max_ticks:100_000
        ~main:"/bin/tree_forker" ())
 
 let scenarios = [ loop_forker; tree_forker ]

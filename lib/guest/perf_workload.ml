@@ -45,7 +45,7 @@ let scenario ~iters =
   Scenario.make ~name:(Fmt.str "perf-copy-%d" iters) ~group:"perf"
     ~descr:"instruction-dense copy/checksum kernel"
     ~expected:(Scenario.Malicious Secpert.Severity.Low)
-    (Hth.Session.setup
+    (Hth.Engine.setup
        ~programs:[ exe ~iters ]
        ~files:[ "/data/input.bin", String.make 64 'x' ]
        ~max_ticks:(200_000 + (700 * iters))

@@ -6,7 +6,7 @@ type t = {
   sc_name : string;
   sc_group : string;
   sc_descr : string;
-  sc_setup : Hth.Session.setup;
+  sc_setup : Hth.Engine.setup;
   sc_expected : expected;
 }
 
@@ -24,6 +24,7 @@ let matches expected (verdict : Hth.Report.verdict) =
   | Malicious s, Hth.Report.Suspicious s' -> Secpert.Severity.equal s s'
   | (Benign | Malicious _), _ -> false
 
-let run ?monitor_config sc = Hth.Session.run ?monitor_config sc.sc_setup
+let run ?monitor_config sc =
+  Hth.Engine.run (Hth.Engine.create ?monitor_config ()) sc.sc_setup
 
 let passes sc = matches sc.sc_expected (Hth.Report.verdict (run sc))

@@ -12,13 +12,13 @@ type t = {
   sc_name : string;  (** e.g. ["Hardcode"] (Table 4 row) *)
   sc_group : string;  (** e.g. ["table4"] *)
   sc_descr : string;
-  sc_setup : Hth.Session.setup;
+  sc_setup : Hth.Engine.setup;
   sc_expected : expected;
 }
 
 val make :
   name:string -> group:string -> descr:string -> expected:expected ->
-  Hth.Session.setup -> t
+  Hth.Engine.setup -> t
 
 val expected_label : expected -> string
 
@@ -27,7 +27,7 @@ val expected_label : expected -> string
 val matches : expected -> Hth.Report.verdict -> bool
 
 (** [run sc] executes the scenario under the default configuration. *)
-val run : ?monitor_config:Harrier.Monitor.config -> t -> Hth.Session.result
+val run : ?monitor_config:Harrier.Monitor.config -> t -> Hth.Engine.result
 
 (** [passes sc] runs and checks the verdict. *)
 val passes : t -> bool

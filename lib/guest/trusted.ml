@@ -5,7 +5,7 @@ let group = "table7"
 let benign = Scenario.Benign
 let low = Scenario.Malicious Secpert.Severity.Low
 
-let setup = Hth.Session.setup
+let setup = Hth.Engine.setup
 
 (* A "cat"-shaped body: open the file whose pointer is in the word at
    [name_lbl], copy its contents to stdout. *)
@@ -341,7 +341,7 @@ let xeyes_exe =
       ~kind:Binary.Image.Executable ~base:Common.exe_base ()
   in
   Runtime.prologue u;
-  Runtime.static_sockaddr u "xsrv" ~ip:Hth.Session.localhost_ip ~port:6000;
+  Runtime.static_sockaddr u "xsrv" ~ip:Hth.Engine.localhost_ip ~port:6000;
   space u "fd" 4;
   label u "_start";
   call u "XOpenDisplay";

@@ -65,6 +65,35 @@ val kind_name : resource_kind -> string
 
 val meta_of : t -> meta
 
-val pp_resource : Format.formatter -> resource -> unit
+(** [kind e] is the event's shape: ["exec"], ["clone"], ["access"],
+    ["alloc"] or ["transfer"] — the ["kind"] field of its flow line and
+    the label of its [harrier.events.<kind>] counter. *)
+val kind : t -> string
+
+(** {2 The flow-line codec}
+
+    An event's one serialised form is the ["flow"] line of a JSONL
+    trace.  [to_fields e] is that line's fields after ["step"] and
+    ["ev"]: [kind], [pid], [tick], [freq], [addr], then per shape
+
+    - exec: [call], [res_kind], [res_name], [origin], [argv];
+    - access: [call], [res_kind], [res_name], [origin];
+    - clone: [total], [recent], [window];
+    - alloc: [requested], [total];
+    - transfer: [call], [target_kind], [target_name], [target_origin],
+      [data], [len], [head], [sources], [guard], and [server_kind],
+      [server_name], [server_origin] for accepted connections.
+
+    Tag sets print as {!Taint.Tagset.to_string}; [sources] and [guard]
+    are [SOURCE<-TAGSET] items joined by [;]; [argv] is its items as
+    OCaml string literals joined by spaces; [head] is lowercase hex. *)
+val to_fields : t -> (string * Obs.value) list
+
+(** [of_fields space fields] decodes a flow line's fields (["step"]
+    included, as the trace reader returns them) back into the event,
+    interning its tag sets in [space].  Total: malformed input is an
+    [Error], never an exception. *)
+val of_fields :
+  Taint.Space.t -> (string * Obs.value) list -> (t, string) result
 
 val pp : Format.formatter -> t -> unit

@@ -139,75 +139,19 @@ let imm_tag t image =
 
 let c_events = Obs.Counter.make "harrier.events"
 
-let event_kind : Events.t -> string = function
-  | Events.Exec _ -> "exec"
-  | Events.Clone _ -> "clone"
-  | Events.Access _ -> "access"
-  | Events.Alloc _ -> "alloc"
-  | Events.Transfer _ -> "transfer"
-
-(* Structured per-shape fields on the "flow" line: enough that a
-   forensic consumer can resolve resource names and taint origins from
-   the trace alone, without re-executing the guest.  [desc] stays last
-   as the human-readable rendering. *)
-let flow_fields : Events.t -> (string * Obs.value) list = function
-  | Events.Exec { path; _ } ->
-    [ "call", Obs.Str "SYS_execve";
-      "res_kind", Obs.Str (Events.kind_name path.r_kind);
-      "res_name", Obs.Str path.r_name;
-      "origin", Obs.Str (Taint.Tagset.to_string path.r_origin) ]
-  | Events.Access { call; res; _ } ->
-    [ "call", Obs.Str call;
-      "res_kind", Obs.Str (Events.kind_name res.r_kind);
-      "res_name", Obs.Str res.r_name;
-      "origin", Obs.Str (Taint.Tagset.to_string res.r_origin) ]
-  | Events.Clone { total; recent; _ } ->
-    [ "total", Obs.Int total; "recent", Obs.Int recent ]
-  | Events.Alloc { requested; total; _ } ->
-    [ "requested", Obs.Int requested; "total", Obs.Int total ]
-  | Events.Transfer { call; data; sources; target; via_server; len; _ } ->
-    [ "call", Obs.Str call;
-      "target_kind", Obs.Str (Events.kind_name target.r_kind);
-      "target_name", Obs.Str target.r_name;
-      "target_origin", Obs.Str (Taint.Tagset.to_string target.r_origin);
-      "data", Obs.Str (Taint.Tagset.to_string data);
-      "len", Obs.Int len;
-      "sources",
-      Obs.Str
-        (String.concat ";"
-           (List.map
-              (fun (src, o) ->
-                Taint.Source.to_string src ^ "<-"
-                ^ Taint.Tagset.to_string o)
-              sources)) ]
-    @ (match via_server with
-       | None -> []
-       | Some srv ->
-         [ "server_name", Obs.Str srv.Events.r_name;
-           "server_origin",
-           Obs.Str (Taint.Tagset.to_string srv.Events.r_origin) ])
-
 (* The trace sink: one structured "flow" line per event.  Must be the
    {e first} subscriber so the flow line is the very next trace emission
    after the event's meta was stamped (the meta's [step] is the index
    that next line will get), and so it precedes any "rule"/"warning"
    lines a policy sink emits for the same event. *)
 let trace_sink e =
-  if Obs.Trace.enabled () then begin
-    let m = Events.meta_of e in
-    Obs.Trace.emit "flow"
-      ([ "kind", Obs.Str (event_kind e); "pid", Obs.Int m.pid;
-         "tick", Obs.Int m.time; "freq", Obs.Int m.freq;
-         "addr", Obs.Int m.addr ]
-       @ flow_fields e
-       @ [ "desc", Obs.Str (Fmt.to_to_string Events.pp e) ])
-  end;
+  if Obs.Trace.enabled () then Obs.Trace.emit "flow" (Events.to_fields e);
   Osim.Kernel.Allow
 
 (* The metrics sink: per-run event totals, by kind. *)
 let metrics_sink e =
   Obs.Counter.incr c_events;
-  Obs.Counter.incr (Obs.Counter.labeled "harrier.events" (event_kind e));
+  Obs.Counter.incr (Obs.Counter.labeled "harrier.events" (Events.kind e));
   Osim.Kernel.Allow
 
 (* Dispatch an event to every subscriber in registration order.  All

@@ -406,6 +406,25 @@ let json_string s =
   add_json_string b s;
   Buffer.contents b
 
+let add_json_fields buf fields =
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_json_string buf k;
+      Buffer.add_char buf ':';
+      match v with
+      | Int n -> Buffer.add_string buf (string_of_int n)
+      | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+      | Str s -> add_json_string buf s)
+    fields
+
+let json_object fields =
+  let b = Buffer.create 128 in
+  Buffer.add_char b '{';
+  add_json_fields b fields;
+  Buffer.add_char b '}';
+  Buffer.contents b
+
 (* ------------------------------------------------------------------ *)
 (* Structured-event trace sink                                         *)
 
@@ -478,11 +497,6 @@ module Trace = struct
 
   let steps () = (state ()).step
 
-  let add_value buf = function
-    | Int n -> Buffer.add_string buf (string_of_int n)
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Str s -> add_json_string buf s
-
   (* Render one line, newline included, directly into [buf] — the
      destination itself for [Direct] sinks, the reused staging buffer
      for [Chunked] ones.  No per-line [Buffer.create], no intermediate
@@ -492,13 +506,8 @@ module Trace = struct
     Buffer.add_string buf (string_of_int st.step);
     Buffer.add_string buf ",\"ev\":";
     add_json_string buf ev;
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_char buf ',';
-        add_json_string buf k;
-        Buffer.add_char buf ':';
-        add_value buf v)
-      fields;
+    (match fields with [] -> () | _ :: _ -> Buffer.add_char buf ',');
+    add_json_fields buf fields;
     Buffer.add_char buf '}';
     Buffer.add_char buf '\n';
     st.step <- st.step + 1

@@ -146,6 +146,15 @@ val add_json_string : Buffer.t -> string -> unit
 val json_string : string -> string
 (** [json_string s] is [s] as a quoted JSON string literal. *)
 
+val add_json_fields : Buffer.t -> (string * value) list -> unit
+(** [add_json_fields b fields] appends [fields] as the members of a
+    flat JSON object, comma-separated, without the braces — the loop
+    every flat-object writer (trace lines, serve responses, store
+    metadata) shares. *)
+
+val json_object : (string * value) list -> string
+(** [json_object fields] is the flat JSON object [{...fields}]. *)
+
 (** The structured-event sink.  Exactly one sink {e per domain}: the
     no-op backend (default, near-zero overhead) or a JSONL line writer.
     Every emitted event carries a monotone [step] index, reset to 0

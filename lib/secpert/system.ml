@@ -163,3 +163,8 @@ let degraded t =
       t.warning_cap t.dropped
     :: reasons
   else reasons
+
+let replay ?trust ?thresholds ?policy events =
+  let secpert = create ?trust ?thresholds ?policy () in
+  List.iter (fun e -> ignore (handle_event secpert e)) events;
+  warnings secpert

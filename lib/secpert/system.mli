@@ -86,3 +86,15 @@ val max_severity : t -> Severity.t option
 (** [degraded t] lists human-readable reasons this instance's budgets
     tripped (warning cap, WM budget); empty when nothing tripped. *)
 val degraded : t -> string list
+
+(** [replay ?trust ?thresholds ?policy events] pushes recorded events
+    through a fresh instance and returns its warnings — identical to
+    the live run's warnings when the configuration matches.  This is
+    offline re-judging (the paper's Section 10, items 6–8): keep
+    traces, judge them again as the policy evolves. *)
+val replay :
+  ?trust:Trust.t ->
+  ?thresholds:Context.thresholds ->
+  ?policy:policy ->
+  Harrier.Events.t list ->
+  Warning.t list

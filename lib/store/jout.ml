@@ -1,5 +1,5 @@
-(* Rendering the store's own metadata (index lines, manifest entries)
-   in the same flat JSONL dialect the trace emitter uses, so
-   [Forensics.Jsonl.parse_line] reads it back. *)
+(* JSON string quoting in the flat JSONL dialect the store writes and
+   [Forensics.Jsonl.parse_line] reads back, for tools that render their
+   own lines next to a warehouse. *)
 
 let quote = Obs.json_string

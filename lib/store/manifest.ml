@@ -32,21 +32,20 @@ let digest counters =
   Printf.sprintf "%016Lx" !h
 
 let render e =
-  let b = Buffer.create 256 in
-  Printf.bprintf b "{\"run\":%s,\"scenario\":%s,\"policy\":%s"
-    (Jout.quote e.e_run) (Jout.quote e.e_scenario) (Jout.quote e.e_policy);
-  (match e.e_seed with
-  | Some s -> Printf.bprintf b ",\"seed\":%d" s
-  | None -> ());
-  (match e.e_fault with
-  | Some f -> Printf.bprintf b ",\"fault\":%s" (Jout.quote f)
-  | None -> ());
-  Printf.bprintf b
-    ",\"verdict\":%s,\"expected\":%s,\"match\":%b,\"warnings\":%d,\"distinct\":%d,\"degraded\":%b,\"steps\":%d,\"raw_bytes\":%d,\"framed_bytes\":%d,\"digest\":%s,\"segment\":%s}\n"
-    (Jout.quote e.e_verdict) (Jout.quote e.e_expected) e.e_match e.e_warnings
-    e.e_distinct e.e_degraded e.e_steps e.e_raw_bytes e.e_framed_bytes
-    (Jout.quote e.e_digest) (Jout.quote e.e_segment);
-  Buffer.contents b
+  let opt k v = Option.fold ~none:[] ~some:(fun x -> [ k, v x ]) in
+  Obs.(
+    json_object
+      ([ "run", Str e.e_run; "scenario", Str e.e_scenario;
+         "policy", Str e.e_policy ]
+       @ opt "seed" (fun s -> Int s) e.e_seed
+       @ opt "fault" (fun f -> Str f) e.e_fault
+       @ [ "verdict", Str e.e_verdict; "expected", Str e.e_expected;
+           "match", Bool e.e_match; "warnings", Int e.e_warnings;
+           "distinct", Int e.e_distinct; "degraded", Bool e.e_degraded;
+           "steps", Int e.e_steps; "raw_bytes", Int e.e_raw_bytes;
+           "framed_bytes", Int e.e_framed_bytes; "digest", Str e.e_digest;
+           "segment", Str e.e_segment ]))
+  ^ "\n"
 
 let parse line =
   match Forensics.Jsonl.parse_line line with

@@ -166,35 +166,41 @@ module Writer = struct
 
   let target t = Obs.Trace.chunk_target ~threshold:t.w_chunk_bytes (add_chunk t)
 
+  let add_line b fields =
+    Buffer.add_char b '{';
+    Obs.add_json_fields b fields;
+    Buffer.add_string b "}\n"
+
   let render_index b ix =
+    let open Obs in
     List.iter
       (fun c ->
-        Printf.bprintf b
-          "{\"ix\":\"chunk\",\"pos\":%d,\"raw_off\":%d,\"first_step\":%d,\"lines\":%d}\n"
-          c.c_pos c.c_raw_off c.c_first_step c.c_lines)
+        add_line b
+          [ "ix", Str "chunk"; "pos", Int c.c_pos; "raw_off", Int c.c_raw_off;
+            "first_step", Int c.c_first_step; "lines", Int c.c_lines ])
       ix.ix_chunks;
     List.iter
       (fun w ->
-        Printf.bprintf b
-          "{\"ix\":\"warning\",\"step\":%d,\"rule\":%s,\"severity\":%s}\n"
-          w.w_step (Jout.quote w.w_rule) (Jout.quote w.w_severity))
+        add_line b
+          [ "ix", Str "warning"; "step", Int w.w_step; "rule", Str w.w_rule;
+            "severity", Str w.w_severity ])
       ix.ix_warnings;
     List.iter
       (fun (name, steps) ->
-        Printf.bprintf b "{\"ix\":\"name\",\"name\":%s,\"steps\":%s}\n"
-          (Jout.quote name)
-          (Jout.quote (String.concat "," (List.map string_of_int steps))))
+        add_line b
+          [ "ix", Str "name"; "name", Str name;
+            "steps", Str (String.concat "," (List.map string_of_int steps)) ])
       ix.ix_names;
     List.iter
       (fun (pid, addr, count) ->
-        Printf.bprintf b
-          "{\"ix\":\"block\",\"pid\":%d,\"addr\":%d,\"count\":%d}\n" pid addr
-          count)
+        add_line b
+          [ "ix", Str "block"; "pid", Int pid; "addr", Int addr;
+            "count", Int count ])
       ix.ix_blocks;
     List.iter
       (fun (name, value) ->
-        Printf.bprintf b "{\"ix\":\"counter\",\"name\":%s,\"value\":%d}\n"
-          (Jout.quote name) value)
+        add_line b
+          [ "ix", Str "counter"; "name", Str name; "value", Int value ])
       ix.ix_counters
 
   let seal t =
@@ -215,8 +221,10 @@ module Writer = struct
     render_index ib ix;
     Frame.add t.w_buf ~kind:Frame.Index (Buffer.contents ib);
     Frame.add t.w_buf ~kind:Frame.End
-      (Printf.sprintf "{\"seg\":\"end\",\"steps\":%d,\"raw_bytes\":%d}\n"
-         t.w_steps t.w_raw);
+      (Obs.json_object
+         [ "seg", Obs.Str "end"; "steps", Obs.Int t.w_steps;
+           "raw_bytes", Obs.Int t.w_raw ]
+      ^ "\n");
     let s_bytes = Buffer.contents t.w_buf in
     Obs.Counter.incr c_segments_written;
     Obs.Counter.add c_bytes_raw t.w_raw;

@@ -60,9 +60,12 @@ exception Fault_exn of fault
    every kernel and returns the buffers when a world is torn down.  A
    pooled buffer is zeroed (create) or fully overwritten (clone) before
    reuse, so guest-visible behaviour is identical to fresh allocation. *)
-type mem_pool = { mutable mp_free : Bytes.t list; mp_cap : int }
+type mem_pool = { mutable mp_free : Bytes.t list }
 
-let mem_pool ?(cap = 16) () = { mp_free = []; mp_cap = cap }
+(* free buffers a pool retains *)
+let mem_pool_cap = 16
+
+let mem_pool () = { mp_free = [] }
 
 let pool_take p =
   match p.mp_free with
@@ -93,7 +96,8 @@ let copied_mem pool src =
 let recycle_mem p m =
   (* membership check defends against double-recycling a machine, which
      would hand one buffer to two future machines *)
-  if List.length p.mp_free < p.mp_cap && not (List.memq m.mem p.mp_free) then
+  if List.length p.mp_free < mem_pool_cap && not (List.memq m.mem p.mp_free)
+  then
     p.mp_free <- m.mem :: p.mp_free
 
 let create ?hooks ?pool () =

@@ -71,9 +71,9 @@ val mem_size : int
     small-machine setup. *)
 type mem_pool
 
-(** [mem_pool ?cap ()] is an empty pool retaining at most [cap]
-    (default 16) free buffers. *)
-val mem_pool : ?cap:int -> unit -> mem_pool
+(** [mem_pool ()] is an empty pool retaining at most 16 free
+    buffers. *)
+val mem_pool : unit -> mem_pool
 
 val create : ?hooks:hooks -> ?pool:mem_pool -> unit -> t
 

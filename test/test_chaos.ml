@@ -2,7 +2,7 @@
    budgets.
 
    Three guarantees are checked (ISSUE 3's chaos gate):
-   - no exception escapes [Session.run_outcome] under any fault plan —
+   - no exception escapes [Engine.run_outcome] under any fault plan —
      failures come back as typed [Hth.Error.t] values;
    - faulted runs are deterministic: the same (scenario, seed) produces
      a byte-identical JSONL trace;
@@ -45,8 +45,8 @@ let test_no_escape () =
       List.iter
         (fun seed ->
           match
-            Hth.Session.run_outcome ~fault:(Osim.Fault.seeded seed)
-              sc.sc_setup
+            Hth.Engine.run_outcome (Hth.Engine.create ())
+              ~fault:(Osim.Fault.seeded seed) sc.sc_setup
           with
           | Ok _ -> ()
           | Error e ->
@@ -67,8 +67,8 @@ let traced_run sc seed =
   Obs.Trace.to_buffer buf;
   Fun.protect ~finally:Obs.Trace.disable (fun () ->
       ignore
-        (Hth.Session.run_outcome ~fault:(Osim.Fault.seeded seed)
-           (sc : Guest.Scenario.t).sc_setup));
+        (Hth.Engine.run_outcome (Hth.Engine.create ())
+           ~fault:(Osim.Fault.seeded seed) (sc : Guest.Scenario.t).sc_setup));
   Buffer.contents buf
 
 let test_trace_deterministic () =
@@ -95,7 +95,7 @@ let test_trace_deterministic () =
 (* ------------------------------------------------------------------ *)
 (* Degradation is monotone                                             *)
 
-let warning_keys (r : Hth.Session.result) =
+let warning_keys (r : Hth.Engine.result) =
   (* compare (rule, severity) pairs: over-tainting widens the tag sets
      rendered inside warning messages, so message text is not stable
      across degraded runs — the rule that fired and its severity are *)
@@ -109,15 +109,17 @@ let budgeted_setup name pages =
   | None -> Alcotest.failf "unknown scenario %s" name
   | Some sc ->
     let exact =
-      match Hth.Session.run_outcome sc.sc_setup with
+      match Hth.Engine.run_outcome (Hth.Engine.create ()) sc.sc_setup with
       | Ok r -> r
       | Error e -> Alcotest.failf "%s unbudgeted: %a" name Hth.Error.pp e
     in
     let budgets =
-      { Hth.Session.no_budgets with b_shadow_pages = Some pages }
+      { Hth.Engine.no_budgets with b_shadow_pages = Some pages }
     in
     let degraded =
-      match Hth.Session.run_outcome ~budgets sc.sc_setup with
+      match
+        Hth.Engine.run_outcome (Hth.Engine.create ()) ~budgets sc.sc_setup
+      with
       | Ok r -> r
       | Error e -> Alcotest.failf "%s budgeted: %a" name Hth.Error.pp e
     in
@@ -173,12 +175,12 @@ let test_fault_parse_errors () =
    | Error e -> Alcotest.fail e)
 
 let test_budget_parse_errors () =
-  check_err "no =" (Hth.Session.parse_budgets [ "ticks" ]);
-  check_err "bad key" (Hth.Session.parse_budgets [ "cpu=5" ]);
-  check_err "bad value" (Hth.Session.parse_budgets [ "wm=abc" ]);
-  check_err "zero" (Hth.Session.parse_budgets [ "warnings=0" ]);
-  check_err "negative" (Hth.Session.parse_budgets [ "ticks=-3" ]);
-  match Hth.Session.parse_budgets [ "ticks=100"; "shadow-pages=4" ] with
+  check_err "no =" (Hth.Engine.parse_budgets [ "ticks" ]);
+  check_err "bad key" (Hth.Engine.parse_budgets [ "cpu=5" ]);
+  check_err "bad value" (Hth.Engine.parse_budgets [ "wm=abc" ]);
+  check_err "zero" (Hth.Engine.parse_budgets [ "warnings=0" ]);
+  check_err "negative" (Hth.Engine.parse_budgets [ "ticks=-3" ]);
+  match Hth.Engine.parse_budgets [ "ticks=100"; "shadow-pages=4" ] with
   | Ok b ->
     Alcotest.(check (option int)) "ticks" (Some 100) b.b_ticks;
     Alcotest.(check (option int)) "pages" (Some 4) b.b_shadow_pages;
@@ -196,7 +198,7 @@ let cmdliner_eval argv =
   in
   let budget_conv =
     let parse s =
-      match Hth.Session.parse_budgets [ s ] with
+      match Hth.Engine.parse_budgets [ s ] with
       | Ok _ -> Ok s
       | Error e -> Error (`Msg e)
     in

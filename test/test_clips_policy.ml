@@ -13,9 +13,11 @@ let test_corpus_equivalence () =
   let mismatches =
     List.filter_map
       (fun (sc : Guest.Scenario.t) ->
-        let native = Hth.Session.run sc.sc_setup in
+        let native = Guest.Scenario.run sc in
         let clips =
-          Hth.Session.run ~policy:Secpert.System.Clips sc.sc_setup
+          Hth.Engine.run
+            (Hth.Engine.create ~policy:Secpert.System.Clips ())
+            sc.sc_setup
         in
         if native.max_severity = clips.max_severity then None
         else

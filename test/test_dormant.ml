@@ -280,7 +280,7 @@ let capture ?fault (sc : Guest.Scenario.t) =
   let r =
     Obs.Trace.to_buffer buf;
     Fun.protect ~finally:Obs.Trace.disable (fun () ->
-        Hth.Session.run ?fault sc.sc_setup)
+        Hth.Engine.run (Hth.Engine.create ()) ?fault sc.sc_setup)
   in
   Buffer.contents buf, r
 
@@ -329,15 +329,17 @@ let budget_case =
     `Quick (fun () ->
       let sc = find "sleeper daemon triggered" in
       (* control: the un-budgeted run completes and convicts *)
-      let full = Hth.Session.run sc.sc_setup in
+      let full = Guest.Scenario.run sc in
       Alcotest.(check bool) "control convicts" true
         (full.max_severity = Some Secpert.Severity.High);
       Alcotest.(check (list string)) "control not degraded" []
         full.degraded;
       let budgets =
-        { Hth.Session.no_budgets with b_ticks = Some 1500 }
+        { Hth.Engine.no_budgets with b_ticks = Some 1500 }
       in
-      match Hth.Session.run_outcome ~budgets sc.sc_setup with
+      match
+        Hth.Engine.run_outcome (Hth.Engine.create ()) ~budgets sc.sc_setup
+      with
       | Error e ->
         Alcotest.failf "budgeted run errored: %s" (Hth.Error.to_string e)
       | Ok r ->

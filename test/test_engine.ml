@@ -2,7 +2,7 @@
 
    The contract from DESIGN.md §14: a session run through a warm,
    long-lived [Hth.Engine.t] must be observationally identical to a
-   cold [Hth.Session.run] — byte-identical JSONL trace, identical
+   cold one on a fresh engine — byte-identical JSONL trace, identical
    warnings and verdict — no matter how many sessions the engine has
    already run.  One shared engine instance runs EVERY golden scenario
    below, each twice, so the artifact caches (compiled policy, linked
@@ -28,7 +28,7 @@ let capture run (sc : Guest.Scenario.t) =
   in
   Buffer.contents buf, r
 
-let warning_strings (r : Hth.Session.result) =
+let warning_strings (r : Hth.Engine.result) =
   List.map Secpert.Warning.to_string r.warnings
 
 let check_same_trace msg ~expected ~actual =
@@ -43,7 +43,9 @@ let scenario_case name =
   Alcotest.test_case name `Quick (fun () ->
       let sc = find name in
       let eng = Lazy.force shared in
-      let cold_trace, cold = capture Hth.Session.run sc in
+      let cold_trace, cold =
+        capture (Hth.Engine.run (Hth.Engine.create ())) sc
+      in
       let warm1_trace, warm1 = capture (Hth.Engine.run eng) sc in
       let warm2_trace, warm2 = capture (Hth.Engine.run eng) sc in
       check_same_trace (name ^ ": warm engine vs cold session")
@@ -66,7 +68,9 @@ let scenario_case name =
 let no_events_case =
   Alcotest.test_case "keep_events:false" `Quick (fun () ->
       let sc = find "pma" in
-      let cold_trace, cold = capture Hth.Session.run sc in
+      let cold_trace, cold =
+        capture (Hth.Engine.run (Hth.Engine.create ())) sc
+      in
       let eng = Hth.Engine.create ~keep_events:false () in
       let trace, r = capture (Hth.Engine.run eng) sc in
       Alcotest.(check int) "no events accumulated" 0 (List.length r.events);
@@ -87,7 +91,7 @@ let shared_space_case =
       List.iter
         (fun name ->
           let sc = find name in
-          let cold = Hth.Session.run sc.sc_setup in
+          let cold = Guest.Scenario.run sc in
           let trace, r = capture (Hth.Engine.run eng) sc in
           Alcotest.(check (list string))
             (name ^ ": warnings") (warning_strings cold) (warning_strings r);

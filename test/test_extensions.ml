@@ -13,7 +13,7 @@ let find name =
 (* --- memory abuse ---------------------------------------------------- *)
 
 let test_memhog_warns () =
-  let r = Hth.Session.run (find "memory hog").sc_setup in
+  let r = Guest.Scenario.run (find "memory hog") in
   check "alloc rule fired" true
     (List.exists
        (fun w -> w.Secpert.Warning.rule = "check_alloc")
@@ -74,7 +74,7 @@ let test_brk_syscall_semantics () =
 (* --- content analysis ------------------------------------------------- *)
 
 let test_content_rule_fires () =
-  let r = Hth.Session.run (find "stealth dropper").sc_setup in
+  let r = Guest.Scenario.run (find "stealth dropper") in
   check "content rule fired" true
     (List.exists
        (fun w -> w.Secpert.Warning.rule = "check_content")
@@ -113,7 +113,7 @@ let test_content_magics () =
 (* --- environment variables on the initial stack ----------------------- *)
 
 let test_env_exfiltration () =
-  let r = Hth.Session.run (find "env exfiltration").sc_setup in
+  let r = Guest.Scenario.run (find "env exfiltration") in
   check "env data is USER_INPUT exfiltrated to hard-coded socket" true
     (r.max_severity = Some Secpert.Severity.Low);
   (* the transferred data must carry the USER_INPUT tag *)
@@ -129,7 +129,7 @@ let test_env_exfiltration () =
 (* --- CIH-style rare-code reinforcement -------------------------------- *)
 
 let test_cih_rare_note () =
-  let r = Hth.Session.run (find "CIH date trigger").sc_setup in
+  let r = Guest.Scenario.run (find "CIH date trigger") in
   check "high severity" true (r.max_severity = Some Secpert.Severity.High);
   check "rarely-executed note attached" true
     (List.exists
@@ -143,14 +143,14 @@ let test_profile_reduces_false_positives () =
   let sc = find "g++" in
   let profile = Hth.Profile.create () in
   (* first session: warnings are novel *)
-  let r1 = Hth.Session.run sc.sc_setup in
+  let r1 = Guest.Scenario.run sc in
   check "first run warns" true (r1.warnings <> []);
   check_int "all novel" (List.length r1.warnings)
     (List.length (Hth.Profile.novel profile r1.warnings));
   (* the user accepts the behaviour *)
   Hth.Profile.acknowledge profile r1.warnings;
   (* second session: same warnings, now known *)
-  let r2 = Hth.Session.run sc.sc_setup in
+  let r2 = Guest.Scenario.run sc in
   check_int "nothing novel" 0
     (List.length (Hth.Profile.novel profile r2.warnings));
   check "effective verdict is benign" true
@@ -158,17 +158,17 @@ let test_profile_reduces_false_positives () =
 
 let test_profile_still_flags_new_behaviour () =
   let profile = Hth.Profile.create () in
-  let r1 = Hth.Session.run (find "g++").sc_setup in
+  let r1 = Guest.Scenario.run (find "g++") in
   Hth.Profile.acknowledge profile r1.warnings;
   (* a different program's warnings are NOT covered by g++'s profile *)
-  let r2 = Hth.Session.run (find "grabem").sc_setup in
+  let r2 = Guest.Scenario.run (find "grabem") in
   check "grabem still flagged" true
     (Hth.Profile.effective_verdict profile r2
      = Hth.Report.Suspicious Secpert.Severity.High)
 
 let test_profile_persistence () =
   let profile = Hth.Profile.create () in
-  let r = Hth.Session.run (find "g++").sc_setup in
+  let r = Guest.Scenario.run (find "g++") in
   Hth.Profile.acknowledge profile r.warnings;
   let reloaded = Hth.Profile.of_string (Hth.Profile.to_string profile) in
   check_int "fingerprints survive round trip"

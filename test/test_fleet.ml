@@ -166,7 +166,7 @@ let capture_cold (sc : Guest.Scenario.t) =
   Obs.Trace.to_buffer buf;
   let r =
     Fun.protect ~finally:Obs.Trace.disable (fun () ->
-        Hth.Session.run sc.sc_setup)
+        Guest.Scenario.run sc)
   in
   Buffer.contents buf, r
 
@@ -273,7 +273,7 @@ let fault_isolation_case =
           match seq, o.o_result with
           | Ok a, Ok b ->
             Alcotest.(check bool) "same verdict" true
-              (a.Hth.Session.max_severity = b.Hth.Session.max_severity)
+              (a.Hth.Engine.max_severity = b.Hth.Engine.max_severity)
           | Error a, Error b ->
             Alcotest.(check string) "same error" (Hth.Error.to_string a)
               (Hth.Error.to_string b)

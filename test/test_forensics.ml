@@ -30,7 +30,7 @@ let traced_run ?fault (sc : Guest.Scenario.t) =
   Obs.Trace.to_buffer buf;
   let outcome =
     Fun.protect ~finally:Obs.Trace.disable (fun () ->
-        Hth.Session.run_outcome ?fault sc.sc_setup)
+        Hth.Engine.run_outcome (Hth.Engine.create ()) ?fault sc.sc_setup)
   in
   (Buffer.contents buf, outcome)
 
@@ -205,7 +205,7 @@ let test_profile_matches_stats () =
      the trace embeds them like every other family — the offline
      profile must reproduce the live stats exactly *)
   Alcotest.(check (list (pair string int)))
-    "embedded counters = live stats" r.Hth.Session.stats p.counters;
+    "embedded counters = live stats" r.Hth.Engine.stats p.counters;
   let live_syscalls =
     List.filter_map
       (fun (n, v) ->
@@ -214,12 +214,12 @@ let test_profile_matches_stats () =
         if String.length n > pl && String.sub n 0 pl = prefix then
           Some (String.sub n pl (String.length n - pl), v)
         else None)
-      r.Hth.Session.stats
+      r.Hth.Engine.stats
   in
   Alcotest.(check (list (pair string int)))
     "syscall mix" live_syscalls (List.sort compare p.syscalls);
   Alcotest.(check (list (triple int int int)))
-    "hot blocks" r.Hth.Session.hot_blocks p.hot_blocks
+    "hot blocks" r.Hth.Engine.hot_blocks p.hot_blocks
 
 (* ------------------------------------------------------------------ *)
 (* diff                                                                *)
@@ -316,12 +316,12 @@ let test_counter_families () =
      faulted ones (fault injection registers the osim.faults.injected
      family). *)
   let sc = scenario "pma" in
-  ignore (Hth.Session.run_outcome sc.sc_setup);
+  ignore (Hth.Engine.run_outcome (Hth.Engine.create ()) sc.sc_setup);
   List.iter
     (fun seed ->
       ignore
-        (Hth.Session.run_outcome ~fault:(Osim.Fault.seeded seed)
-           sc.sc_setup))
+        (Hth.Engine.run_outcome (Hth.Engine.create ())
+           ~fault:(Osim.Fault.seeded seed) sc.sc_setup))
     seeds;
   let actual = Obs.counter_families () in
   let expected =

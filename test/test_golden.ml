@@ -34,7 +34,7 @@ let capture (sc : Guest.Scenario.t) =
   let buf = Buffer.create 4096 in
   Obs.Trace.to_buffer buf;
   Fun.protect ~finally:Obs.Trace.disable (fun () ->
-      ignore (Hth.Session.run sc.sc_setup));
+      ignore (Guest.Scenario.run sc));
   Buffer.contents buf
 
 let scenario_case name =

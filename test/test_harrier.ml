@@ -282,7 +282,7 @@ let test_shortcircuit_unknown_routine () =
 
 (* (data tag, per-source origins, target resource) of each non-stdio
    write *)
-let transfer_events (r : Hth.Session.result) =
+let transfer_events (r : Hth.Engine.result) =
   List.filter_map
     (function
       | Harrier.Events.Transfer
@@ -312,8 +312,8 @@ let test_monitor_binary_sections_tagged () =
     Asm.finalize u
   in
   let r =
-    Hth.Session.run
-      (Hth.Session.setup ~programs:[ exe ] ~argv:[ "/bin/m"; "/out" ]
+    Hth.Engine.run (Hth.Engine.create ())
+      (Hth.Engine.setup ~programs:[ exe ] ~argv:[ "/bin/m"; "/out" ]
          ~main:"/bin/m" ())
   in
   match transfer_events r with
@@ -351,8 +351,8 @@ let test_monitor_read_tags_buffer () =
     Asm.finalize u
   in
   let r =
-    Hth.Session.run
-      (Hth.Session.setup ~programs:[ exe ] ~files:[ "/in", "payload" ]
+    Hth.Engine.run (Hth.Engine.create ())
+      (Hth.Engine.setup ~programs:[ exe ] ~files:[ "/in", "payload" ]
          ~main:"/bin/m" ())
   in
   match transfer_events r with
@@ -380,8 +380,8 @@ let test_monitor_event_meta () =
     Asm.finalize u
   in
   let r =
-    Hth.Session.run
-      (Hth.Session.setup
+    Hth.Engine.run (Hth.Engine.create ())
+      (Hth.Engine.setup
          ~programs:[ exe; Guest.Common.trivial "/bin/true" ]
          ~main:"/bin/m" ())
   in
@@ -431,8 +431,8 @@ let test_monitor_fork_inherits_taint () =
     Asm.finalize u
   in
   let r =
-    Hth.Session.run
-      (Hth.Session.setup ~programs:[ exe ]
+    Hth.Engine.run (Hth.Engine.create ())
+      (Hth.Engine.setup ~programs:[ exe ]
          ~files:[ "/secret", "classified-bytes" ] ~main:"/bin/m" ())
   in
   match

@@ -538,8 +538,8 @@ let prop_obs_counters_ground_truth =
         Fun.protect
           ~finally:Obs.Trace.disable
           (fun () ->
-            Hth.Session.run
-              (Hth.Session.setup ~programs:[ img ] ~main:"/p" ()))
+            Hth.Engine.run (Hth.Engine.create ())
+              (Hth.Engine.setup ~programs:[ img ] ~main:"/p" ()))
       in
       let stat name = Option.value (List.assoc_opt name r.stats) ~default:0 in
       let flow_lines =
@@ -665,8 +665,9 @@ let tier_session ~tier insns =
     Fun.protect
       ~finally:Obs.Trace.disable
       (fun () ->
-        Hth.Session.run_outcome ~monitor_config
-          (Hth.Session.setup ~programs:[ img ]
+        Hth.Engine.run_outcome
+          (Hth.Engine.create ~monitor_config ())
+          (Hth.Engine.setup ~programs:[ img ]
              ~user_input:[ "ABCDEFGHIJKLMNOP" ] ~main:"/p" ()))
   in
   Buffer.contents buf, outcome
@@ -690,8 +691,8 @@ let prop_tier_equivalence =
       | Ok a, Ok b ->
         (* with threshold 1 the loop head is promoted on first entry,
            so the tiered run really did compile or reject something *)
-        a.Hth.Session.tier.tc_compiled + a.Hth.Session.tier.tc_deopt > 0
-        && b.Hth.Session.tier.tc_compiled = 0
+        a.Hth.Engine.tier.tc_compiled + a.Hth.Engine.tier.tc_deopt > 0
+        && b.Hth.Engine.tier.tc_compiled = 0
         && a.stats = b.stats
         && Hth.Report.equal_verdict (Hth.Report.verdict a)
              (Hth.Report.verdict b)
@@ -707,7 +708,31 @@ let prop_tier_equivalence =
       | Ok _, Error _ | Error _, Ok _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Trace round trip for random events                                   *)
+(* Flow-line round trip for random events                               *)
+
+(* Names that stress the codec: the separators of the structured
+   fields, quotes, backslashes, NUL and bytes >= 0x80, besides plain
+   printable and fully arbitrary strings. *)
+let name_gen =
+  Gen.(
+    oneof
+      [ string_printable; string;
+        map (String.concat "")
+          (list_size (int_bound 5)
+             (oneofl
+                [ "\""; "\\"; ";"; "<-"; "{"; "}"; ", "; "\000"; "\x80";
+                  "\xff"; "("; ")"; " "; "a" ])) ])
+
+let wild_tagset_gen =
+  let source =
+    Gen.(
+      oneof
+        [ return Taint.Source.User_input; return Taint.Source.Hardware;
+          map (fun n -> Taint.Source.File n) name_gen;
+          map (fun n -> Taint.Source.Socket n) name_gen;
+          map (fun n -> Taint.Source.Binary n) name_gen ])
+  in
+  Gen.map (Taint.Tagset.of_list sp) (Gen.list_size (Gen.int_bound 4) source)
 
 let resource_gen =
   Gen.map2
@@ -716,7 +741,7 @@ let resource_gen =
     (Gen.oneofl
        [ Harrier.Events.R_file; Harrier.Events.R_socket;
          Harrier.Events.R_stdio ])
-    (Gen.pair Gen.string_printable tagset_gen)
+    (Gen.pair name_gen wild_tagset_gen)
 
 let meta_gen =
   Gen.map2
@@ -727,16 +752,17 @@ let meta_gen =
 
 let event_gen =
   let open Gen in
+  let annotated n = list_size (int_bound n) (pair source_gen wild_tagset_gen) in
   oneof
     [ map3
         (fun path argv meta -> Harrier.Events.Exec { path; argv; meta })
         resource_gen
-        (list_size (int_bound 3) string_printable)
+        (list_size (int_bound 3) name_gen)
         meta_gen;
       map3
-        (fun total recent meta ->
-          Harrier.Events.Clone { total; recent; window = 3000; meta })
-        small_nat small_nat meta_gen;
+        (fun (total, recent) window meta ->
+          Harrier.Events.Clone { total; recent; window; meta })
+        (pair small_nat small_nat) small_nat meta_gen;
       map3
         (fun call res meta -> Harrier.Events.Access { call; res; meta })
         (oneofl [ "SYS_open"; "SYS_connect"; "SYS_bind" ])
@@ -750,9 +776,7 @@ let event_gen =
           Harrier.Events.Transfer
             { call = "SYS_write"; data; head; sources; guard; target;
               via_server; len; meta })
-        (quad tagset_gen string
-           (list_size (int_bound 3) (pair source_gen tagset_gen))
-           (list_size (int_bound 2) (pair source_gen tagset_gen)))
+        (quad wild_tagset_gen string (annotated 3) (annotated 2))
         (pair resource_gen (option resource_gen))
         (pair small_nat meta_gen) ]
 
@@ -761,18 +785,34 @@ let event =
     ~print:(fun e -> Fmt.to_to_string Harrier.Events.pp e)
     event_gen
 
+(* Encode with [Events.to_fields], render through an [Obs.Trace]
+   buffer, read back with [Forensics.Reader] and decode: every field
+   survives, and each event's step is its line's step. *)
 let prop_trace_roundtrip =
   Test.make ~name:"trace serialize/parse round trip" ~count:300
     (list_of_size (Gen.int_bound 5) event) (fun events ->
-      match Hth.Trace.of_string (Hth.Trace.to_string events) with
+      let buf = Buffer.create 1024 in
+      Obs.Trace.to_buffer buf;
+      Fun.protect ~finally:Obs.Trace.disable (fun () ->
+          List.iter
+            (fun e -> Obs.Trace.emit "flow" (Harrier.Events.to_fields e))
+            events);
+      match
+        Result.bind
+          (Forensics.Reader.of_string (Buffer.contents buf))
+          Forensics.Reader.events
+      with
       | Error _ -> false
       | Ok events' ->
         List.length events = List.length events'
         && List.for_all2
              (fun a b ->
-               Fmt.to_to_string Harrier.Events.pp a
-               = Fmt.to_to_string Harrier.Events.pp b)
-             events events')
+               Harrier.Events.to_fields a = Harrier.Events.to_fields b)
+             events events'
+        && List.for_all2
+             (fun i e -> (Harrier.Events.meta_of e).step = i)
+             (List.init (List.length events') Fun.id)
+             events')
 
 let props =
   [ prop_union_commutes; prop_union_assoc; prop_union_idempotent;

@@ -10,13 +10,13 @@ let find name =
   | Some sc -> sc
   | None -> Alcotest.failf "missing corpus scenario %s" name
 
-let run name = Hth.Session.run (find name).sc_setup
+let run name = Hth.Engine.run (Hth.Engine.create ()) (find name).sc_setup
 
 let warning_mentioning r needle =
   List.exists
     (fun w ->
       Astring.String.is_infix ~affix:needle (Secpert.Warning.to_string w))
-    r.Hth.Session.warnings
+    r.Hth.Engine.warnings
 
 (* --- paper transcripts (Section 8.3) ------------------------------- *)
 
@@ -124,7 +124,7 @@ let test_verdicts () =
 let test_auto_kill_stops_exfiltration () =
   let sc = find "pwsafe (trojaned)" in
   (* without enforcement the database reaches the attacker *)
-  let observed = Hth.Session.run sc.sc_setup in
+  let observed = Guest.Scenario.run sc in
   check "exfiltration happened" true
     (List.exists
        (function
@@ -134,7 +134,9 @@ let test_auto_kill_stops_exfiltration () =
        observed.events);
   (* with enforcement the process dies at the warning, before the send *)
   let enforced =
-    Hth.Session.run ~auto_kill:Secpert.Severity.High sc.sc_setup
+    Hth.Engine.run
+      (Hth.Engine.create ~auto_kill:Secpert.Severity.High ())
+      sc.sc_setup
   in
   check "process killed" true
     (List.exists
@@ -151,7 +153,7 @@ let test_custom_thresholds () =
     { Secpert.Context.default_thresholds with clone_count_low = 10_000;
       clone_rate_medium = 10_000 }
   in
-  let r = Hth.Session.run ~thresholds sc.sc_setup in
+  let r = Hth.Engine.run (Hth.Engine.create ~thresholds ()) sc.sc_setup in
   check_int "no clone warnings" 0 (List.length r.warnings)
 
 (* --- Appendix B on corpus images ------------------------------------ *)
@@ -202,8 +204,8 @@ let test_monitor_transparency () =
   List.iter
     (fun name ->
       let sc = find name in
-      let monitored = (Hth.Session.run sc.sc_setup).os_report in
-      let bare = Hth.Session.run_unmonitored sc.sc_setup in
+      let monitored = (Guest.Scenario.run sc).os_report in
+      let bare = Hth.Engine.run_unmonitored sc.sc_setup in
       Alcotest.(check string)
         (name ^ ": console identical")
         bare.rep_console monitored.rep_console;

@@ -39,7 +39,7 @@ let capture ?chunk_bytes (sc : Guest.Scenario.t) =
         Buffer.add_string buf chunk;
         Store.Segment.Writer.add_chunk w chunk)
   in
-  (match Hth.Session.run_outcome ~trace sc.sc_setup with
+  (match Hth.Engine.run_outcome (Hth.Engine.create ()) ~trace sc.sc_setup with
   | Ok _ -> ()
   | Error e ->
     Alcotest.failf "%s: session failed: %s" sc.sc_name
