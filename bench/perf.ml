@@ -427,17 +427,12 @@ let build_store dir =
     (golden_corpus ());
   Store.Warehouse.close wh
 
+(* a store is a flat directory: the manifest and the segment pack *)
 let remove_store dir =
-  let rm_files d =
-    if Sys.file_exists d then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d)
-    end
-  in
-  rm_files (Filename.concat dir "segments");
-  (try Unix.rmdir (Filename.concat dir "segments")
-   with Unix.Unix_error _ -> ());
-  rm_files dir;
-  try Unix.rmdir dir with Unix.Unix_error _ -> ()
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    try Unix.rmdir dir with Unix.Unix_error _ -> ()
+  end
 
 let store_query_rounds = 300
 

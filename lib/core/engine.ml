@@ -176,6 +176,8 @@ let fork eng =
     e_shared_space =
       Option.map (fun _ -> Taint.Space.create ()) eng.e_shared_space }
 
+let address_spaces_allocated eng = Vm.Machine.pool_allocated eng.e_mem_pool
+
 (* Fresh-space mode recycles arenas through the engine's pool: a reset
    space behaves exactly like [Taint.Space.create ()] but skips the
    arena allocation, which dominates small-session setup cost.  Tag

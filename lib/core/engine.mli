@@ -136,7 +136,7 @@ type t
     warm-dependent and are omitted from traces.
 
     Guest address-space buffers (1 MiB each) are recycled between the
-    engine's sessions, at most 16 at a time. *)
+    engine's sessions, at most 12 at a time. *)
 val create :
   ?monitor_config:Harrier.Monitor.config ->
   ?trust:Secpert.Trust.t ->
@@ -160,6 +160,11 @@ val create :
     snapshot misses are re-linked deterministically, outside per-run
     counter snapshots). *)
 val fork : t -> t
+
+(** Guest address spaces this engine allocated because its pool had
+    none to reuse: after a program set's first session, sessions of it
+    (exec included) draw every space from the pool. *)
+val address_spaces_allocated : t -> int
 
 (** [run_outcome engine setup] executes one session against the
     engine's shared artifacts and isolates every session-path failure

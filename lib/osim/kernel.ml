@@ -323,6 +323,10 @@ let do_exec k (p : Process.t) path argv =
       (match fresh_machine k path ~argv ~env:[] with
        | exception Load_failed _ -> Done (-Abi.enoexec)
        | machine, images ->
+         (* the replaced address space goes back to the pool, like a
+            dead process's at [recycle] *)
+         Option.iter (fun pool -> Vm.Machine.recycle_mem pool p.machine)
+           k.k_pool;
          p.machine <- machine;
          p.exe_path <- path;
          p.argv <- argv;

@@ -70,6 +70,19 @@ let dist_sym d =
   done;
   !c
 
+(* distance -> symbol in one lookup (zlib's layout): distances up to
+   256 index directly; above that every symbol's range starts at
+   128k + 1, so one entry per 128-distance block suffices. *)
+let dist_code =
+  Array.init 512 (fun k ->
+      if k < 256 then dist_sym (k + 1) else dist_sym (((k - 256) lsl 7) + 1))
+
+let dist_code_of d =
+  if d <= 256 then dist_code.(d - 1) else dist_code.(256 + ((d - 1) lsr 7))
+
+(* 5-bit distance codes, pre-reversed for the LSB-first writer *)
+let dist_rev = Array.init 30 (fun c -> rev_bits c 5)
+
 (* ------------------------------------------------------------------ *)
 (* Encoder                                                             *)
 
@@ -90,9 +103,48 @@ let max_match = 258
 let hash_size = 1 lsl 15
 let max_chain = 64
 
+(* The match finder's tables, kept per domain and reused by every call.
+   [head] maps a 3-byte hash to its latest position; [prev] links a
+   position to the previous one with the same hash, in a ring indexed by
+   position mod [win_size].  Entries hold [base + position], and each
+   call starts [base] past every value earlier calls stored, so a
+   leftover entry reads as empty (below [base]) and no call refills the
+   tables.  A ring slot is overwritten only by the position one window
+   later, and by then the older position is out of range, so every
+   chain the search follows is exact. *)
+type tables = {
+  head : int array;
+  prev : int array;
+  mutable base : int;
+  out : Buffer.t;
+  busy : bool Atomic.t;
+}
+
+let new_tables () =
+  { head = Array.make hash_size (-1); prev = Array.make win_size (-1);
+    base = 0; out = Buffer.create 4096; busy = Atomic.make false }
+
+let tables_key = Domain.DLS.new_key new_tables
+
+(* The domain's tables, or a private set while another systhread on the
+   same domain is inside [compress]. *)
+let take_tables () =
+  let t = Domain.DLS.get tables_key in
+  if Atomic.compare_and_set t.busy false true then t else new_tables ()
+
 let compress s =
   let n = String.length s in
-  let out = Buffer.create ((n / 3) + 64) in
+  let t = take_tables () in
+  Fun.protect ~finally:(fun () -> Atomic.set t.busy false) @@ fun () ->
+  if t.base > max_int - n then begin
+    Array.fill t.head 0 hash_size (-1);
+    Array.fill t.prev 0 win_size (-1);
+    t.base <- 0
+  end;
+  let base = t.base and head = t.head and prev = t.prev in
+  t.base <- base + n;
+  let out = t.out in
+  Buffer.clear out;
   let bw = { acc = 0; nbits = 0; out } in
   put bw 1 1 (* BFINAL *);
   put bw 1 2 (* BTYPE = 01, fixed Huffman *);
@@ -105,14 +157,12 @@ let compress s =
     put bw lit_code.(sym) lit_len.(sym);
     let eb = len_extra.(sym - 257) in
     if eb > 0 then put bw (len - len_base.(sym - 257)) eb;
-    let dc = dist_sym dist in
-    put bw (rev_bits dc 5) 5;
+    let dc = dist_code_of dist in
+    put bw dist_rev.(dc) 5;
     let deb = dist_extra.(dc) in
     if deb > 0 then put bw (dist - dist_base.(dc)) deb
   in
   if n >= min_match then begin
-    let head = Array.make hash_size (-1) in
-    let prev = Array.make n (-1) in
     let hash i =
       (Char.code (String.unsafe_get s i) lsl 10)
       lxor (Char.code (String.unsafe_get s (i + 1)) lsl 5)
@@ -121,8 +171,8 @@ let compress s =
     in
     let insert i =
       let h = hash i in
-      prev.(i) <- head.(h);
-      head.(h) <- i
+      prev.(i land (win_size - 1)) <- head.(h);
+      head.(h) <- base + i
     in
     (* last position where a 3-byte hash still fits *)
     let last_hash = n - min_match in
@@ -133,39 +183,48 @@ let compress s =
         incr i
       end
       else begin
-        let limit = min max_match (n - !i) in
+        let i0 = !i in
+        let limit = min max_match (n - i0) in
         let best_len = ref 0 and best_dist = ref 0 in
-        let cand = ref head.(hash !i) in
+        let cand = ref (head.(hash i0) - base) in
         let chain = ref max_chain in
-        while !cand >= 0 && !i - !cand <= win_size && !chain > 0 do
-          let l = ref 0 in
-          while
-            !l < limit
-            && String.unsafe_get s (!cand + !l)
-               = String.unsafe_get s (!i + !l)
-          do
-            incr l
-          done;
-          if !l > !best_len then begin
-            best_len := !l;
-            best_dist := !i - !cand
+        (* the nearest longest match, as a full walk would pick it: a
+           candidate that differs at offset [best_len] cannot beat the
+           best, and nothing beats a match of [limit] *)
+        while
+          !cand >= 0 && i0 - !cand <= win_size && !chain > 0
+          && !best_len < limit
+        do
+          let c = !cand in
+          if String.unsafe_get s (c + !best_len)
+             = String.unsafe_get s (i0 + !best_len)
+          then begin
+            let l = ref 0 in
+            while
+              !l < limit
+              && String.unsafe_get s (c + !l) = String.unsafe_get s (i0 + !l)
+            do
+              incr l
+            done;
+            if !l > !best_len then begin
+              best_len := !l;
+              best_dist := i0 - c
+            end
           end;
-          cand := prev.(!cand);
+          cand := prev.(c land (win_size - 1)) - base;
           decr chain
         done;
         if !best_len >= min_match then begin
           emit_match !best_len !best_dist;
-          let stop = min (!i + !best_len) (last_hash + 1) in
-          let k = ref !i in
-          while !k < stop do
-            insert !k;
-            incr k
+          let stop = min (i0 + !best_len) (last_hash + 1) in
+          for k = i0 to stop - 1 do
+            insert k
           done;
-          i := !i + !best_len
+          i := i0 + !best_len
         end
         else begin
-          emit_lit (String.unsafe_get s !i);
-          insert !i;
+          emit_lit (String.unsafe_get s i0);
+          insert i0;
           incr i
         end
       end

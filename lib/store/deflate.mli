@@ -14,7 +14,10 @@
 
 val compress : string -> string
 (** [compress s] is the raw deflate stream for [s] (no zlib / gzip
-    wrapper).  Deterministic. *)
+    wrapper).  Deterministic.  The match-finder tables and output
+    buffer are kept per domain and reused across calls (a systhread
+    that finds them in use takes a private set); reuse never changes
+    the output. *)
 
 val decompress : string -> (string, string) result
 (** [decompress z] inflates a raw deflate stream.  Any malformation —

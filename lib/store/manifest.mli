@@ -1,9 +1,10 @@
 (** The fleet manifest: one flat-JSONL line per stored run.
 
-    [MANIFEST.jsonl] is the warehouse's source of truth — a segment
-    file is visible to queries iff a manifest line names it, and the
-    line is written only after the segment is fully on disk, so a
-    drained or killed writer leaves complete runs or no run at all.
+    [MANIFEST.jsonl] is the warehouse's source of truth — a run's
+    segment is visible to queries iff a manifest line locates it in
+    the pack, and the line is written only after the segment's bytes
+    are flushed, so a drained or killed writer leaves complete runs or
+    no run at all.
 
     Every field is part of the deterministic query surface: rendering
     an entry is a pure function, and [seed]/[fault] are omitted (not
@@ -26,7 +27,9 @@ type entry = {
   e_raw_bytes : int;
   e_framed_bytes : int;
   e_digest : string;  (** {!digest} of the run's embedded counters *)
-  e_segment : string;  (** segment path relative to the store root *)
+  e_segment : string;
+      (** pack locator ["segments.pack#<offset>"]: the segment is the
+          [e_framed_bytes] bytes at that offset of the store's pack *)
 }
 
 val render : entry -> string

@@ -377,7 +377,11 @@ let load ~path s =
     match decode_meta ~path fs with
     | Error _ as e -> e
     | Ok (l_index, l_steps, l_raw_bytes) -> (
-      let buf = Buffer.create (l_raw_bytes + 64) in
+      (* the declared size is only a hint here (it is checked below),
+         so bound it by what the frames could inflate to *)
+      let buf =
+        Buffer.create (min (l_raw_bytes + 64) (String.length s * 8))
+      in
       let err = ref None in
       List.iter
         (fun f ->

@@ -37,7 +37,7 @@ val index_entries : index -> int
 (** Total postings in an index — the [store.index.entries] unit. *)
 
 type sealed = {
-  s_bytes : string;  (** the complete segment file image *)
+  s_bytes : string;  (** the complete segment image, as stored *)
   s_steps : int;
   s_raw_bytes : int;
   s_index : index;

@@ -1,12 +1,17 @@
 let manifest_name = "MANIFEST.jsonl"
-let segments_dir = "segments"
+let pack_name = "segments.pack"
 
 let sanitize_run s =
   String.map (function '/' | ' ' -> '_' | c -> c) s
 
 type t = {
   t_dir : string;
-  t_oc : out_channel;
+  t_oc : out_channel;  (* the manifest *)
+  t_pack : out_channel;
+  mutable t_pack_end : int;
+      (* the pack's size: where the next run's bytes land.  Tracked
+         here, not read from [pos_out], which an append-mode channel
+         starts at 0 whatever the file holds. *)
   t_runs : (string, unit) Hashtbl.t;
   mutable t_total : int;
   mutable t_appended : int;
@@ -48,28 +53,32 @@ let load_manifest path =
          (Ok [])
     |> Result.map List.rev
 
+let open_append path =
+  open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
+
 let open_ dir =
+  let fail reason = Error (Hth.Error.Load_failure { path = dir; reason }) in
   match
     ensure_dir dir;
-    ensure_dir (Filename.concat dir segments_dir);
     load_manifest (Filename.concat dir manifest_name)
   with
-  | exception Sys_error reason ->
-    Error (Hth.Error.Load_failure { path = dir; reason })
+  | exception Sys_error reason -> fail reason
   | Error _ as e -> e
-  | Ok entries ->
-    let t_runs = Hashtbl.create 64 in
-    List.iter (fun (e : Manifest.entry) ->
-        Hashtbl.replace t_runs e.e_run ()) entries;
-    let t_oc =
-      open_out_gen
-        [ Open_append; Open_creat; Open_binary ]
-        0o644
-        (Filename.concat dir manifest_name)
-    in
-    Ok
-      { t_dir = dir; t_oc; t_runs; t_total = List.length entries;
-        t_appended = 0; t_raw_bytes = 0; t_framed_bytes = 0 }
+  | Ok entries -> (
+    match
+      let t_oc = open_append (Filename.concat dir manifest_name) in
+      let t_pack = open_append (Filename.concat dir pack_name) in
+      (t_oc, t_pack, out_channel_length t_pack)
+    with
+    | exception Sys_error reason -> fail reason
+    | t_oc, t_pack, t_pack_end ->
+      let t_runs = Hashtbl.create 64 in
+      List.iter (fun (e : Manifest.entry) ->
+          Hashtbl.replace t_runs e.e_run ()) entries;
+      Ok
+        { t_dir = dir; t_oc; t_pack; t_pack_end; t_runs;
+          t_total = List.length entries; t_appended = 0; t_raw_bytes = 0;
+          t_framed_bytes = 0 })
 
 let fresh_run_id t wanted =
   let wanted = sanitize_run wanted in
@@ -82,30 +91,24 @@ let fresh_run_id t wanted =
     Printf.sprintf "%s~%d" wanted !n
   end
 
-let write_file path bytes =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc bytes)
+let locator offset = Printf.sprintf "%s#%d" pack_name offset
 
 let append t ~entry ~sealed =
   let run = fresh_run_id t entry.Manifest.e_run in
-  let rel = Filename.concat segments_dir (run ^ ".seg") in
-  let final = Filename.concat t.t_dir rel in
-  let tmp = Filename.concat t.t_dir
-      (Filename.concat segments_dir ("." ^ run ^ ".seg.tmp"))
-  in
-  write_file tmp sealed.Segment.s_bytes;
-  Sys.rename tmp final;
+  let offset = t.t_pack_end in
+  output_string t.t_pack sealed.Segment.s_bytes;
+  flush t.t_pack;
+  t.t_pack_end <- offset + String.length sealed.Segment.s_bytes;
   let entry =
     { entry with
       Manifest.e_run = run; e_steps = sealed.Segment.s_steps;
       e_raw_bytes = sealed.Segment.s_raw_bytes;
       e_framed_bytes = String.length sealed.Segment.s_bytes;
-      e_segment = rel }
+      e_segment = locator offset }
   in
-  (* the manifest line publishes the run; flush so a kill after this
-     point can only lose runs, never tear one *)
+  (* the manifest line publishes the run, and only once its bytes are
+     flushed to the pack: a kill before this point leaves an unlocated
+     tail that the next append writes past, never a torn run *)
   output_string t.t_oc (Manifest.render entry);
   flush t.t_oc;
   Hashtbl.replace t.t_runs run ();
@@ -115,7 +118,9 @@ let append t ~entry ~sealed =
   t.t_framed_bytes <- t.t_framed_bytes + String.length sealed.Segment.s_bytes;
   entry
 
-let close t = close_out_noerr t.t_oc
+let close t =
+  close_out_noerr t.t_pack;
+  close_out_noerr t.t_oc
 
 (* ------------------------------------------------------------------ *)
 (* Read side                                                           *)
@@ -145,16 +150,47 @@ let find view run =
     let s = sanitize_run run in
     List.find_opt (fun (e : Manifest.entry) -> e.e_run = s) view.v_entries
 
-let segment_bytes view (entry : Manifest.entry) =
-  let path = Filename.concat view.v_dir entry.e_segment in
-  if not (Sys.file_exists path) then
-    Error
-      (Hth.Error.Load_failure { path; reason = "segment file missing" })
+(* A locator's offset: 1 to 15 decimal digits, so that neither it nor
+   offset + length can overflow. *)
+let locator_offset segment =
+  let prefix = pack_name ^ "#" in
+  if not (String.starts_with ~prefix segment) then None
   else
-    match read_file path with
-    | bytes -> Ok (path, bytes)
-    | exception Sys_error reason ->
-      Error (Hth.Error.Load_failure { path; reason })
+    let pl = String.length prefix in
+    let s = String.sub segment pl (String.length segment - pl) in
+    let n = String.length s in
+    if n = 0 || n > 15 || not (String.for_all (fun c -> c >= '0' && c <= '9') s)
+    then None
+    else Some (int_of_string s)
+
+(* The run's bytes: [e_framed_bytes] from its locator's offset, which
+   must lie inside the pack. *)
+let segment_bytes view (entry : Manifest.entry) =
+  let pack = Filename.concat view.v_dir pack_name in
+  let fail path reason = Error (Hth.Error.Load_failure { path; reason }) in
+  match locator_offset entry.e_segment with
+  | None ->
+    fail pack
+      (Printf.sprintf "run %s: %S is not a %s locator" entry.e_run
+         entry.e_segment pack_name)
+  | Some offset -> (
+    let path = Filename.concat view.v_dir entry.e_segment in
+    let len = entry.e_framed_bytes in
+    match
+      In_channel.with_open_bin pack (fun ic ->
+          let size = In_channel.length ic |> Int64.to_int in
+          if len <= 0 || offset > size || len > size - offset then None
+          else begin
+            In_channel.seek ic (Int64.of_int offset);
+            In_channel.really_input_string ic len
+          end)
+    with
+    | Some bytes -> Ok (path, bytes)
+    | None ->
+      fail path
+        (Printf.sprintf "run %s: %d bytes at this offset are not in the pack"
+           entry.e_run len)
+    | exception Sys_error reason -> fail path reason)
 
 let raw_trace view entry =
   match segment_bytes view entry with

@@ -60,19 +60,28 @@ exception Fault_exn of fault
    every kernel and returns the buffers when a world is torn down.  A
    pooled buffer is zeroed (create) or fully overwritten (clone) before
    reuse, so guest-visible behaviour is identical to fresh allocation. *)
-type mem_pool = { mutable mp_free : Bytes.t list }
+type mem_pool = {
+  mutable mp_free : Bytes.t list;
+  mutable mp_allocated : int;  (* buffers made because none was free *)
+}
 
-(* free buffers a pool retains *)
-let mem_pool_cap = 16
+(* free buffers a pool retains: every corpus scenario but the four
+   fork-heavy ones (13-25 spaces) runs within it, and each retained
+   buffer is 1 MiB a serving process keeps resident per engine fork *)
+let mem_pool_cap = 12
 
-let mem_pool () = { mp_free = [] }
+let mem_pool () = { mp_free = []; mp_allocated = 0 }
+
+let pool_allocated p = p.mp_allocated
 
 let pool_take p =
   match p.mp_free with
   | b :: rest ->
     p.mp_free <- rest;
     Some b
-  | [] -> None
+  | [] ->
+    p.mp_allocated <- p.mp_allocated + 1;
+    None
 
 let fresh_mem = function
   | None -> Bytes.make mem_size '\000'

@@ -71,9 +71,13 @@ val mem_size : int
     small-machine setup. *)
 type mem_pool
 
-(** [mem_pool ()] is an empty pool retaining at most 16 free
+(** [mem_pool ()] is an empty pool retaining at most 12 free
     buffers. *)
 val mem_pool : unit -> mem_pool
+
+(** Buffers [create]/[clone] had to allocate because [pool] held none
+    free. *)
+val pool_allocated : mem_pool -> int
 
 val create : ?hooks:hooks -> ?pool:mem_pool -> unit -> t
 

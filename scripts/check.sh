@@ -313,7 +313,7 @@ done
 echo "== store-determinism gate =="
 # The trace warehouse contract (DESIGN.md §18): two independently
 # built stores — a 1-worker and a 2-worker batch sweep — must be
-# byte-identical down to every segment file; per-run answers from the
+# byte-identical, manifest and segment pack; per-run answers from the
 # store must match the JSONL-file path byte for byte; and the fleet
 # query surface must answer byte-identically from either build.
 run_exe=_build/default/bin/hth_run.exe
@@ -377,10 +377,10 @@ done
 [ "$fleet_ok" -eq 1 ] \
   && echo "  ok: fleet ls/query/profile/diff byte-identical across builds"
 
-# SIGTERM under load with a store attached: appends are
-# publish-atomic and ordered before response emission, so the drained
-# store must hold exactly one complete, readable run per drained
-# response — never a torn segment
+# SIGTERM under load with a store attached: a run's manifest line is
+# written after its segment bytes and before its response, so the
+# drained store must hold exactly one complete, readable run per
+# drained response — never a torn segment
 sock="$tmp/hth.store.sock"
 "$serve_exe" --socket "$sock" --jobs 2 --deadline 30 \
   --store "$tmp/store.srv" 2> "$tmp/serve_store.log" &
@@ -414,6 +414,34 @@ then
   echo "  ok: SIGTERM-drained store complete-or-absent ($stored runs)"
 else
   echo "  STORE DRAIN: drained store failed to read back" >&2
+  status=1
+fi
+# reopening the drained store appends after its pack: every earlier
+# run and the new one read back, and the store is still exactly the
+# manifest and the pack
+"$run_exe" run pma --store "$tmp/store.srv" > /dev/null
+first=$(head -n 1 "$tmp/store.srv/MANIFEST.jsonl" \
+  | sed 's/^{"run":"\([^"]*\)".*/\1/')
+if [ "$(wc -l < "$tmp/store.srv/MANIFEST.jsonl")" -eq $((stored + 1)) ] \
+   && "$trace_exe" fleet profile --store "$tmp/store.srv" > /dev/null \
+   && "$trace_exe" profile --store "$tmp/store.srv" "$first" > /dev/null \
+   && "$trace_exe" profile --store "$tmp/store.srv" pma > /dev/null \
+   && [ "$(ls -A "$tmp/store.srv" | tr '\n' ' ')" = "MANIFEST.jsonl segments.pack " ]
+then
+  echo "  ok: append to the drained store, all $((stored + 1)) runs read back"
+else
+  echo "  STORE REOPEN: append to the drained store failed to read back" >&2
+  ls -A "$tmp/store.srv" >&2
+  status=1
+fi
+
+# the manifest/locator/pack fuzz property at its long count (the
+# default count runs in dune runtest and @quick)
+if (cd test && QCHECK_LONG=1 ../_build/default/test/test_hth.exe test store \
+      > /dev/null 2>&1); then
+  echo "  ok: store suite with long qcheck counts"
+else
+  echo "  STORE FUZZ: store suite failed at long qcheck counts" >&2
   status=1
 fi
 

@@ -103,6 +103,27 @@ let shared_space_case =
                      line))
         golden_scenarios)
 
+(* exec replaces a process's address space: the replaced buffer goes
+   back to the engine's pool, so once a scenario has run, running it
+   again allocates no guest memory. *)
+let exec_pool_case =
+  Alcotest.test_case "exec returns the replaced address space to the pool"
+    `Quick (fun () ->
+      let sc = find "Remote execve" in
+      let eng = Hth.Engine.create () in
+      let r = Hth.Engine.run eng sc.sc_setup in
+      Alcotest.(check bool) "the exec happened" true
+        (List.exists
+           (function Harrier.Events.Exec _ -> true | _ -> false)
+           r.events);
+      let first = Hth.Engine.address_spaces_allocated eng in
+      for _ = 1 to 4 do
+        ignore (Hth.Engine.run eng sc.sc_setup)
+      done;
+      Alcotest.(check int) "address spaces allocated after the first run"
+        first
+        (Hth.Engine.address_spaces_allocated eng))
+
 let suite =
   List.map scenario_case golden_scenarios
-  @ [ no_events_case; shared_space_case ]
+  @ [ no_events_case; shared_space_case; exec_pool_case ]

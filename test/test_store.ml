@@ -52,18 +52,21 @@ let count_lines s =
 (* ------------------------------------------------------------------ *)
 (* deflate                                                             *)
 
+let deflate_cases =
+  [ "empty", "";
+    "a", "a";
+    "hello, world", "hello, world";
+    "x*100000", String.make 100_000 'x';
+    ( "flow lines",
+      String.concat ""
+        (List.init 4_000 (fun i ->
+             Printf.sprintf "{\"step\":%d,\"ev\":\"flow\"}\n" i)) );
+    "bytes 0-255", String.init 256 Char.chr;
+    "7919 walk", String.init 70_000 (fun i -> Char.chr (i * 7919 mod 256)) ]
+
 let test_deflate_units () =
-  let cases =
-    [ "";
-      "a";
-      "hello, world";
-      String.make 100_000 'x';
-      String.concat "" (List.init 4_000 (fun i -> Printf.sprintf "{\"step\":%d,\"ev\":\"flow\"}\n" i));
-      String.init 256 Char.chr;
-      String.init 70_000 (fun i -> Char.chr (i * 7919 mod 256)) ]
-  in
   List.iter
-    (fun s ->
+    (fun (_, s) ->
       match Store.Deflate.decompress (Store.Deflate.compress s) with
       | Ok s' ->
         Alcotest.(check int)
@@ -72,7 +75,7 @@ let test_deflate_units () =
           (String.length s) (String.length s');
         Alcotest.(check bool) "round-trip bytes" true (String.equal s s')
       | Error m -> Alcotest.failf "decompress failed: %s" m)
-    cases;
+    deflate_cases;
   (* repetitive input must actually shrink — the warehouse's whole
      point *)
   let rep = String.concat "" (List.init 1_000 (fun _ -> "abcabcabc\n")) in
@@ -93,6 +96,116 @@ let prop_deflate_roundtrip =
       match Store.Deflate.decompress (Store.Deflate.compress s) with
       | Ok s' -> String.equal s s'
       | Error _ -> false)
+
+(* The encoder's bytes, pinned: MD5 and length of [Deflate.compress]'s
+   output on every golden trace, on their concatenation (past the 32 KiB
+   window) and on [deflate_cases], as the encoder that allocated fresh
+   match tables per call produced them.  Segments written before and
+   after any encoder change must stay byte-identical.  A regenerated
+   golden is a new input: record its pin with an unchanged encoder. *)
+let deflate_pins =
+  [ "ElmExploit.jsonl", 1340, "4312d3620e2c422af2516ba4323b8cb5";
+    "column.jsonl", 1129, "c494737bfaceb33f4e3cb6e2b8aea3fa";
+    "grabem.jsonl", 1511, "e2bdae96313255142a54b3d006494553";
+    "logic_bomb_defused.jsonl", 786, "5a6e53adb4a0e6fc4de37b1ec8fb9159";
+    "logic_bomb_idle.jsonl", 881, "d20932ba4812ca084a1543fd09813522";
+    "logic_bomb_triggered.jsonl", 1440, "01cd57be61524835f9b72c8f3cedbbad";
+    "ls.jsonl", 880, "fe99c3a0d996a947b35216a25ca4e4de";
+    "nlspath.jsonl", 755, "0b2996c5fc12d6e2bd1470ee0de4adba";
+    "pma.jsonl", 1968, "ad2c5f14f6d3a0b48991d7d7faa30e30";
+    "procex.jsonl", 1440, "ffc261917ee7c47d7716ce347da7e636";
+    "sleeper_daemon_disarmed.jsonl", 886, "5dbc264138873018611ba5e6b7eab393";
+    "sleeper_daemon_idle.jsonl", 932, "16498790844c11d11c66679ce0ad2aaa";
+    "sleeper_daemon_triggered.jsonl", 1681, "a2268f312f0de42d0684be17ebaad5d4";
+    "superforker.jsonl", 3360, "570cbb3a9aeb0852d66fc2ada4d41e7c";
+    "update_client_idle.jsonl", 1111, "79597828989f01e3e78c3328a3e81ab3";
+    "update_client_rejected.jsonl", 1121, "4a7a66c9485bdaffc3f53a4e48926927";
+    "update_client_triggered.jsonl", 1951, "a2fbf56c79a508a63b23d9615f5654ec";
+    "vixie_crontab.jsonl", 1202, "0aaad336279f6faa4c20a21e9d8027b2";
+    "worm_pair_idle.jsonl", 881, "7f963749bff1837bc61e21dfdd11a424";
+    "worm_pair_recalled.jsonl", 889, "6cf9cc4f62735a26a010033de54227f0";
+    "worm_pair_triggered.jsonl", 1454, "8dc59cad81c2214c15bc1ee1794177b0";
+    "all goldens", 13788, "071f4de135e86f872312d690cbdf83a3";
+    "empty", 2, "598f4fe64aefab8f00bcbea4c9239abf";
+    "a", 3, "e266db42a8cd74035cfd93adeabf41e3";
+    "hello, world", 14, "2f8d48710d6e4229b032397b2492f0c2";
+    "x*100000", 634, "7dc7e6d5325a21edfc30201966035b3d";
+    "flow lines", 15015, "06c293832812167468b72355c7cc0517";
+    "bytes 0-255", 272, "e01bb3120b18a254248b9c013c8da37e";
+    "7919 walk", 916, "7e65cf29d75536b4eeba1764670786c9" ]
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let golden_files () =
+  Sys.readdir "golden" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
+  |> List.sort compare
+
+(* every golden trace, concatenated in name order: ~115 KB of real
+   trace text *)
+let golden_text =
+  lazy
+    (String.concat ""
+       (List.map (fun f -> read_file (Filename.concat "golden" f))
+          (golden_files ())))
+
+let test_deflate_pinned () =
+  let inputs =
+    List.map (fun f -> f, read_file (Filename.concat "golden" f))
+      (golden_files ())
+    @ ("all goldens", Lazy.force golden_text) :: deflate_cases
+  in
+  List.iter
+    (fun (name, input) ->
+      match List.find_opt (fun (n, _, _) -> n = name) deflate_pins with
+      | None -> Alcotest.failf "%s: no deflate pin recorded" name
+      | Some (_, len, digest) ->
+        let z = Store.Deflate.compress input in
+        Alcotest.(check (pair int string))
+          (name ^ ": compressed length and MD5")
+          (len, digest)
+          (String.length z, Digest.to_hex (Digest.string z)))
+    inputs
+
+(* Interleaved calls of every size from empty to 70 KiB: whatever the
+   encoder keeps between calls, each output must equal the output of a
+   first call (a new domain's) and round-trip.  An input is drawn as
+   (kind, length, seed): a slice of real trace text, a run over a few
+   distinct bytes (long chains and matches), or arbitrary bytes. *)
+let deflate_input (kind, len, seed) =
+  let rng = Random.State.make [| seed |] in
+  match kind with
+  | 0 ->
+    let text = Lazy.force golden_text in
+    let len = min len (String.length text) in
+    String.sub text (Random.State.int rng (String.length text - len + 1)) len
+  | 1 ->
+    let k = 1 + Random.State.int rng 4 in
+    String.init len (fun _ -> Char.chr (97 + Random.State.int rng k))
+  | _ -> String.init len (fun _ -> Char.chr (Random.State.int rng 256))
+
+let prop_deflate_interleaved =
+  Test.make ~count:25 ~long_factor:10
+    ~name:"store: deflate output independent of earlier calls"
+    (make
+       ~print:Print.(list (triple int int int))
+       Gen.(
+         list_size (int_range 1 6)
+           (triple (int_bound 2) (int_bound (70 * 1024)) (int_bound 1_000_000))))
+    (fun recipes ->
+      List.for_all
+        (fun recipe ->
+          let s = deflate_input recipe in
+          let z = Store.Deflate.compress s in
+          let first =
+            Domain.join (Domain.spawn (fun () -> Store.Deflate.compress s))
+          in
+          String.equal z first && Store.Deflate.decompress z = Ok s)
+        recipes)
 
 (* ------------------------------------------------------------------ *)
 (* segment round-trip over the corpus                                  *)
@@ -228,7 +341,20 @@ let test_corruption () =
     (is_load_failure (Store.Segment.load ~path:"flip" flipped));
   (* garbage after the end frame is corruption, not slack *)
   Alcotest.(check bool) "trailing garbage is a Load_failure" true
-    (is_load_failure (Store.Segment.load ~path:"trail" (bytes ^ "x")))
+    (is_load_failure (Store.Segment.load ~path:"trail" (bytes ^ "x")));
+  (* well-formed frames whose end frame claims a petabyte: the claim is
+     checked, never allocated *)
+  let forged =
+    let b = Buffer.create 64 in
+    Buffer.add_string b Store.Frame.magic;
+    Store.Frame.add b ~kind:Store.Frame.Index "";
+    Store.Frame.add b ~kind:Store.Frame.End
+      (Printf.sprintf "{\"seg\":\"end\",\"steps\":0,\"raw_bytes\":%d}\n"
+         (1 lsl 50));
+    Buffer.contents b
+  in
+  Alcotest.(check bool) "an end frame's size claim is a Load_failure" true
+    (is_load_failure (Store.Segment.load ~path:"forged" forged))
 
 (* ------------------------------------------------------------------ *)
 (* index consistency under arbitrary line-aligned chunkings            *)
@@ -314,11 +440,40 @@ let fresh_dir =
       Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d)) |> ignore;
     d
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let entry_for (sc : Guest.Scenario.t) result (sealed : Store.Segment.sealed) =
+  let verdict, matched =
+    match result with
+    | Ok r ->
+      let v = Hth.Report.verdict r in
+      (Hth.Report.verdict_label v, Guest.Scenario.matches sc.sc_expected v)
+    | Error e -> ("error:" ^ Hth.Error.kind e, false)
+  in
+  { Store.Manifest.e_run = sc.sc_name;
+    e_scenario = sc.sc_name;
+    e_policy = "native";
+    e_seed = None;
+    e_fault = None;
+    e_verdict = verdict;
+    e_expected = Guest.Scenario.expected_label sc.sc_expected;
+    e_match = matched;
+    e_warnings = 0;
+    e_distinct = 0;
+    e_degraded = false;
+    e_steps = 0;
+    e_raw_bytes = 0;
+    e_framed_bytes = 0;
+    e_digest = Store.Manifest.digest sealed.Store.Segment.s_index.ix_counters;
+    e_segment = "" }
+
+let open_store dir =
+  match Store.Warehouse.open_ dir with
+  | Ok wh -> wh
+  | Error e -> Alcotest.failf "open_ %s: %s" dir (Hth.Error.to_string e)
+
+let load_store dir =
+  match Store.Warehouse.load dir with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "load %s: %s" dir (Hth.Error.to_string e)
 
 (* Build a warehouse from the 12-scenario corpus on a [jobs]-worker
    fleet: segments sealed on the workers, appended in submission order
@@ -334,46 +489,18 @@ let build_store ~jobs dir =
          corpus)
   in
   Fleet.Executor.shutdown ex;
-  let wh =
-    match Store.Warehouse.open_ dir with
-    | Ok wh -> wh
-    | Error e -> Alcotest.failf "open_ %s: %s" dir (Hth.Error.to_string e)
-  in
+  let wh = open_store dir in
   List.iter2
     (fun name (o : Fleet.Executor.outcome) ->
-      let sc = find name in
       let sealed =
         match o.o_segment with
         | Some s -> s
         | None -> Alcotest.failf "%s: no segment in outcome" name
       in
-      let verdict, matched =
-        match o.o_result with
-        | Ok r ->
-          let v = Hth.Report.verdict r in
-          (Hth.Report.verdict_label v, Guest.Scenario.matches sc.sc_expected v)
-        | Error e -> ("error:" ^ Hth.Error.kind e, false)
-      in
-      let entry =
-        { Store.Manifest.e_run = name;
-          e_scenario = name;
-          e_policy = "native";
-          e_seed = None;
-          e_fault = None;
-          e_verdict = verdict;
-          e_expected = Guest.Scenario.expected_label sc.sc_expected;
-          e_match = matched;
-          e_warnings = 0;
-          e_distinct = 0;
-          e_degraded = false;
-          e_steps = 0;
-          e_raw_bytes = 0;
-          e_framed_bytes = 0;
-          e_digest =
-            Store.Manifest.digest sealed.Store.Segment.s_index.ix_counters;
-          e_segment = "" }
-      in
-      ignore (Store.Warehouse.append wh ~entry ~sealed))
+      ignore
+        (Store.Warehouse.append wh
+           ~entry:(entry_for (find name) o.o_result sealed)
+           ~sealed))
     corpus outcomes;
   Store.Warehouse.close wh;
   List.map
@@ -391,24 +518,17 @@ let test_store_determinism () =
            (List.nth corpus i))
         true (String.equal a b))
     (List.combine traces1 traces2);
-  Alcotest.(check bool) "manifests byte-identical" true
-    (String.equal
-       (read_file (Filename.concat d1 "MANIFEST.jsonl"))
-       (read_file (Filename.concat d2 "MANIFEST.jsonl")));
-  let view =
-    match Store.Warehouse.load d1 with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "load: %s" (Hth.Error.to_string e)
-  in
   List.iter
-    (fun (e : Store.Manifest.entry) ->
-      Alcotest.(check bool)
-        (e.e_run ^ ": segment bytes identical across jobs")
-        true
+    (fun file ->
+      Alcotest.(check bool) (file ^ " byte-identical") true
         (String.equal
-           (read_file (Filename.concat d1 e.e_segment))
-           (read_file (Filename.concat d2 e.e_segment))))
-    view.v_entries;
+           (read_file (Filename.concat d1 file))
+           (read_file (Filename.concat d2 file))))
+    [ "MANIFEST.jsonl"; "segments.pack" ];
+  Alcotest.(check (list string)) "the store holds the manifest and the pack"
+    [ "MANIFEST.jsonl"; "segments.pack" ]
+    (List.sort compare (Array.to_list (Sys.readdir d1)));
+  let view = load_store d1 in
   (* stored answers = live answers: the reconstructed trace is the
      trace the session wrote *)
   List.iteri
@@ -421,6 +541,250 @@ let test_store_determinism () =
           true
           (String.equal raw (List.nth traces1 i)))
     view.v_entries
+
+(* ------------------------------------------------------------------ *)
+(* the pack: durability, reopening, locators                           *)
+
+let append_run wh name =
+  let sc = find name in
+  let raw, sealed = capture sc in
+  let e =
+    Store.Warehouse.append wh
+      ~entry:(entry_for sc (Ok (Guest.Scenario.run sc)) sealed)
+      ~sealed
+  in
+  (e.e_run, raw, sealed)
+
+(* every run loads back byte-exact, by trace and by index *)
+let check_runs dir runs =
+  let view = load_store dir in
+  Alcotest.(check (list string)) "manifest runs" (List.map (fun (r, _, _) -> r) runs)
+    (List.map (fun (e : Store.Manifest.entry) -> e.e_run) view.v_entries);
+  List.iter
+    (fun (run, raw, (sealed : Store.Segment.sealed)) ->
+      let e = Option.get (Store.Warehouse.find view run) in
+      (match Store.Warehouse.raw_trace view e with
+      | Ok got ->
+        Alcotest.(check bool) (run ^ ": trace byte-exact") true
+          (String.equal raw got)
+      | Error err ->
+        Alcotest.failf "%s: raw_trace: %s" run (Hth.Error.to_string err));
+      match Store.Warehouse.read_index view e with
+      | Ok ix ->
+        Alcotest.(check bool) (run ^ ": index") true (ix = sealed.s_index)
+      | Error err ->
+        Alcotest.failf "%s: read_index: %s" run (Hth.Error.to_string err))
+    runs
+
+let append_to_pack dir bytes =
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644
+    (Filename.concat dir "segments.pack")
+    (fun oc -> output_string oc bytes)
+
+(* A writer killed between flushing a run's bytes and writing its
+   manifest line leaves an unlocated tail, whole or cut short.  Every
+   published run still loads, and the next append lands past the tail. *)
+let test_pack_unpublished_tail () =
+  List.iter
+    (fun cut ->
+      let dir = fresh_dir "hth-store-tail" in
+      let wh = open_store dir in
+      let published = List.map (append_run wh) [ "pma"; "ls" ] in
+      Store.Warehouse.close wh;
+      let _, orphan = capture (find "column") in
+      let bytes = orphan.Store.Segment.s_bytes in
+      append_to_pack dir (String.sub bytes 0 (cut (String.length bytes)));
+      check_runs dir published;
+      let wh = open_store dir in
+      let next = append_run wh "grabem" in
+      Store.Warehouse.close wh;
+      check_runs dir (published @ [ next ]))
+    [ Fun.id; (fun n -> n / 2); (fun _ -> 3) ]
+
+(* Reopening a non-empty store (a second `hth_run batch --store` into
+   the same directory) appends after what is there: an append-mode
+   channel's position starts at 0, so offsets must come from the pack's
+   size. *)
+let test_pack_reopen () =
+  let dir = fresh_dir "hth-store-reopen" in
+  let runs =
+    List.concat_map
+      (fun names ->
+        let wh = open_store dir in
+        let runs = List.map (append_run wh) names in
+        Store.Warehouse.close wh;
+        runs)
+      [ [ "pma"; "ls" ]; [ "column" ]; [ "pma"; "grabem" ] ]
+  in
+  Alcotest.(check (list string)) "run ids uniquified across handles"
+    [ "pma"; "ls"; "column"; "pma~2"; "grabem" ]
+    (List.map (fun (r, _, _) -> r) runs);
+  check_runs dir runs
+
+let write_file path bytes =
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes)
+
+(* The pre-pack layout (one DIR/segments/<run>.seg per run) is not
+   read: its entries are typed failures even with the file present. *)
+let test_old_layout_rejected () =
+  let dir = fresh_dir "hth-store-old" in
+  let wh = open_store dir in
+  let run, _, sealed = append_run wh "pma" in
+  Store.Warehouse.close wh;
+  let e = Option.get (Store.Warehouse.find (load_store dir) run) in
+  Sys.mkdir (Filename.concat dir "segments") 0o755;
+  write_file (Filename.concat dir "segments/pma.seg") sealed.s_bytes;
+  write_file
+    (Filename.concat dir "MANIFEST.jsonl")
+    (Store.Manifest.render { e with e_segment = "segments/pma.seg" });
+  let view = load_store dir in
+  let e = List.hd view.v_entries in
+  Alcotest.(check bool) "raw_trace" true
+    (is_load_failure (Store.Warehouse.raw_trace view e));
+  Alcotest.(check bool) "read_index" true
+    (is_load_failure (Store.Warehouse.read_index view e));
+  Alcotest.(check bool) "fleet query" true
+    (is_load_failure
+       (Store.Fleet_query.query view
+          { Store.Fleet_query.no_filter with q_severity = Some "HIGH" }));
+  Alcotest.(check bool) "fleet profile" true
+    (is_load_failure (Store.Fleet_query.profile view));
+  Alcotest.(check bool) "fleet diff" true
+    (is_load_failure (Store.Fleet_query.diff view ~run))
+
+(* ------------------------------------------------------------------ *)
+(* fuzz: manifest, locators and pack bytes                             *)
+
+(* The store every fuzz case starts from: three runs' manifest lines
+   and pack. *)
+let fuzz_base =
+  lazy
+    (let dir = fresh_dir "hth-store-fuzz" in
+     let wh = open_store dir in
+     List.iter (fun n -> ignore (append_run wh n)) [ "pma"; "ls"; "column" ];
+     Store.Warehouse.close wh;
+     ( (load_store dir).v_entries,
+       read_file (Filename.concat dir "segments.pack") ))
+
+type mutation =
+  | Locator of int * string  (** entry, new [segment] field *)
+  | Length of int * int  (** entry, new [framed_bytes] *)
+  | Pack_flip of int * int  (** position, xor mask *)
+  | Pack_cut of int  (** new length *)
+  | Manifest_flip of int * int
+  | Manifest_cut of int
+
+let show_mutation = function
+  | Locator (i, l) -> Printf.sprintf "Locator (%d, %S)" i l
+  | Length (i, n) -> Printf.sprintf "Length (%d, %d)" i n
+  | Pack_flip (p, m) -> Printf.sprintf "Pack_flip (%d, %d)" p m
+  | Pack_cut n -> Printf.sprintf "Pack_cut %d" n
+  | Manifest_flip (p, m) -> Printf.sprintf "Manifest_flip (%d, %d)" p m
+  | Manifest_cut n -> Printf.sprintf "Manifest_cut %d" n
+
+let mutation_gen =
+  let open Gen in
+  let pack = "segments.pack#" in
+  let number =
+    oneof
+      [ map string_of_int int; map string_of_int (int_bound 40_000);
+        map string_of_int (int_range (-5) 5);
+        return (string_of_int max_int); return (string_of_int min_int);
+        (* past any int *)
+        string_size ~gen:(char_range '0' '9') (int_range 16 30);
+        oneofl [ ""; "+1"; "0x10"; "1_0"; " 1"; "1 "; "-0"; "1e3" ] ]
+  in
+  let locator =
+    oneof
+      [ map (fun n -> pack ^ n) number;
+        string_size ~gen:char (int_bound 24);
+        map (fun r -> "segments/" ^ r ^ ".seg") (oneofl [ "pma"; "ls" ]);
+        oneofl [ ""; pack; "segments.pack"; "/etc/passwd#0"; "../" ^ pack ^ "0";
+                 "SEGMENTS.PACK#0"; pack ^ "0#0" ] ]
+  in
+  let length =
+    oneof
+      [ int; int_range (-3) 3; int_bound 40_000; oneofl [ max_int; min_int ] ]
+  in
+  frequency
+    [ 3, map2 (fun i l -> Locator (i, l)) (int_bound 2) locator;
+      2, map2 (fun i n -> Length (i, n)) (int_bound 2) length;
+      2, map2 (fun p m -> Pack_flip (p, m)) nat (int_range 1 255);
+      1, map (fun n -> Pack_cut n) nat;
+      1, map2 (fun p m -> Manifest_flip (p, m)) nat (int_range 1 255);
+      1, map (fun n -> Manifest_cut n) nat ]
+
+let flip s pos mask =
+  if s = "" then s
+  else
+    let pos = pos mod String.length s in
+    String.mapi
+      (fun i c -> if i = pos then Char.chr (Char.code c lxor mask) else c)
+      s
+
+let cut s n = String.sub s 0 (n mod (String.length s + 1))
+
+(* Apply [muts] to the base store, write it to [dir] and read it back
+   through every read surface: each answer is a success or a typed
+   Load_failure, and nothing raises. *)
+let fuzz_dir = lazy (fresh_dir "hth-store-fuzzed")
+
+let prop_store_fuzz =
+  Test.make ~count:200 ~long_factor:10
+    ~name:"store: fuzzed manifest, locators and pack fail typed"
+    (make
+       ~print:(fun l -> String.concat "; " (List.map show_mutation l))
+       Gen.(list_size (int_range 1 4) mutation_gen))
+    (fun muts ->
+      let entries, pack = Lazy.force fuzz_base in
+      let entries =
+        List.fold_left
+          (fun entries m ->
+            List.mapi
+              (fun i (e : Store.Manifest.entry) ->
+                match m with
+                | Locator (j, l) when i = j -> { e with e_segment = l }
+                | Length (j, n) when i = j -> { e with e_framed_bytes = n }
+                | _ -> e)
+              entries)
+          entries muts
+      in
+      let manifest, pack =
+        List.fold_left
+          (fun (manifest, pack) -> function
+            | Pack_flip (p, m) -> (manifest, flip pack p m)
+            | Pack_cut n -> (manifest, cut pack n)
+            | Manifest_flip (p, m) -> (flip manifest p m, pack)
+            | Manifest_cut n -> (cut manifest n, pack)
+            | Locator _ | Length _ -> (manifest, pack))
+          (String.concat "" (List.map Store.Manifest.render entries), pack)
+          muts
+      in
+      let dir = Lazy.force fuzz_dir in
+      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      write_file (Filename.concat dir "MANIFEST.jsonl") manifest;
+      write_file (Filename.concat dir "segments.pack") pack;
+      let typed = function
+        | Ok _ | Error (Hth.Error.Load_failure _) -> true
+        | Error _ -> false
+      in
+      match Store.Warehouse.load dir with
+      | Error _ as e -> typed e
+      | Ok view ->
+        let run =
+          match view.v_entries with e :: _ -> e.e_run | [] -> "pma"
+        in
+        List.for_all
+          (fun e ->
+            typed (Store.Warehouse.raw_trace view e)
+            && typed (Store.Warehouse.read_index view e))
+          view.v_entries
+        && typed (Store.Fleet_query.query view Store.Fleet_query.no_filter)
+        && typed
+             (Store.Fleet_query.query view
+                { Store.Fleet_query.no_filter with q_resource = Some "SYS_" })
+        && typed (Store.Fleet_query.profile view)
+        && typed (Store.Fleet_query.diff view ~run))
 
 (* Forensic answers from the store match the JSONL path byte-for-byte:
    the determinism gate's in-process twin. *)
@@ -453,11 +817,7 @@ let test_store_answers_match_jsonl () =
 let test_fleet_queries () =
   let dir = fresh_dir "hth-store-q" in
   ignore (build_store ~jobs:2 dir);
-  let view =
-    match Store.Warehouse.load dir with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "load: %s" (Hth.Error.to_string e)
-  in
+  let view = load_store dir in
   (* verdict metadata predicate *)
   (match
      Store.Fleet_query.query view
@@ -553,6 +913,9 @@ let to_alcotest_seeded test =
 let suite =
   [ Alcotest.test_case "deflate: unit round-trips" `Quick test_deflate_units;
     to_alcotest_seeded prop_deflate_roundtrip;
+    Alcotest.test_case "deflate: output pinned on goldens" `Quick
+      test_deflate_pinned;
+    to_alcotest_seeded prop_deflate_interleaved;
     Alcotest.test_case "segment: 12-scenario corpus round-trip" `Quick
       test_corpus_roundtrip;
     Alcotest.test_case "segment: index matches a full trace parse" `Quick
@@ -562,6 +925,13 @@ let suite =
     to_alcotest_seeded prop_index_chunking_invariant;
     Alcotest.test_case "warehouse: byte-identical across jobs 1 and 2"
       `Quick test_store_determinism;
+    Alcotest.test_case "pack: unpublished tail, then append" `Quick
+      test_pack_unpublished_tail;
+    Alcotest.test_case "pack: reopen a non-empty store and append" `Quick
+      test_pack_reopen;
+    Alcotest.test_case "pack: old per-run layout rejected" `Quick
+      test_old_layout_rejected;
+    to_alcotest_seeded prop_store_fuzz;
     Alcotest.test_case "store answers = jsonl answers" `Quick
       test_store_answers_match_jsonl;
     Alcotest.test_case "fleet queries: search, profile, diff" `Quick
