@@ -214,12 +214,12 @@ let corpus_results () =
 
 (* ------------------------------------------------------------------ *)
 (* Fleet scaling: the same golden sweep pushed through the fleet
-   executor (one shared FIFO queue) at increasing worker counts.  The
-   executor (and its per-worker engine forks) persists across rounds,
-   like a long-lived hth_serve process; each measured round submits the
-   whole corpus and drains it in order.  Speedup is bounded by the host's
-   core count — recorded in the JSON row so a 1-core CI box reporting
-   1.0x is not mistaken for a scheduler regression. *)
+   (Fleet.Supervisor, one shared FIFO queue) at increasing worker
+   counts.  The fleet (and its per-worker engine forks) persists across
+   rounds, like a long-lived hth_serve process; each measured round
+   submits the whole corpus and drains it in order.  Speedup is bounded
+   by the host's core count — recorded in the JSON row so a 1-core CI
+   box reporting 1.0x is not mistaken for a scheduler regression. *)
 
 let fleet_jobs = [ 1; 2; 4; 8 ]
 
@@ -235,106 +235,15 @@ let fleet_results () =
   List.map
     (fun jobs ->
       let base = Hth.Engine.create ~keep_events:false () in
-      let ex = Fleet.Executor.create ~jobs [ "default", base ] in
+      let fleet = Fleet.Supervisor.create ~jobs [ "default", base ] in
       let ns =
         sustained_ns ~rounds:fleet_rounds (fun () ->
-            ignore (Fleet.Executor.run_all ex batch))
+            ignore (Fleet.Supervisor.run_all fleet batch))
       in
-      let st = Fleet.Executor.stats ex in
-      Fleet.Executor.shutdown ex;
+      let st = Fleet.Supervisor.stats fleet in
+      Fleet.Supervisor.shutdown fleet;
       Printf.sprintf "fleet/jobs=%d" jobs, ns, st)
     fleet_jobs
-
-(* ------------------------------------------------------------------ *)
-(* Serve pipeline: the golden sweep pushed through the full service
-   path — request parsing, supervised admission, fleet execution,
-   collector routing, ordered emission — over a real socketpair, the
-   same transport hth_serve's socket mode uses.  Latency percentiles
-   come from the serve.latency.ms histogram the collector feeds
-   (reset between configurations, so each row measures only its own
-   interval). *)
-
-let serve_rounds = 20
-
-let serve_resolver name =
-  Option.map
-    (fun (sc : Guest.Scenario.t) ->
-      { Fleet.Serve.t_setup = sc.sc_setup;
-        t_expected = Guest.Scenario.expected_label sc.sc_expected;
-        t_matches = Guest.Scenario.matches sc.sc_expected })
-    (Guest.Corpus.find name)
-
-let serve_results () =
-  let h_latency = Obs.Histogram.make "serve.latency.ms" in
-  let request name = Printf.sprintf "{\"scenario\":%S}" name in
-  List.map
-    (fun jobs ->
-      let svc =
-        Fleet.Serve.create ~jobs ~deadline:30. ~resolver:serve_resolver ()
-      in
-      let client_fd, server_fd =
-        Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
-      in
-      let server =
-        Thread.create
-          (fun () ->
-            let ic = Unix.in_channel_of_descr server_fd in
-            let oc = Unix.out_channel_of_descr server_fd in
-            ignore
-              (Fleet.Serve.serve_connection svc
-                 ~input:(fun () -> In_channel.input_line ic)
-                 ~output:(fun line ->
-                   output_string oc line;
-                   output_char oc '\n';
-                   flush oc)
-                 ()))
-          ()
-      in
-      let ic = Unix.in_channel_of_descr client_fd in
-      let oc = Unix.out_channel_of_descr client_fd in
-      let send name =
-        output_string oc (request name);
-        output_char oc '\n';
-        flush oc
-      in
-      let read_one () = ignore (In_channel.input_line ic) in
-      (* warm the forks and image caches with one synchronous sweep *)
-      List.iter
-        (fun n ->
-          send n;
-          read_one ())
-        golden_names;
-      Obs.Histogram.reset h_latency;
-      Gc.compact ();
-      let t0 = Unix.gettimeofday () in
-      (* writer thread keeps the request stream ahead of the window so
-         the fleet is never starved by the measuring client *)
-      let writer =
-        Thread.create
-          (fun () ->
-            for _ = 1 to serve_rounds do
-              List.iter send golden_names
-            done)
-          ()
-      in
-      for _ = 1 to serve_rounds * corpus_size do
-        read_one ()
-      done;
-      let ns =
-        (Unix.gettimeofday () -. t0) /. float serve_rounds *. 1e9
-      in
-      Thread.join writer;
-      let pct p = Obs.Histogram.percentile h_latency p in
-      let row =
-        Printf.sprintf "serve/jobs=%d" jobs, ns, (pct 50., pct 95., pct 99.)
-      in
-      Unix.shutdown client_fd Unix.SHUTDOWN_SEND;
-      Thread.join server;
-      (try Unix.close client_fd with Unix.Unix_error _ -> ());
-      (try Unix.close server_fd with Unix.Unix_error _ -> ());
-      Fleet.Serve.shutdown svc;
-      row)
-    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Trace warehouse: ingest cost of the segment sink against a plain
@@ -523,7 +432,7 @@ let corpus_cold_for corpus name =
   | None -> None
 
 let write_json path ~levels ~native ~components ~policies ~corpus ~fleet
-    ~serve ~store =
+    ~store =
   let slowdown _ ns =
     if Float.is_nan native || native = 0. then []
     else [ Printf.sprintf "\"slowdown_vs_native\": %.2f" (ns /. native) ]
@@ -565,16 +474,6 @@ let write_json path ~levels ~native ~components ~policies ~corpus ~fleet
       (if Float.is_nan jobs1_ns || jobs1_ns <= 0. then []
        else [ Printf.sprintf "\"speedup_vs_jobs1\": %.2f" (jobs1_ns /. ns) ])
   in
-  let serve_extra name ns =
-    match List.find_opt (fun (n, _, _) -> n = name) serve with
-    | None -> []
-    | Some (_, _, (p50, p95, p99)) ->
-      [ Printf.sprintf "\"sessions_per_sec\": %.0f"
-          (float_of_int corpus_size *. 1e9 /. ns);
-        Printf.sprintf "\"latency_p50_ms\": %.3f" p50;
-        Printf.sprintf "\"latency_p95_ms\": %.3f" p95;
-        Printf.sprintf "\"latency_p99_ms\": %.3f" p99 ]
-  in
   (* ingest rows: one run is a full corpus sweep; query rows: one run
      is one fleet query, reported as wall-clock latency *)
   let store_buffer_ns =
@@ -607,10 +506,6 @@ let write_json path ~levels ~native ~components ~policies ~corpus ~fleet
         json_group "fleet"
           (List.map (fun (n, ns, _) -> n, ns) fleet)
           fleet_extra
-        ^ ",";
-        json_group "serve"
-          (List.map (fun (n, ns, _) -> n, ns) serve)
-          serve_extra
         ^ ",";
         json_group "store" store store_extra;
         "}" ]
@@ -682,22 +577,6 @@ let run ?(json_path = "BENCH_perf.json") () =
            Printf.sprintf "%.0f" (float_of_int corpus_size *. 1e9 /. ns);
            Printf.sprintf "%.2fx" (jobs1 /. ns) ])
        fleet);
-  let serve = serve_results () in
-  Grid.print
-    ~title:
-      (Printf.sprintf
-         "Serve pipeline (%d golden scenarios per sweep over a socketpair)"
-         corpus_size)
-    ~headers:
-      [ "Configuration"; "time/sweep"; "sessions/s"; "p50"; "p95"; "p99" ]
-    (List.map
-       (fun (name, ns, (p50, p95, p99)) ->
-         [ name; human_ns ns;
-           Printf.sprintf "%.0f" (float_of_int corpus_size *. 1e9 /. ns);
-           Printf.sprintf "%.2f ms" p50;
-           Printf.sprintf "%.2f ms" p95;
-           Printf.sprintf "%.2f ms" p99 ])
-       serve);
   let ingest = store_ingest_results () in
   let buffer_ns =
     match
@@ -725,4 +604,4 @@ let run ?(json_path = "BENCH_perf.json") () =
     ~headers:[ "Query"; "latency" ]
     (List.map (fun (name, ns) -> [ name; human_ns ns ]) queries);
   write_json json_path ~levels ~native ~components ~policies ~corpus ~fleet
-    ~serve ~store:(ingest @ queries)
+    ~store:(ingest @ queries)

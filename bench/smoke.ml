@@ -42,16 +42,18 @@ let () =
            = List.map Secpert.Warning.to_string warm.warnings))
     scs;
   Perf.sweep (Hth.Engine.run eng) scs ();
-  (* fleet executor path: a 2-worker sweep must agree with the shared
+  (* fleet path: a 2-worker sweep must agree with the shared
      engine on every verdict, in submission order *)
-  let ex = Fleet.Executor.create ~jobs:2 [ "default", Hth.Engine.create () ] in
+  let fleet =
+    Fleet.Supervisor.create ~jobs:2 [ "default", Hth.Engine.create () ]
+  in
   let outs =
-    Fleet.Executor.run_all ex
+    Fleet.Supervisor.run_all fleet
       (List.map
          (fun (sc : Guest.Scenario.t) -> Fleet.Executor.job sc.sc_setup)
          scs)
   in
-  Fleet.Executor.shutdown ex;
+  Fleet.Supervisor.shutdown fleet;
   check "fleet outcome count" (List.length outs = List.length scs);
   List.iter2
     (fun (sc : Guest.Scenario.t) (o : Fleet.Executor.outcome) ->
@@ -67,7 +69,7 @@ let () =
           (r.max_severity = direct.max_severity))
     scs outs;
   check "fleet executed counted"
-    ((Fleet.Executor.stats ex).executed = List.length scs);
+    ((Fleet.Supervisor.stats fleet).executed = List.length scs);
   (* observability: counters move, the JSONL trace is byte-deterministic,
      and the no-op sink is restored afterwards *)
   let r = Guest.Scenario.run sc in
@@ -127,9 +129,6 @@ let () =
         "fleet/jobs=2", 1e6,
         { Fleet.Pool.executed = 9; stolen = 0; injected = 9; parks = 1;
           exceptions = 0; respawns = 0 } ]
-    ~serve:
-      [ "serve/jobs=1", 2e6, (0.8, 1.4, 2.1);
-        "serve/jobs=2", 1e6, (0.7, 1.2, 1.9) ]
     ~store:
       [ "store/ingest buffer sink", 2e6;
         "store/ingest segment sink (64KiB chunks)", 2.4e6;

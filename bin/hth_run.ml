@@ -399,9 +399,9 @@ let batch_cmd =
     (* Every batch goes through the fleet (jobs=1 is a one-worker
        fleet); outcomes come back in submission order, so this prints
        the exact rows the old sequential loop printed. *)
-    let ex = Fleet.Executor.create ~jobs [ "default", engine ] in
+    let fleet = Fleet.Supervisor.create ~jobs [ "default", engine ] in
     let outcomes =
-      Fleet.Executor.run_all ex
+      Fleet.Supervisor.run_all fleet
         (List.map
            (fun (sc : Guest.Scenario.t) ->
              Fleet.Executor.job ~budgets ~fault
@@ -409,7 +409,7 @@ let batch_cmd =
                ~store:(Option.is_some store) sc.sc_setup)
            Guest.Corpus.all)
     in
-    Fleet.Executor.shutdown ex;
+    Fleet.Supervisor.shutdown fleet;
     let failures = ref 0 and errors = ref 0 and degraded = ref 0 in
     Fmt.pr "%-40s %-18s %-22s %s@." "scenario" "expected" "outcome" "notes";
     List.iter2

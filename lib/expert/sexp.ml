@@ -55,10 +55,13 @@ let read_quoted lx =
              Char.code c - Char.code '0'
            | _ -> fail "bad decimal escape at %d" lx.pos
          in
+         let at = lx.pos in
          let d1 = digit () in
          let d2 = digit () in
          let d3 = digit () in
-         Buffer.add_char b (Char.chr ((d1 * 100) + (d2 * 10) + d3))
+         let code = (d1 * 100) + (d2 * 10) + d3 in
+         if code > 255 then fail "decimal escape above 255 at %d" at;
+         Buffer.add_char b (Char.chr code)
        | Some c -> Buffer.add_char b c; advance lx
        | None -> fail "dangling escape at %d" lx.pos);
       go ()

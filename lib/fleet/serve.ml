@@ -1,7 +1,7 @@
 (* Line-framed JSON job protocol over one shared, supervised fleet.
 
    A [service] compiles both engines (native, clips) exactly once and
-   owns a Supervisor: executor, deadline watchdog, global admission
+   owns a Supervisor: worker domains, deadline watchdog, global admission
    cap.  Any number of connections then attach with
    [serve_connection]; their requests multiplex onto the same worker
    domains and their responses come back per-connection in input
@@ -257,6 +257,7 @@ let conn_uncount c =
 (* the service: one supervisor, one collector, N connections           *)
 
 type route = {
+  rt_eseq : int;  (* the supervisor's sequence number *)
   rt_conn : conn;
   rt_seq : int;  (* the connection's sequence number *)
   rt_req : request;
@@ -271,30 +272,11 @@ type service = {
   sv_store : Store.Warehouse.t option;
       (* appended to only by the collector; reads (store_stats) take
          [sv_obs_mu], as does the collector around each append *)
-  (* executor sequence -> route; written by a reader right after
-     submit, so the collector may momentarily outrun it and waits *)
-  sv_mu : Mutex.t;
-  sv_cv : Condition.t;
-  sv_meta : (int, route) Hashtbl.t;
+  sv_mu : Mutex.t;  (* a reader's admission and its route push *)
+  sv_routes : route Queue.t;  (* admitted runs, in admission order *)
   sv_obs_mu : Mutex.t;  (* latency/counter cells vs. stats reads *)
   mutable sv_collector : Thread.t option;
 }
-
-let put_meta svc eseq rt =
-  Mutex.lock svc.sv_mu;
-  Hashtbl.replace svc.sv_meta eseq rt;
-  Condition.broadcast svc.sv_cv;
-  Mutex.unlock svc.sv_mu
-
-let take_meta svc eseq =
-  Mutex.lock svc.sv_mu;
-  while not (Hashtbl.mem svc.sv_meta eseq) do
-    Condition.wait svc.sv_cv svc.sv_mu
-  done;
-  let rt = Hashtbl.find svc.sv_meta eseq in
-  Hashtbl.remove svc.sv_meta eseq;
-  Mutex.unlock svc.sv_mu;
-  rt
 
 (* ------------------------------------------------------------------ *)
 (* response rendering                                                  *)
@@ -470,7 +452,7 @@ let store_query_line svc seq (id, kind, limit) =
 (* collector: routes global-order outcomes to per-connection emitters  *)
 
 (* Store one outcome's segment before its response is emitted: run id
-   is scenario@eseq (executor sequence — unique and stable for the
+   is scenario@eseq (supervisor sequence — unique and stable for the
    life of the service), error outcomes are stored too with
    verdict "error:<kind>" so the warehouse is a complete record of
    what the fleet was asked to do. *)
@@ -518,9 +500,12 @@ let store_outcome svc (rt : route) (o : Executor.outcome) =
 let collector svc =
   let rec go () =
     match Supervisor.next svc.sv_sup with
-    | None -> ()  (* executor closed and fully drained *)
+    | None -> ()  (* draining and fully released *)
     | Some o ->
-      let rt = take_meta svc o.Executor.o_seq in
+      (* its reader admitted the job and queued the route under
+         [sv_mu], so taking [sv_mu] here finds the route queued *)
+      let rt = Mutex.protect svc.sv_mu (fun () -> Queue.pop svc.sv_routes) in
+      assert (rt.rt_eseq = o.Executor.o_seq);
       (* durable before visible: the response line implies the run is
          already in the warehouse *)
       store_outcome svc rt o;
@@ -556,8 +541,7 @@ let create ?(jobs = 1) ?deadline ?(max_inflight = 256) ?(window = 64)
       sv_window = max 1 window;
       sv_store = store;
       sv_mu = Mutex.create ();
-      sv_cv = Condition.create ();
-      sv_meta = Hashtbl.create 64;
+      sv_routes = Queue.create ();
       sv_obs_mu = Mutex.create ();
       sv_collector = None }
   in
@@ -603,10 +587,20 @@ let serve_connection svc ~input ~output () =
          c.c_inflight <- c.c_inflight + 1;
          Mutex.unlock c.c_mu;
          let t0 = Unix.gettimeofday () in
-         (match Supervisor.submit svc.sv_sup job with
+         (* admit and queue the route in one critical section: routes
+            queue in admission order, the order [next] releases in *)
+         Mutex.lock svc.sv_mu;
+         let admission = Supervisor.submit svc.sv_sup job in
+         (match admission with
           | Supervisor.Admitted eseq ->
-            put_meta svc eseq
-              { rt_conn = c; rt_seq = k; rt_req = req; rt_t0 = t0 }
+            Queue.push
+              { rt_eseq = eseq; rt_conn = c; rt_seq = k; rt_req = req;
+                rt_t0 = t0 }
+              svc.sv_routes
+          | Supervisor.Overloaded | Supervisor.Draining -> ());
+         Mutex.unlock svc.sv_mu;
+         (match admission with
+          | Supervisor.Admitted _ -> ()
           | Supervisor.Overloaded ->
             conn_uncount c;
             Obs.Counter.incr c_overloaded;

@@ -80,7 +80,9 @@ val create :
   service
 
 (** The service's supervisor — health snapshots for tests and front
-    ends; don't drive its lifecycle directly ({!shutdown} does). *)
+    ends.  Don't submit to it (the collector pairs each released
+    outcome with the route its reader queued at admission) or drive
+    its lifecycle directly ({!shutdown} does). *)
 val supervisor : service -> Supervisor.t
 
 (** Refuse new run requests from now on: subsequent submissions answer

@@ -1,26 +1,25 @@
-(* Fleet supervision: admission control, wall-clock watchdog, drain.
+(* The fleet over stdlib Domain/Mutex/Condition: one record, one lock
+   (the contract is in supervisor.mli, the rationale in DESIGN.md §15
+   and §17).
 
-   Sits between the executor and a front end (Serve / hth_serve).
-   Three concerns, all about keeping a long-lived service answering:
+   Every mutable field of [t] is guarded by [mu].  A worker takes the
+   lock once per task: it posts the finished task's outcome, counts
+   it and takes the next one in the same critical section.  A job sits
+   in [running] from the moment a worker takes it until its outcome is
+   posted or the watchdog fails it; an outcome is posted only while
+   its job is still there, so a ghost's late completion is dropped.
+   Forking and Domain.spawn happen outside the lock. *)
 
-   - Admission: a global in-flight cap.  Past it, [submit] answers
-     [Overloaded] instead of letting the reorder buffer and response
-     queues grow without bound.  (Per-connection fairness windows live
-     in Serve — connections block their own reader, which is
-     deterministic; the global cap is the cross-connection backstop.)
+type task =
+  | Job of int * Executor.job  (* sequence number, session *)
+  | Task of (int -> int -> unit)  (* test seam: [f worker epoch] *)
 
-   - Deadlines: a watchdog thread scans running jobs; one that overran
-     its wall-clock deadline is failed with [Error Timeout] at its
-     sequence position and its worker domain is replaced, so a single
-     wedged session can never stall the release order or eat a worker
-     for good.  Wall time makes this the one nondeterministic path in
-     the fleet: deadlines are a last resort behind the deterministic
-     tick budget, and never fire for deterministic, terminating
-     sessions given a sane deadline.
-
-   - Drain: [begin_drain] flips refusal on, [await_drain] blocks until
-     every admitted job has been released — the SIGTERM half of a
-     graceful shutdown, leaving [shutdown] to tear the fleet down. *)
+type running = {
+  r_slot : int;
+  r_epoch : int;
+  r_started : float;
+  r_deadline : float option;
+}
 
 type admission = Admitted of int | Overloaded | Draining
 
@@ -33,62 +32,205 @@ type health = {
 }
 
 type t = {
-  ex : Executor.t;
+  engines : (string * Hth.Engine.t) list;  (* forked per incarnation *)
   default_deadline : float option;
   max_inflight : int;
   poll : float;
   mu : Mutex.t;
-  cv : Condition.t;  (* in-flight count moved *)
-  mutable inflight : int;  (* admitted, not yet released by [next] *)
-  mutable draining : bool;
-  mutable stopping : bool;  (* watchdog exit flag *)
+  work : Condition.t;  (* a task was queued, an epoch moved, or stopping *)
+  moved : Condition.t;
+      (* [next_out]'s outcome arrived, all released, or draining *)
+  queue : task Queue.t;
+  epochs : int array;  (* per-slot incarnation *)
+  mutable domains : unit Domain.t array;
+      (* live incarnations; abandoned ones are never joined — they may
+         never return *)
+  exports : Obs.export option array;  (* worker Obs shards, set at exit *)
+  running : (int, running) Hashtbl.t;  (* sequence -> job on a worker *)
+  ready : (int, Executor.outcome) Hashtbl.t;  (* finished, not released *)
+  mutable next_seq : int;  (* next sequence number to admit *)
+  mutable next_out : int;  (* next sequence number [next] releases *)
+  mutable draining : bool;  (* refuse work; [next] ends once drained *)
+  mutable stopping : bool;  (* workers exit on an empty queue *)
   mutable timeouts : int;
+  mutable stats : Pool.stats;
   mutable watchdog : Thread.t option;
 }
 
-(* One scan: every overdue job is failed in place; its worker is
-   replaced only if the (worker, epoch) pair is still current — a
-   ghost worker that wedged a second time is already abandoned and
-   must not cost the fleet its innocent replacement. *)
+let c_tasks = Obs.Counter.make "fleet.tasks"
+let c_parks = Obs.Counter.make "fleet.parks"
+let c_exceptions = Obs.Counter.make "fleet.exceptions"
+let c_respawns = Obs.Counter.make "fleet.respawns"
+
+(* Under [mu]. *)
+let enqueue t task =
+  Queue.push task t.queue;
+  t.stats <- { t.stats with injected = t.stats.injected + 1 };
+  Condition.signal t.work
+
+(* Under [mu]. *)
+let post t seq outcome =
+  Hashtbl.replace t.ready seq outcome;
+  if seq = t.next_out then Condition.broadcast t.moved
+
+(* Under [mu]: the next task for incarnation [epoch] of slot [w], or
+   [None] once that incarnation is stale or the fleet is stopping with
+   nothing left to run.  Checking the epoch first means a ghost whose
+   wedged task finally returned claims nothing more. *)
+let rec take t w epoch =
+  if t.epochs.(w) <> epoch then None
+  else
+    match Queue.take_opt t.queue with
+    | Some (Job (seq, j)) as task ->
+      Hashtbl.replace t.running seq
+        { r_slot = w; r_epoch = epoch; r_started = Unix.gettimeofday ();
+          r_deadline = Executor.deadline j };
+      task
+    | Some (Task _) as task -> task
+    | None when t.stopping -> None
+    | None ->
+      t.stats <- { t.stats with parks = t.stats.parks + 1 };
+      Obs.Counter.incr c_parks;
+      Condition.wait t.work t.mu;
+      take t w epoch
+
+let worker t w epoch forks =
+  let rec loop () =
+    match take t w epoch with
+    | None ->
+      let current = t.epochs.(w) = epoch in
+      Mutex.unlock t.mu;
+      (* hand this domain's Obs shard (counters, histograms) to shutdown *)
+      if current then t.exports.(w) <- Some (Obs.export ())
+    | Some task ->
+      Mutex.unlock t.mu;
+      let outcome, raised =
+        match task with
+        | Job (seq, j) -> Some (Executor.run forks seq j), false
+        | Task f ->
+          (* a task that raises is counted and dropped, so one bad task
+             cannot take its worker down *)
+          (None, try f w epoch; false with _ -> true)
+      in
+      Mutex.lock t.mu;
+      Option.iter
+        (fun (o : Executor.outcome) ->
+          (* gone from [running]: the watchdog already posted Timeout *)
+          if Hashtbl.mem t.running o.o_seq then begin
+            Hashtbl.remove t.running o.o_seq;
+            post t o.o_seq o
+          end)
+        outcome;
+      if raised then begin
+        t.stats <- { t.stats with exceptions = t.stats.exceptions + 1 };
+        Obs.Counter.incr c_exceptions
+      end;
+      t.stats <- { t.stats with executed = t.stats.executed + 1 };
+      Obs.Counter.incr c_tasks;
+      loop ()
+  in
+  Mutex.lock t.mu;
+  loop ()
+
+(* Outside [mu]: fork every engine and start incarnation [epoch] of
+   slot [w]. *)
+let spawn t w epoch =
+  let forks = List.map (fun (n, e) -> n, Hth.Engine.fork e) t.engines in
+  Domain.spawn (fun () -> worker t w epoch forks)
+
+(* Under [mu]: abandon slot [w]'s incarnation and return the next
+   epoch.  The broadcast wakes the old incarnation if it was idle
+   rather than wedged, so it exits instead of lingering. *)
+let retire t w =
+  let e = t.epochs.(w) + 1 in
+  t.epochs.(w) <- e;
+  t.stats <- { t.stats with respawns = t.stats.respawns + 1 };
+  Condition.broadcast t.work;
+  e
+
+let replace t w epoch =
+  Obs.Counter.incr c_respawns;
+  t.domains.(w) <- spawn t w epoch
+
+let respawn t w =
+  let epoch =
+    Mutex.protect t.mu (fun () ->
+        if t.stopping then
+          invalid_arg "Fleet.Supervisor.respawn: fleet is shut down";
+        retire t w)
+  in
+  replace t w epoch;
+  epoch
+
+(* One watchdog pass, one critical section: every overdue job is failed
+   with [Timeout] at its sequence position, and its slot is retired
+   only while the job's (slot, epoch) is still current — a slot already
+   retired must not cost the fleet its innocent replacement.  Returns
+   the incarnations to start outside the lock, or [None] once the fleet
+   is stopping. *)
 let scan t =
   let now = Unix.gettimeofday () in
-  List.iter
-    (fun seq ->
-      match Executor.force_timeout t.ex seq with
-      | None -> ()  (* finished while we looked *)
-      | Some (w, epoch) ->
-        Mutex.lock t.mu;
-        t.timeouts <- t.timeouts + 1;
-        Mutex.unlock t.mu;
-        if Executor.epoch t.ex w = epoch then Executor.respawn t.ex w)
-    (Executor.overdue t.ex ~now)
+  Mutex.protect t.mu (fun () ->
+      if t.stopping then None
+      else
+        let overdue =
+          Hashtbl.fold
+            (fun seq r acc ->
+              match r.r_deadline with
+              | Some d when now -. r.r_started > d -> (seq, r, d) :: acc
+              | _ -> acc)
+            t.running []
+        in
+        Some
+          (List.filter_map
+             (fun (seq, r, seconds) ->
+               Hashtbl.remove t.running seq;
+               post t seq
+                 { Executor.o_seq = seq; o_trace = None; o_segment = None;
+                   o_result = Error (Hth.Error.Timeout { seconds }) };
+               t.timeouts <- t.timeouts + 1;
+               if t.epochs.(r.r_slot) = r.r_epoch then
+                 Some (r.r_slot, retire t r.r_slot)
+               else None)
+             overdue))
 
-let watchdog_loop t =
-  let rec go () =
-    if not t.stopping then begin
-      Thread.delay t.poll;
-      (try scan t with _ -> ());
-      go ()
-    end
-  in
-  go ()
+let rec watchdog t =
+  Thread.delay t.poll;
+  match scan t with
+  | None -> ()
+  | Some fresh ->
+    List.iter (fun (w, e) -> try replace t w e with _ -> ()) fresh;
+    watchdog t
 
 let create ?deadline ?(max_inflight = 256) ?(poll = 0.02) ?(jobs = 1)
     engines =
+  let jobs = max 1 jobs in
   let t =
-    { ex = Executor.create ~jobs engines;
+    { engines;
       default_deadline = deadline;
       max_inflight = max 1 max_inflight;
       poll = (if poll > 0. then poll else 0.02);
       mu = Mutex.create ();
-      cv = Condition.create ();
-      inflight = 0;
+      work = Condition.create ();
+      moved = Condition.create ();
+      queue = Queue.create ();
+      epochs = Array.make jobs 0;
+      domains = [||];
+      exports = Array.make jobs None;
+      running = Hashtbl.create 16;
+      ready = Hashtbl.create 64;
+      next_seq = 0;
+      next_out = 0;
       draining = false;
       stopping = false;
       timeouts = 0;
+      stats =
+        { executed = 0; stolen = 0; injected = 0; parks = 0; exceptions = 0;
+          respawns = 0 };
       watchdog = None }
   in
-  t.watchdog <- Some (Thread.create watchdog_loop t);
+  t.domains <- Array.init jobs (fun w -> spawn t w 0);
+  t.watchdog <- Some (Thread.create watchdog t);
   t
 
 let submit t job =
@@ -97,69 +239,88 @@ let submit t job =
     | None, Some d -> Executor.with_deadline job d
     | _ -> job
   in
-  Mutex.lock t.mu;
-  if t.draining then begin
-    Mutex.unlock t.mu;
-    Draining
-  end
-  else if t.inflight >= t.max_inflight then begin
-    Mutex.unlock t.mu;
-    Overloaded
-  end
-  else begin
-    (* count before releasing the lock so concurrent submitters cannot
-       overshoot the cap; roll back if the executor is already closed *)
-    t.inflight <- t.inflight + 1;
-    Mutex.unlock t.mu;
-    match Executor.try_submit t.ex job with
-    | Some seq -> Admitted seq
-    | None ->
-      Mutex.lock t.mu;
-      t.inflight <- t.inflight - 1;
-      Condition.broadcast t.cv;
-      Mutex.unlock t.mu;
-      Draining
-  end
+  Mutex.protect t.mu (fun () ->
+      if t.draining then Draining
+      else if t.next_seq - t.next_out >= t.max_inflight then Overloaded
+      else begin
+        let seq = t.next_seq in
+        t.next_seq <- seq + 1;
+        enqueue t (Job (seq, job));
+        Admitted seq
+      end)
+
+let submit_task t f =
+  Mutex.protect t.mu (fun () ->
+      if t.draining then
+        invalid_arg "Fleet.Supervisor.submit_task: fleet is draining";
+      enqueue t (Task f))
 
 let next t =
-  match Executor.next t.ex with
-  | None -> None
-  | Some o ->
-    Mutex.lock t.mu;
-    t.inflight <- t.inflight - 1;
-    Condition.broadcast t.cv;
-    Mutex.unlock t.mu;
-    Some o
+  Mutex.protect t.mu (fun () ->
+      let rec wait () =
+        match Hashtbl.find_opt t.ready t.next_out with
+        | Some o ->
+          Hashtbl.remove t.ready t.next_out;
+          t.next_out <- t.next_out + 1;
+          if t.next_out = t.next_seq then Condition.broadcast t.moved;
+          Some o
+        | None when t.draining && t.next_out = t.next_seq -> None
+        | None ->
+          Condition.wait t.moved t.mu;
+          wait ()
+      in
+      wait ())
+
+let run_all t jobs =
+  let draining () = invalid_arg "Fleet.Supervisor.run_all: draining" in
+  let release acc =
+    match next t with Some o -> o :: acc | None -> draining ()
+  in
+  (* [acc] holds the outcomes released so far, newest first *)
+  let rec submit_all acc = function
+    | [] -> acc
+    | j :: rest as js ->
+      (match submit t j with
+       | Admitted _ -> submit_all acc rest
+       | Overloaded -> submit_all (release acc) js
+       | Draining -> draining ())
+  in
+  let rec release_rest acc n =
+    if n = 0 then List.rev acc else release_rest (release acc) (n - 1)
+  in
+  let acc = submit_all [] jobs in
+  release_rest acc (List.length jobs - List.length acc)
 
 let begin_drain t =
-  Mutex.lock t.mu;
-  t.draining <- true;
-  Mutex.unlock t.mu
+  Mutex.protect t.mu (fun () ->
+      t.draining <- true;
+      Condition.broadcast t.moved)
 
 let await_drain t =
-  Mutex.lock t.mu;
-  while t.inflight > 0 do
-    Condition.wait t.cv t.mu
-  done;
-  Mutex.unlock t.mu
+  Mutex.protect t.mu (fun () ->
+      while t.next_out < t.next_seq do
+        Condition.wait t.moved t.mu
+      done)
 
 let health t =
-  Mutex.lock t.mu;
-  let h =
-    { h_jobs = Executor.jobs t.ex;
-      h_inflight = t.inflight;
-      h_draining = t.draining;
-      h_timeouts = t.timeouts;
-      h_stats = Executor.stats t.ex }
-  in
-  Mutex.unlock t.mu;
-  h
+  Mutex.protect t.mu (fun () ->
+      { h_jobs = Array.length t.epochs;
+        h_inflight = t.next_seq - t.next_out;
+        h_draining = t.draining;
+        h_timeouts = t.timeouts;
+        h_stats = t.stats })
+
+let stats t = Mutex.protect t.mu (fun () -> t.stats)
 
 let shutdown t =
-  begin_drain t;
-  Mutex.lock t.mu;
-  t.stopping <- true;
-  Mutex.unlock t.mu;
+  Mutex.protect t.mu (fun () ->
+      t.draining <- true;
+      t.stopping <- true;
+      Condition.broadcast t.work;
+      Condition.broadcast t.moved);
   Option.iter Thread.join t.watchdog;
-  t.watchdog <- None;
-  Executor.shutdown t.ex
+  (* live workers empty the queue before they exit *)
+  Array.iter Domain.join t.domains;
+  (* fold worker Obs shards into this domain, in worker-index order:
+     the merge result is independent of which worker ran which task *)
+  Array.iter (Option.iter Obs.absorb) t.exports

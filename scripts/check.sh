@@ -135,6 +135,25 @@ for i in 1 2 3; do
 done
 [ "$status" -eq 0 ] && echo "  ok: 3 repeated --jobs 4 sweeps identical"
 
+echo "== fleet race gate =="
+# Every fleet hand-off goes through one lock, and the ghost-respawn and
+# watchdog cases depend on thread timing, so one green run proves
+# little: the fleet and supervise suites must pass 10 runs each.
+dune build test/test_hth.exe
+race_ok=1
+for i in 1 2 3 4 5 6 7 8 9 10; do
+  for suite in fleet supervise; do
+    if ! _build/default/test/test_hth.exe test "$suite" > "$tmp/race.out" 2>&1
+    then
+      echo "  FLEET RACE: suite $suite failed on run $i" >&2
+      tail -20 "$tmp/race.out" >&2
+      race_ok=0
+      status=1
+    fi
+  done
+done
+[ "$race_ok" -eq 1 ] && echo "  ok: fleet and supervise suites, 10 runs each"
+
 echo "== dormancy gate =="
 # Every dormant scenario's live trace must match its committed golden
 # byte for byte — the armed path must appear in triggered runs only —

@@ -173,16 +173,16 @@ let check_same_trace msg ~expected ~actual =
   | Some d -> Alcotest.failf "%s@.%s" msg (Hth.Golden.report ~name:msg d)
 
 let fleet_outcomes ~jobs ?fault names =
-  let ex =
-    Fleet.Executor.create ~jobs [ "default", Hth.Engine.create () ]
+  let fleet =
+    Fleet.Supervisor.create ~jobs [ "default", Hth.Engine.create () ]
   in
   let outs =
-    Fleet.Executor.run_all ex
+    Fleet.Supervisor.run_all fleet
       (List.map
          (fun n -> Fleet.Executor.job ?fault ~trace:true (find n).sc_setup)
          names)
   in
-  Fleet.Executor.shutdown ex;
+  Fleet.Supervisor.shutdown fleet;
   outs
 
 let fleet_determinism_case =

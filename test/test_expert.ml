@@ -326,7 +326,7 @@ let test_sexp_errors () =
       match Sexp.parse_all src with
       | exception Sexp.Parse_error _ -> ()
       | _ -> Alcotest.fail ("accepted malformed " ^ src))
-    [ "(a"; ")"; "\"unterminated" ]
+    [ "(a"; ")"; "\"unterminated"; "\"\\256\"" ]
 
 (* ------------------------------------------------------------------ *)
 (* CLIPS loader                                                        *)

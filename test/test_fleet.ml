@@ -23,7 +23,7 @@ let check_same_trace msg ~expected ~actual =
   | Some d -> Alcotest.failf "%s@.%s" msg (Hth.Golden.report ~name:msg d)
 
 (* ------------------------------------------------------------------ *)
-(* pool scheduling and crash isolation                                 *)
+(* scheduling and crash isolation, through the test seams             *)
 
 (* Poll [cond] until it holds; fail the test after [timeout] seconds. *)
 let await ?(timeout = 10.) msg cond =
@@ -64,43 +64,43 @@ let start_log () =
 let fifo_case =
   Alcotest.test_case "pool: queued tasks start in submission order"
     `Quick (fun () ->
-      let p = Fleet.Pool.create ~jobs:1 () in
+      let p = Fleet.Supervisor.create ~jobs:1 [] in
       let record, read = start_log () in
       let started = latch () and gate = latch () in
-      Fleet.Pool.submit p (fun _w e ->
+      Fleet.Supervisor.submit_task p (fun _w e ->
           record 0 e;
           release started;
           wait gate);
       (* the only worker is inside task 0 while 1..8 queue up *)
       wait started;
       for i = 1 to 8 do
-        Fleet.Pool.submit p (fun _w e -> record i e)
+        Fleet.Supervisor.submit_task p (fun _w e -> record i e)
       done;
       release gate;
-      Fleet.Pool.shutdown p;
+      Fleet.Supervisor.shutdown p;
       Alcotest.(check (list int)) "start order" (List.init 9 Fun.id)
         (List.map fst (read ())))
 
 let respawn_case =
   Alcotest.test_case "pool: respawn past a wedged task, ghost runs nothing"
     `Quick (fun () ->
-      let p = Fleet.Pool.create ~jobs:1 () in
+      let p = Fleet.Supervisor.create ~jobs:1 [] in
       let record, read = start_log () in
       let started = latch () and wedge = latch () and busy = latch () in
-      Fleet.Pool.submit p (fun _w e ->
+      Fleet.Supervisor.submit_task p (fun _w e ->
           record 0 e;
           release started;
           wait wedge);
       wait started;
       (* task 1 holds the replacement busy, so tasks 2 and 3 are still
          queued when the ghost's task returns *)
-      Fleet.Pool.submit p (fun _w e ->
+      Fleet.Supervisor.submit_task p (fun _w e ->
           record 1 e;
           wait busy);
-      Fleet.Pool.submit p (fun _w e -> record 2 e);
-      Fleet.Pool.submit p (fun _w e -> record 3 e);
-      Alcotest.(check int) "replacement epoch" 1 (Fleet.Pool.respawn p 0);
-      Alcotest.(check int) "slot epoch" 1 (Fleet.Pool.epoch p 0);
+      Fleet.Supervisor.submit_task p (fun _w e -> record 2 e);
+      Fleet.Supervisor.submit_task p (fun _w e -> record 3 e);
+      Alcotest.(check int) "replacement epoch" 1
+        (Fleet.Supervisor.respawn p 0);
       await "task 1 started on the replacement" (fun () ->
           List.mem (1, 1) (read ()));
       release wedge;
@@ -108,57 +108,59 @@ let respawn_case =
          replacement still busy, a ghost that kept working would take
          task 2 now *)
       await "ghost task returned" (fun () ->
-          (Fleet.Pool.stats p).Fleet.Pool.executed >= 1);
+          (Fleet.Supervisor.stats p).Fleet.Pool.executed >= 1);
       Unix.sleepf 0.05;
       release busy;
-      Fleet.Pool.shutdown p;
+      Fleet.Supervisor.shutdown p;
       Alcotest.(check (list (pair int int)))
         "each task once, queued ones on epoch 1"
         [ 0, 0; 1, 1; 2, 1; 3, 1 ] (read ());
-      let s = Fleet.Pool.stats p in
+      let s = Fleet.Supervisor.stats p in
       Alcotest.(check int) "executed" 4 s.Fleet.Pool.executed;
       Alcotest.(check int) "respawns" 1 s.Fleet.Pool.respawns)
 
 let pool_case =
   Alcotest.test_case "pool: completes all tasks, survives crashes" `Quick
     (fun () ->
-      let p = Fleet.Pool.create ~jobs:4 () in
+      let p = Fleet.Supervisor.create ~jobs:4 [] in
       let hits = Atomic.make 0 in
       for i = 0 to 199 do
-        Fleet.Pool.submit p (fun _w _e ->
+        Fleet.Supervisor.submit_task p (fun _w _e ->
             if i mod 10 = 3 then failwith "injected task crash";
             Atomic.incr hits)
       done;
       await "200 tasks executed" (fun () ->
-          (Fleet.Pool.stats p).Fleet.Pool.executed >= 200);
+          (Fleet.Supervisor.stats p).Fleet.Pool.executed >= 200);
       (* the pool is still alive after 20 crashing tasks *)
-      Fleet.Pool.submit p (fun _w _e -> Atomic.incr hits);
-      Fleet.Pool.shutdown p;
-      let s = Fleet.Pool.stats p in
+      Fleet.Supervisor.submit_task p (fun _w _e -> Atomic.incr hits);
+      Fleet.Supervisor.shutdown p;
+      let s = Fleet.Supervisor.stats p in
       Alcotest.(check int) "non-crashing tasks ran" 181 (Atomic.get hits);
       Alcotest.(check int) "every task executed" 201 s.Fleet.Pool.executed;
       Alcotest.(check int) "crashes counted" 20 s.Fleet.Pool.exceptions;
       Alcotest.(check int) "submissions counted" 201 s.Fleet.Pool.injected;
       Alcotest.(check bool) "submit after shutdown rejected" true
         (try
-           Fleet.Pool.submit p (fun _ _ -> ());
+           Fleet.Supervisor.submit_task p (fun _ _ -> ());
            false
          with Invalid_argument _ -> true))
 
 (* ------------------------------------------------------------------ *)
-(* executor: fleet runs are byte-identical to sequential runs          *)
+(* fleet runs are byte-identical to sequential runs                    *)
 
 let engine_of () = Hth.Engine.create ()
 
-let fleet_outcomes ~jobs ?fault names =
-  let ex = Fleet.Executor.create ~jobs [ "default", engine_of () ] in
+let fleet_outcomes ?max_inflight ~jobs ?fault names =
+  let fleet =
+    Fleet.Supervisor.create ?max_inflight ~jobs [ "default", engine_of () ]
+  in
   let outs =
-    Fleet.Executor.run_all ex
+    Fleet.Supervisor.run_all fleet
       (List.map
          (fun n -> Fleet.Executor.job ?fault ~trace:true (find n).sc_setup)
          names)
   in
-  Fleet.Executor.shutdown ex;
+  Fleet.Supervisor.shutdown fleet;
   outs
 
 let capture_cold (sc : Guest.Scenario.t) =
@@ -219,18 +221,52 @@ let seeds_case =
             seq par)
         [ 1; 2; 3; 4; 5 ])
 
+(* Admission caps what run_all may hold in flight: with room for two,
+   it has to release outcomes while it submits, and must still return
+   all nine in order with the traces of an uncapped fleet.  It runs on
+   its own thread so that a run_all waiting for outcomes it never
+   admitted fails the case instead of hanging it. *)
+let bounded_run_all_case =
+  Alcotest.test_case "run_all past max_inflight releases as it submits"
+    `Quick (fun () ->
+      let capped = ref None in
+      let th =
+        Thread.create
+          (fun () ->
+            capped :=
+              Some (fleet_outcomes ~max_inflight:2 ~jobs:2 golden_scenarios))
+          ()
+      in
+      await ~timeout:60. "capped run_all returned" (fun () ->
+          Option.is_some !capped);
+      Thread.join th;
+      let capped = Option.get !capped in
+      let free = fleet_outcomes ~jobs:2 golden_scenarios in
+      Alcotest.(check (list int)) "all nine outcomes, in order"
+        (List.init (List.length golden_scenarios) Fun.id)
+        (List.map (fun (o : Fleet.Executor.outcome) -> o.o_seq) capped);
+      List.iter2
+        (fun (a : Fleet.Executor.outcome) (b : Fleet.Executor.outcome) ->
+          let name = List.nth golden_scenarios a.o_seq in
+          check_same_trace (name ^ ": max_inflight 2 vs default")
+            ~expected:(Option.value ~default:"" b.o_trace)
+            ~actual:(Option.value ~default:"" a.o_trace))
+        capped free)
+
 let unknown_engine_case =
   Alcotest.test_case "unknown engine name is an ordered outcome" `Quick
     (fun () ->
-      let ex = Fleet.Executor.create ~jobs:2 [ "default", engine_of () ] in
+      let fleet =
+        Fleet.Supervisor.create ~jobs:2 [ "default", engine_of () ]
+      in
       let setup = (find "pma").sc_setup in
       let outs =
-        Fleet.Executor.run_all ex
+        Fleet.Supervisor.run_all fleet
           [ Fleet.Executor.job setup;
             Fleet.Executor.job ~engine:"nonesuch" setup;
             Fleet.Executor.job setup ]
       in
-      Fleet.Executor.shutdown ex;
+      Fleet.Supervisor.shutdown fleet;
       (match outs with
        | [ a; b; c ] ->
          Alcotest.(check bool) "first ok" true (Result.is_ok a.o_result);
@@ -260,14 +296,16 @@ let fault_isolation_case =
           (fun n -> Hth.Engine.run_outcome eng ~fault:plan (find n).sc_setup)
           names
       in
-      let ex = Fleet.Executor.create ~jobs:2 [ "default", engine_of () ] in
+      let fleet =
+        Fleet.Supervisor.create ~jobs:2 [ "default", engine_of () ]
+      in
       let outs =
-        Fleet.Executor.run_all ex
+        Fleet.Supervisor.run_all fleet
           (List.map
              (fun n -> Fleet.Executor.job ~fault:plan (find n).sc_setup)
              names)
       in
-      Fleet.Executor.shutdown ex;
+      Fleet.Supervisor.shutdown fleet;
       List.iter2
         (fun seq (o : Fleet.Executor.outcome) ->
           match seq, o.o_result with
@@ -391,4 +429,5 @@ let serve_case =
 
 let suite =
   [ fifo_case; respawn_case; pool_case; identity_case; seeds_case;
-    unknown_engine_case; fault_isolation_case; absorb_case; serve_case ]
+    unknown_engine_case; fault_isolation_case; absorb_case; serve_case;
+    bounded_run_all_case ]

@@ -480,15 +480,15 @@ let load_store dir =
    by the coordinator — the same wiring `hth_run batch --store` uses. *)
 let build_store ~jobs dir =
   let engine = Hth.Engine.create ~keep_events:false () in
-  let ex = Fleet.Executor.create ~jobs [ "default", engine ] in
+  let fleet = Fleet.Supervisor.create ~jobs [ "default", engine ] in
   let outcomes =
-    Fleet.Executor.run_all ex
+    Fleet.Supervisor.run_all fleet
       (List.map
          (fun name ->
            Fleet.Executor.job ~trace:true ~store:true (find name).sc_setup)
          corpus)
   in
-  Fleet.Executor.shutdown ex;
+  Fleet.Supervisor.shutdown fleet;
   let wh = open_store dir in
   List.iter2
     (fun name (o : Fleet.Executor.outcome) ->

@@ -133,20 +133,56 @@ let overload_case =
       Fleet.Supervisor.shutdown sup)
 
 let closed_case =
-  Alcotest.test_case "submit after close: try_submit None, submit raises"
+  Alcotest.test_case "submit after shutdown answers Draining, never raises"
     `Quick (fun () ->
       let eng = Hth.Engine.create ~keep_events:false () in
-      let ex = Fleet.Executor.create ~jobs:1 [ "default", eng ] in
-      Fleet.Executor.close ex;
+      let sup = Fleet.Supervisor.create ~jobs:1 [ "default", eng ] in
+      Fleet.Supervisor.shutdown sup;
       let j = Fleet.Executor.job (find "pma").sc_setup in
-      Alcotest.(check bool) "try_submit refuses" true
-        (Fleet.Executor.try_submit ex j = None);
-      Alcotest.(check bool) "submit raises" true
-        (try
-           ignore (Fleet.Executor.submit ex j);
-           false
-         with Invalid_argument _ -> true);
-      Fleet.Executor.shutdown ex)
+      (match Fleet.Supervisor.submit sup j with
+       | Fleet.Supervisor.Draining -> ()
+       | _ -> Alcotest.fail "expected Draining after shutdown");
+      Alcotest.(check bool) "nothing to release" true
+        (Option.is_none (Fleet.Supervisor.next sup)))
+
+(* drain ends the release stream on its own: once every admitted
+   outcome is out, [next] answers None — no shutdown needed *)
+let drained_next_case =
+  Alcotest.test_case "drained fleet: next ends without shutdown" `Quick
+    (fun () ->
+      let eng = Hth.Engine.create ~keep_events:false () in
+      let sup = Fleet.Supervisor.create ~jobs:1 [ "default", eng ] in
+      let j = Fleet.Executor.job (find "pma").sc_setup in
+      (match Fleet.Supervisor.submit sup j with
+       | Fleet.Supervisor.Admitted 0 -> ()
+       | _ -> Alcotest.fail "expected admission at seq 0");
+      Fleet.Supervisor.begin_drain sup;
+      (* admitted before the drain, so still released *)
+      (match Fleet.Supervisor.next sup with
+       | Some { o_seq = 0; o_result = Ok _; _ } -> ()
+       | _ -> Alcotest.fail "expected the admitted outcome");
+      Fleet.Supervisor.await_drain sup;
+      (* on its own thread, so a [next] that still waits fails the case
+         instead of hanging it *)
+      let ended = ref false in
+      let th =
+        Thread.create
+          (fun () -> ended := Option.is_none (Fleet.Supervisor.next sup))
+          ()
+      in
+      let give_up = Unix.gettimeofday () +. 10. in
+      while (not !ended) && Unix.gettimeofday () < give_up do
+        Unix.sleepf 0.001
+      done;
+      Alcotest.(check bool) "next answers None once drained" true !ended;
+      Thread.join th;
+      let h = Fleet.Supervisor.health sup in
+      Alcotest.(check bool) "health says draining" true
+        h.Fleet.Supervisor.h_draining;
+      Alcotest.(check int) "nothing in flight" 0 h.Fleet.Supervisor.h_inflight;
+      Alcotest.(check int) "one job executed" 1
+        h.Fleet.Supervisor.h_stats.Fleet.Pool.executed;
+      Fleet.Supervisor.shutdown sup)
 
 (* ------------------------------------------------------------------ *)
 (* serve: a client dying mid-stream leaves the fleet serving others    *)
@@ -401,4 +437,4 @@ let store_query_case =
 let suite =
   [ watchdog_case; overload_case; closed_case; disconnect_case;
     concurrent_identity_case; drain_case; default_budget_case;
-    store_query_case ]
+    store_query_case; drained_next_case ]
