@@ -176,8 +176,8 @@ let sweep run_one scs () =
 let cold ?policy setup = Hth.Engine.run (Hth.Engine.create ?policy ()) setup
 
 (* Corpus rows are measured by sustained averaging, not bechamel's
-   OLS.  A cold sweep allocates (and drops) two dozen one-megabyte
-   address spaces, so its cost includes real GC debt whose repayment
+   OLS.  A cold sweep allocates (and drops) engines, taint arenas and
+   guest pages, so its cost includes real GC debt whose repayment
    drifts across consecutive samples; that drift wrecks the OLS fit,
    and whatever live heap earlier benchmark groups left behind leaks
    into the estimate.  Compacting, warming twice, then averaging whole

@@ -483,6 +483,9 @@ let default =
   Term.(ret (const (`Help (`Pager, None))))
 
 let () =
+  (* span histograms in wall-clock seconds, set before any domain starts *)
+  Obs.Span.set_clock (fun () ->
+      Int64.to_float (Monotonic_clock.now ()) *. 1e-9);
   let info =
     Cmd.info "hth_run" ~version:"1.0"
       ~doc:"Hunting Trojan Horses: run monitored guest scenarios"

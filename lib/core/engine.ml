@@ -128,12 +128,6 @@ type t = {
          [Taint.Space.reset] restores the freshly-created state — same
          interning decisions, same cache counters — so a pooled space
          is observationally a new one, minus the arena allocation. *)
-  e_mem_pool : Vm.Machine.mem_pool;
-      (* recycled 1 MiB guest address spaces: each run's kernel draws
-         machines from this pool and [Osim.Kernel.recycle] returns them
-         at tear-down.  Buffers are zeroed or overwritten on reuse, so
-         guest behaviour — and therefore every counter and trace line —
-         is identical to fresh allocation. *)
 }
 
 let space_pool_cap = 4
@@ -151,20 +145,19 @@ let create ?monitor_config ?trust ?thresholds ?auto_kill
     e_shared_space =
       (if share_taint_space then Some (Taint.Space.create ()) else None);
     e_images = [];
-    e_space_pool = [];
-    e_mem_pool = Vm.Machine.mem_pool () }
+    e_space_pool = [] }
 
 (* A worker's view of the same engine.  The shared artifacts — compiled
    policy (for CLIPS, the parsed rule forms as finished values), trust
    database, thresholds, monitor configuration — are immutable after
    [create] and safe to read from any domain; everything mutable (the
-   linked-image cache, the taint-space pool, the guest memory pool, the
-   shared taint space when enabled) is per-fork, so a fork is safe to
-   drive from another domain concurrently with its parent and with
-   other forks.  Each fork re-links images on first sight of a program
-   set: linking is deterministic and happens outside per-run counter
-   snapshots, so a session run through a fork is byte-identical to one
-   run through the parent. *)
+   linked-image cache, the taint-space pool, the shared taint space
+   when enabled) is per-fork, so a fork is safe to drive from another
+   domain concurrently with its parent and with other forks.  Each fork
+   re-links images on first sight of a program set: linking is
+   deterministic and happens outside per-run counter snapshots, so a
+   session run through a fork is byte-identical to one run through the
+   parent. *)
 let fork eng =
   { eng with
     (* the linked-image cache is carried over: linked images are
@@ -172,11 +165,8 @@ let fork eng =
        means every worker maps the same text arrays, whose decoded
        block tables and compiled-insn slots are shared fleet-wide *)
     e_space_pool = [];
-    e_mem_pool = Vm.Machine.mem_pool ();
     e_shared_space =
       Option.map (fun _ -> Taint.Space.create ()) eng.e_shared_space }
-
-let address_spaces_allocated eng = Vm.Machine.pool_allocated eng.e_mem_pool
 
 (* Fresh-space mode recycles arenas through the engine's pool: a reset
    space behaves exactly like [Taint.Space.create ()] but skips the
@@ -259,9 +249,9 @@ let build_world s =
 
 (* World boot and program spawn, shared between the monitored and
    unmonitored paths so their wiring cannot drift. *)
-let boot ?fault ?mem_pool s =
+let boot ?fault s =
   let fs, net = build_world s in
-  Osim.Kernel.create ~fs ~net ~user_input:s.user_input ?fault ?mem_pool ()
+  Osim.Kernel.create ~fs ~net ~user_input:s.user_input ?fault ()
 
 let spawn_main ?images kernel s =
   match
@@ -296,7 +286,7 @@ let run_outcome_ambient eng ~budgets ~fault s =
   in
   match
     phase "build" h_build (fun () ->
-        let kernel = boot ~fault ~mem_pool:eng.e_mem_pool s in
+        let kernel = boot ~fault s in
         let monitor = Harrier.Monitor.attach ~config:mcfg ~space kernel in
         (* The event pipeline, in dispatch order: the trace sink first
            (each event's "flow" line must land at its pre-stamped step,
@@ -326,10 +316,6 @@ let run_outcome_ambient eng ~budgets ~fault s =
   | exception e ->
     fail (Error.Crash { phase = "build"; exn = Printexc.to_string e })
   | kernel, monitor, secpert, events_log ->
-    (* From here the kernel owns pooled address spaces: return them at
-       tear-down on every exit path (the result only carries scalars,
-       strings and tag sets — never machine memory). *)
-    Fun.protect ~finally:(fun () -> Osim.Kernel.recycle kernel) @@ fun () ->
     (match phase "spawn" h_spawn (fun () -> spawn_main ?images kernel s) with
      | exception e ->
        fail (Error.Crash { phase = "spawn"; exn = Printexc.to_string e })

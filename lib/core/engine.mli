@@ -133,10 +133,7 @@ type t
     [share_taint_space] (default [false]): when [true], every session
     interns tag sets into one shared space instead of a fresh one —
     faster on a corpus, but per-run [taint.*] counters become
-    warm-dependent and are omitted from traces.
-
-    Guest address-space buffers (1 MiB each) are recycled between the
-    engine's sessions, at most 12 at a time. *)
+    warm-dependent and are omitted from traces. *)
 val create :
   ?monitor_config:Harrier.Monitor.config ->
   ?trust:Secpert.Trust.t ->
@@ -152,19 +149,13 @@ val create :
     compiled policy, trust database, configuration and a snapshot of
     the linked-image cache (linked images are immutable, so workers
     mapping the same text arrays also share their decoded-block tables
-    and compiled-instruction slots) but owns fresh mutable pools —
-    taint-space pool, guest memory pool, and its own shared taint
-    space when the parent enabled one.  A fork is safe to use from
-    another domain concurrently with the parent and with other forks,
-    and runs sessions byte-identically to the parent (program sets the
-    snapshot misses are re-linked deterministically, outside per-run
-    counter snapshots). *)
+    and compiled-instruction slots) but owns a fresh taint-space pool
+    and its own shared taint space when the parent enabled one.  A fork
+    is safe to use from another domain concurrently with the parent and
+    with other forks, and runs sessions byte-identically to the parent
+    (program sets the snapshot misses are re-linked deterministically,
+    outside per-run counter snapshots). *)
 val fork : t -> t
-
-(** Guest address spaces this engine allocated because its pool had
-    none to reuse: after a program set's first session, sessions of it
-    (exec included) draw every space from the pool. *)
-val address_spaces_allocated : t -> int
 
 (** [run_outcome engine setup] executes one session against the
     engine's shared artifacts and isolates every session-path failure

@@ -9,9 +9,10 @@
    Tag sets are hash-consed ([Taint.Tagset.equal] is pointer equality),
    which the range scan exploits: a run of bytes carrying the same tag —
    the common case after a [set_range] — costs one pointer comparison
-   per byte and no unions. *)
+   per byte and no unions.  Shadow pages cover the same addresses as
+   the guest's own memory pages. *)
 
-let page_bits = 12
+let page_bits = Vm.Machine.page_bits
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
 

@@ -240,10 +240,11 @@ module Histogram = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Span timers: wall-clock durations recorded into histograms.  The
-   clock is pluggable ([Sys.time] by default, so the library stays
-   dependency-free); durations are observability data, never trace
-   data.                                                               *)
+(* Span timers: durations recorded into histograms.  The clock is
+   pluggable so the library stays dependency-free.  The default,
+   [Sys.time], is process CPU time summed over every domain, not wall
+   time; the binaries install a monotonic wall clock.  Durations are
+   observability data, never trace data.                               *)
 
 module Span = struct
   (* Configure the clock before spawning worker domains; it is read

@@ -77,11 +77,16 @@ module Histogram : sig
       ([0. <= p <= 100.]) over the kept samples; [0.] when empty. *)
 end
 
-(** Wall-clock span timing into a histogram.  The clock is pluggable
-    ([Sys.time] by default); durations go to stats, never to the
-    trace. *)
+(** Span timing into a histogram; durations go to stats, never to the
+    trace.  The clock is pluggable.  The default, [Sys.time], is process
+    CPU time summed over all domains, not wall time: a span that sleeps
+    or waits reads ~0, and spans on parallel domains inflate each
+    other.  [hth_run] and [hth_serve] install a monotonic wall clock in
+    seconds; perfbench's service keeps the default. *)
 module Span : sig
   val set_clock : (unit -> float) -> unit
+  (** Install the clock before starting any domain: it is read
+      concurrently afterwards. *)
 
   val time : Histogram.t -> (unit -> 'a) -> 'a
   (** [time h f] runs [f], observing its duration (in the clock's

@@ -24,8 +24,6 @@ type t = {
   k_net : Net.t;
   mutable k_monitor : monitor;
   k_hooks : Vm.Machine.hooks;
-  k_pool : Vm.Machine.mem_pool option;
-      (* recycled guest address spaces; see [recycle] *)
   k_fault : Fault.state;  (* deterministic fault-injection decisions *)
   quantum : int;
   max_procs : int;
@@ -46,36 +44,21 @@ let c_faults = Obs.Counter.make "osim.faults.injected"
 let stack_top = 0xFF000
 
 let create ?(quantum = 2000) ?(max_procs = 48) ?monitor ?hooks
-    ?(user_input = []) ?(fault = Fault.none) ?mem_pool ~fs ~net () =
+    ?(user_input = []) ?(fault = Fault.none) ~fs ~net () =
   let monitor = match monitor with Some m -> m | None -> null_monitor () in
   let hooks = match hooks with Some h -> h | None -> Vm.Machine.no_hooks () in
   { k_fs = fs; k_net = net; k_monitor = monitor; k_hooks = hooks;
-    k_pool = mem_pool;
     k_fault = Fault.start fault; quantum;
     max_procs; procs = []; next_pid = 1; k_ticks = 0; input = user_input;
     console_buf = Buffer.create 256; clones = 0; max_live = 0;
     last_run_pid = -1 }
 
 let fs k = k.k_fs
-let net k = k.k_net
 let monitor k = k.k_monitor
 let hooks k = k.k_hooks
 let ticks k = k.k_ticks
-let processes k = List.rev k.procs
 let live_count k = List.length (List.filter Process.is_live k.procs)
 let clone_total k = k.clones
-let console k = Buffer.contents k.console_buf
-
-(* Tear-down: return every process's address space to the memory pool.
-   Only meaningful when the kernel was created with [mem_pool]; the
-   kernel (and its machines) must not be used afterwards. *)
-let recycle k =
-  match k.k_pool with
-  | None -> ()
-  | Some pool ->
-    List.iter
-      (fun (p : Process.t) -> Vm.Machine.recycle_mem pool p.machine)
-      k.procs
 
 (* ------------------------------------------------------------------ *)
 (* Loader                                                              *)
@@ -148,7 +131,7 @@ let fresh_machine ?images k path ~argv ~env =
   let images =
     match images with Some l -> l | None -> collect_images k path
   in
-  let m = Vm.Machine.create ~hooks:k.k_hooks ?pool:k.k_pool () in
+  let m = Vm.Machine.create ~hooks:k.k_hooks () in
   List.iter (Vm.Machine.map_image m) images;
   setup_stack m ~argv ~env;
   let entry =
@@ -299,7 +282,7 @@ type exec_result =
 let do_fork k (p : Process.t) =
   if live_count k >= k.max_procs then Done (-Abi.eagain)
   else begin
-    let child_machine = Vm.Machine.clone ?pool:k.k_pool p.machine in
+    let child_machine = Vm.Machine.clone p.machine in
     Vm.Machine.set_reg child_machine EAX 0;
     let child =
       Process.create ~pid:k.next_pid ~machine:child_machine
@@ -323,10 +306,6 @@ let do_exec k (p : Process.t) path argv =
       (match fresh_machine k path ~argv ~env:[] with
        | exception Load_failed _ -> Done (-Abi.enoexec)
        | machine, images ->
-         (* the replaced address space goes back to the pool, like a
-            dead process's at [recycle] *)
-         Option.iter (fun pool -> Vm.Machine.recycle_mem pool p.machine)
-           k.k_pool;
          p.machine <- machine;
          p.exe_path <- path;
          p.argv <- argv;
@@ -653,7 +632,7 @@ type report = {
 }
 
 let make_report k =
-  { rep_ticks = k.k_ticks; rep_console = console k;
+  { rep_ticks = k.k_ticks; rep_console = Buffer.contents k.console_buf;
     rep_final =
       List.rev_map
         (fun (p : Process.t) -> p.pid, p.exe_path, p.state)

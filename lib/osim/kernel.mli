@@ -22,9 +22,6 @@ type monitor = {
   mutable on_fork : parent:Process.t -> child:Process.t -> unit;
 }
 
-(** A monitor that observes nothing and allows everything. *)
-val null_monitor : unit -> monitor
-
 type t
 
 (** Absolute top of the initial stack; argv/env strings live in
@@ -39,8 +36,7 @@ val stack_top : int
     with EAGAIN, taming fork bombs); [fault] injects deterministic
     syscall faults (default {!Fault.none}) — every injection is counted
     under [osim.faults.injected.<kind>] and emitted as an [Obs.Trace]
-    "fault" event; [mem_pool] recycles guest address-space buffers
-    across sequential worlds (see {!recycle}). *)
+    "fault" event. *)
 val create :
   ?quantum:int ->
   ?max_procs:int ->
@@ -48,20 +44,12 @@ val create :
   ?hooks:Vm.Machine.hooks ->
   ?user_input:string list ->
   ?fault:Fault.plan ->
-  ?mem_pool:Vm.Machine.mem_pool ->
   fs:Fs.t ->
   net:Net.t ->
   unit ->
   t
 
-(** [recycle k] returns every process's address space to the memory
-    pool the kernel was created with (a no-op without one).  Call after
-    the final {!run}; the kernel must not be used afterwards. *)
-val recycle : t -> unit
-
 val fs : t -> Fs.t
-
-val net : t -> Net.t
 
 val monitor : t -> monitor
 
@@ -70,16 +58,8 @@ val hooks : t -> Vm.Machine.hooks
 (** [ticks k] is the world clock: total instructions executed. *)
 val ticks : t -> int
 
-val processes : t -> Process.t list
-
-(** [live_count k] is the number of non-terminated processes. *)
-val live_count : t -> int
-
 (** [clone_total k] counts successful forks since creation. *)
 val clone_total : t -> int
-
-(** [console k] is everything guests wrote to stdout/stderr so far. *)
-val console : t -> string
 
 (** [spawn k ~path ~argv] loads the executable at [path] (plus needed
     shared objects), sets up the initial stack (argv and [env] strings,

@@ -11,7 +11,9 @@ type t = {
   mutable zf : bool;
   mutable sf : bool;
   mutable lt : bool;
-  mem : Bytes.t;
+  pages : Bytes.t array;
+      (* [mem_size lsr page_bits] slots, each [zero_page] until first
+         written *)
   mutable segs : segment list;
   mutable cur_seg : segment;
       (* one-entry fetch cache: consecutive instructions execute from the
@@ -50,80 +52,41 @@ let no_hooks () =
     on_bb = (fun _ _ -> ());
     on_block = (fun _ _ _ _ -> false) }
 
+(* Guest memory is demand-paged: [mem_size] bytes in [page_size] pages.
+   Every slot of a fresh machine points at [zero_page], which nothing
+   ever writes; the first store into a slot gives it a private zeroed
+   page, so an address space costs only the pages its guest wrote, and
+   [clone] (fork) copies only those. *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
 let mem_size = 0x100000
+
+let zero_page = Bytes.make page_size '\000'
 
 exception Fault_exn of fault
 
-(* Recycling pool for the 1 MiB address-space buffers.  Allocating (and
-   faulting in) a megabyte per spawn dominates small-session setup, so
-   a caller that runs many sequential worlds hands the same pool to
-   every kernel and returns the buffers when a world is torn down.  A
-   pooled buffer is zeroed (create) or fully overwritten (clone) before
-   reuse, so guest-visible behaviour is identical to fresh allocation. *)
-type mem_pool = {
-  mutable mp_free : Bytes.t list;
-  mutable mp_allocated : int;  (* buffers made because none was free *)
-}
-
-(* free buffers a pool retains: every corpus scenario but the four
-   fork-heavy ones (13-25 spaces) runs within it, and each retained
-   buffer is 1 MiB a serving process keeps resident per engine fork *)
-let mem_pool_cap = 12
-
-let mem_pool () = { mp_free = []; mp_allocated = 0 }
-
-let pool_allocated p = p.mp_allocated
-
-let pool_take p =
-  match p.mp_free with
-  | b :: rest ->
-    p.mp_free <- rest;
-    Some b
-  | [] ->
-    p.mp_allocated <- p.mp_allocated + 1;
-    None
-
-let fresh_mem = function
-  | None -> Bytes.make mem_size '\000'
-  | Some p ->
-    (match pool_take p with
-     | Some b ->
-       Bytes.fill b 0 mem_size '\000';
-       b
-     | None -> Bytes.make mem_size '\000')
-
-let copied_mem pool src =
-  match pool with
-  | None -> Bytes.copy src
-  | Some p ->
-    (match pool_take p with
-     | Some b ->
-       Bytes.blit src 0 b 0 mem_size;
-       b
-     | None -> Bytes.copy src)
-
-let recycle_mem p m =
-  (* membership check defends against double-recycling a machine, which
-     would hand one buffer to two future machines *)
-  if List.length p.mp_free < mem_pool_cap && not (List.memq m.mem p.mp_free)
-  then
-    p.mp_free <- m.mem :: p.mp_free
-
-let create ?hooks ?pool () =
+let create ?hooks () =
   let h = match hooks with Some h -> h | None -> no_hooks () in
   { regs = Array.make Isa.Reg.count 0; eip = 0; zf = false; sf = false;
-    lt = false; mem = fresh_mem pool; segs = []; cur_seg = no_seg;
-    status = Running; at_bb_start = true; h }
+    lt = false; pages = Array.make (mem_size lsr page_bits) zero_page;
+    segs = []; cur_seg = no_seg; status = Running; at_bb_start = true; h }
 
 let hooks m = m.h
 
-let clone ?pool m =
+(* Eager copy of the private pages, no copy-on-write: a fork inherits
+   few pages, and an ownership check on every store would tax the
+   dense single-process guests. *)
+let clone m =
   { regs = Array.copy m.regs; eip = m.eip; zf = m.zf; sf = m.sf; lt = m.lt;
-    mem = copied_mem pool m.mem; segs = m.segs; cur_seg = m.cur_seg;
-    status = m.status; at_bb_start = m.at_bb_start; h = m.h }
+    pages =
+      Array.map (fun p -> if p == zero_page then p else Bytes.copy p) m.pages;
+    segs = m.segs; cur_seg = m.cur_seg; status = m.status;
+    at_bb_start = m.at_bb_start; h = m.h }
 
-let status m = m.status
-let set_status m s = m.status <- s
+let resident_pages m =
+  Array.fold_left (fun n p -> if p == zero_page then n else n + 1) 0 m.pages
+
 let eip m = m.eip
 
 let set_eip m a =
@@ -136,43 +99,97 @@ let set_reg m r v = m.regs.(Isa.Reg.index r) <- v land 0xFFFFFFFF
 let check_addr addr =
   if addr < 0 || addr >= mem_size then raise (Fault_exn (Bad_access addr))
 
+(* Every accessor checks both ends of its range before [page] is
+   reached, so the table's own bounds check never fails. *)
+let[@inline] page m addr = m.pages.(addr lsr page_bits)
+
+let[@inline never] own_page m i =
+  let p = Bytes.make page_size '\000' in
+  m.pages.(i) <- p;
+  p
+
+let[@inline] writable_page m addr =
+  let p = page m addr in
+  if p != zero_page then p else own_page m (addr lsr page_bits)
+
 let read_byte m addr =
   check_addr addr;
-  Char.code (Bytes.get m.mem addr)
+  Char.code (Bytes.get (page m addr) (addr land page_mask))
 
 let write_byte m addr v =
   check_addr addr;
-  Bytes.set m.mem addr (Char.chr (v land 0xFF))
+  Bytes.set (writable_page m addr) (addr land page_mask)
+    (Char.chr (v land 0xFF))
+
+(* Words that straddle a page boundary, byte by byte (little-endian). *)
+let[@inline never] read_word_straddle m addr =
+  let b i =
+    Char.code (Bytes.get (page m (addr + i)) ((addr + i) land page_mask))
+  in
+  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
+
+let[@inline never] write_word_straddle m addr v =
+  for i = 0 to 3 do
+    Bytes.set (writable_page m (addr + i)) ((addr + i) land page_mask)
+      (Char.chr ((v lsr (8 * i)) land 0xFF))
+  done
 
 let read_word m addr =
   check_addr addr;
   check_addr (addr + 3);
-  Int32.to_int (Bytes.get_int32_le m.mem addr) land 0xFFFFFFFF
+  let off = addr land page_mask in
+  if off <= page_size - 4 then
+    Int32.to_int (Bytes.get_int32_le (page m addr) off) land 0xFFFFFFFF
+  else read_word_straddle m addr
 
 let write_word m addr v =
   check_addr addr;
   check_addr (addr + 3);
-  Bytes.set_int32_le m.mem addr (Int32.of_int (v land 0xFFFFFFFF))
+  let off = addr land page_mask in
+  if off <= page_size - 4 then
+    Bytes.set_int32_le (writable_page m addr) off
+      (Int32.of_int (v land 0xFFFFFFFF))
+  else write_word_straddle m addr v
+
+(* [chunks addr len f] calls [f addr off pos n] for each page-bounded
+   piece of [addr, addr + len): [n] bytes at offset [off] of the page
+   holding [addr], [pos] bytes into the range. *)
+let rec chunks addr len pos f =
+  if len > 0 then begin
+    let off = addr land page_mask in
+    let n = min len (page_size - off) in
+    f addr off pos n;
+    chunks (addr + n) (len - n) (pos + n) f
+  end
+
+let copy_out m addr len =
+  let b = Bytes.create len in
+  chunks addr len 0 (fun a off pos n -> Bytes.blit (page m a) off b pos n);
+  Bytes.unsafe_to_string b
 
 let read_bytes m addr len =
   check_addr addr;
   if len > 0 then check_addr (addr + len - 1);
-  Bytes.sub_string m.mem addr len
+  copy_out m addr len
 
 let write_string m addr s =
+  let len = String.length s in
   check_addr addr;
-  if String.length s > 0 then check_addr (addr + String.length s - 1);
-  Bytes.blit_string s 0 m.mem addr (String.length s)
+  if len > 0 then check_addr (addr + len - 1);
+  chunks addr len 0 (fun a off pos n ->
+      Bytes.blit_string s pos (writable_page m a) off n)
 
 let read_cstring m addr =
   check_addr addr;
-  let rec find i =
-    if i >= mem_size then i
-    else if Bytes.get m.mem i = '\000' then i
-    else find (i + 1)
+  let rec stop a =
+    if a >= mem_size then a
+    else
+      let off = a land page_mask in
+      match Bytes.index_from_opt (page m a) off '\000' with
+      | Some i -> a - off + i
+      | None -> stop (a - off + page_size)
   in
-  let stop = find addr in
-  Bytes.sub_string m.mem addr (stop - addr)
+  copy_out m addr (stop addr - addr)
 
 (* Per-image compiled-op tables, keyed by physical equality on the text
    array.  Linked images are interned per engine and shared by every
@@ -216,7 +233,6 @@ let map_image m (img : Binary.Image.t) =
       write_string m s.addr (Bytes.to_string s.bytes))
     img.sections
 
-let segments m = m.segs
 
 let segment_at m addr =
   List.find_opt

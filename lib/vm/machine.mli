@@ -60,41 +60,28 @@ type hooks = {
 
 val no_hooks : unit -> hooks
 
-(** Size of the flat per-process address space (1 MiB). *)
+(** Size of each process's address space (1 MiB). *)
 val mem_size : int
 
-(** A recycling pool for address-space buffers.  [create]/[clone] draw
-    from the pool when one is supplied (zeroing or overwriting the
-    buffer, so behaviour is indistinguishable from fresh allocation);
-    {!recycle_mem} returns a dead machine's buffer.  For callers that
-    build many sequential worlds — allocating the 1 MiB space dominates
-    small-machine setup. *)
-type mem_pool
+(** Memory is demand-paged in [1 lsl page_bits]-byte (4 KiB) pages:
+    every page reads as zeros until its first store, which gives the
+    machine a private copy.  [Harrier.Shadow] tags memory at the same
+    granularity. *)
+val page_bits : int
 
-(** [mem_pool ()] is an empty pool retaining at most 12 free
-    buffers. *)
-val mem_pool : unit -> mem_pool
-
-(** Buffers [create]/[clone] had to allocate because [pool] held none
-    free. *)
-val pool_allocated : mem_pool -> int
-
-val create : ?hooks:hooks -> ?pool:mem_pool -> unit -> t
+val create : ?hooks:hooks -> unit -> t
 
 val hooks : t -> hooks
 
-(** [clone ?pool m] duplicates the full architectural state ([fork]);
-    text segments and hooks are shared. *)
-val clone : ?pool:mem_pool -> t -> t
+(** [clone m] duplicates the full architectural state ([fork]): [m]'s
+    private pages are copied, and text segments and hooks are
+    shared. *)
+val clone : t -> t
 
-(** [recycle_mem pool m] returns [m]'s memory buffer to [pool].  [m]
-    must never be used again: the buffer will be handed to a future
-    machine.  Recycling the same machine twice is a no-op. *)
-val recycle_mem : mem_pool -> t -> unit
-
-val status : t -> status
-
-val set_status : t -> status -> unit
+(** [resident_pages m] is the number of pages [m] holds privately:
+    those it stored into, plus those it inherited from the machine it
+    was cloned from. *)
+val resident_pages : t -> int
 
 val eip : t -> int
 
@@ -128,8 +115,6 @@ val read_cstring : t -> int -> string
 (** [map_image m img] maps a linked image: registers its text segment and
     copies its data sections into memory. *)
 val map_image : t -> Binary.Image.t -> unit
-
-val segments : t -> segment list
 
 val segment_at : t -> int -> segment option
 

@@ -464,6 +464,29 @@ else
   status=1
 fi
 
+echo "== memory gate =="
+# Demand-paged guest memory against its flat reference model (page-edge,
+# end-of-memory and out-of-range accesses, fork isolation, the shared
+# zero page) at the long qcheck count.
+if (cd test && QCHECK_LONG=1 ../_build/default/test/test_hth.exe test vm \
+      > /dev/null 2>&1); then
+  echo "  ok: vm suite with long qcheck counts"
+else
+  echo "  MEMORY MODEL: vm suite failed at long qcheck counts" >&2
+  status=1
+fi
+
+echo "== parser fuzz gate =="
+# Trace lines, CLIPS text, fault plans, budgets and serve requests under
+# random bytes and token soup, at the long qcheck count.
+if (cd test && QCHECK_LONG=1 ../_build/default/test/test_hth.exe test fuzz \
+      > /dev/null 2>&1); then
+  echo "  ok: fuzz suite with long qcheck counts"
+else
+  echo "  PARSER FUZZ: fuzz suite failed at long qcheck counts" >&2
+  status=1
+fi
+
 echo "== bench selftest =="
 # The end-to-end benchmark's own checks (perfbench/selftest.sh): a short
 # untraced and traced run of each workload must pass every output

@@ -308,6 +308,20 @@ let test_histogram_percentiles () =
   Alcotest.(check int) "count tracks every observation" 10_000
     (Obs.Histogram.count a)
 
+(* The binaries time spans with Bechamel's monotonic clock.  A 50 ms
+   sleep must read as such; the [Sys.time] default, process CPU time,
+   reads ~0 for it. *)
+let test_span_wall_clock () =
+  Obs.Span.set_clock (fun () ->
+      Int64.to_float (Monotonic_clock.now ()) *. 1e-9);
+  Fun.protect ~finally:(fun () -> Obs.Span.set_clock Sys.time) @@ fun () ->
+  let h = Obs.Histogram.make "test.span.sleep" in
+  Obs.Span.time h (fun () -> Unix.sleepf 0.05);
+  let s = Obs.Histogram.maximum h in
+  Alcotest.(check bool)
+    (Fmt.str "a 50 ms sleep reads at least 40 ms (got %.1f ms)" (s *. 1e3))
+    true (s >= 0.040)
+
 (* ------------------------------------------------------------------ *)
 (* counter-name stability                                              *)
 
@@ -353,4 +367,5 @@ let suite =
     Alcotest.test_case "histogram percentiles" `Quick
       test_histogram_percentiles;
     Alcotest.test_case "counter families stable" `Quick
-      test_counter_families ]
+      test_counter_families;
+    Alcotest.test_case "span clock is wall time" `Quick test_span_wall_clock ]

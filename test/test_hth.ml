@@ -34,6 +34,7 @@ let () =
       "supervise", Test_supervise.suite;
       "dormant", Test_dormant.suite;
       "store", Test_store.suite;
+      "fuzz", Test_fuzz.suite;
       "table1",
       [ Alcotest.test_case "smoke" `Quick
           (run_group Guest.Characterize.scenarios) ];

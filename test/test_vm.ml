@@ -280,6 +280,219 @@ let test_mem_to_mem_mov () =
   ignore (run m);
   check_int "mem-to-mem allowed" 77 (Machine.read_word m 0x2004)
 
+(* ------------------------------------------------------------------ *)
+(* Demand-paged memory                                                 *)
+
+let test_resident_pages () =
+  let m = Machine.create () in
+  let pages = Machine.resident_pages in
+  check_int "fresh machine holds no page" 0 (pages m);
+  ignore (Machine.read_byte m 0x2000);
+  ignore (Machine.read_word m 0x3FFE);
+  ignore (Machine.read_bytes m 0x4000 0x2000);
+  ignore (Machine.read_cstring m 0x7000);
+  check_int "reads allocate nothing" 0 (pages m);
+  Machine.write_byte m 0x2000 1;
+  check_int "first store into a page" 1 (pages m);
+  Machine.write_word m 0x2FF0 7;
+  Machine.write_string m 0x2100 "";
+  check_int "same page, empty string" 1 (pages m);
+  (match Machine.write_word m (Machine.mem_size - 2) 0xFFFFFFFF with
+   | () -> Alcotest.fail "write past the end did not fault"
+   | exception Machine.Fault_exn (Machine.Bad_access _) -> ());
+  check_int "a faulting store allocates nothing" 1 (pages m);
+  let c = Machine.clone m in
+  check_int "child inherits the parent's pages" (pages m) (pages c);
+  Machine.write_byte c 0x9000 2;
+  check_int "child store grows the child" 2 (pages c);
+  check_int "child store leaves the parent" 1 (pages m);
+  Machine.write_byte m 0xA000 3;
+  check_int "parent store grows the parent" 2 (pages m);
+  check_int "parent store leaves the child" 2 (pages c);
+  check_int "pages are private" 0 (Machine.read_byte m 0x9000)
+
+(* Differential property: a machine and its clone against a flat-Bytes
+   reference model of the same 1 MiB address space, with addresses
+   biased to page edges, both ends of memory and outside it. *)
+module type MEM = sig
+  type t
+
+  val read_byte : t -> int -> int
+  val write_byte : t -> int -> int -> unit
+  val read_word : t -> int -> int
+  val write_word : t -> int -> int -> unit
+  val read_bytes : t -> int -> int -> string
+  val write_string : t -> int -> string -> unit
+  val read_cstring : t -> int -> string
+end
+
+module Flat = struct
+  type t = Bytes.t
+
+  let check a =
+    if a < 0 || a >= Machine.mem_size then
+      raise (Machine.Fault_exn (Machine.Bad_access a))
+
+  let read_byte r a =
+    check a;
+    Char.code (Bytes.get r a)
+
+  let write_byte r a v =
+    check a;
+    Bytes.set r a (Char.chr (v land 0xFF))
+
+  let read_word r a =
+    check a;
+    check (a + 3);
+    Int32.to_int (Bytes.get_int32_le r a) land 0xFFFFFFFF
+
+  let write_word r a v =
+    check a;
+    check (a + 3);
+    Bytes.set_int32_le r a (Int32.of_int (v land 0xFFFFFFFF))
+
+  let read_bytes r a len =
+    check a;
+    if len > 0 then check (a + len - 1);
+    Bytes.sub_string r a len
+
+  let write_string r a s =
+    check a;
+    if String.length s > 0 then check (a + String.length s - 1);
+    Bytes.blit_string s 0 r a (String.length s)
+
+  let read_cstring r a =
+    check a;
+    let rec stop i =
+      if i >= Machine.mem_size || Bytes.get r i = '\000' then i
+      else stop (i + 1)
+    in
+    Bytes.sub_string r a (stop a - a)
+end
+
+type mem_op =
+  | Read_byte of int
+  | Write_byte of int * int
+  | Read_word of int
+  | Write_word of int * int
+  | Read_bytes of int * int
+  | Write_string of int * string
+  | Read_cstring of int
+
+type outcome = Value of int | Text of string | Unit | Fault of int | Invalid
+
+let show_op = function
+  | Read_byte a -> Printf.sprintf "read_byte 0x%x" a
+  | Write_byte (a, v) -> Printf.sprintf "write_byte 0x%x %d" a v
+  | Read_word a -> Printf.sprintf "read_word 0x%x" a
+  | Write_word (a, v) -> Printf.sprintf "write_word 0x%x %d" a v
+  | Read_bytes (a, n) -> Printf.sprintf "read_bytes 0x%x %d" a n
+  | Write_string (a, s) ->
+    Printf.sprintf "write_string 0x%x <%d bytes>" a (String.length s)
+  | Read_cstring a -> Printf.sprintf "read_cstring 0x%x" a
+
+let outcome f =
+  match f () with
+  | o -> o
+  | exception Machine.Fault_exn (Machine.Bad_access a) -> Fault a
+  | exception Invalid_argument _ -> Invalid
+
+let apply (type a) (module M : MEM with type t = a) (mem : a) op =
+  outcome (fun () ->
+      match op with
+      | Read_byte a -> Value (M.read_byte mem a)
+      | Write_byte (a, v) -> M.write_byte mem a v; Unit
+      | Read_word a -> Value (M.read_word mem a)
+      | Write_word (a, v) -> M.write_word mem a v; Unit
+      | Read_bytes (a, n) -> Text (M.read_bytes mem a n)
+      | Write_string (a, s) -> M.write_string mem a s; Unit
+      | Read_cstring a -> Text (M.read_cstring mem a))
+
+let addr_gen =
+  let open QCheck.Gen in
+  (* mostly a few pages, so reads and the child see earlier stores *)
+  let page =
+    let last = (Machine.mem_size lsr Machine.page_bits) - 1 in
+    frequency [ 3, oneofl [ 0; 1; 2; last - 1 ]; 1, int_bound last ]
+  in
+  frequency
+    [ 4, map2 (fun p o -> (p lsl Machine.page_bits) + 0xFFC + o)
+           page (int_bound 3);
+      2, map2 (fun p o -> (p lsl Machine.page_bits) + o) page (int_bound 3);
+      2, int_bound 7;
+      2, map (fun o -> Machine.mem_size - 1 - o) (int_bound 7);
+      2, oneof [ map (fun o -> -1 - o) (int_bound 7);
+                 map (fun o -> Machine.mem_size + o) (int_bound 7);
+                 return 0xFFFFFFFF ];
+      2, int_bound (Machine.mem_size - 1) ]
+
+let op_gen =
+  let open QCheck.Gen in
+  let text =
+    (* long non-NUL runs make C strings that cross page boundaries *)
+    oneof
+      [ map2 (fun n c -> String.make n c) (int_bound 0x1100)
+          (map Char.chr (int_range 1 255));
+        string_size ~gen:char (int_bound 64) ]
+  in
+  frequency
+    [ 2, map (fun a -> Read_byte a) addr_gen;
+      3, map2 (fun a v -> Write_byte (a, v)) addr_gen (int_bound 0x1FF);
+      2, map (fun a -> Read_word a) addr_gen;
+      3, map2 (fun a v -> Write_word (a, v)) addr_gen int;
+      2, map2 (fun a n -> Read_bytes (a, n)) addr_gen
+           (frequency [ 4, int_bound 0x2100; 1, int_range (-2) 0 ]);
+      2, map2 (fun a s -> Write_string (a, s)) addr_gen text;
+      2, map (fun a -> Read_cstring a) addr_gen ]
+
+(* [before] runs on the parent; after the fork each step of [after]
+   runs on the parent ([true]) or the child ([false]). *)
+let case_gen =
+  QCheck.Gen.(
+    pair (list_size (int_bound 12) op_gen)
+      (list_size (int_bound 24) (pair bool op_gen)))
+
+let show_case (before, after) =
+  String.concat "; " (List.map show_op before)
+  ^ " | fork | "
+  ^ String.concat "; "
+      (List.map
+         (fun (p, op) -> (if p then "parent " else "child ") ^ show_op op)
+         after)
+
+let whole m = Machine.read_bytes m 0 Machine.mem_size
+
+let prop_paged_matches_flat =
+  QCheck.Test.make ~count:150 ~long_factor:10
+    ~name:"paged memory and its clone match a flat reference"
+    (QCheck.make ~print:show_case case_gen)
+    (fun (before, after) ->
+      let untouched = Machine.create () in
+      let step m r op =
+        let got = apply (module Machine) m op
+        and want = apply (module Flat) r op in
+        if got <> want then
+          QCheck.Test.fail_reportf "%s: paged and flat results differ"
+            (show_op op);
+        (match got with
+         | Fault _ | Invalid when whole m <> Bytes.to_string r ->
+           QCheck.Test.fail_reportf "%s: faulting access changed memory"
+             (show_op op)
+         | _ -> ())
+      in
+      let m = Machine.create () in
+      let r = Bytes.make Machine.mem_size '\000' in
+      List.iter (step m r) before;
+      let c = Machine.clone m in
+      let rc = Bytes.copy r in
+      List.iter
+        (fun (parent, op) -> if parent then step m r op else step c rc op)
+        after;
+      whole m = Bytes.to_string r
+      && whole c = Bytes.to_string rc
+      && Machine.resident_pages untouched = 0
+      && whole untouched = String.make Machine.mem_size '\000')
+
 let suite =
   [ Alcotest.test_case "register indices" `Quick test_reg_indices;
     Alcotest.test_case "instruction printing" `Quick test_insn_pp;
@@ -307,4 +520,6 @@ let suite =
     Alcotest.test_case "pre-instruction hook order" `Quick
       test_pre_insn_hook_order;
     Alcotest.test_case "segments and fetch" `Quick test_segments;
-    Alcotest.test_case "memory-to-memory mov" `Quick test_mem_to_mem_mov ]
+    Alcotest.test_case "memory-to-memory mov" `Quick test_mem_to_mem_mov;
+    Alcotest.test_case "resident pages" `Quick test_resident_pages;
+    Test_props.to_alcotest_seeded prop_paged_matches_flat ]
