@@ -58,9 +58,9 @@ let rec run () =
   (* The corpus pass above ran under the default config, i.e. with
      tiered execution on — so the same Obs.diff also carries the
      execution-strategy counters (excluded from session results, but
-     visible to a direct diff).  Report them: decoded instruction
-     slots, block promotions, summary applications and deopts across
-     the whole corpus. *)
+     visible to a direct diff).  Report them: block executions, block
+     promotions, summary applications and deopts across the whole
+     corpus. *)
   Grid.print ~title:"Tiered execution across the corpus pass"
     ~headers:[ "Counter"; "Value" ]
     (List.filter_map
@@ -68,8 +68,8 @@ let rec run () =
          Option.map
            (fun v -> [ n; string_of_int v ])
            (List.assoc_opt n stats))
-       [ "vm.blocks"; "vm.blocks.decoded"; "vm.blocks.promoted";
-         "vm.blocks.deopt"; "harrier.summary.applied" ]);
+       [ "vm.blocks"; "vm.blocks.promoted"; "vm.blocks.deopt";
+         "harrier.summary.applied" ]);
   run_chaos ()
 
 (* Robustness tally: the same corpus pass under a seeded fault plan and

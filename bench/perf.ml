@@ -156,10 +156,9 @@ let component_tests () =
 (* ------------------------------------------------------------------ *)
 (* Corpus throughput: the nine golden scenarios swept back-to-back.
    Cold per-session setup (one single-use engine per run) against one
-   shared engine whose compiled policy
-   and linked-image cache persist across the sweep, and against the
-   shared engine in its fast configuration (no event accumulation, one
-   shared taint arena). *)
+   shared engine whose compiled policy and linked-image cache persist
+   across the sweep, and against the shared engine in the configuration
+   [Fleet.Serve] runs (no event accumulation). *)
 
 let golden_names =
   [ "ElmExploit"; "nlspath"; "procex"; "grabem"; "vixie crontab";
@@ -197,9 +196,7 @@ let corpus_results () =
   let scs = golden_corpus () in
   let shared = Hth.Engine.create () in
   let shared_clips = Hth.Engine.create ~policy:Secpert.System.Clips () in
-  let shared_fast =
-    Hth.Engine.create ~keep_events:false ~share_taint_space:true ()
-  in
+  let shared_no_events = Hth.Engine.create ~keep_events:false () in
   [ "corpus/cold per-session setup (native)",
     sustained_ns (sweep cold scs);
     "corpus/shared engine (native)",
@@ -208,8 +205,8 @@ let corpus_results () =
     sustained_ns (sweep (cold ~policy:Secpert.System.Clips) scs);
     "corpus/shared engine (clips)",
     sustained_ns (sweep (Hth.Engine.run shared_clips) scs);
-    "corpus/shared engine (native, no events, shared taint)",
-    sustained_ns (sweep (Hth.Engine.run shared_fast) scs) ]
+    "corpus/shared engine (native, no events)",
+    sustained_ns (sweep (Hth.Engine.run shared_no_events) scs) ]
   |> List.sort compare
 
 (* ------------------------------------------------------------------ *)

@@ -47,8 +47,7 @@ let no_tier_flag =
     "Disable tiered block execution: every basic block is interpreted \
      per-instruction (tier 0) instead of promoting hot blocks to \
      compiled bodies with fused taint summaries.  Traces are \
-     byte-identical either way; this flag only trades speed.  The \
-     HTH_TIER environment variable set to 0 has the same effect."
+     byte-identical either way; this flag only trades speed."
   in
   Arg.(value & flag & info [ "no-tier" ] ~doc)
 
@@ -63,12 +62,6 @@ let tier_threshold_arg =
     value
     & opt int Harrier.Monitor.default_config.tier_threshold
     & info [ "tier-threshold" ] ~docv:"N" ~doc)
-
-(* --no-tier, or HTH_TIER=0 in the environment (handy for A/B runs of
-   whole test suites without threading a flag everywhere) *)
-let tier_enabled no_tier =
-  (not no_tier)
-  && (match Sys.getenv_opt "HTH_TIER" with Some "0" -> false | _ -> true)
 
 let trust_nothing_flag =
   let doc = "Empty the trust database (libc warnings included)." in
@@ -230,7 +223,7 @@ let run_scenario name events no_dataflow no_freq no_shortcircuit no_tier
         shortcircuit =
           (if no_shortcircuit then []
            else Harrier.Monitor.default_config.shortcircuit);
-        tier = tier_enabled no_tier;
+        tier = not no_tier;
         tier_threshold }
     in
     let trust =
@@ -330,19 +323,11 @@ let batch_cmd =
      or missed its expected verdict — without a single broken scenario \
      aborting the rest."
   in
-  let share_taint_flag =
-    let doc =
-      "Share one taint arena across the whole batch (faster; per-run \
-       taint.* counters become warm-dependent and are omitted from \
-       traces)."
-    in
-    Arg.(value & flag & info [ "share-taint" ] ~doc)
-  in
   let jobs_arg =
     let doc =
       "Run scenarios on $(docv) worker domains (one shared FIFO queue; \
-       each worker forks the engine's mutable pools).  Output is \
-       byte-identical whatever $(docv) is."
+       each worker runs a fork of the engine with its own linked-image \
+       cache).  Output is byte-identical whatever $(docv) is."
     in
     Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
@@ -364,7 +349,7 @@ let batch_cmd =
     Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
   in
   let run no_tier tier_threshold trust_nothing clips kill_at fault_plan
-      seed budget_specs share_taint jobs trace_dir store_dir =
+      seed budget_specs jobs trace_dir store_dir =
     let budgets = budgets_of budget_specs in
     let fault = fault_of fault_plan seed in
     let trust =
@@ -385,12 +370,11 @@ let batch_cmd =
     in
     let monitor_config =
       { Harrier.Monitor.default_config with
-        tier = tier_enabled no_tier;
+        tier = not no_tier;
         tier_threshold }
     in
     let engine =
-      Hth.Engine.create ~monitor_config ~trust ~policy ?auto_kill
-        ~share_taint_space:share_taint ()
+      Hth.Engine.create ~monitor_config ~trust ~policy ?auto_kill ()
     in
     Option.iter
       (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
@@ -476,8 +460,8 @@ let batch_cmd =
     Term.(
       const run $ no_tier_flag $ tier_threshold_arg $ trust_nothing_flag
       $ clips_flag $ kill_at_arg
-      $ fault_plan_arg $ seed_arg $ budget_args $ share_taint_flag
-      $ jobs_arg $ trace_dir_arg $ batch_store_arg)
+      $ fault_plan_arg $ seed_arg $ budget_args $ jobs_arg $ trace_dir_arg
+      $ batch_store_arg)
 
 let default =
   Term.(ret (const (`Help (`Pager, None))))

@@ -4,10 +4,10 @@
    An [Engine.t] holds everything about running sessions that does not
    depend on a particular run: the monitor configuration, the trust
    database and policy thresholds, the policy compiled once (for the
-   textual CLIPS policy that is the parsed rule forms), a cache of
-   linked binary images keyed by program set, and — optionally — a
-   shared taint space.  [run] then builds only the genuinely per-run
-   state: file system, network, kernel, monitor, Secpert instance.
+   textual CLIPS policy that is the parsed rule forms) and a cache of
+   linked binary images keyed by program set.  [run] then builds only
+   the genuinely per-run state: file system, network, kernel, monitor,
+   Secpert instance and a fresh taint space.
 
    Per-run observability contract: everything the engine caches is
    resolved {e before} the run's counter snapshot is taken, so cache
@@ -112,29 +112,16 @@ type t = {
   e_auto_kill : Secpert.Severity.t option;
   e_compiled : Secpert.System.compiled;
   e_keep_events : bool;
-  e_shared_space : Taint.Space.t option;
-      (* [Some sp]: every session interns into [sp] — faster on a
-         corpus, but the per-run [taint.*] cache counters then depend
-         on what ran before, so they are left out of traces.  [None]:
-         a fresh space per session, byte-reproducible. *)
   mutable e_images :
     (Binary.Image.t list * string * Binary.Image.t list) list;
       (* (programs, main) -> pre-linked image closure for main.  Keyed
          by physical equality of the program list: setups built once
          and re-run (the corpus pattern) hit; rebuilt setups just miss
          and re-link. *)
-  mutable e_space_pool : Taint.Space.t list;
-      (* recycled per-session taint spaces (fresh-space mode only).
-         [Taint.Space.reset] restores the freshly-created state — same
-         interning decisions, same cache counters — so a pooled space
-         is observationally a new one, minus the arena allocation. *)
 }
 
-let space_pool_cap = 4
-
 let create ?monitor_config ?trust ?thresholds ?auto_kill
-    ?(policy = Secpert.System.Native) ?(keep_events = true)
-    ?(share_taint_space = false) () =
+    ?(policy = Secpert.System.Native) ?(keep_events = true) () =
   { e_monitor_config =
       Option.value monitor_config ~default:Harrier.Monitor.default_config;
     e_trust = trust;
@@ -142,54 +129,21 @@ let create ?monitor_config ?trust ?thresholds ?auto_kill
     e_auto_kill = auto_kill;
     e_compiled = Secpert.System.compile policy;
     e_keep_events = keep_events;
-    e_shared_space =
-      (if share_taint_space then Some (Taint.Space.create ()) else None);
-    e_images = [];
-    e_space_pool = [] }
+    e_images = [] }
 
 (* A worker's view of the same engine.  The shared artifacts — compiled
    policy (for CLIPS, the parsed rule forms as finished values), trust
    database, thresholds, monitor configuration — are immutable after
-   [create] and safe to read from any domain; everything mutable (the
-   linked-image cache, the taint-space pool, the shared taint space
-   when enabled) is per-fork, so a fork is safe to drive from another
-   domain concurrently with its parent and with other forks.  Each fork
-   re-links images on first sight of a program set: linking is
-   deterministic and happens outside per-run counter snapshots, so a
-   session run through a fork is byte-identical to one run through the
-   parent. *)
-let fork eng =
-  { eng with
-    (* the linked-image cache is carried over: linked images are
-       immutable once built, so workers sharing them is safe — and it
-       means every worker maps the same text arrays, whose decoded
-       block tables and compiled-insn slots are shared fleet-wide *)
-    e_space_pool = [];
-    e_shared_space =
-      Option.map (fun _ -> Taint.Space.create ()) eng.e_shared_space }
-
-(* Fresh-space mode recycles arenas through the engine's pool: a reset
-   space behaves exactly like [Taint.Space.create ()] but skips the
-   arena allocation, which dominates small-session setup cost.  Tag
-   sets handed out by an earlier run ([result.events]) stay valid for
-   read-only use after the space is recycled. *)
-let acquire_space eng =
-  match eng.e_shared_space with
-  | Some sp -> sp
-  | None ->
-    (match eng.e_space_pool with
-     | sp :: rest ->
-       eng.e_space_pool <- rest;
-       Taint.Space.reset sp;
-       sp
-     | [] -> Taint.Space.create ())
-
-let release_space eng sp =
-  match eng.e_shared_space with
-  | Some _ -> ()
-  | None ->
-    if List.length eng.e_space_pool < space_pool_cap then
-      eng.e_space_pool <- sp :: eng.e_space_pool
+   [create] and safe to read from any domain; the one mutable field,
+   the linked-image cache, is per-fork, so a fork is safe to drive from
+   another domain concurrently with its parent and with other forks.
+   The fork starts from a snapshot of the parent's cache: linked images
+   are immutable once built, so workers may share them.  Each fork
+   re-links images on first sight of a program set it does not hold:
+   linking is deterministic and happens outside per-run counter
+   snapshots, so a session run through a fork is byte-identical to one
+   run through the parent. *)
+let fork eng = { eng with e_images = eng.e_images }
 
 let c_img_hits = Obs.Counter.make "engine.images.hits"
 let c_img_misses = Obs.Counter.make "engine.images.misses"
@@ -268,11 +222,8 @@ let note_outcome kind =
 
 let run_outcome_ambient eng ~budgets ~fault s =
   (* Shared-artifact resolution happens before the snapshot: cache
-     traffic must not differ between a cold and a warm engine run, and
-     space acquisition (pool reset) must not touch per-run counters. *)
+     traffic must not differ between a cold and a warm engine run. *)
   let images = images_for eng s in
-  let space = acquire_space eng in
-  Fun.protect ~finally:(fun () -> release_space eng space) @@ fun () ->
   let before = Obs.snapshot () in
   let fail e =
     note_outcome (Error.kind e);
@@ -287,20 +238,18 @@ let run_outcome_ambient eng ~budgets ~fault s =
   match
     phase "build" h_build (fun () ->
         let kernel = boot ~fault s in
-        let monitor = Harrier.Monitor.attach ~config:mcfg ~space kernel in
+        let monitor = Harrier.Monitor.attach ~config:mcfg kernel in
         (* The event pipeline, in dispatch order: the trace sink first
            (each event's "flow" line must land at its pre-stamped step,
            before any policy "rule"/"warning" lines), then the optional
            accumulator, then metrics, then the policy. *)
-        Harrier.Monitor.subscribe monitor ~name:"trace"
-          Harrier.Monitor.trace_sink;
+        Harrier.Monitor.subscribe monitor Harrier.Monitor.trace_sink;
         let events_log = ref [] in
         if eng.e_keep_events then
-          Harrier.Monitor.subscribe monitor ~name:"events" (fun e ->
+          Harrier.Monitor.subscribe monitor (fun e ->
               events_log := e :: !events_log;
               Osim.Kernel.Allow);
-        Harrier.Monitor.subscribe monitor ~name:"metrics"
-          Harrier.Monitor.metrics_sink;
+        Harrier.Monitor.subscribe monitor Harrier.Monitor.metrics_sink;
         let secpert =
           try
             Secpert.System.create_from ?trust:eng.e_trust
@@ -363,11 +312,10 @@ let run_outcome_ambient eng ~budgets ~fault s =
              taint-arena cache traffic, shadow fast-path hit rates,
              tier promotion/deopt activity — not what the guest did.
              They legitimately differ between the tiered and the
-             interpreted execution strategy (and, for [taint.*], with
-             arena warmth), so they are kept out of both [result.stats]
-             and the trace's embedded profile: those two surfaces are
-             byte-deterministic across strategies.  Guest-behaviour
-             counters ([vm.instructions], [vm.blocks],
+             interpreted execution strategy, so they are kept out of
+             both [result.stats] and the trace's embedded profile: those
+             two surfaces are byte-deterministic across strategies.
+             Guest-behaviour counters ([vm.instructions], [vm.blocks],
              [vm.fetch_cache.*], [osim.*], events, policy) stay, and
              the tiered fast path replicates them exactly. *)
           let strategy_counter n =

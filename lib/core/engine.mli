@@ -7,17 +7,16 @@
     the textual CLIPS policy that is one parse for the engine's whole
     lifetime), and a cache of linked binary images keyed by program
     set.  {!run} then builds only genuinely per-session state: file
-    system, network, kernel, monitor, Secpert instance, and (by
-    default) a fresh taint space.
+    system, network, kernel, monitor, Secpert instance and a fresh
+    taint space.
 
     Determinism contract: a session run through a warm shared engine
     produces byte-identical traces, warnings and verdicts to the same
     session run cold, on a fresh engine.  All shared-artifact resolution
     (image-cache lookups, linking) happens before the run's counter
     snapshot, so it never leaks into [result.stats] or the trace.  The
-    one documented exception is [share_taint_space]: sharing one taint
-    arena across sessions makes the per-run [taint.*] cache counters
-    depend on what ran before, so traced runs then omit them. *)
+    compiled policy and the linked images are all that one session
+    leaves behind for the next. *)
 
 type setup = {
   programs : Binary.Image.t list;  (** images installed into the fs *)
@@ -128,12 +127,7 @@ type t
 
     [keep_events] (default [true]): when [false], sessions do not
     accumulate their event stream in memory ([result.events] is [[]]) —
-    for long corpus runs where only warnings and verdicts matter.
-
-    [share_taint_space] (default [false]): when [true], every session
-    interns tag sets into one shared space instead of a fresh one —
-    faster on a corpus, but per-run [taint.*] counters become
-    warm-dependent and are omitted from traces. *)
+    for long corpus runs where only warnings and verdicts matter. *)
 val create :
   ?monitor_config:Harrier.Monitor.config ->
   ?trust:Secpert.Trust.t ->
@@ -141,18 +135,17 @@ val create :
   ?auto_kill:Secpert.Severity.t ->
   ?policy:Secpert.System.policy ->
   ?keep_events:bool ->
-  ?share_taint_space:bool ->
   unit ->
   t
 
 (** [fork engine] is a worker's view of the same engine: it shares the
-    compiled policy, trust database, configuration and a snapshot of
-    the linked-image cache (linked images are immutable, so workers
-    mapping the same text arrays also share their decoded-block tables
-    and compiled-instruction slots) but owns a fresh taint-space pool
-    and its own shared taint space when the parent enabled one.  A fork
-    is safe to use from another domain concurrently with the parent and
-    with other forks, and runs sessions byte-identically to the parent
+    compiled policy, trust database and configuration, and starts from
+    a snapshot of the linked-image cache (linked images are immutable,
+    so workers mapping the same text arrays also share their decoded
+    block tables).  Only the cache is the fork's own: images it links
+    later are not seen by the parent or other forks.  A fork is safe
+    to use from another domain concurrently with the parent and with
+    other forks, and runs sessions byte-identically to the parent
     (program sets the snapshot misses are re-linked deterministically,
     outside per-run counter snapshots). *)
 val fork : t -> t

@@ -75,7 +75,7 @@ type t = {
   mutable pmap : (Vm.Machine.t * pstate) list;
   mutable cur : (Vm.Machine.t * pstate) option;
   mutable clone_times : int list;
-  mutable sinks : (string * sink) list;  (* dispatch order = registration *)
+  mutable sinks : sink list;  (* dispatch order = registration *)
   mutable count : int;
   mutable ts_compiled : int;  (* block executions run as compiled bodies *)
   mutable ts_summarized : int;  (* of those, with a taint summary applied *)
@@ -84,11 +84,7 @@ type t = {
 
 let config t = t.cfg
 
-let space t = t.space
-
-let subscribe t ~name f = t.sinks <- t.sinks @ [ (name, f) ]
-
-let subscribers t = List.map fst t.sinks
+let subscribe t f = t.sinks <- t.sinks @ [ f ]
 
 let event_count t = t.count
 
@@ -110,11 +106,6 @@ let state_of t m =
        Obs.Counter.incr c_unknown;
        Log.warn (fun f -> f "unknown machine: observation dropped");
        None)
-
-let shadow_of_pid t pid =
-  List.find_map
-    (fun (_, s) -> if s.pid = pid then Some s.shadow else None)
-    t.pmap
 
 (* Human-readable degradation reasons, one per affected process, in pid
    order (deterministic for reports and traces). *)
@@ -162,7 +153,7 @@ let emit t e =
   t.count <- t.count + 1;
   Log.debug (fun f -> f "event %a" Events.pp e);
   List.fold_left
-    (fun acc (_, f) ->
+    (fun acc f ->
       match f e with Osim.Kernel.Kill -> Osim.Kernel.Kill | Allow -> acc)
     Osim.Kernel.Allow t.sinks
 
@@ -553,12 +544,9 @@ let on_post_syscall t (p : Osim.Process.t) (sc : Osim.Syscall.t) ~result =
   | Fork | Write _ | Time | Getpid | Nanosleep _ | Brk _ | Socket
   | Bind _ | Listen _ | Unknown _ -> ()
 
-let attach ?(config = default_config) ?space kernel =
-  let space =
-    match space with Some sp -> sp | None -> Taint.Space.create ()
-  in
+let attach ?(config = default_config) kernel =
   let t =
-    { cfg = config; space; kernel; freq = Freq.create ();
+    { cfg = config; space = Taint.Space.create (); kernel; freq = Freq.create ();
       resources = Resources.create (); routines = Hashtbl.create 8;
       name_origins = Hashtbl.create 32;
       imm_tags = Hashtbl.create 8; pmap = []; cur = None; clone_times = [];

@@ -41,19 +41,16 @@ type t
     exact even for killed processes). *)
 type sink = Events.t -> Osim.Kernel.decision
 
-(** [attach ?config ?space kernel] installs the monitor.  Call before
-    [Kernel.spawn].  [space] is the taint hash-consing arena used for
-    every tag the monitor creates (process shadows share it); absent, a
-    fresh private space is created. *)
-val attach : ?config:config -> ?space:Taint.Space.t -> Osim.Kernel.t -> t
+(** [attach ?config kernel] installs the monitor.  Call before
+    [Kernel.spawn].  Every tag the monitor creates is interned in a
+    fresh taint space of its own ({!Taint.Space.create}), which its
+    process shadows share, so nothing an earlier session interned
+    affects this one. *)
+val attach : ?config:config -> Osim.Kernel.t -> t
 
 val config : t -> config
 
-(** The taint space all of this monitor's tags live in. *)
-val space : t -> Taint.Space.t
-
-(** [subscribe t ~name f] appends [f] to the subscriber list.  [name]
-    identifies the sink in {!subscribers} (diagnostics).  Decisions of
+(** [subscribe t f] appends [f] to the subscriber list.  Decisions of
     sinks are honoured for events emitted {e before} a system call
     executes.
 
@@ -61,10 +58,7 @@ val space : t -> Taint.Space.t
     runs: {!trace_sink} must be registered {e first}, so each event's
     "flow" line lands at the step pre-stamped in its meta and precedes
     any "rule"/"warning" lines emitted by a policy sink downstream. *)
-val subscribe : t -> name:string -> sink -> unit
-
-(** Registered sink names, in dispatch order. *)
-val subscribers : t -> string list
+val subscribe : t -> sink -> unit
 
 (** Emits one structured "flow" trace line per event (no-op when
     tracing is off).  Register first; see {!subscribe}. *)
@@ -74,10 +68,6 @@ val trace_sink : sink
 val metrics_sink : sink
 
 val event_count : t -> int
-
-(** [shadow_of_pid t pid] exposes a process's taint state (tests,
-    diagnostics). *)
-val shadow_of_pid : t -> int -> Shadow.t option
 
 (** [tier_stats t] is [(compiled, summarized, deopt)]: block executions
     that ran as compiled bodies, those of them whose taint transfer was

@@ -135,7 +135,7 @@ let handle_event t event =
   | Some _ | None -> Osim.Kernel.Allow
 
 let attach t monitor =
-  Harrier.Monitor.subscribe monitor ~name:"secpert" (handle_event t)
+  Harrier.Monitor.subscribe monitor (handle_event t)
 
 let warnings t = List.rev t.warnings
 

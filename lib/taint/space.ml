@@ -1,5 +1,3 @@
 type t = Tagset.space
 
 let create () = Tagset.make_space ()
-let interned = Tagset.interned_count
-let reset = Tagset.reset_space

@@ -1,10 +1,9 @@
 (** A taint hash-consing arena.
 
     Holds the intern table, singleton cache and binary-union memo used
-    by every allocating {!Tagset} operation.  Sessions that need
-    byte-reproducible cache statistics create a fresh space each run;
-    corpus drivers that prefer warm caches can share one space across
-    sessions (trading reproducibility of the [taint.*] counters).
+    by every allocating {!Tagset} operation.  Each session interns into
+    a fresh space of its own, so nothing one session interned affects
+    the next, and the tables are sized for one session.
 
     Tag sets from different spaces must never be mixed in one
     computation: contents stay correct, but pointer equality (and the
@@ -16,13 +15,3 @@ type t = Tagset.space
     sets are interned from id 1 up, deterministically in creation
     order. *)
 val create : unit -> t
-
-(** Number of distinct tag sets interned so far, including the empty
-    node (diagnostics). *)
-val interned : t -> int
-
-(** [reset sp] returns [sp] to the freshly-created state — identical
-    interning decisions and cache counters to a new space, so pools can
-    recycle spaces.  Tag sets interned before the reset stay valid for
-    read-only use but must not be mixed with post-reset tags. *)
-val reset : t -> unit

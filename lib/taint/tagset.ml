@@ -8,14 +8,13 @@
    allocation-free on the (overwhelmingly common) repeated-operand case.
 
    The intern and memo tables live in an explicit [space] rather than in
-   process globals: a session that wants byte-reproducible statistics
-   creates a fresh space, while a corpus run that wants maximum cache
-   warmth can share one space across sessions.  The only process-global
-   value is the canonical [empty] node (id 0), which is immutable and
-   pre-seeded into every space, so [is_empty]/[equal] stay pointer
-   checks and [empty] needs no space in hand.  Tag sets from different
-   spaces must not be mixed in one computation: contents stay correct,
-   but pointer equality only holds within a space. *)
+   process globals, and each session interns into a fresh one, so its
+   cache statistics are a pure function of the session.  The only
+   process-global value is the canonical [empty] node (id 0), which is
+   immutable and pre-seeded into every space, so [is_empty]/[equal]
+   stay pointer checks and [empty] needs no space in hand.  Tag sets
+   from different spaces must not be mixed in one computation: contents
+   stay correct, but pointer equality only holds within a space. *)
 
 module S = Set.Make (Source)
 
@@ -36,9 +35,13 @@ module Intern = Hashtbl.Make (Key)
    pair packed into one int, so a hit is an array read plus an integer
    compare — no hashing, no allocation.  Ids are dense and small, so
    the packing is injective in practice; collisions just overwrite the
-   slot and recompute later. *)
-let memo_bits = 14
+   slot and recompute later.  A space serves one session, which interns
+   a handful of tag sets, so the memo and both intern tables are sized
+   for that. *)
+let memo_bits = 8
 let memo_mask = (1 lsl memo_bits) - 1
+let intern_buckets = 64
+let singleton_buckets = 16
 
 type space = {
   intern_tbl : t Intern.t;
@@ -59,31 +62,14 @@ let c_memo_misses = Obs.Counter.make "taint.union_memo.misses"
 
 let make_space () =
   let sp =
-    { intern_tbl = Intern.create 509;
+    { intern_tbl = Intern.create intern_buckets;
       next_id = 1;
-      singleton_tbl = Hashtbl.create 64;
+      singleton_tbl = Hashtbl.create singleton_buckets;
       memo_keys = Array.make (1 lsl memo_bits) (-1);
       memo_vals = Array.make (1 lsl memo_bits) empty }
   in
   Intern.add sp.intern_tbl [] empty;
   sp
-
-(* Return a space to the freshly-created state.  Only [memo_keys] needs
-   refilling: a packed id pair is never [-1], so clearing the keys makes
-   every stale [memo_vals] entry unreachable without touching the boxed
-   array (new unions overwrite slots as they miss).  A reset space is
-   indistinguishable from [make_space ()] — same interning decisions,
-   same cache counters — which lets an engine pool spaces across
-   sessions without perturbing per-run statistics. *)
-let reset_space sp =
-  Intern.reset sp.intern_tbl;
-  Hashtbl.reset sp.singleton_tbl;
-  sp.next_id <- 1;
-  Array.fill sp.memo_keys 0 (Array.length sp.memo_keys) (-1);
-  (* also drop the stale values: a pooled space must not keep the
-     previous session's tag sets (and their element sets) alive *)
-  Array.fill sp.memo_vals 0 (Array.length sp.memo_vals) empty;
-  Intern.add sp.intern_tbl [] empty
 
 let intern sp set =
   let key = S.elements set in
@@ -97,8 +83,6 @@ let intern sp set =
     sp.next_id <- sp.next_id + 1;
     Intern.add sp.intern_tbl key t;
     t
-
-let interned_count sp = sp.next_id
 
 let[@inline] is_empty t = t == empty
 

@@ -15,21 +15,13 @@
 type t
 
 (** A hash-consing arena: intern table, singleton cache, and
-    binary-union memo.  Create one per session for byte-reproducible
-    cache statistics, or share one across sessions for warmth.  See
-    {!Space} for the public constructor. *)
+    binary-union memo, sized for one session.  Each session creates a
+    fresh one, so its cache statistics depend on that session alone.
+    See {!Space} for the public constructor. *)
 type space
 
 (** A fresh, empty space (the canonical {!empty} node is pre-seeded). *)
 val make_space : unit -> space
-
-(** [reset_space sp] returns [sp] to the freshly-created state: interning
-    decisions and cache counters after a reset are identical to those of
-    a new space, so pools can recycle spaces without perturbing per-run
-    statistics.  Tag sets interned before the reset remain valid for
-    read-only interrogation, but must not be mixed with post-reset tags
-    (the usual cross-space rule). *)
-val reset_space : space -> unit
 
 (** The empty tag: a value with no known external provenance.  A single
     immutable node shared by every space. *)
@@ -62,10 +54,6 @@ val compare : t -> t -> int
 (** [id t] is the unique intern identifier of [t] within its space.
     [id a = id b] iff [equal a b], for tags of the same space. *)
 val id : t -> int
-
-(** Number of distinct tag sets interned in the space so far, including
-    the pre-seeded empty node (diagnostics). *)
-val interned_count : space -> int
 
 val cardinal : t -> int
 

@@ -37,9 +37,6 @@ type segment = {
   seg_kind : Binary.Image.kind;
   seg_lens : int array;
       (** straight-line body lengths, from {!Binary.Image.t.blocks} *)
-  seg_ops : (t -> unit) option array;
-      (** compiled-instruction slots, lazily filled by {!step_block};
-          shared by every machine mapping the same image *)
 }
 
 (** Instrumentation callbacks.  All default to no-ops ([on_block]
@@ -52,7 +49,7 @@ type hooks = {
   mutable on_block : t -> segment -> int -> int -> bool;
       (** [on_block m seg addr len]: offered a straight-line body of
           [len] instructions at block leader [addr] before it runs.
-          Return [true] to execute it as compiled closures with no
+          Return [true] to execute it as one unit, with no
           per-instruction [pre_insn] calls — the hook owns whatever
           per-block bookkeeping (taint summary application) replaces
           them — or [false] to interpret as usual. *)
@@ -145,11 +142,12 @@ val step : t -> outcome
 (** [step_block m ~fuel] is the tiered dispatcher: at a basic-block
     start whose straight-line body has at most [fuel] instructions, the
     body is offered to the [on_block] hook and — if accepted — runs as
-    compiled closures (one fused unit, no per-instruction hooks); in
-    every other case exactly one instruction is interpreted via
-    {!step}.  Returns the outcome and the number of instructions
-    retired, for quantum accounting.  Equivalent to [fuel] iterated
-    {!step}s up to the accepted per-block instrumentation. *)
+    one unit: the interpreter's own instruction semantics, with no
+    per-instruction hooks and the per-instruction counters settled once
+    per block.  In every other case exactly one instruction is
+    interpreted via {!step}.  Returns the outcome and the number of
+    instructions retired, for quantum accounting.  Equivalent to [fuel]
+    iterated {!step}s up to the accepted per-block instrumentation. *)
 val step_block : t -> fuel:int -> outcome * int
 
 val pp_fault : Format.formatter -> fault -> unit

@@ -230,6 +230,16 @@ else
   diff -r "$tmp/tier_on" "$tmp/tier_off" | head -10 >&2 || true
   status=1
 fi
+# Random branchy guests (forward skips, EDI-counted inner loops, jumps
+# through EBP), tiered at threshold 1 vs interpreted, at the long qcheck
+# count: the properties suite carries the tier equivalence property.
+if (cd test && QCHECK_LONG=1 ../_build/default/test/test_hth.exe \
+      test properties > /dev/null 2>&1); then
+  echo "  ok: properties suite with long qcheck counts"
+else
+  echo "  TIER PROPERTY: properties suite failed at long qcheck counts" >&2
+  status=1
+fi
 
 echo "== hth_serve smoke =="
 # A mixed request script (native, clips, faulted, malformed) served on

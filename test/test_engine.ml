@@ -6,8 +6,7 @@
    warnings and verdict — no matter how many sessions the engine has
    already run.  One shared engine instance runs EVERY golden scenario
    below, each twice, so the artifact caches (compiled policy, linked
-   images, pooled taint spaces and machine memory) are all exercised in
-   their warm state. *)
+   images) are exercised in their warm state. *)
 
 let golden_scenarios =
   [ "ElmExploit"; "nlspath"; "procex"; "grabem"; "vixie crontab"; "pma";
@@ -81,28 +80,6 @@ let no_events_case =
       check_same_trace "trace unchanged without accumulator"
         ~expected:cold_trace ~actual:trace)
 
-(* A shared taint space changes only the [taint.*] cache statistics:
-   warnings and verdicts stay identical, and the trace omits the
-   warm-dependent taint counter lines rather than embedding unstable
-   numbers. *)
-let shared_space_case =
-  Alcotest.test_case "share_taint_space" `Quick (fun () ->
-      let eng = Hth.Engine.create ~share_taint_space:true () in
-      List.iter
-        (fun name ->
-          let sc = find name in
-          let cold = Guest.Scenario.run sc in
-          let trace, r = capture (Hth.Engine.run eng) sc in
-          Alcotest.(check (list string))
-            (name ^ ": warnings") (warning_strings cold) (warning_strings r);
-          String.split_on_char '\n' trace
-          |> List.iter (fun line ->
-                 if Astring.String.is_infix ~affix:"\"taint." line then
-                   Alcotest.failf
-                     "%s: warm-dependent counter leaked into trace: %s" name
-                     line))
-        golden_scenarios)
-
 let suite =
   List.map scenario_case golden_scenarios
-  @ [ no_events_case; shared_space_case ]
+  @ [ no_events_case ]

@@ -564,14 +564,18 @@ let prop_obs_counters_ground_truth =
 
 (* ------------------------------------------------------------------ *)
 (* Tier equivalence: compiled blocks with fused taint summaries vs
-   pure interpretation.  A random straight-line body runs in a counted
-   loop hot enough to promote at threshold 1, with tainted stdin read
-   into the data region before the loop and written out after it.  The
-   generator deliberately includes blocks the tier must reject or
-   window (pop-to-memory, bodies longer than the compile window), so
-   the deopt paths are exercised too.  The whole observable surface —
-   trace bytes, events, counters, verdict, tick count — must be
-   identical with tiering on and off.                                   *)
+   pure interpretation.  A random branchy body runs in a counted loop
+   hot enough to promote at threshold 1, with tainted stdin read into
+   the data region before the loop and written out after it, together
+   with the final EAX–EDX.  The body mixes straight-line runs with
+   forward conditional skips (so jump targets land inside straight-line
+   runs), backward inner loops counted in EDI and register-indirect
+   jumps through EBP.  The generator deliberately includes blocks the
+   tier must reject or window (pop-to-memory, bodies longer than the
+   compile window), so the deopt paths are exercised too.  The whole
+   observable surface — trace bytes, events, counters, verdict, tick
+   count, console output — must be identical with tiering on and
+   off.                                                                 *)
 
 let tier_reg =
   Gen.oneofl [ Isa.Reg.EAX; Isa.Reg.EBX; Isa.Reg.ECX; Isa.Reg.EDX ]
@@ -627,10 +631,62 @@ let tier_body_gen : Isa.Insn.t Gen.t =
       1, return Isa.Insn.Cpuid;
       1, return Isa.Insn.Nop ]
 
-(* read(stdin, 0x4000, 16); loop iters times over the body; write the
-   buffer to stdout; halt.  One address per instruction, so the loop
-   head is base + 6. *)
-let tier_program iters body : Isa.Insn.t list =
+(* One piece of a loop body.  Jumps land on a piece boundary of their
+   own sequence, at most at its end, so no jump enters an inner loop
+   past its counter set-up.  [tier_body_gen] writes only EAX–EDX, so
+   the EDI and ESI loop counters and the EBP jump register are the
+   loops' and jumps' own. *)
+type tier_piece =
+  | Straight of Isa.Insn.t
+  | Skip of Isa.Insn.cond * int  (* jcc over the next k pieces *)
+  | Via_ebp of int  (* mov ebp, <k pieces past the jmp>; jmp ebp *)
+  | Inner of int * tier_piece list  (* mov edi, n; L: ...; dec edi; jnz L *)
+
+let rec piece_size = function
+  | Straight _ | Skip _ -> 1
+  | Via_ebp _ -> 2
+  | Inner (_, body) -> 3 + List.fold_left (fun n p -> n + piece_size p) 0 body
+
+(* [lay_out pc pieces] is the code of [pieces] placed at address [pc]
+   (one address per instruction). *)
+let rec lay_out pc pieces : Isa.Insn.t list =
+  let starts = Array.make (List.length pieces + 1) pc in
+  List.iteri (fun i p -> starts.(i + 1) <- starts.(i) + piece_size p) pieces;
+  let past i k = starts.(min (List.length pieces) (i + 1 + k)) in
+  List.concat
+    (List.mapi
+       (fun i p : Isa.Insn.t list ->
+         match p with
+         | Straight insn -> [ insn ]
+         | Skip (c, k) -> [ Jcc (c, Imm (past i k)) ]
+         | Via_ebp k -> [ Mov (W, Reg EBP, Imm (past i k)); Jmp (Reg EBP) ]
+         | Inner (n, body) ->
+           let head = starts.(i) + 1 in
+           (Isa.Insn.Mov (W, Reg EDI, Imm n) :: lay_out head body)
+           @ [ Dec (Reg EDI); Jcc (NZ, Imm head) ])
+       pieces)
+
+let tier_piece_gen : tier_piece Gen.t =
+  let open Gen in
+  let flat =
+    [ 12, map (fun i -> Straight i) tier_body_gen;
+      2,
+      map2 (fun c k -> Skip (c, k))
+        (oneofl Isa.Insn.[ Z; NZ; L; LE; G; GE; S; NS ])
+        (int_range 1 6);
+      1, map (fun k -> Via_ebp k) (int_bound 3) ]
+  in
+  frequency
+    ((1,
+      map2 (fun n body -> Inner (n, body)) (int_range 1 4)
+        (list_size (int_bound 8) (frequency flat)))
+    :: flat)
+
+(* read(stdin, 0x4000, 16); loop iters times over the body; store
+   EAX–EDX after the body's slots and write all 48 bytes to stdout;
+   halt.  One address per instruction, so the loop head is
+   base + 6. *)
+let tier_program iters pieces : Isa.Insn.t list =
   let loop_head = 0x1000 + 6 in
   [ Isa.Insn.Mov (W, Reg EAX, Imm 3) (* SYS_read *);
     Mov (W, Reg EBX, Imm 0);
@@ -638,13 +694,17 @@ let tier_program iters body : Isa.Insn.t list =
     Mov (W, Reg EDX, Imm 16);
     Int 0x80;
     Mov (W, Reg ESI, Imm iters) ]
-  @ body
+  @ lay_out loop_head pieces
   @ [ Isa.Insn.Dec (Reg ESI);
       Jcc (NZ, Imm loop_head);
+      Mov (W, Isa.Operand.mem 0x4020, Reg EAX);
+      Mov (W, Isa.Operand.mem 0x4024, Reg EBX);
+      Mov (W, Isa.Operand.mem 0x4028, Reg ECX);
+      Mov (W, Isa.Operand.mem 0x402C, Reg EDX);
       Mov (W, Reg EAX, Imm 4) (* SYS_write *);
       Mov (W, Reg EBX, Imm 1);
       Mov (W, Reg ECX, Imm 0x4000);
-      Mov (W, Reg EDX, Imm 16);
+      Mov (W, Reg EDX, Imm 48);
       Int 0x80;
       Hlt ]
 
@@ -675,21 +735,22 @@ let tier_session ~tier insns =
 let prop_tier_equivalence =
   Test.make
     ~name:"tiered execution is observationally identical to interpretation"
-    ~count:40
+    ~count:40 ~long_factor:10
     (make
-       ~print:(fun (iters, body) ->
+       ~print:(fun (iters, pieces) ->
          Printf.sprintf "iters=%d body=[%s]" iters
-           (String.concat "; " (List.map Isa.Insn.to_string body)))
-       Gen.(pair (int_range 1 8) (list_size (int_bound 24) tier_body_gen)))
-    (fun (iters, body) ->
-      let insns = tier_program iters body in
+           (String.concat "; "
+              (List.map Isa.Insn.to_string (lay_out 0x1006 pieces))))
+       Gen.(pair (int_range 1 8) (list_size (int_bound 24) tier_piece_gen)))
+    (fun (iters, pieces) ->
+      let insns = tier_program iters pieces in
       let trace_on, on = tier_session ~tier:true insns in
       let trace_off, off = tier_session ~tier:false insns in
       trace_on = trace_off
       &&
       match on, off with
       | Ok a, Ok b ->
-        (* with threshold 1 the loop head is promoted on first entry,
+        (* with threshold 1 the entry block is promoted on first entry,
            so the tiered run really did compile or reject something *)
         a.Hth.Engine.tier.tc_compiled + a.Hth.Engine.tier.tc_deopt > 0
         && b.Hth.Engine.tier.tc_compiled = 0
@@ -698,6 +759,8 @@ let prop_tier_equivalence =
              (Hth.Report.verdict b)
         && a.event_count = b.event_count
         && a.os_report.rep_ticks = b.os_report.rep_ticks
+        && a.os_report.rep_console = b.os_report.rep_console
+        && a.os_report.rep_final = b.os_report.rep_final
         && List.length a.events = List.length b.events
         && List.for_all2
              (fun x y ->

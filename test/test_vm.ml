@@ -242,6 +242,67 @@ let test_bb_hook () =
   Alcotest.(check (list int)) "bb leaders" [ base; base + 2 ]
     (List.rev !bbs)
 
+(* An accepted body runs through the interpreter's [exec] with no
+   per-instruction hooks and settles the [vm.*] counters once per block;
+   a fault mid-body must leave registers, memory, [eip], status and
+   counters exactly as interpreting the same instructions does. *)
+let test_accepted_body () =
+  let open Isa.Insn in
+  let vm_counters f =
+    let before = Obs.snapshot () in
+    let r = f () in
+    ( r,
+      List.filter
+        (fun (n, _) -> Astring.String.is_prefix ~affix:"vm." n)
+        (Obs.diff ~before ~after:(Obs.snapshot ())) )
+  in
+  let compare ~load ~retired ~final =
+    let prog =
+      [ Mov (W, Reg EAX, Imm 7);
+        Add (Reg EAX, Imm 1);
+        Mov (W, Isa.Operand.abs 0x2000, Reg EAX);
+        Mov (W, Reg EBX, Isa.Operand.abs load);
+        Mov (W, Reg ECX, Imm 1);
+        Hlt ]
+    in
+    let pre = ref 0 in
+    let hooks = Machine.no_hooks () in
+    hooks.pre_insn <- (fun _ _ _ -> incr pre);
+    hooks.on_block <- (fun _ _ _ len -> check_int "offered body" 5 len; true);
+    let tiered = machine_of ~hooks prog in
+    let (outcome, n), tiered_counts =
+      vm_counters (fun () -> Machine.step_block tiered ~fuel:100)
+    in
+    let interp = machine_of prog in
+    let (), interp_counts =
+      vm_counters (fun () ->
+          for _ = 1 to retired do
+            ignore (Machine.step interp)
+          done)
+    in
+    check_int "instructions retired" retired n;
+    check "outcome" true
+      (match outcome with
+       | Machine.Continue -> final = None
+       | Machine.Stopped (Faulted f) -> final = Some f
+       | Machine.Syscall _ | Machine.Stopped _ -> false);
+    check_int "no per-instruction hook" 0 !pre;
+    check_int "eip" (Machine.eip interp) (Machine.eip tiered);
+    List.iter
+      (fun r ->
+        check_int (Isa.Reg.name r) (Machine.get_reg interp r)
+          (Machine.get_reg tiered r))
+      Isa.Reg.all;
+    check_int "stored word" (Machine.read_word interp 0x2000)
+      (Machine.read_word tiered 0x2000);
+    Alcotest.(check (list (pair string int)))
+      "vm counters" interp_counts tiered_counts
+  in
+  compare ~load:0x2000 ~retired:5 ~final:None;
+  (* a word load straddling the end of memory faults at the fourth
+     instruction, after three have retired *)
+  compare ~load:0xFFFFE ~retired:4 ~final:(Some (Machine.Bad_access 0x100001))
+
 let test_pre_insn_hook_order () =
   let open Isa.Insn in
   let seen = ref [] in
@@ -517,6 +578,8 @@ let suite =
       test_cstring_and_bytes;
     Alcotest.test_case "clone isolation" `Quick test_clone_isolation;
     Alcotest.test_case "basic-block hook" `Quick test_bb_hook;
+    Alcotest.test_case "accepted body matches interpretation" `Quick
+      test_accepted_body;
     Alcotest.test_case "pre-instruction hook order" `Quick
       test_pre_insn_hook_order;
     Alcotest.test_case "segments and fetch" `Quick test_segments;
