@@ -156,9 +156,9 @@ let component_tests () =
 (* ------------------------------------------------------------------ *)
 (* Corpus throughput: the nine golden scenarios swept back-to-back.
    Cold per-session setup (one single-use engine per run) against one
-   shared engine whose compiled policy and linked-image cache persist
-   across the sweep, and against the shared engine in the configuration
-   [Fleet.Serve] runs (no event accumulation). *)
+   shared engine whose compiled policy persists across the sweep, and
+   against the shared engine in the configuration [Fleet.Serve] runs
+   (no event accumulation). *)
 
 let golden_names =
   [ "ElmExploit"; "nlspath"; "procex"; "grabem"; "vixie crontab";
@@ -212,7 +212,7 @@ let corpus_results () =
 (* ------------------------------------------------------------------ *)
 (* Fleet scaling: the same golden sweep pushed through the fleet
    (Fleet.Supervisor, one shared FIFO queue) at increasing worker
-   counts.  The fleet (and its per-worker engine forks) persists across
+   counts.  The fleet (and the engine its workers share) persists across
    rounds, like a long-lived hth_serve process; each measured round
    submits the whole corpus and drains it in order.  Speedup is bounded
    by the host's core count — recorded in the JSON row so a 1-core CI

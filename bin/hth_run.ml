@@ -317,17 +317,16 @@ let run_cmd =
 let batch_cmd =
   let doc =
     "Run the whole corpus through one shared engine, isolating \
-     per-scenario failures.  The engine compiles the policy and links \
-     each scenario's images once; per-scenario failures print one \
-     summary row and the exit status is nonzero if any scenario errored \
+     per-scenario failures.  The engine compiles the policy once; \
+     per-scenario failures print one summary row and the exit status is nonzero if any scenario errored \
      or missed its expected verdict — without a single broken scenario \
      aborting the rest."
   in
   let jobs_arg =
     let doc =
       "Run scenarios on $(docv) worker domains (one shared FIFO queue; \
-       each worker runs a fork of the engine with its own linked-image \
-       cache).  Output is byte-identical whatever $(docv) is."
+       every worker runs its sessions on the one shared engine).  Output \
+       is byte-identical whatever $(docv) is."
     in
     Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in

@@ -195,8 +195,8 @@ let diff_cmd =
       | None -> Forensics.Tdiff.diff_files ~expected:a ~actual:b
       | Some dir ->
         Ok
-          (Forensics.Tdiff.diff ~expected:(raw_of_store dir a)
-             ~actual:(raw_of_store dir b))
+          (Forensics.Tdiff.first_divergence
+             ~expected:(raw_of_store dir a) ~actual:(raw_of_store dir b))
     in
     match d with
     | Error m ->

@@ -7,9 +7,8 @@
    between runs.
 
    All sessions run through one [Hth.Engine.t]: the policy is compiled
-   and the images linked once, and every later run reuses them — the
-   natural shape for a tool that monitors program after program against
-   one profile.
+   once, and every later run reuses it — the natural shape for a tool
+   that monitors program after program against one profile.
 
      dune exec examples/cross_session.exe *)
 
@@ -48,8 +47,7 @@ let () =
     saved;
   let profile = Hth.Profile.of_string saved in
 
-  (* session 2: the same behaviour is now expected — and the engine's
-     linked-image cache makes re-running the same setup cheap *)
+  (* session 2: the same behaviour is now expected *)
   let r2 = Hth.Engine.run engine gxx.sc_setup in
   show "session 2 (profile loaded)" profile r2;
 

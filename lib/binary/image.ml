@@ -27,26 +27,32 @@ let fetch img addr =
 let patch_insn insn addr =
   let open Isa.Insn in
   match insn with
-  | Call (Imm _) -> Call (Imm addr)
-  | Jmp (Imm _) -> Jmp (Imm addr)
-  | Mov (sz, dst, Imm _) -> Mov (sz, dst, Imm addr)
-  | Push (Imm _) -> Push (Imm addr)
-  | _ ->
-    failwith
-      (Fmt.str "Image.link: unsupported relocation target %s"
-         (to_string insn))
+  | Call (Imm _) -> Ok (Call (Imm addr))
+  | Jmp (Imm _) -> Ok (Jmp (Imm addr))
+  | Mov (sz, dst, Imm _) -> Ok (Mov (sz, dst, Imm addr))
+  | Push (Imm _) -> Ok (Push (Imm addr))
+  | _ -> Error (Fmt.str "unsupported relocation target %s" (to_string insn))
 
+(* An image without relocations is already linked: it is returned as
+   is, so its text array is shared by every process that maps it. *)
 let link img ~resolve =
-  let text = Array.copy img.text in
-  List.iter
-    (fun (r : Symbol.reloc) ->
-      match resolve r.target with
-      | Some addr -> text.(r.text_index) <- patch_insn text.(r.text_index) addr
-      | None ->
-        failwith (Fmt.str "Image.link: unresolved symbol %S in %s" r.target
-                    img.path))
-    img.relocs;
-  { img with text; relocs = [] }
+  match img.relocs with
+  | [] -> Ok img
+  | relocs ->
+    let text = Array.copy img.text in
+    let rec patch = function
+      | [] -> Ok { img with text; relocs = [] }
+      | (r : Symbol.reloc) :: rest ->
+        (match resolve r.target with
+         | None -> Error (Fmt.str "%s: unresolved symbol %S" img.path r.target)
+         | Some addr ->
+           (match patch_insn text.(r.text_index) addr with
+            | Error msg -> Error (Fmt.str "%s: %s" img.path msg)
+            | Ok insn ->
+              text.(r.text_index) <- insn;
+              patch rest))
+    in
+    patch relocs
 
 let exported_routine img addr =
   List.find_map

@@ -40,19 +40,16 @@ val make :
 (** [text_end img] is one past the last text address. *)
 val text_end : t -> int
 
-(** [contains_text img addr] is true if [addr] is inside the text
-    segment. *)
-val contains_text : t -> int -> bool
-
 (** [fetch img addr] is the instruction at absolute address [addr]. *)
 val fetch : t -> int -> Isa.Insn.t option
 
 (** [link img ~resolve] patches every import relocation using [resolve]
-    (symbol name to absolute address), returning the linked image.
-    Relocations must target a [Call], [Jmp] or [Mov] immediate.
-    @raise Failure if a symbol cannot be resolved or a relocation targets
-    an unsupported instruction. *)
-val link : t -> resolve:(string -> int option) -> t
+    (symbol name to absolute address), returning the linked image: a
+    copy with patched text and no relocations, or [img] itself when it
+    has none.  Relocations must target a [Call], [Jmp], [Mov] or [Push]
+    immediate.  [Error] names the image and the symbol that did not
+    resolve or the unsupported target instruction. *)
+val link : t -> resolve:(string -> int option) -> (t, string) result
 
 (** [exported_routine img addr] is the exported symbol whose address is
     exactly [addr], used by the monitor to detect routine entry. *)

@@ -16,7 +16,3 @@ let find_export exports name =
   List.find_map
     (fun e -> if String.equal e.sym_name name then Some e.sym_addr else None)
     exports
-
-let pp_export ppf e = Fmt.pf ppf "%s=0x%x" e.sym_name e.sym_addr
-
-let pp_reloc ppf r = Fmt.pf ppf "text[%d]->%s" r.text_index r.target

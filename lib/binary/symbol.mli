@@ -22,7 +22,3 @@ val reloc : int -> string -> reloc
 
 (** [find_export exports name] is the address exported under [name]. *)
 val find_export : export list -> string -> int option
-
-val pp_export : Format.formatter -> export -> unit
-
-val pp_reloc : Format.formatter -> reloc -> unit

@@ -3,17 +3,12 @@
 
    An [Engine.t] holds everything about running sessions that does not
    depend on a particular run: the monitor configuration, the trust
-   database and policy thresholds, the policy compiled once (for the
-   textual CLIPS policy that is the parsed rule forms) and a cache of
-   linked binary images keyed by program set.  [run] then builds only
-   the genuinely per-run state: file system, network, kernel, monitor,
-   Secpert instance and a fresh taint space.
-
-   Per-run observability contract: everything the engine caches is
-   resolved {e before} the run's counter snapshot is taken, so cache
-   hits and misses never show up in [result.stats] or in the trace's
-   embedded "counter" lines — a session run through a warm engine emits
-   a byte-identical trace to a cold one. *)
+   database and policy thresholds, and the policy compiled once (for
+   the textual CLIPS policy that is the parsed rule forms).  All of it
+   is immutable, so one engine serves any number of domains.  [run]
+   builds the per-run state: file system, network, kernel (whose loader
+   links the images), monitor, Secpert instance and a fresh taint
+   space. *)
 
 type setup = {
   programs : Binary.Image.t list;
@@ -112,12 +107,6 @@ type t = {
   e_auto_kill : Secpert.Severity.t option;
   e_compiled : Secpert.System.compiled;
   e_keep_events : bool;
-  mutable e_images :
-    (Binary.Image.t list * string * Binary.Image.t list) list;
-      (* (programs, main) -> pre-linked image closure for main.  Keyed
-         by physical equality of the program list: setups built once
-         and re-run (the corpus pattern) hit; rebuilt setups just miss
-         and re-link. *)
 }
 
 let create ?monitor_config ?trust ?thresholds ?auto_kill
@@ -128,49 +117,7 @@ let create ?monitor_config ?trust ?thresholds ?auto_kill
     e_thresholds = thresholds;
     e_auto_kill = auto_kill;
     e_compiled = Secpert.System.compile policy;
-    e_keep_events = keep_events;
-    e_images = [] }
-
-(* A worker's view of the same engine.  The shared artifacts — compiled
-   policy (for CLIPS, the parsed rule forms as finished values), trust
-   database, thresholds, monitor configuration — are immutable after
-   [create] and safe to read from any domain; the one mutable field,
-   the linked-image cache, is per-fork, so a fork is safe to drive from
-   another domain concurrently with its parent and with other forks.
-   The fork starts from a snapshot of the parent's cache: linked images
-   are immutable once built, so workers may share them.  Each fork
-   re-links images on first sight of a program set it does not hold:
-   linking is deterministic and happens outside per-run counter
-   snapshots, so a session run through a fork is byte-identical to one
-   run through the parent. *)
-let fork eng = { eng with e_images = eng.e_images }
-
-let c_img_hits = Obs.Counter.make "engine.images.hits"
-let c_img_misses = Obs.Counter.make "engine.images.misses"
-
-(* Resolve the pre-linked image closure for [s.main], from the cache if
-   this engine has seen the program set before.  [None] when the main
-   program is not resolvable — the spawn path then reports the real
-   loader error.  Called before the run's counter snapshot, so neither
-   the cache counters nor the linking work appear in per-run stats. *)
-let images_for eng (s : setup) =
-  let rec find = function
-    | [] -> None
-    | (progs, main, imgs) :: rest ->
-      if progs == s.programs && String.equal main s.main then Some imgs
-      else find rest
-  in
-  match find eng.e_images with
-  | Some imgs ->
-    Obs.Counter.incr c_img_hits;
-    Some imgs
-  | None ->
-    (match Osim.Kernel.link_closure s.programs s.main with
-     | Error _ -> None
-     | Ok imgs ->
-       Obs.Counter.incr c_img_misses;
-       eng.e_images <- (s.programs, s.main, imgs) :: eng.e_images;
-       Some imgs)
+    e_keep_events = keep_events }
 
 (* ------------------------------------------------------------------ *)
 (* Per-session world construction                                      *)
@@ -207,10 +154,8 @@ let boot ?fault s =
   let fs, net = build_world s in
   Osim.Kernel.create ~fs ~net ~user_input:s.user_input ?fault ()
 
-let spawn_main ?images kernel s =
-  match
-    Osim.Kernel.spawn ~env:s.env ?images kernel ~path:s.main ~argv:s.argv
-  with
+let spawn_main kernel s =
+  match Osim.Kernel.spawn ~env:s.env kernel ~path:s.main ~argv:s.argv with
   | Ok p -> Ok p
   | Error msg ->
     Stdlib.Error (Error.Load_failure { path = s.main; reason = msg })
@@ -221,9 +166,6 @@ let note_outcome kind =
   Obs.Counter.incr (Obs.Counter.labeled "session.outcome" kind)
 
 let run_outcome_ambient eng ~budgets ~fault s =
-  (* Shared-artifact resolution happens before the snapshot: cache
-     traffic must not differ between a cold and a warm engine run. *)
-  let images = images_for eng s in
   let before = Obs.snapshot () in
   let fail e =
     note_outcome (Error.kind e);
@@ -265,7 +207,7 @@ let run_outcome_ambient eng ~budgets ~fault s =
   | exception e ->
     fail (Error.Crash { phase = "build"; exn = Printexc.to_string e })
   | kernel, monitor, secpert, events_log ->
-    (match phase "spawn" h_spawn (fun () -> spawn_main ?images kernel s) with
+    (match phase "spawn" h_spawn (fun () -> spawn_main kernel s) with
      | exception e ->
        fail (Error.Crash { phase = "spawn"; exn = Printexc.to_string e })
      | Error e -> fail e

@@ -3,23 +3,24 @@
 
     An engine freezes everything about running HTH sessions that does
     not depend on one particular run — monitor configuration, trust
-    database, policy thresholds, the policy itself (compiled once; for
-    the textual CLIPS policy that is one parse for the engine's whole
-    lifetime), and a cache of linked binary images keyed by program
-    set.  {!run} then builds only genuinely per-session state: file
-    system, network, kernel, monitor, Secpert instance and a fresh
-    taint space.
+    database, policy thresholds and the policy itself (compiled once;
+    for the textual CLIPS policy that is one parse for the engine's
+    whole lifetime).  None of it changes after {!create}, so one engine
+    may run sessions on any number of domains at once.  {!run} builds
+    the genuinely per-session state: file system, network, kernel (whose
+    loader links the session's images), monitor, Secpert instance and a
+    fresh taint space.
 
     Determinism contract: a session run through a warm shared engine
     produces byte-identical traces, warnings and verdicts to the same
-    session run cold, on a fresh engine.  All shared-artifact resolution
-    (image-cache lookups, linking) happens before the run's counter
-    snapshot, so it never leaks into [result.stats] or the trace.  The
-    compiled policy and the linked images are all that one session
-    leaves behind for the next. *)
+    session run cold, on a fresh engine.  The compiled policy is all
+    that one session leaves behind for the next, and it is never
+    written after {!create}. *)
 
 type setup = {
-  programs : Binary.Image.t list;  (** images installed into the fs *)
+  programs : Binary.Image.t list;
+      (** images installed into the fs, in order: a later image at the
+          same path replaces an earlier one *)
   files : (string * string) list;  (** plain files: (path, contents) *)
   hosts : (string * int) list;  (** DNS entries: (name, ip) *)
   servers : (string * int * Osim.Net.actor) list;
@@ -138,18 +139,6 @@ val create :
   unit ->
   t
 
-(** [fork engine] is a worker's view of the same engine: it shares the
-    compiled policy, trust database and configuration, and starts from
-    a snapshot of the linked-image cache (linked images are immutable,
-    so workers mapping the same text arrays also share their decoded
-    block tables).  Only the cache is the fork's own: images it links
-    later are not seen by the parent or other forks.  A fork is safe
-    to use from another domain concurrently with the parent and with
-    other forks, and runs sessions byte-identically to the parent
-    (program sets the snapshot misses are re-linked deterministically,
-    outside per-run counter snapshots). *)
-val fork : t -> t
-
 (** [run_outcome engine setup] executes one session against the
     engine's shared artifacts and isolates every session-path failure
     as a typed {!Error.t}: load failures, policy installation errors
@@ -164,9 +153,8 @@ val fork : t -> t
     trace still reaches the destination).  Without [trace] the ambient
     {!Obs.Trace} sink — whatever the caller installed — is used.
 
-    Reusing the engine across calls reuses its compiled policy and
-    linked-image cache (counted under [engine.images.hits]/[.misses],
-    outside per-run stats); results are identical to cold runs. *)
+    Reusing the engine across calls reuses its compiled policy; results
+    are identical to cold runs. *)
 val run_outcome :
   t ->
   ?budgets:budgets ->

@@ -11,11 +11,6 @@ type t
 
 val create : unit -> t
 
-(** [fingerprint w] identifies a warning across sessions: the rule plus
-    its message (which embeds the resources involved), but not the
-    volatile time/pid fields. *)
-val fingerprint : Secpert.Warning.t -> string
-
 (** [known t w] is true once [w]'s fingerprint has been acknowledged. *)
 val known : t -> Secpert.Warning.t -> bool
 

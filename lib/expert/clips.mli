@@ -18,21 +18,17 @@
 
 exception Error of string
 
-(** [load engine text] parses and installs every form in [text].
-    Equivalent to [load_forms engine (parse text)].
+(** [load engine text] parses and installs every form in [text] (calls
+    {!install_builtins} first).
     @raise Error on syntax or semantic problems. *)
 val load : Engine.t -> string -> unit
 
 (** [parse text] is the parsed toplevel form list of [text], without
-    installing anything.  Parse once, then {!load_forms} the result into
-    any number of engines (compile-once policy sharing).
+    installing anything.  Parse once, then {!compile_forms} the result
+    and {!install_compiled} it into any number of engines (compile-once
+    policy sharing).
     @raise Error on syntax problems. *)
 val parse : string -> Sexp.t list
-
-(** [load_forms engine forms] installs pre-parsed forms (calls
-    {!install_builtins} first).
-    @raise Error on semantic problems. *)
-val load_forms : Engine.t -> Sexp.t list -> unit
 
 (** One compiled toplevel form, ready to install into an engine. *)
 type installer = Engine.t -> unit
@@ -48,7 +44,7 @@ val compile_forms : Sexp.t list -> installer list
 
 (** [install_compiled engine installers] registers the builtins, then
     applies each installer in order — the compile-once counterpart of
-    {!load_forms}.
+    {!load}.
     @raise Error on semantic problems. *)
 val install_compiled : Engine.t -> installer list -> unit
 

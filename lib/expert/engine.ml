@@ -11,7 +11,6 @@ type t = {
   fired : (string, unit) Hashtbl.t;  (* refraction keys *)
   fns : (string, Value.t list -> Value.t) Hashtbl.t;
   globals : (string, Value.t) Hashtbl.t;
-  mutable out : string -> unit;
   mutable buffered : string list;  (* reversed *)
   mutable current : (string * Fact.t list) option;
       (* the activation being fired right now: rule name + matched
@@ -40,16 +39,11 @@ let c_activations = Obs.Counter.make "expert.activations"
 let c_firings = Obs.Counter.make "expert.firings"
 
 let create () =
-  let e =
-    { templates = Hashtbl.create 16; rules_rev = []; rules_fwd = Some [];
-      wm_by_tpl = Hashtbl.create 16; wm_by_id = Hashtbl.create 64;
-      wm_count = 0; next_id = 1;
-      fired = Hashtbl.create 64; fns = Hashtbl.create 16;
-      globals = Hashtbl.create 16; out = ignore; buffered = [];
-      current = None }
-  in
-  e.out <- (fun line -> e.buffered <- line :: e.buffered);
-  e
+  { templates = Hashtbl.create 16; rules_rev = []; rules_fwd = Some [];
+    wm_by_tpl = Hashtbl.create 16; wm_by_id = Hashtbl.create 64;
+    wm_count = 0; next_id = 1;
+    fired = Hashtbl.create 64; fns = Hashtbl.create 16;
+    globals = Hashtbl.create 16; buffered = []; current = None }
 
 let deftemplate e tpl = Hashtbl.replace e.templates tpl.Template.tpl_name tpl
 
@@ -121,9 +115,7 @@ let facts e =
 
 let fact_by_id e id = Hashtbl.find_opt e.wm_by_id id
 
-let printout e line = e.out line
-
-let set_out e f = e.out <- f
+let printout e line = e.buffered <- line :: e.buffered
 
 let drain_output e =
   let lines = List.rev e.buffered in

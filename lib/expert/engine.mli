@@ -75,10 +75,9 @@ val fact_by_id : t -> int -> Fact.t option
     Rule actions print through the engine so hosts can capture CLIPS-style
     output. *)
 
+(** [printout e line] appends [line] to the output {!drain_output}
+    returns. *)
 val printout : t -> string -> unit
-
-(** [set_out e f] redirects [printout]; default accumulates internally. *)
-val set_out : t -> (string -> unit) -> unit
 
 (** [drain_output e] returns and clears accumulated output lines. *)
 val drain_output : t -> string list

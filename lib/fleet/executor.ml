@@ -1,5 +1,5 @@
-(* One fleet session: a job description and its run on a worker's
-   engine forks.  The supervisor owns all shared state (queue, running
+(* One fleet session: a job description and its run on the fleet's
+   shared engines.  The supervisor owns all shared state (queue, running
    table, reorder buffer); this module owns none. *)
 
 type job = {
@@ -33,14 +33,14 @@ type outcome = {
    outcome at [seq], so the release order never has a hole and the
    worker survives.  An exception inside the session keeps whatever
    trace it wrote; one in capture or seal loses the trace. *)
-let run forks seq j =
+let run engines seq j =
   let outcome ?trace ?segment result =
     { o_seq = seq; o_trace = trace; o_segment = segment; o_result = result }
   in
   let crash exn =
     Error (Hth.Error.Crash { phase = "fleet"; exn = Printexc.to_string exn })
   in
-  match List.assoc_opt j.j_engine forks with
+  match List.assoc_opt j.j_engine engines with
   | None ->
     outcome
       (Error

@@ -1,16 +1,13 @@
 (** One fleet session: the job a {!Supervisor} queues and the outcome
     it releases.
 
-    Stateless: {!run} executes one job on the engine forks of the
-    worker running it.  Each worker incarnation owns its own
-    {!Hth.Engine.fork} of every named engine (compiled artifacts
-    shared, mutable pools private), so no mutable engine state crosses
-    domains.
+    Stateless: {!run} executes one job on the fleet's engines, which
+    every worker shares (an engine is immutable once created).
 
     Determinism: a session's result (trace bytes included) depends only
     on its own job, never on which worker ran it or what ran before —
-    per-domain Obs state, per-run counter diffs, and fork-private
-    pools guarantee it (see DESIGN.md §15). *)
+    per-domain Obs state, per-run counter diffs and per-session worlds
+    guarantee it (see DESIGN.md §15). *)
 
 type job
 
@@ -50,8 +47,8 @@ type outcome = {
           [Error (Timeout _)] — the fleet itself never propagates *)
 }
 
-(** [run forks seq job] runs [job] on the worker's [forks] (engine name
-    to fork) as sequence number [seq].  Never raises: an unknown engine
-    and any exception — in the session, its trace capture or the
-    segment seal — become an outcome at [seq]. *)
+(** [run engines seq job] runs [job] on the named [engines] as sequence
+    number [seq].  Never raises: an unknown engine and any exception —
+    in the session, its trace capture or the segment seal — become an
+    outcome at [seq]. *)
 val run : (string * Hth.Engine.t) list -> int -> job -> outcome

@@ -8,7 +8,7 @@
    in [running] from the moment a worker takes it until its outcome is
    posted or the watchdog fails it; an outcome is posted only while
    its job is still there, so a ghost's late completion is dropped.
-   Forking and Domain.spawn happen outside the lock. *)
+   Domain.spawn happens outside the lock. *)
 
 type task =
   | Job of int * Executor.job  (* sequence number, session *)
@@ -32,7 +32,7 @@ type health = {
 }
 
 type t = {
-  engines : (string * Hth.Engine.t) list;  (* forked per incarnation *)
+  engines : (string * Hth.Engine.t) list;  (* shared by every worker *)
   default_deadline : float option;
   max_inflight : int;
   poll : float;
@@ -94,7 +94,7 @@ let rec take t w epoch =
       Condition.wait t.work t.mu;
       take t w epoch
 
-let worker t w epoch forks =
+let worker t w epoch =
   let rec loop () =
     match take t w epoch with
     | None ->
@@ -106,7 +106,7 @@ let worker t w epoch forks =
       Mutex.unlock t.mu;
       let outcome, raised =
         match task with
-        | Job (seq, j) -> Some (Executor.run forks seq j), false
+        | Job (seq, j) -> Some (Executor.run t.engines seq j), false
         | Task f ->
           (* a task that raises is counted and dropped, so one bad task
              cannot take its worker down *)
@@ -132,11 +132,8 @@ let worker t w epoch forks =
   Mutex.lock t.mu;
   loop ()
 
-(* Outside [mu]: fork every engine and start incarnation [epoch] of
-   slot [w]. *)
-let spawn t w epoch =
-  let forks = List.map (fun (n, e) -> n, Hth.Engine.fork e) t.engines in
-  Domain.spawn (fun () -> worker t w epoch forks)
+(* Outside [mu]: start incarnation [epoch] of slot [w]. *)
+let spawn t w epoch = Domain.spawn (fun () -> worker t w epoch)
 
 (* Under [mu]: abandon slot [w]'s incarnation and return the next
    epoch.  The broadcast wakes the old incarnation if it was idle

@@ -2,9 +2,9 @@
     deadline watchdog and drain — one record behind one lock.
 
     [jobs] worker domains take work from one FIFO queue, so sessions
-    start in submission order.  Each worker incarnation owns an
-    {!Hth.Engine.fork} of every named engine, handed to it when it is
-    spawned, so no mutable engine state crosses domains.  Outcomes come
+    start in submission order.  Every worker runs its sessions on the
+    same named engines: an {!Hth.Engine.t} is immutable once created,
+    so sharing it across domains needs no copy.  Outcomes come
     back {e in submission order} through a reorder buffer, so output
     derived from {!next} is byte-identical to running the same jobs
     sequentially (see DESIGN.md §15).
@@ -51,10 +51,10 @@ type health = {
   h_stats : Pool.stats;  (** [respawns] counts worker domains replaced *)
 }
 
-(** [create ?deadline ?max_inflight ?poll ~jobs engines] forks each
-    named engine once per worker, spawns [max 1 jobs] worker domains
-    and starts the watchdog.  The parent engines stay usable by the
-    caller.  [deadline] is applied to submitted jobs that carry none
+(** [create ?deadline ?max_inflight ?poll ~jobs engines] spawns
+    [max 1 jobs] worker domains sharing the named engines and starts
+    the watchdog.  The engines stay usable by the caller.  [deadline]
+    is applied to submitted jobs that carry none
     (omit it and deadline-less jobs run unsupervised); [max_inflight]
     (default 256) caps admitted jobs globally; [poll] (default 0.02s)
     is the watchdog scan period. *)
@@ -109,7 +109,7 @@ val shutdown : t -> unit
 val submit_task : t -> (int -> int -> unit) -> unit
 
 (** [respawn t w] abandons slot [w]'s current worker, as the watchdog
-    does for a wedged one, and spawns a replacement with fresh forks;
-    returns the replacement's epoch.  Raises [Invalid_argument] after
+    does for a wedged one, and spawns a replacement; returns the
+    replacement's epoch.  Raises [Invalid_argument] after
     {!shutdown}. *)
 val respawn : t -> int -> int

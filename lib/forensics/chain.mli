@@ -40,22 +40,8 @@ type t = {
   origins : origin_link list;
 }
 
-val parse_fact_refs : string -> fact_ref list
-(** Parse an [ev_facts] field ([tpl#id@step,...]); malformed parts are
-    dropped. *)
-
-val parse_origin_refs : string -> origin_ref list
-(** Parse an [ev_origins] field
-    ([role=TYPE:name<-OTYPE:oname;...]). *)
-
 val explain : Reader.t -> t list
 (** All warning chains, trace order. *)
-
-val describe_event : Reader.entry -> string
-(** One-line summary of a trace entry (used in chain rendering). *)
-
-val pp_chain : Format.formatter -> t -> unit
-(** Indented text rendering of one chain. *)
 
 val pp_chains : Format.formatter -> t list -> unit
 (** All chains, blank-line separated. *)

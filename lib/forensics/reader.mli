@@ -32,10 +32,6 @@ val str_field : entry -> string -> string option
 
 val bool_field : entry -> string -> bool option
 
-val names_resource : entry -> string -> bool
-(** Does the entry name this resource in its [res_name] /
-    [target_name] / [server_name] fields? *)
-
 val first_naming : t -> string -> entry option
 (** The earliest ["flow"] entry naming the resource — the first time
     the monitored program touched it. *)

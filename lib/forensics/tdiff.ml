@@ -1,13 +1,25 @@
-(* Structural trace diff: the golden comparator (Hth.Golden) promoted
-   to an analyst tool, reporting the first-divergence step alongside
-   the line numbers. *)
+(* Trace comparison: the first divergent line of two traces, with the
+   step index parsed from it.  The golden harness, the determinism
+   tests and [hth_trace diff] all ask this one question, so a CI
+   failure and an analyst's diff report the same line. *)
 
 type t = {
   line : int;
   step : int option;  (* step index parsed from the first divergent line *)
-  expected : string option;
-  actual : string option;
+  expected : string option;  (* [None] = the expected side ran out *)
+  actual : string option;  (* [None] = the actual side ran out *)
 }
+
+let split_lines s =
+  (* split on '\n', dropping the trailing empty field a final newline
+     produces, so "a\nb\n" and "a\nb" compare as the same two lines;
+     [first_divergence] reports the byte difference past the end *)
+  match String.split_on_char '\n' s with
+  | [] -> []
+  | parts ->
+    (match List.rev parts with
+     | "" :: rest -> List.rev rest
+     | _ -> parts)
 
 let step_of_line raw =
   match Jsonl.parse_line raw with
@@ -17,30 +29,40 @@ let step_of_line raw =
      | Some (Jsonl.Int n) -> Some n
      | Some _ | None -> None)
 
-let of_divergence (d : Hth.Golden.divergence) =
+let divergence line expected actual =
   let step =
-    match d.expected, d.actual with
+    match expected, actual with
     | Some l, _ | None, Some l -> step_of_line l
     | None, None -> None
   in
-  { line = d.line; step; expected = d.expected; actual = d.actual }
+  Some { line; step; expected; actual }
 
-let diff ~expected ~actual =
-  Option.map of_divergence (Hth.Golden.first_divergence ~expected ~actual)
+let first_divergence ~expected ~actual =
+  if String.equal expected actual then None
+  else
+    let rec go n e a =
+      match e, a with
+      | [], [] ->
+        (* same lines, different bytes (e.g. trailing newline) *)
+        divergence n None None
+      | [], x :: _ -> divergence n None (Some x)
+      | x :: _, [] -> divergence n (Some x) None
+      | x :: e', y :: a' ->
+        if String.equal x y then go (n + 1) e' a'
+        else divergence n (Some x) (Some y)
+    in
+    go 1 (split_lines expected) (split_lines actual)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 let diff_files ~expected ~actual =
-  let read path =
-    match open_in_bin path with
-    | exception Sys_error m -> Error m
-    | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Ok s
-  in
-  match read expected, read actual with
-  | Error m, _ | _, Error m -> Error m
-  | Ok e, Ok a -> Ok (diff ~expected:e ~actual:a)
+  match read_file expected, read_file actual with
+  | exception Sys_error m -> Error m
+  | e, a -> Ok (first_divergence ~expected:e ~actual:a)
 
 let pp ~a_name ~b_name ppf d =
   Fmt.pf ppf "@[<v>traces diverge at line %d%s@," d.line
@@ -54,3 +76,14 @@ let pp ~a_name ~b_name ppf d =
    | Some l -> Fmt.pf ppf "  %s: %s@," b_name l
    | None -> Fmt.pf ppf "  %s: <no line>@," b_name);
   Fmt.pf ppf "@]"
+
+let report ~name d =
+  name ^ ": " ^ Fmt.str "%a" (pp ~a_name:"golden" ~b_name:"live") d
+
+let compare_file ~golden ~actual =
+  match read_file golden with
+  | exception Sys_error msg -> Error (Fmt.str "%s: unreadable (%s)" golden msg)
+  | expected ->
+    (match first_divergence ~expected ~actual with
+     | None -> Ok ()
+     | Some d -> Error (report ~name:golden d))

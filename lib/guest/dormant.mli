@@ -25,8 +25,6 @@ val group : string
 
 val magic_arm : string
 
-val magic_disarm : string
-
 (** Ticks every scripted peer stays silent before delivering anything —
     beyond the policy's long-time threshold, so armed paths are
     rarely-executed by construction. *)

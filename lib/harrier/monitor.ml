@@ -507,7 +507,7 @@ let on_post_syscall t (p : Osim.Process.t) (sc : Osim.Syscall.t) ~result =
     Hashtbl.replace t.name_origins path origin;
     Resources.set t.resources ~pid ~fd:result
       { e_kind = Events.R_file; e_name = path; e_origin = origin;
-        e_server_side = false; e_server = None }
+        e_server = None }
   | Connect { fd; addr_name; _ } when result = 0 ->
     let origin =
       Option.value s.pending_origin ~default:Taint.Tagset.empty
@@ -516,7 +516,7 @@ let on_post_syscall t (p : Osim.Process.t) (sc : Osim.Syscall.t) ~result =
     Hashtbl.replace t.name_origins addr_name origin;
     Resources.set t.resources ~pid ~fd
       { e_kind = Events.R_socket; e_name = addr_name; e_origin = origin;
-        e_server_side = false; e_server = None }
+        e_server = None }
   | Accept { fd; port; peer; _ } when result >= 0 ->
     let bound_origin, local =
       match Resources.bound t.resources ~pid ~fd with
@@ -528,8 +528,7 @@ let on_post_syscall t (p : Osim.Process.t) (sc : Osim.Syscall.t) ~result =
     let server = sock_resource local bound_origin in
     Resources.set t.resources ~pid ~fd:result
       { e_kind = Events.R_socket; e_name = peer_name;
-        e_origin = Taint.Tagset.empty; e_server_side = true;
-        e_server = Some server };
+        e_origin = Taint.Tagset.empty; e_server = Some server };
     emit_log_only t
       (Events.Access
          { call = "SYS_accept";

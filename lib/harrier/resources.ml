@@ -2,7 +2,6 @@ type entry = {
   e_kind : Events.resource_kind;
   e_name : string;
   e_origin : Taint.Tagset.t;
-  e_server_side : bool;
   e_server : Events.resource option;
 }
 

@@ -10,7 +10,6 @@ type entry = {
   e_kind : Events.resource_kind;
   e_name : string;
   e_origin : Taint.Tagset.t;  (** taint of the name/address bytes *)
-  e_server_side : bool;  (** accepted connection *)
   e_server : Events.resource option;
       (** for accepted connections, the listening socket resource *)
 }

@@ -27,26 +27,22 @@ type frame = {
 }
 
 type t = {
-  sc_specs : spec list;
   by_routine : (string, spec) Hashtbl.t;
       (* routine-name index, built once — [on_call] runs on every
          monitored library call *)
   mutable frames : frame list;
 }
 
-let create sc_specs =
-  let by_routine = Hashtbl.create (max 8 (List.length sc_specs)) in
+let create specs =
+  let by_routine = Hashtbl.create (max 8 (List.length specs)) in
   List.iter
     (fun s ->
       if not (Hashtbl.mem by_routine s.routine) then
         Hashtbl.add by_routine s.routine s)
-    sc_specs;
-  { sc_specs; by_routine; frames = [] }
+    specs;
+  { by_routine; frames = [] }
 
-let clone t =
-  { sc_specs = t.sc_specs; by_routine = t.by_routine; frames = t.frames }
-
-let specs t = t.sc_specs
+let clone t = { by_routine = t.by_routine; frames = t.frames }
 
 let on_call t ~routine m shadow ~ret_addr =
   match Hashtbl.find_opt t.by_routine routine with
@@ -66,5 +62,3 @@ let on_ret t m shadow =
       t.frames <- rest;
       frame.f_spec.apply m shadow frame.f_captured
     end
-
-let reset t = t.frames <- []

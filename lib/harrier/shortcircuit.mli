@@ -33,9 +33,6 @@ val create : spec list -> t
 (** [clone t] copies the frame stack (fork). *)
 val clone : t -> t
 
-(** [specs t] lists the configured routines. *)
-val specs : t -> spec list
-
 (** [on_call t ~routine machine shadow ~ret_addr] pushes a tracking frame
     when [routine] has a spec. *)
 val on_call : t -> routine:string -> Vm.Machine.t -> Shadow.t ->
@@ -44,6 +41,3 @@ val on_call : t -> routine:string -> Vm.Machine.t -> Shadow.t ->
 (** [on_ret t machine shadow] detects the matching return (stack-pointer
     discipline) and applies the captured taint. *)
 val on_ret : t -> Vm.Machine.t -> Shadow.t -> unit
-
-(** [reset t] drops all frames (execve). *)
-val reset : t -> unit

@@ -14,12 +14,6 @@
     flow the affine analysis cannot capture exactly return [None] and
     remain interpreted — precision is never traded for speed. *)
 
-(** Compiled-body length cap. *)
-val max_body : int
-
-(** [body_safe i] is true when [i] may appear inside a compiled body. *)
-val body_safe : Insn.t -> bool
-
 (** [body_lens text].(i) is the straight-line body length starting at
     instruction [i] (0 when [text.(i)] itself is a terminator), capped
     at {!max_body}. *)

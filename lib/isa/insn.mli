@@ -39,8 +39,6 @@ type t =
   | Nop
   | Hlt  (** halts the process (used as a guard after main) *)
 
-val cond_name : cond -> string
-
 (** [writes_control_flow i] is true for jumps, calls, returns, [Int] and
     [Hlt] — the instructions that terminate a basic block. *)
 val writes_control_flow : t -> bool

@@ -215,10 +215,6 @@ module Histogram = struct
     let s = state h in
     if s.count = 0 then 0. else s.sum /. float_of_int s.count
 
-  let minimum h =
-    let s = state h in
-    if s.count = 0 then 0. else s.min
-
   let maximum h =
     let s = state h in
     if s.count = 0 then 0. else s.max
@@ -481,7 +477,6 @@ module Trace = struct
          Chunked { buf = Buffer.create (threshold + 512); threshold; write }));
     st.step <- 0
 
-  let to_channel oc = install (channel_target oc)
   let to_buffer b = install (buffer_target b)
 
   (* Flush-on-disable: a chunked sink may hold a partial chunk; hand it

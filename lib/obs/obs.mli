@@ -66,9 +66,6 @@ module Histogram : sig
   val sum : t -> float
   val mean : t -> float
 
-  val minimum : t -> float
-  (** Smallest observation, [0.] when empty. *)
-
   val maximum : t -> float
   (** Largest observation, [0.] when empty. *)
 
@@ -197,9 +194,6 @@ module Trace : sig
 
   val install : target -> unit
   (** Install a sink for the calling domain; resets the step index. *)
-
-  val to_channel : out_channel -> unit
-  (** [install (channel_target oc)]. *)
 
   val to_buffer : Buffer.t -> unit
   (** [install (buffer_target b)]. *)

@@ -68,14 +68,9 @@ let errno_name e =
 
 let o_rdonly = 0
 let o_wronly = 1
-let o_rdwr = 2
 let o_creat = 64
 let o_trunc = 512
 let o_append = 1024
-
-let stdin_fd = 0
-let stdout_fd = 1
-let stderr_fd = 2
 
 let sockaddr_size = 8
 

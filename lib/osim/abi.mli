@@ -43,10 +43,8 @@ val eio : int
 val ebadf : int
 val eagain : int
 val enomem : int
-val eacces : int
 val enoexec : int
 val einval : int
-val emfile : int
 val econnreset : int
 val econnrefused : int
 
@@ -58,16 +56,9 @@ val errno_name : int -> string
 
 val o_rdonly : int
 val o_wronly : int
-val o_rdwr : int
 val o_creat : int
 val o_trunc : int
 val o_append : int
-
-(** {2 Standard file descriptors} *)
-
-val stdin_fd : int
-val stdout_fd : int
-val stderr_fd : int
 
 (** {2 sockaddr}
 

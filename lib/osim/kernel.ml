@@ -22,10 +22,9 @@ let null_monitor () =
 type t = {
   k_fs : Fs.t;
   k_net : Net.t;
-  mutable k_monitor : monitor;
+  k_monitor : monitor;
   k_hooks : Vm.Machine.hooks;
   k_fault : Fault.state;  (* deterministic fault-injection decisions *)
-  quantum : int;
   max_procs : int;
   mutable procs : Process.t list;  (* in spawn order *)
   mutable next_pid : int;
@@ -43,12 +42,13 @@ let c_faults = Obs.Counter.make "osim.faults.injected"
 
 let stack_top = 0xFF000
 
-let create ?(quantum = 2000) ?(max_procs = 48) ?monitor ?hooks
-    ?(user_input = []) ?(fault = Fault.none) ~fs ~net () =
-  let monitor = match monitor with Some m -> m | None -> null_monitor () in
-  let hooks = match hooks with Some h -> h | None -> Vm.Machine.no_hooks () in
-  { k_fs = fs; k_net = net; k_monitor = monitor; k_hooks = hooks;
-    k_fault = Fault.start fault; quantum;
+(* The scheduler time slice, in instructions. *)
+let quantum = 2000
+
+let create ?(max_procs = 48) ?(user_input = []) ?(fault = Fault.none) ~fs
+    ~net () =
+  { k_fs = fs; k_net = net; k_monitor = null_monitor ();
+    k_hooks = Vm.Machine.no_hooks (); k_fault = Fault.start fault;
     max_procs; procs = []; next_pid = 1; k_ticks = 0; input = user_input;
     console_buf = Buffer.create 256; clones = 0; max_live = 0;
     last_run_pid = -1 }
@@ -67,17 +67,17 @@ let clone_total k = k.clones
    carriers ([spawn], [do_exec]) catch this and report a clean error. *)
 exception Load_failed of string
 
-(* Collect the needed-closure of [path] in load order and link every
-   member (copy + patch its text against the closure's exports).
-   [image_of] abstracts where images come from: the world's file system
-   on the spawn/exec paths, or a bare program list when pre-linking. *)
-let link_with image_of path =
+(* The one place images are linked.  Collect the needed-closure of
+   [path] from the world's file system in load order and link every
+   member against the closure's exports; only images that carry
+   relocations are copied, once per load. *)
+let load k path =
   let rec collect loaded path =
     if List.exists (fun (i : Binary.Image.t) -> String.equal i.path path)
          loaded
     then loaded
     else
-      match image_of path with
+      match Fs.image_of k.k_fs path with
       | None ->
         raise (Load_failed (Fmt.str "loader: %s: not an executable image" path))
       | Some (img : Binary.Image.t) ->
@@ -90,21 +90,12 @@ let link_with image_of path =
       (fun (i : Binary.Image.t) -> Binary.Symbol.find_export i.exports sym)
       images
   in
-  List.map (fun i -> Binary.Image.link i ~resolve) images
-
-let collect_images k path = link_with (Fs.image_of k.k_fs) path
-
-(* Linking is deterministic and linked images are immutable, so the
-   result can be cached and shared across sequential sessions that
-   spawn the same program set (see [spawn]'s [images] argument). *)
-let link_closure available path =
-  let image_of p =
-    List.find_opt (fun (i : Binary.Image.t) -> String.equal i.path p)
-      available
-  in
-  match link_with image_of path with
-  | exception Load_failed msg -> Error msg
-  | images -> Ok images
+  List.map
+    (fun i ->
+      match Binary.Image.link i ~resolve with
+      | Ok linked -> linked
+      | Error msg -> raise (Load_failed ("loader: " ^ msg)))
+    images
 
 (* The initial stack: NUL-terminated argv/env strings at the top, then
    the vector [argc argv0 .. argvN 0 env0 .. envM 0] that esp points
@@ -127,10 +118,8 @@ let setup_stack m ~argv ~env =
   List.iteri (fun i w -> write_word m (!pos + (4 * i)) w) vector;
   set_reg m ESP !pos
 
-let fresh_machine ?images k path ~argv ~env =
-  let images =
-    match images with Some l -> l | None -> collect_images k path
-  in
+let fresh_machine k path ~argv ~env =
+  let images = load k path in
   let m = Vm.Machine.create ~hooks:k.k_hooks () in
   List.iter (Vm.Machine.map_image m) images;
   setup_stack m ~argv ~env;
@@ -142,15 +131,15 @@ let fresh_machine ?images k path ~argv ~env =
     with
     | Some img -> img.entry
     | None ->
-      (* collect_images always returns the requested image; defend
+      (* [load] always returns the requested image; defend
          against loader regressions without aborting the process *)
       raise (Load_failed (Fmt.str "loader: %s: no entry image" path))
   in
   Vm.Machine.set_eip m entry;
   m, images
 
-let spawn ?(env = []) ?images k ~path ~argv =
-  match fresh_machine ?images k path ~argv ~env with
+let spawn ?(env = []) k ~path ~argv =
+  match fresh_machine k path ~argv ~env with
   | exception Load_failed msg -> Error msg
   | machine, images ->
     let p =
@@ -300,18 +289,15 @@ let do_fork k (p : Process.t) =
 let do_exec k (p : Process.t) path argv =
   if not (Fs.exists k.k_fs path) then Done (-Abi.enoent)
   else
-    match Fs.image_of k.k_fs path with
-    | None -> Done (-Abi.enoexec)
-    | Some _ ->
-      (match fresh_machine k path ~argv ~env:[] with
-       | exception Load_failed _ -> Done (-Abi.enoexec)
-       | machine, images ->
-         p.machine <- machine;
-         p.exe_path <- path;
-         p.argv <- argv;
-         k.k_monitor.on_process_start p;
-         List.iter (k.k_monitor.on_image_load p) images;
-         Exec_ed)
+    match fresh_machine k path ~argv ~env:[] with
+    | exception Load_failed _ -> Done (-Abi.enoexec)
+    | machine, images ->
+      p.machine <- machine;
+      p.exe_path <- path;
+      p.argv <- argv;
+      k.k_monitor.on_process_start p;
+      List.iter (k.k_monitor.on_image_load p) images;
+      Exec_ed
 
 let read_stdin k m buf len =
   match k.input with
@@ -599,7 +585,7 @@ let run_quantum k (p : Process.t) =
   let runnable () =
     match p.state with Process.Runnable -> true | _ -> false
   in
-  while !steps < k.quantum && runnable () do
+  while !steps < quantum && runnable () do
     (* tiered dispatch: a hot straight-line block retires as one unit
        (never overrunning the quantum — blocks longer than the
        remaining fuel are interpreted); everything else is exactly one
@@ -607,7 +593,7 @@ let run_quantum k (p : Process.t) =
        outcome is handled, so a syscall observes the same clock as
        under per-instruction stepping. *)
     let out, n =
-      Vm.Machine.step_block p.machine ~fuel:(k.quantum - !steps)
+      Vm.Machine.step_block p.machine ~fuel:(quantum - !steps)
     in
     steps := !steps + n;
     k.k_ticks <- k.k_ticks + n;

@@ -29,19 +29,16 @@ type t
     monitor. *)
 val stack_top : int
 
-(** [create ~fs ~net ()] builds a world.  [hooks] is installed on every
-    machine (the monitor mutates its fields); [user_input] scripts the
-    bytes read from stdin; [quantum] is the scheduler time slice in
-    instructions; [max_procs] bounds the process table ([fork] then fails
-    with EAGAIN, taming fork bombs); [fault] injects deterministic
-    syscall faults (default {!Fault.none}) — every injection is counted
-    under [osim.faults.injected.<kind>] and emitted as an [Obs.Trace]
+(** [create ~fs ~net ()] builds a world with a null {!monitor} and
+    empty VM hooks, installed on every machine (the monitor mutates
+    their fields); [user_input] scripts the bytes read from stdin;
+    [max_procs] bounds the process table ([fork] then fails with
+    EAGAIN, taming fork bombs); [fault] injects deterministic syscall
+    faults (default {!Fault.none}) — every injection is counted under
+    [osim.faults.injected.<kind>] and emitted as an [Obs.Trace]
     "fault" event. *)
 val create :
-  ?quantum:int ->
   ?max_procs:int ->
-  ?monitor:monitor ->
-  ?hooks:Vm.Machine.hooks ->
   ?user_input:string list ->
   ?fault:Fault.plan ->
   fs:Fs.t ->
@@ -64,22 +61,18 @@ val clone_total : t -> int
 (** [spawn k ~path ~argv] loads the executable at [path] (plus needed
     shared objects), sets up the initial stack (argv and [env] strings,
     all tagged USER_INPUT by the monitor) and schedules the new
-    process.  [images] supplies the pre-linked image closure for [path]
-    (see {!link_closure}), skipping the per-spawn link entirely; it must
-    be what [link_closure] over the world's installed programs returns
-    for [path]. *)
-val spawn :
-  ?env:string list -> ?images:Binary.Image.t list -> t -> path:string ->
-  argv:string list -> (Process.t, string) result
+    process.
 
-(** [link_closure available path] resolves [path]'s needed-closure out
-    of [available] and links every member, exactly as spawning [path]
-    in a world whose programs are [available] would.  Linked images are
-    immutable and linking is deterministic, so the result can be cached
-    and passed to {!spawn} by engines that run many sessions over the
-    same program set. *)
-val link_closure :
-  Binary.Image.t list -> string -> (Binary.Image.t list, string) result
+    Loading is the same on [spawn] and [execve]: the needed-closure is
+    read from the world's file system (the image installed last under
+    a path wins) and linked there, and the link copies only images that
+    carry relocations; one without is mapped as installed, so its text
+    array is shared.  A missing image, an unresolved import or an
+    unsupported relocation target is an [Error] here and [-ENOEXEC]
+    from [execve]. *)
+val spawn :
+  ?env:string list -> t -> path:string -> argv:string list ->
+  (Process.t, string) result
 
 type report = {
   rep_ticks : int;

@@ -35,7 +35,6 @@ type t = {
   mutable dns : (string * int) list;
   mutable servers : ((int * int) * actor) list;  (* (ip, port) -> actor *)
   mutable incoming : (int * actor) list;  (* listening port -> clients *)
-  mutable sockets : socket list;
   mutable next_sock : int;
   mutable conns : conn list;
   mutable next_ephemeral : int;
@@ -45,8 +44,8 @@ type t = {
 let c_delivered = Obs.Counter.make "osim.net.delayed_deliveries"
 
 let create () =
-  { dns = []; servers = []; incoming = []; sockets = []; next_sock = 1;
-    conns = []; next_ephemeral = 36000; now = 0 }
+  { dns = []; servers = []; incoming = []; next_sock = 1; conns = [];
+    next_ephemeral = 36000; now = 0 }
 
 let add_host t name ip = t.dns <- (name, ip) :: t.dns
 
@@ -87,10 +86,7 @@ let add_incoming t ~port actor = t.incoming <- t.incoming @ [ port, actor ]
 let new_socket t =
   let s = { sock_id = t.next_sock; state = Fresh } in
   t.next_sock <- t.next_sock + 1;
-  t.sockets <- s :: t.sockets;
   s
-
-let socket_by_id t id = List.find_opt (fun s -> s.sock_id = id) t.sockets
 
 let find_sub hay needle =
   let nl = String.length needle and hl = String.length hay in
@@ -219,5 +215,3 @@ let next_wake t =
       | Some w, None -> Some w
       | None, _ -> acc)
     None t.conns
-
-let conn_log t = List.rev_map (fun c -> c.peer, c.sent) t.conns

@@ -80,8 +80,6 @@ val add_incoming : t -> port:int -> actor -> unit
 
 val new_socket : t -> socket
 
-val socket_by_id : t -> int -> socket option
-
 (** [connect t sock ~ip ~port] connects to a scripted server.
     Returns the established connection or [None] (ECONNREFUSED). *)
 val connect : t -> socket -> ip:int -> port:int -> conn option
@@ -108,7 +106,3 @@ val tick : t -> int -> unit
     connections, if any — the scheduler fast-forwards to it instead of
     reaping guests blocked on a delivery that is merely late. *)
 val next_wake : t -> int option
-
-(** [conn_log t] lists every connection established so far, for reports:
-    (peer, bytes the guest sent). *)
-val conn_log : t -> (string * int) list

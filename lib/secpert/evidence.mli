@@ -49,18 +49,13 @@ val origin :
   role:string -> otype:string -> name:string -> origin_type:string ->
   origin_name:string -> origin_ref
 
-val fact_ref_to_string : fact_ref -> string
-(** [tpl#id@step] *)
-
 val facts_to_string : t -> string
-(** Comma-joined {!fact_ref_to_string}. *)
-
-val origin_ref_to_string : origin_ref -> string
-(** [role=TYPE:name<-ORIGIN_TYPE:origin_name].  Split the role at the
-    first ['='], the halves at the first ["<-"], each [TYPE:name] at
-    the first [':'] — [':'] inside names (host:port) survives. *)
+(** Comma-joined [tpl#id@step] references. *)
 
 val origins_to_string : t -> string
-(** Semicolon-joined {!origin_ref_to_string}. *)
+(** Semicolon-joined [role=TYPE:name<-ORIGIN_TYPE:origin_name]
+    references.  Split the role at the first ['='], the halves at the
+    first ["<-"], each [TYPE:name] at the first [':'] — [':'] inside
+    names (host:port) survives. *)
 
 val pp : Format.formatter -> t -> unit

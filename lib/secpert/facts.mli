@@ -20,8 +20,6 @@ val t_clone_event : string
 
 val t_alloc_event : string
 
-val t_transfer_source : string
-
 (** [deftemplates engine] installs the three templates. *)
 val deftemplates : Expert.Engine.t -> unit
 

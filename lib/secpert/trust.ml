@@ -20,9 +20,4 @@ let untrusted_binaries t tag =
     (fun b -> not (List.mem b t.trusted_binaries))
     (Taint.Tagset.binaries tag)
 
-let untrusted_sockets t tag =
-  List.filter
-    (fun s -> not (List.mem s t.trusted_sockets))
-    (Taint.Tagset.sockets tag)
-
 let classify t tag = Taint.Origin.classify ~trusted:(is_trusted t) tag

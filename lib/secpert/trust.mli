@@ -23,9 +23,6 @@ val is_trusted : t -> Taint.Source.t -> bool
     origins of [tag] that are not trusted. *)
 val untrusted_binaries : t -> Taint.Tagset.t -> string list
 
-(** [untrusted_sockets t tag] is the paper's [filter_socket]. *)
-val untrusted_sockets : t -> Taint.Tagset.t -> string list
-
 (** [classify t tag] is the dominant resource-ID origin with trusted
     sources filtered (see {!Taint.Origin.classify}). *)
 val classify : t -> Taint.Tagset.t -> Taint.Origin.kind

@@ -19,8 +19,6 @@ type t = {
   f_stored : string;  (** payload as stored (compressed if flagged) *)
 }
 
-val adler32 : string -> int
-
 val add : Buffer.t -> kind:kind -> string -> unit
 (** [add buf ~kind payload] frames [payload], deflate-compressing it
     when that actually shrinks it (the flag byte records which). *)

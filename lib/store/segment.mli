@@ -33,9 +33,6 @@ type index = {
   ix_counters : (string * int) list;  (** embedded per-run counters *)
 }
 
-val index_entries : index -> int
-(** Total postings in an index — the [store.index.entries] unit. *)
-
 type sealed = {
   s_bytes : string;  (** the complete segment image, as stored *)
   s_steps : int;

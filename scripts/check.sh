@@ -12,11 +12,46 @@ dune build @check
 echo "== dune runtest =="
 dune runtest
 
-echo "== determinism gate =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
 
 status=0
+
+echo "== exports gate =="
+# Every value a lib/ interface exports must be named, as a whole word,
+# by some .ml/.mli file other than its own module's pair; an export
+# nothing else names is dead surface (ROADMAP item 4(e)).  The only
+# allowlist is the Asm mnemonics that mirror Isa.Insn one to one.
+src=$(find lib bin test bench examples perfbench \
+        \( -name '*.ml' -o -name '*.mli' \) -not -path '*/_build/*' | sort)
+for f in $src; do
+  grep -o "[A-Za-z_][A-Za-z0-9_']*" "$f" | sort -u | sed "s|^|$f |"
+done > "$tmp/words"
+for mli in $(echo "$src" | grep '^lib/.*\.mli$'); do
+  sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli" | sed "s|^|$mli |"
+done > "$tmp/vals"
+awk -v allow="calli idivl jg jge jle jmpi jns orl popl shrl" '
+  BEGIN {
+    n = split(allow, a, " ")
+    for (i = 1; i <= n; i++) allowed["lib/asm/asm.mli " a[i]] = 1
+  }
+  FNR == NR { files[$2] = files[$2] " " $1; next }
+  !(($1 " " $2) in allowed) {
+    own = substr($1, 1, length($1) - 1)
+    k = split(files[$2], fs, " ")
+    used = 0
+    for (i = 1; i <= k; i++) if (fs[i] != $1 && fs[i] != own) used = 1
+    if (!used) print $1 ": " $2
+  }' "$tmp/words" "$tmp/vals" > "$tmp/unused"
+if [ -s "$tmp/unused" ]; then
+  echo "  EXPORTS NAMED NOWHERE ELSE:" >&2
+  sed 's/^/    /' "$tmp/unused" >&2
+  status=1
+else
+  echo "  ok: every lib/ export is named outside its module"
+fi
+
+echo "== determinism gate =="
 for s in "ElmExploit" "nlspath" "procex" "grabem" "vixie crontab" \
          "pma" "superforker" "ls" "column"; do
   f=$(echo "$s" | tr ' ' '_')

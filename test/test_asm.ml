@@ -125,12 +125,16 @@ let test_import_reloc_and_link () =
   check_int "one reloc" 1 (List.length img.relocs);
   (* unresolved link fails *)
   (match Binary.Image.link img ~resolve:(fun _ -> None) with
-   | exception Failure _ -> ()
-   | _ -> Alcotest.fail "unresolved symbol accepted");
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "unresolved symbol accepted");
   (* resolved link patches the call *)
   let linked =
-    Binary.Image.link img ~resolve:(fun s ->
-        if s = "external_fn" then Some 0x4242 else None)
+    match
+      Binary.Image.link img ~resolve:(fun s ->
+          if s = "external_fn" then Some 0x4242 else None)
+    with
+    | Ok linked -> linked
+    | Error msg -> Alcotest.fail msg
   in
   check_int "relocs consumed" 0 (List.length linked.relocs);
   match linked.text.(0) with

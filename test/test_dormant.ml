@@ -168,9 +168,10 @@ let armed_path_case =
 (* byte-stability: sequential vs fleet, across seeds                   *)
 
 let check_same_trace msg ~expected ~actual =
-  match Hth.Golden.first_divergence ~expected ~actual with
+  match Forensics.Tdiff.first_divergence ~expected ~actual with
   | None -> ()
-  | Some d -> Alcotest.failf "%s@.%s" msg (Hth.Golden.report ~name:msg d)
+  | Some d ->
+    Alcotest.failf "%s@.%s" msg (Forensics.Tdiff.report ~name:msg d)
 
 let fleet_outcomes ~jobs ?fault names =
   let fleet =

@@ -5,8 +5,12 @@
    cold one on a fresh engine — byte-identical JSONL trace, identical
    warnings and verdict — no matter how many sessions the engine has
    already run.  One shared engine instance runs EVERY golden scenario
-   below, each twice, so the artifact caches (compiled policy, linked
-   images) are exercised in their warm state. *)
+   below, each twice, so its one shared artifact, the compiled policy,
+   is exercised in its warm state.
+
+   The loader cases pin the kernel as the one place images are linked:
+   monitored and unmonitored runs load the same image, and a link
+   failure is a typed load error at spawn and ENOEXEC at exec. *)
 
 let golden_scenarios =
   [ "ElmExploit"; "nlspath"; "procex"; "grabem"; "vixie crontab"; "pma";
@@ -31,9 +35,10 @@ let warning_strings (r : Hth.Engine.result) =
   List.map Secpert.Warning.to_string r.warnings
 
 let check_same_trace msg ~expected ~actual =
-  match Hth.Golden.first_divergence ~expected ~actual with
+  match Forensics.Tdiff.first_divergence ~expected ~actual with
   | None -> ()
-  | Some d -> Alcotest.failf "%s@.%s" msg (Hth.Golden.report ~name:msg d)
+  | Some d ->
+    Alcotest.failf "%s@.%s" msg (Forensics.Tdiff.report ~name:msg d)
 
 (* The one engine shared by every scenario case in this suite. *)
 let shared = lazy (Hth.Engine.create ())
@@ -80,6 +85,91 @@ let no_events_case =
       check_same_trace "trace unchanged without accumulator"
         ~expected:cold_trace ~actual:trace)
 
+(* ------------------------------------------------------------------ *)
+(* Loading                                                             *)
+
+(* A setup listing [/bin/x] twice installs both; the file system keeps
+   the later one, and both run paths load from it. *)
+let duplicate_path_case =
+  Alcotest.test_case "duplicate path: monitored = unmonitored" `Quick
+    (fun () ->
+      let s =
+        Hth.Engine.setup ~main:"/bin/x"
+          ~programs:
+            [ Guest.Common.trivial ~output:"A" "/bin/x";
+              Guest.Common.trivial ~output:"B" "/bin/x" ]
+          ()
+      in
+      let monitored = Hth.Engine.run (Hth.Engine.create ()) s in
+      let unmonitored = Hth.Engine.run_unmonitored s in
+      Alcotest.(check string) "same console"
+        unmonitored.Osim.Kernel.rep_console
+        monitored.os_report.Osim.Kernel.rep_console;
+      Alcotest.(check string) "the image installed last runs" "B"
+        unmonitored.rep_console)
+
+(* An executable importing a routine no image exports. *)
+let unresolved path =
+  let u =
+    Asm.create ~path ~kind:Binary.Image.Executable
+      ~base:Guest.Common.exe_base ()
+  in
+  Asm.label u "_start";
+  Asm.call u "no_such_routine";
+  Guest.Runtime.sys_exit u 0;
+  Asm.hlt u;
+  Asm.finalize u
+
+let unresolved_spawn_case =
+  Alcotest.test_case "unresolved import at spawn: load failure" `Quick
+    (fun () ->
+      let s =
+        Hth.Engine.setup ~main:"/bin/bad" ~programs:[ unresolved "/bin/bad" ]
+          ()
+      in
+      match Hth.Engine.run_outcome (Hth.Engine.create ()) s with
+      | Error (Hth.Error.Load_failure { path; _ }) ->
+        Alcotest.(check string) "failing path" "/bin/bad" path
+      | Error e ->
+        Alcotest.failf "expected a load failure, got %s"
+          (Hth.Error.to_string e)
+      | Ok _ -> Alcotest.fail "an unresolved import loaded")
+
+(* The exec'ing guest gets ENOEXEC back and exits with it. *)
+let unresolved_exec_case =
+  Alcotest.test_case "unresolved import at exec: ENOEXEC" `Quick (fun () ->
+      let launcher =
+        let u =
+          Asm.create ~path:"/bin/launch" ~kind:Binary.Image.Executable
+            ~base:Guest.Common.exe_base ()
+        in
+        Guest.Runtime.prologue u;
+        Asm.label u "_start";
+        Asm.asciz u "prog" "/bin/bad";
+        Guest.Runtime.sys_execve u ~path:(Asm.lbl "prog") ();
+        Asm.movl u Asm.ebx Asm.eax;
+        Asm.movl u Asm.eax (Asm.imm Osim.Abi.sys_exit);
+        Asm.int80 u;
+        Asm.hlt u;
+        Asm.finalize u
+      in
+      let s =
+        Hth.Engine.setup ~main:"/bin/launch"
+          ~programs:[ launcher; unresolved "/bin/bad" ]
+          ()
+      in
+      match Hth.Engine.run_outcome (Hth.Engine.create ()) s with
+      | Error e ->
+        Alcotest.failf "session failed: %s" (Hth.Error.to_string e)
+      | Ok r ->
+        (match r.os_report.Osim.Kernel.rep_final with
+         | [ (_, "/bin/launch", Osim.Process.Exited code) ] ->
+           Alcotest.(check int) "exit code is -ENOEXEC"
+             (-Osim.Abi.enoexec land 0xFFFFFFFF)
+             code
+         | _ -> Alcotest.fail "the launcher did not exit on its own"))
+
 let suite =
   List.map scenario_case golden_scenarios
-  @ [ no_events_case ]
+  @ [ no_events_case; duplicate_path_case; unresolved_spawn_case;
+      unresolved_exec_case ]

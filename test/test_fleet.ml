@@ -18,9 +18,10 @@ let find name =
   | None -> Alcotest.failf "scenario %S missing from corpus" name
 
 let check_same_trace msg ~expected ~actual =
-  match Hth.Golden.first_divergence ~expected ~actual with
+  match Forensics.Tdiff.first_divergence ~expected ~actual with
   | None -> ()
-  | Some d -> Alcotest.failf "%s@.%s" msg (Hth.Golden.report ~name:msg d)
+  | Some d ->
+    Alcotest.failf "%s@.%s" msg (Forensics.Tdiff.report ~name:msg d)
 
 (* ------------------------------------------------------------------ *)
 (* scheduling and crash isolation, through the test seams             *)

@@ -226,7 +226,9 @@ let test_profile_matches_stats () =
 
 let test_diff () =
   let bytes = read_file "golden/pma.jsonl" in
-  (match Forensics.Tdiff.diff ~expected:bytes ~actual:bytes with
+  (match
+     Forensics.Tdiff.first_divergence ~expected:bytes ~actual:bytes
+   with
    | None -> ()
    | Some _ -> Alcotest.fail "identical traces reported divergent");
   let lines = String.split_on_char '\n' bytes in
@@ -239,7 +241,9 @@ let test_diff () =
            else l)
          lines)
   in
-  match Forensics.Tdiff.diff ~expected:bytes ~actual:corrupted with
+  match
+    Forensics.Tdiff.first_divergence ~expected:bytes ~actual:corrupted
+  with
   | None -> Alcotest.fail "corrupted trace reported identical"
   | Some d ->
     Alcotest.(check int) "divergence line" 4 d.line;

@@ -46,12 +46,15 @@ let scenario_case name =
       in
       let first = capture sc in
       let second = capture sc in
-      (match Hth.Golden.first_divergence ~expected:first ~actual:second with
+      (match
+         Forensics.Tdiff.first_divergence ~expected:first ~actual:second
+       with
        | None -> ()
        | Some d ->
          Alcotest.failf "nondeterministic trace!@.%s"
-           (Hth.Golden.report ~name:(name ^ " (run 1 vs run 2)") d));
-      match Hth.Golden.compare_file ~golden:(golden_file name) ~actual:first
+           (Forensics.Tdiff.report ~name:(name ^ " (run 1 vs run 2)") d));
+      match
+        Forensics.Tdiff.compare_file ~golden:(golden_file name) ~actual:first
       with
       | Ok () -> ()
       | Error msg ->
@@ -67,7 +70,7 @@ let div_opt =
   Alcotest.testable
     (fun ppf -> function
       | None -> Fmt.string ppf "<equal>"
-      | Some (d : Hth.Golden.divergence) ->
+      | Some (d : Forensics.Tdiff.t) ->
         Fmt.pf ppf "line %d: %a / %a" d.line
           Fmt.(option ~none:(any "-") (quote string))
           d.expected
@@ -76,7 +79,7 @@ let div_opt =
     (fun a b ->
       match a, b with
       | None, None -> true
-      | Some (a : Hth.Golden.divergence), Some b ->
+      | Some (a : Forensics.Tdiff.t), Some b ->
         a.line = b.line && a.expected = b.expected && a.actual = b.actual
       | _ -> false)
 
@@ -84,27 +87,37 @@ let comparator_unit_case =
   Alcotest.test_case "first_divergence" `Quick (fun () ->
       let check msg want ~expected ~actual =
         Alcotest.check div_opt msg want
-          (Hth.Golden.first_divergence ~expected ~actual)
+          (Forensics.Tdiff.first_divergence ~expected ~actual)
       in
       check "equal" None ~expected:"a\nb\n" ~actual:"a\nb\n";
       check "differing middle line"
-        (Some { Hth.Golden.line = 2; expected = Some "b"; actual = Some "x" })
+        (Some
+           { Forensics.Tdiff.line = 2; step = None; expected = Some "b";
+             actual = Some "x" })
         ~expected:"a\nb\nc\n" ~actual:"a\nx\nc\n";
       check "live trace too short"
-        (Some { Hth.Golden.line = 2; expected = Some "b"; actual = None })
+        (Some
+           { Forensics.Tdiff.line = 2; step = None; expected = Some "b";
+             actual = None })
         ~expected:"a\nb\n" ~actual:"a\n";
       check "live trace too long"
-        (Some { Hth.Golden.line = 3; expected = None; actual = Some "c" })
+        (Some
+           { Forensics.Tdiff.line = 3; step = None; expected = None;
+             actual = Some "c" })
         ~expected:"a\nb\n" ~actual:"a\nb\nc\n";
       check "same lines, missing trailing newline"
-        (Some { Hth.Golden.line = 3; expected = None; actual = None })
+        (Some
+           { Forensics.Tdiff.line = 3; step = None; expected = None;
+             actual = None })
         ~expected:"a\nb\n" ~actual:"a\nb")
 
 (* Failure path end to end: corrupt a copy of a real golden file in a
    temp dir and check the report names the first divergent line. *)
 let comparator_failure_case =
   Alcotest.test_case "comparator reports divergent line" `Quick (fun () ->
-      let live = Hth.Golden.read_file (golden_file "pma") in
+      let live =
+        In_channel.with_open_bin (golden_file "pma") In_channel.input_all
+      in
       let corrupt_line = 3 in
       let corrupted =
         String.split_on_char '\n' live
@@ -119,7 +132,7 @@ let comparator_failure_case =
           let oc = open_out_bin tmp in
           output_string oc corrupted;
           close_out oc;
-          match Hth.Golden.compare_file ~golden:tmp ~actual:live with
+          match Forensics.Tdiff.compare_file ~golden:tmp ~actual:live with
           | Ok () -> Alcotest.fail "corrupted golden compared as equal"
           | Error msg ->
             let has affix = Astring.String.is_infix ~affix msg in
@@ -131,7 +144,8 @@ let comparator_failure_case =
               (has tmp));
       (* an unreadable golden is an error, not a crash *)
       match
-        Hth.Golden.compare_file ~golden:(tmp ^ ".does-not-exist") ~actual:""
+        Forensics.Tdiff.compare_file ~golden:(tmp ^ ".does-not-exist")
+          ~actual:""
       with
       | Ok () -> Alcotest.fail "missing golden compared as equal"
       | Error msg ->

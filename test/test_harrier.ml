@@ -188,7 +188,7 @@ let test_freq_inherit_reset () =
 
 let entry name origin : Harrier.Resources.entry =
   { e_kind = Harrier.Events.R_file; e_name = name; e_origin = origin;
-    e_server_side = false; e_server = None }
+    e_server = None }
 
 let test_resources_lifecycle () =
   let r = Harrier.Resources.create () in

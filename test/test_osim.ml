@@ -340,6 +340,30 @@ let test_kernel_execve () =
    | [ (_, exe_path, _) ] -> check_str "exe path updated" "/bin/next" exe_path
    | _ -> Alcotest.fail "process table wrong")
 
+(* Neither program carries a relocation, so both are mapped as
+   installed: the process's segment is the image's own text array, at
+   spawn and after the exec. *)
+let test_kernel_maps_without_copy () =
+  let exe =
+    simple_exe (fun u ->
+        Asm.asciz u "prog" "/bin/next";
+        Guest.Runtime.sys_execve u ~path:(Asm.lbl "prog") ())
+  in
+  let next = Guest.Common.trivial ~output:"replaced" "/bin/next" in
+  let k = world ~programs:[ exe; next ] () in
+  let mapped (p : Process.t) (img : Binary.Image.t) =
+    match Vm.Machine.segment_at p.machine img.entry with
+    | Some seg -> seg.seg_insns == img.text
+    | None -> false
+  in
+  match Kernel.spawn k ~path:"/bin/t" ~argv:[ "/bin/t" ] with
+  | Error e -> Alcotest.fail e
+  | Ok p ->
+    check "spawned image mapped without a copy" true (mapped p exe);
+    let r = Kernel.run k ~max_ticks:100_000 in
+    check_str "exec'd image ran" "replaced" r.rep_console;
+    check "exec'd image mapped without a copy" true (mapped p next)
+
 let test_kernel_execve_enoexec () =
   let exe =
     simple_exe (fun u ->
@@ -822,6 +846,8 @@ let suite =
       test_kernel_execve;
     Alcotest.test_case "kernel execve ENOEXEC" `Quick
       test_kernel_execve_enoexec;
+    Alcotest.test_case "kernel maps images without a copy" `Quick
+      test_kernel_maps_without_copy;
     Alcotest.test_case "kernel getpid" `Quick test_kernel_time_getpid;
     Alcotest.test_case "kernel sleep ordering" `Quick
       test_kernel_sleep_ordering;
