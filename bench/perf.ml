@@ -286,34 +286,6 @@ let store_ingest_results () =
 (* Queries run against a store of one golden sweep built in a temp
    directory; they read the manifest and segment indexes only, so each
    measured call includes the real per-segment file I/O the CLI pays. *)
-let store_entry (sc : Guest.Scenario.t) outcome
-    (sealed : Store.Segment.sealed) =
-  let verdict, matched, warnings, distinct, degraded =
-    match outcome with
-    | Ok (r : Hth.Engine.result) ->
-      let v = Hth.Report.verdict r in
-      ( Hth.Report.verdict_label v,
-        Guest.Scenario.matches sc.sc_expected v,
-        List.length r.warnings, List.length r.distinct, r.degraded <> [] )
-    | Error e -> "error:" ^ Hth.Error.kind e, false, 0, 0, false
-  in
-  { Store.Manifest.e_run = sc.sc_name;
-    e_scenario = sc.sc_name;
-    e_policy = "native";
-    e_seed = None;
-    e_fault = None;
-    e_verdict = verdict;
-    e_expected = Guest.Scenario.expected_label sc.sc_expected;
-    e_match = matched;
-    e_warnings = warnings;
-    e_distinct = distinct;
-    e_degraded = degraded;
-    e_steps = 0;
-    e_raw_bytes = 0;
-    e_framed_bytes = 0;
-    e_digest = Store.Manifest.digest sealed.s_index.ix_counters;
-    e_segment = "" }
-
 let build_store dir =
   let wh =
     match Store.Warehouse.open_ dir with
@@ -328,8 +300,12 @@ let build_store dir =
         Hth.Engine.run_outcome eng ~trace:(Store.Segment.Writer.target w)
           sc.sc_setup
       in
-      let sealed = Store.Segment.Writer.seal w in
-      ignore (Store.Warehouse.append wh ~entry:(store_entry sc outcome sealed) ~sealed))
+      ignore
+        (Store.Warehouse.record wh ~run:sc.sc_name ~scenario:sc.sc_name
+           ~policy:"native"
+           ~expected:(Guest.Scenario.expected_label sc.sc_expected)
+           ~matches:(Guest.Scenario.matches sc.sc_expected) outcome
+           (Store.Segment.Writer.seal w)))
     (golden_corpus ());
   Store.Warehouse.close wh
 

@@ -93,10 +93,5 @@ let () =
   if args = [] then repl ()
   else
     List.iter
-      (fun path ->
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let text = really_input_string ic len in
-        close_in ic;
-        feed text)
+      (fun path -> feed (In_channel.with_open_bin path In_channel.input_all))
       args

@@ -113,34 +113,20 @@ let open_store dir =
     exit 2
 
 (* One manifest entry per run, shared by `run --store` and
-   `batch --store`: error outcomes are recorded too ([error:<kind>],
-   match:false) so the warehouse is a complete account of the batch. *)
-let manifest_entry ~scenario ~expected ~matches ~policy ~seed ~fault_plan
-    outcome (sealed : Store.Segment.sealed) =
-  let verdict, matched, warnings, distinct, degraded =
-    match outcome with
-    | Ok (r : Hth.Engine.result) ->
-      let v = Hth.Report.verdict r in
-      ( Hth.Report.verdict_label v, matches v,
-        List.length r.warnings, List.length r.distinct, r.degraded <> [] )
-    | Error e -> "error:" ^ Hth.Error.kind e, false, 0, 0, false
-  in
-  { Store.Manifest.e_run = scenario;
-    e_scenario = scenario;
-    e_policy = policy;
-    e_seed = seed;
-    e_fault = Option.map Osim.Fault.to_string fault_plan;
-    e_verdict = verdict;
-    e_expected = expected;
-    e_match = matched;
-    e_warnings = warnings;
-    e_distinct = distinct;
-    e_degraded = degraded;
-    e_steps = 0;  (* size fields are filled by Warehouse.append *)
-    e_raw_bytes = 0;
-    e_framed_bytes = 0;
-    e_digest = Store.Manifest.digest sealed.s_index.ix_counters;
-    e_segment = "" }
+   `batch --store`; error outcomes are recorded too, so the warehouse is
+   a complete account of the batch. *)
+let record wh (sc : Guest.Scenario.t) ~clips ~seed ~fault_plan
+    (o : Fleet.Executor.outcome) =
+  Option.iter
+    (fun sealed ->
+      ignore
+        (Store.Warehouse.record wh ~run:sc.sc_name ~scenario:sc.sc_name
+           ~policy:(if clips then "clips" else "native")
+           ?seed ?fault:(Option.map Osim.Fault.to_string fault_plan)
+           ~expected:(Guest.Scenario.expected_label sc.sc_expected)
+           ~matches:(Guest.Scenario.matches sc.sc_expected) o.o_result
+           sealed))
+    o.o_segment
 
 (* Fault plans and budgets are validated by cmdliner converters, so a
    malformed SPEC is a usage error (cmdliner's CLI-error exit code), not
@@ -204,6 +190,25 @@ let budgets_of specs =
     Printf.eprintf "%s\n" e;
     exit 2
 
+(* The engine `run` and `batch` build; a bad --kill-at is a usage
+   error. *)
+let make_engine ~monitor_config ~trust_nothing ~clips ~kill_at =
+  let auto_kill =
+    Option.map
+      (fun s ->
+        match Secpert.Severity.of_label (String.uppercase_ascii s) with
+        | Some sev -> sev
+        | None ->
+          Printf.eprintf "bad severity %S (LOW|MEDIUM|HIGH)\n" s;
+          exit 2)
+      kill_at
+  in
+  Hth.Engine.create ~monitor_config
+    ~trust:
+      (if trust_nothing then Secpert.Trust.nothing else Secpert.Trust.default)
+    ~policy:(if clips then Secpert.System.Clips else Secpert.System.Native)
+    ?auto_kill ()
+
 let run_scenario name events no_dataflow no_freq no_shortcircuit no_tier
     tier_threshold trust_nothing clips verbose kill_at trace_file stats
     fault_plan seed budget_specs store_dir =
@@ -216,72 +221,39 @@ let run_scenario name events no_dataflow no_freq no_shortcircuit no_tier
     Printf.eprintf "unknown scenario %S; try `list`\n" name;
     exit 2
   | Some sc ->
-    let monitor_config =
-      { Harrier.Monitor.default_config with
-        track_dataflow = not no_dataflow;
-        track_frequency = not no_freq;
-        shortcircuit =
-          (if no_shortcircuit then []
-           else Harrier.Monitor.default_config.shortcircuit);
-        tier = not no_tier;
-        tier_threshold }
+    let engine =
+      make_engine ~trust_nothing ~clips ~kill_at
+        ~monitor_config:
+          { Harrier.Monitor.default_config with
+            track_dataflow = not no_dataflow;
+            track_frequency = not no_freq;
+            shortcircuit =
+              (if no_shortcircuit then []
+               else Harrier.Monitor.default_config.shortcircuit);
+            tier = not no_tier;
+            tier_threshold }
     in
-    let trust =
-      if trust_nothing then Secpert.Trust.nothing else Secpert.Trust.default
-    in
-    let auto_kill =
-      Option.map
-        (fun s ->
-          match Secpert.Severity.of_label (String.uppercase_ascii s) with
-          | Some sev -> sev
-          | None ->
-            Printf.eprintf "bad severity %S (LOW|MEDIUM|HIGH)\n" s;
-            exit 2)
-        kill_at
-    in
-    let policy =
-      if clips then Secpert.System.Clips else Secpert.System.Native
+    let job =
+      Fleet.Executor.job ~budgets:(budgets_of budget_specs)
+        ~fault:(fault_of fault_plan seed) ~trace:(trace_file <> None)
+        ~store:(store_dir <> None) sc.sc_setup
     in
     let store = Option.map open_store store_dir in
-    let writer = Option.map (fun _ -> Store.Segment.Writer.create ()) store in
-    let trace_oc = Option.map open_out trace_file in
-    (* the session owns the sink lifecycle; with both --trace and
-       --store, one chunked sink tees so the file and the segment hold
-       identical bytes by construction *)
-    let trace =
-      match trace_oc, writer with
-      | None, None -> None
-      | Some oc, None -> Some (Obs.Trace.channel_target oc)
-      | None, Some w -> Some (Store.Segment.Writer.target w)
-      | Some oc, Some w ->
-        Some
-          (Obs.Trace.chunk_target (fun chunk ->
-               output_string oc chunk;
-               Store.Segment.Writer.add_chunk w chunk))
-    in
-    let outcome =
-      Fun.protect
-        ~finally:(fun () -> Option.iter close_out trace_oc)
-        (fun () ->
-          Hth.Engine.run_outcome
-            (Hth.Engine.create ~monitor_config ~trust ~policy ?auto_kill ())
-            ~budgets:(budgets_of budget_specs)
-            ~fault:(fault_of fault_plan seed) ?trace sc.sc_setup)
-    in
+    (* one session on this domain, so --stats reads its histograms;
+       with both --trace and --store the executor's one sink tees, so
+       the file and the segment hold identical bytes *)
+    let o = Fleet.Executor.run [ "default", engine ] 0 job in
+    Option.iter
+      (fun file ->
+        Out_channel.with_open_bin file (fun oc ->
+            Option.iter (output_string oc) o.o_trace))
+      trace_file;
     Option.iter
       (fun wh ->
-        let sealed = Store.Segment.Writer.seal (Option.get writer) in
-        let entry =
-          manifest_entry ~scenario:sc.sc_name
-            ~expected:(Guest.Scenario.expected_label sc.sc_expected)
-            ~matches:(Guest.Scenario.matches sc.sc_expected)
-            ~policy:(if clips then "clips" else "native")
-            ~seed ~fault_plan outcome sealed
-        in
-        ignore (Store.Warehouse.append wh ~entry ~sealed);
+        record wh sc ~clips ~seed ~fault_plan o;
         Store.Warehouse.close wh)
       store;
-    (match outcome with
+    (match o.o_result with
      | Error e ->
        (* one-line typed diagnosis; the exit code identifies the class *)
        Fmt.epr "hth_run: %s: %a@." name Hth.Error.pp e;
@@ -351,29 +323,12 @@ let batch_cmd =
       seed budget_specs jobs trace_dir store_dir =
     let budgets = budgets_of budget_specs in
     let fault = fault_of fault_plan seed in
-    let trust =
-      if trust_nothing then Secpert.Trust.nothing else Secpert.Trust.default
-    in
-    let auto_kill =
-      Option.map
-        (fun s ->
-          match Secpert.Severity.of_label (String.uppercase_ascii s) with
-          | Some sev -> sev
-          | None ->
-            Printf.eprintf "bad severity %S (LOW|MEDIUM|HIGH)\n" s;
-            exit 2)
-        kill_at
-    in
-    let policy =
-      if clips then Secpert.System.Clips else Secpert.System.Native
-    in
-    let monitor_config =
-      { Harrier.Monitor.default_config with
-        tier = not no_tier;
-        tier_threshold }
-    in
     let engine =
-      Hth.Engine.create ~monitor_config ~trust ~policy ?auto_kill ()
+      make_engine ~trust_nothing ~clips ~kill_at
+        ~monitor_config:
+          { Harrier.Monitor.default_config with
+            tier = not no_tier;
+            tier_threshold }
     in
     Option.iter
       (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
@@ -399,35 +354,15 @@ let batch_cmd =
       (fun (sc : Guest.Scenario.t) (o : Fleet.Executor.outcome) ->
         (* outcomes arrive in submission order, so appending here gives
            a manifest that is byte-identical across --jobs counts *)
-        Option.iter
-          (fun wh ->
-            Option.iter
-              (fun sealed ->
-                let entry =
-                  manifest_entry ~scenario:sc.sc_name
-                    ~expected:(Guest.Scenario.expected_label sc.sc_expected)
-                    ~matches:(Guest.Scenario.matches sc.sc_expected)
-                    ~policy:(if clips then "clips" else "native")
-                    ~seed ~fault_plan o.o_result sealed
-                in
-                ignore (Store.Warehouse.append wh ~entry ~sealed))
-              o.o_segment)
-          store;
+        Option.iter (fun wh -> record wh sc ~clips ~seed ~fault_plan o) store;
         Option.iter
           (fun dir ->
             Option.iter
               (fun bytes ->
-                (* scenario names can hold '/' (W32/MyDoom.B) *)
-                let file =
-                  String.map
-                    (fun c -> if c = '/' || c = ' ' then '_' else c)
-                    sc.sc_name
-                in
-                let oc =
-                  open_out (Filename.concat dir (file ^ ".jsonl"))
-                in
-                output_string oc bytes;
-                close_out oc)
+                Out_channel.with_open_bin
+                  (Filename.concat dir
+                     (Store.Warehouse.sanitize_run sc.sc_name ^ ".jsonl"))
+                  (fun oc -> output_string oc bytes))
               o.o_trace)
           trace_dir;
         match o.o_result with

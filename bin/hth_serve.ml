@@ -5,7 +5,7 @@
 
    One flat-JSON request per line in, one response line out, in input
    order (see Fleet.Serve for the protocol).  The engines — native and
-   CLIPS policies — are compiled once at startup and forked per
+   CLIPS policies — are compiled once at startup and shared by every
    worker; every connection multiplexes onto the same supervised
    fleet, concurrently in socket mode.
 

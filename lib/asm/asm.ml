@@ -12,7 +12,6 @@ let ecx = Reg Isa.Reg.ECX
 let edx = Reg Isa.Reg.EDX
 let esi = Reg Isa.Reg.ESI
 let edi = Reg Isa.Reg.EDI
-let ebp = Reg Isa.Reg.EBP
 let esp = Reg Isa.Reg.ESP
 
 let imm n = Imm n

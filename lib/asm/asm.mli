@@ -38,7 +38,6 @@ val ecx : arg
 val edx : arg
 val esi : arg
 val edi : arg
-val ebp : arg
 val esp : arg
 
 val imm : int -> arg

@@ -17,13 +17,6 @@ let make ~path ~kind ~base ~text ~sections ~exports ~relocs ~needed ~entry =
   { path; kind; base; text; sections; exports; relocs; needed; entry;
     blocks = Isa.Block.body_lens text }
 
-let text_end img = img.base + Array.length img.text
-
-let contains_text img addr = addr >= img.base && addr < text_end img
-
-let fetch img addr =
-  if contains_text img addr then Some img.text.(addr - img.base) else None
-
 let patch_insn insn addr =
   let open Isa.Insn in
   match insn with

@@ -37,12 +37,6 @@ val make :
   entry:int ->
   t
 
-(** [text_end img] is one past the last text address. *)
-val text_end : t -> int
-
-(** [fetch img addr] is the instruction at absolute address [addr]. *)
-val fetch : t -> int -> Isa.Insn.t option
-
 (** [link img ~resolve] patches every import relocation using [resolve]
     (symbol name to absolute address), returning the linked image: a
     copy with patched text and no relocations, or [img] itself when it

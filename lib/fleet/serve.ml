@@ -453,49 +453,22 @@ let store_query_line svc seq (id, kind, limit) =
 
 (* Store one outcome's segment before its response is emitted: run id
    is scenario@eseq (supervisor sequence — unique and stable for the
-   life of the service), error outcomes are stored too with
-   verdict "error:<kind>" so the warehouse is a complete record of
-   what the fleet was asked to do. *)
+   life of the service); error outcomes are stored too, so the
+   warehouse is a complete record of what the fleet was asked to do. *)
 let store_outcome svc (rt : route) (o : Executor.outcome) =
   match svc.sv_store, o.Executor.o_segment with
   | None, _ | _, None -> ()
   | Some wh, Some sealed ->
     let req = rt.rt_req in
-    let verdict, matched, warnings, distinct, degraded =
-      match o.Executor.o_result with
-      | Ok r ->
-        let v = Hth.Report.verdict r in
-        ( Hth.Report.verdict_label v, req.r_matches v,
-          List.length r.Hth.Engine.warnings,
-          List.length r.Hth.Engine.distinct,
-          r.Hth.Engine.degraded <> [] )
-      | Error e -> "error:" ^ Hth.Error.kind e, false, 0, 0, false
-    in
-    let entry =
-      { Store.Manifest.e_run =
-          Store.Warehouse.sanitize_run req.r_scenario
-          ^ "@" ^ string_of_int o.Executor.o_seq;
-        e_scenario = req.r_scenario;
-        e_policy = req.r_policy;
-        e_seed = req.r_seed;
-        e_fault = req.r_fault;
-        e_verdict = verdict;
-        e_expected = req.r_expected;
-        e_match = matched;
-        e_warnings = warnings;
-        e_distinct = distinct;
-        e_degraded = degraded;
-        e_steps = 0;  (* filled by append *)
-        e_raw_bytes = 0;
-        e_framed_bytes = 0;
-        e_digest =
-          Store.Manifest.digest sealed.Store.Segment.s_index.ix_counters;
-        e_segment = "" }
-    in
-    Mutex.lock svc.sv_obs_mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock svc.sv_obs_mu)
-      (fun () -> ignore (Store.Warehouse.append wh ~entry ~sealed))
+    Mutex.protect svc.sv_obs_mu (fun () ->
+        ignore
+          (Store.Warehouse.record wh
+             ~run:
+               (Store.Warehouse.sanitize_run req.r_scenario
+               ^ "@" ^ string_of_int o.Executor.o_seq)
+             ~scenario:req.r_scenario ~policy:req.r_policy ?seed:req.r_seed
+             ?fault:req.r_fault ~expected:req.r_expected
+             ~matches:req.r_matches o.Executor.o_result sealed))
 
 let collector svc =
   let rec go () =
@@ -626,12 +599,3 @@ let shutdown svc =
   Supervisor.shutdown svc.sv_sup;
   Option.iter Thread.join svc.sv_collector;
   svc.sv_collector <- None
-
-(* ------------------------------------------------------------------ *)
-(* the classic single-transport loop, now sugar over a service         *)
-
-let run ?(jobs = 1) ~resolver ~input ~output () =
-  let svc = create ~jobs ~resolver () in
-  Fun.protect
-    ~finally:(fun () -> shutdown svc)
-    (fun () -> serve_connection svc ~input ~output ())

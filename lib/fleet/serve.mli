@@ -110,14 +110,3 @@ val serve_connection :
     the supervisor, fleet and collector.  Call after the connection
     readers have finished. *)
 val shutdown : service -> unit
-
-(** [run ~resolver ~input ~output ()] is the whole single-transport
-    lifecycle: {!create}, one {!serve_connection}, {!shutdown};
-    returns the number of requests answered. *)
-val run :
-  ?jobs:int ->
-  resolver:resolver ->
-  input:(unit -> string option) ->
-  output:(string -> unit) ->
-  unit ->
-  int

@@ -5,22 +5,8 @@
    no guest re-execution, so output is a function of the file bytes
    and byte-deterministic. *)
 
-type fact_ref = {
-  fr_template : string;
-  fr_id : int;
-  fr_step : int;
-}
-
-type origin_ref = {
-  og_role : string;
-  og_type : string;
-  og_name : string;
-  og_origin_type : string;
-  og_origin_name : string;
-}
-
 type origin_link = {
-  origin : origin_ref;
+  origin : Secpert.Evidence.origin_ref;
   res_first : Reader.entry option;
       (* first flow line naming the resource itself *)
   origin_first : Reader.entry option;
@@ -30,79 +16,14 @@ type origin_link = {
 type t = {
   warning : Reader.entry;
   rule : Reader.entry option;
-  facts : (fact_ref * Reader.entry option) list;
+  facts : (Secpert.Evidence.fact_ref * Reader.entry option) list;
   origins : origin_link list;
 }
 
 (* ------------------------------------------------------------------ *)
-(* Wire-format parsing (see Secpert.Evidence)                          *)
-
-let split_on_string ~sep s =
-  let seplen = String.length sep in
-  let rec go start acc =
-    let idx =
-      let rec find i =
-        if i + seplen > String.length s then None
-        else if String.sub s i seplen = sep then Some i
-        else find (i + 1)
-      in
-      find start
-    in
-    match idx with
-    | None -> List.rev (String.sub s start (String.length s - start) :: acc)
-    | Some i -> go (i + seplen) (String.sub s start (i - start) :: acc)
-  in
-  if s = "" then [] else go 0 []
-
-let split_first ~on s =
-  match String.index_opt s on with
-  | None -> None
-  | Some i ->
-    Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-
-let parse_fact_ref part =
-  match split_first ~on:'#' part with
-  | None -> None
-  | Some (template, rest) ->
-    (match split_first ~on:'@' rest with
-     | None -> None
-     | Some (id, step) ->
-       (match int_of_string_opt id, int_of_string_opt step with
-        | Some fr_id, Some fr_step ->
-          Some { fr_template = template; fr_id; fr_step }
-        | _ -> None))
-
-let parse_fact_refs s =
-  List.filter_map parse_fact_ref (String.split_on_char ',' s)
-
-let parse_typed s =
-  (* "TYPE:name" split at the first ':' — ':' inside names survives *)
-  match split_first ~on:':' s with
-  | None -> s, ""
-  | Some (t, n) -> t, n
-
-let parse_origin_ref part =
-  match split_first ~on:'=' part with
-  | None -> None
-  | Some (role, rest) ->
-    let left, right =
-      match split_on_string ~sep:"<-" rest with
-      | [ l ] -> l, ""
-      | l :: r -> l, String.concat "<-" r
-      | [] -> "", ""
-    in
-    let og_type, og_name = parse_typed left in
-    let og_origin_type, og_origin_name = parse_typed right in
-    Some { og_role = role; og_type; og_name; og_origin_type;
-           og_origin_name }
-
-let parse_origin_refs s =
-  List.filter_map parse_origin_ref (split_on_string ~sep:";" s)
-
-(* ------------------------------------------------------------------ *)
 (* Reconstruction                                                      *)
 
-let link_origin trace origin =
+let link_origin trace (origin : Secpert.Evidence.origin_ref) =
   let lookup name =
     if name = "" then None else Reader.first_naming trace name
   in
@@ -115,13 +36,15 @@ let chain_of_warning trace ~preceding_rule w =
     | None -> []
     | Some s ->
       List.map
-        (fun r -> r, Reader.find_step trace r.fr_step)
-        (parse_fact_refs s)
+        (fun (r : Secpert.Evidence.fact_ref) ->
+          r, Reader.find_step trace r.fr_step)
+        (Secpert.Evidence.parse_facts s)
   in
   let origins =
     match Reader.str_field w "ev_origins" with
     | None -> []
-    | Some s -> List.map (link_origin trace) (parse_origin_refs s)
+    | Some s ->
+      List.map (link_origin trace) (Secpert.Evidence.parse_origins s)
   in
   { warning = w; rule = preceding_rule; facts; origins }
 
@@ -187,7 +110,7 @@ let pp_indented_message ppf message =
       else Fmt.pf ppf "           %s@," (String.trim line))
     (String.split_on_char '\n' message)
 
-let origin_story o =
+let origin_story (o : Secpert.Evidence.origin_ref) =
   match o.og_origin_type with
   | "SOCKET" -> Fmt.str "name originated from SOCKET:%s" o.og_origin_name
   | "FILE" -> Fmt.str "name originated from FILE:%s" o.og_origin_name
@@ -216,7 +139,7 @@ let pp_chain ppf (c : t) =
        (Option.value (Reader.str_field r "fact_ids") ~default:"")
    | None -> Fmt.pf ppf "  activation: (not recorded)@,");
   List.iter
-    (fun (r, entry) ->
+    (fun ((r : Secpert.Evidence.fact_ref), entry) ->
       match entry with
       | Some e ->
         Fmt.pf ppf "  fact %s#%d -> step=%d %s@," r.fr_template r.fr_id
@@ -296,7 +219,7 @@ let json_of_chain (c : t) =
   add_kv b ~first:false "facts" (fun () ->
       Buffer.add_char b '[';
       List.iteri
-        (fun i (r, entry) ->
+        (fun i ((r : Secpert.Evidence.fact_ref), entry) ->
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_char b '{';
           str "template" r.fr_template ~first:true;

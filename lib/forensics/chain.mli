@@ -7,24 +7,12 @@
     taint-classified origins the policy consulted (each resolving to
     the first trace event that touched the responsible resource).
     Everything is a pure function of the trace bytes — no engine, no
-    guest re-execution — so rendering is byte-deterministic. *)
-
-type fact_ref = {
-  fr_template : string;
-  fr_id : int;
-  fr_step : int;
-}
-
-type origin_ref = {
-  og_role : string;
-  og_type : string;
-  og_name : string;
-  og_origin_type : string;
-  og_origin_name : string;
-}
+    guest re-execution — so rendering is byte-deterministic.  The
+    warning's evidence fields are read with {!Secpert.Evidence}'s
+    parsers, which own their format. *)
 
 type origin_link = {
-  origin : origin_ref;
+  origin : Secpert.Evidence.origin_ref;
   res_first : Reader.entry option;
       (** first flow line naming the resource itself *)
   origin_first : Reader.entry option;
@@ -35,7 +23,7 @@ type t = {
   warning : Reader.entry;
   rule : Reader.entry option;
       (** the nearest preceding ["rule"] line — the firing activation *)
-  facts : (fact_ref * Reader.entry option) list;
+  facts : (Secpert.Evidence.fact_ref * Reader.entry option) list;
       (** matched facts with the trace entry at their recorded step *)
   origins : origin_link list;
 }

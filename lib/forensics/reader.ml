@@ -62,13 +62,9 @@ let of_string s =
     Ok { entries; by_step }
 
 let of_file path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error m -> Error m
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    of_string s
+  | s -> of_string s
 
 let entries t = t.entries
 

@@ -53,11 +53,7 @@ let first_divergence ~expected ~actual =
     in
     go 1 (split_lines expected) (split_lines actual)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let diff_files ~expected ~actual =
   match read_file expected, read_file actual with

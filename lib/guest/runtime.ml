@@ -26,10 +26,6 @@ let sys_sleep u ticks =
   movl u ebx (imm ticks);
   int80 u
 
-let sys_getpid u =
-  movl u eax (imm Osim.Abi.sys_getpid);
-  int80 u
-
 let sys_open u ~path ~flags =
   movl u ebx path;
   movl u ecx (imm flags);

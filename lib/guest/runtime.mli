@@ -23,8 +23,6 @@ val sys_execve : Asm.t -> path:Asm.arg -> ?argv:Asm.arg -> unit -> unit
 
 val sys_sleep : Asm.t -> int -> unit
 
-val sys_getpid : Asm.t -> unit
-
 (** {2 Files} *)
 
 (** [sys_open u ~path ~flags] — fd (or negative errno) in [eax]. *)

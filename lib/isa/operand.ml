@@ -12,8 +12,6 @@ type t =
 
 let mem ?base ?index ?(scale = 1) disp = Mem { base; index; scale; disp }
 let abs addr = mem addr
-let ind r = mem ~base:r 0
-let ind_off r off = mem ~base:r off
 
 let pp_mem_ref ppf { base; index; scale; disp } =
   let pp_base ppf = function

@@ -19,12 +19,6 @@ val mem : ?base:Reg.t -> ?index:Reg.t -> ?scale:int -> int -> t
 (** [abs addr] is an absolute memory operand. *)
 val abs : int -> t
 
-(** [ind r] is the register-indirect operand [(%r)]. *)
-val ind : Reg.t -> t
-
-(** [ind_off r off] is [off(%r)]. *)
-val ind_off : Reg.t -> int -> t
-
 val pp_mem_ref : Format.formatter -> mem_ref -> unit
 
 val pp : Format.formatter -> t -> unit

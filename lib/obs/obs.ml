@@ -106,8 +106,6 @@ module Counter = struct
   let value t =
     let a = Domain.DLS.get cells_key in
     if t.slot < Array.length a then a.(t.slot) else 0
-
-  let name t = t.name
 end
 
 (* ------------------------------------------------------------------ *)
@@ -201,15 +199,8 @@ module Histogram = struct
     if x > s.max then s.max <- x;
     keep_sample s x
 
-  (* Drop the calling domain's state for [h] — fresh interval
-     measurement without disturbing any other histogram or domain. *)
-  let reset h =
-    let a = Domain.DLS.get states_key in
-    if h.h_slot < Array.length a then a.(h.h_slot) <- fresh_state ()
-
   let name h = h.h_name
   let count h = (state h).count
-  let sum h = (state h).sum
 
   let mean h =
     let s = state h in
@@ -437,10 +428,8 @@ module Trace = struct
   (* The installed sink.  [Direct] renders straight into the caller's
      destination buffer — zero copies, zero per-line allocation.
      [Chunked] renders into one reused staging buffer and hands
-     line-aligned chunks of at least [threshold] bytes to [write]:
-     channel sinks pay one [output_string] per ~64KiB instead of two
-     system-visible writes per event, and the segment store receives
-     its data frames pre-chunked. *)
+     line-aligned chunks of at least [threshold] bytes to [write], so
+     the segment store receives its data frames pre-chunked. *)
   type sink =
     | Noop
     | Direct of Buffer.t
@@ -465,9 +454,6 @@ module Trace = struct
   let chunk_target ?(threshold = default_chunk) write =
     T_chunks { threshold; write }
 
-  let channel_target oc =
-    chunk_target (fun chunk -> output_string oc chunk)
-
   let install target =
     let st = state () in
     (st.sink <-
@@ -480,8 +466,7 @@ module Trace = struct
   let to_buffer b = install (buffer_target b)
 
   (* Flush-on-disable: a chunked sink may hold a partial chunk; hand it
-     over before dropping the sink so the destination sees every line.
-     Callers that [close_out] after [disable] keep working unchanged. *)
+     over before dropping the sink so the destination sees every line. *)
   let disable () =
     let st = state () in
     (match st.sink with

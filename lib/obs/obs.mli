@@ -42,7 +42,6 @@ module Counter : sig
   (** [add] also serves gauges: pass a negative delta to decrement. *)
 
   val value : t -> int
-  val name : t -> string
 end
 
 (** Scalar distributions: count, sum, min, max, and percentiles from a
@@ -56,14 +55,8 @@ module Histogram : sig
   val make : string -> t
   val observe : t -> float -> unit
 
-  val reset : t -> unit
-  (** Discard the {e calling domain's} observations for this histogram
-      — interval measurement (e.g. per-benchmark-phase latency) without
-      a global epoch.  Other domains' cells are untouched. *)
-
   val name : t -> string
   val count : t -> int
-  val sum : t -> float
   val mean : t -> float
 
   val maximum : t -> float
@@ -180,11 +173,6 @@ module Trace : sig
 
   val buffer_target : Buffer.t -> target
   (** Lines render directly into the buffer, newline-terminated. *)
-
-  val channel_target : out_channel -> target
-  (** Lines are staged in a reused buffer and written to the channel in
-      line-aligned chunks of ~64KiB — one [output_string] per chunk
-      instead of per line. *)
 
   val chunk_target : ?threshold:int -> (string -> unit) -> target
   (** [chunk_target write] hands [write] line-aligned chunks of at

@@ -24,10 +24,6 @@ type plan =
 
 let none = None_
 
-let is_none = function None_ -> true | Rules _ | Seeded _ -> false
-
-let rules rs = Rules rs
-
 let seeded ?(rate = 16) seed = Seeded { seed; rate = max 1 rate }
 
 (* ------------------------------------------------------------------ *)
@@ -125,7 +121,7 @@ type state = {
 
 let start plan = { plan; counts = Hashtbl.create 16 }
 
-let active st = not (is_none st.plan)
+let active st = st.plan <> None_
 
 (* Pure 62-bit mixer (splitmix-flavoured); determinism matters, quality
    only needs to be good enough to spread injections around. *)

@@ -46,11 +46,6 @@ type plan
 (** The plan that never injects ([start none] decides [None] always). *)
 val none : plan
 
-val is_none : plan -> bool
-
-(** [rules rs] builds an explicit plan. *)
-val rules : rule list -> plan
-
 (** [seeded ?rate seed] injects on roughly [1/rate] of the syscalls that
     have an applicable fault kind (default rate 16), choosing the kind
     from the applicable set — ENOENT/EIO/ENOMEM on opens, EIO/short on

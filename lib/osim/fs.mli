@@ -26,8 +26,6 @@ val install_image : t -> Binary.Image.t -> unit
 
 val exists : t -> string -> bool
 
-val lookup : t -> string -> file option
-
 (** [image_of fs path] is the image installed at [path], if any. *)
 val image_of : t -> string -> Binary.Image.t option
 

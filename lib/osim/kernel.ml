@@ -70,21 +70,22 @@ exception Load_failed of string
 (* The one place images are linked.  Collect the needed-closure of
    [path] from the world's file system in load order and link every
    member against the closure's exports; only images that carry
-   relocations are copied, once per load. *)
+   relocations are copied, once per load.  A path is marked seen when
+   its walk starts, so images that need each other load once each. *)
 let load k path =
-  let rec collect loaded path =
-    if List.exists (fun (i : Binary.Image.t) -> String.equal i.path path)
-         loaded
-    then loaded
+  let rec collect (seen, loaded) path =
+    if List.mem path seen then (seen, loaded)
     else
       match Fs.image_of k.k_fs path with
       | None ->
         raise (Load_failed (Fmt.str "loader: %s: not an executable image" path))
       | Some (img : Binary.Image.t) ->
-        let loaded = List.fold_left collect loaded img.needed in
-        loaded @ [ img ]
+        let seen, loaded =
+          List.fold_left collect (path :: seen, loaded) img.needed
+        in
+        (seen, loaded @ [ img ])
   in
-  let images = collect [] path in
+  let _, images = collect ([], []) path in
   let resolve sym =
     List.find_map
       (fun (i : Binary.Image.t) -> Binary.Symbol.find_export i.exports sym)

@@ -37,8 +37,6 @@ type t = {
   origins : origin_ref list;
 }
 
-val empty : t
-
 val is_empty : t -> bool
 
 val of_fact : Expert.Fact.t -> fact_ref
@@ -54,8 +52,18 @@ val facts_to_string : t -> string
 
 val origins_to_string : t -> string
 (** Semicolon-joined [role=TYPE:name<-ORIGIN_TYPE:origin_name]
-    references.  Split the role at the first ['='], the halves at the
-    first ["<-"], each [TYPE:name] at the first [':'] — [':'] inside
-    names (host:port) survives. *)
+    references.  In each name, ['\\'], [';'] and the ['<'] of ["<-"]
+    are escaped with a ['\\']; other names are written as they are. *)
+
+val parse_facts : string -> fact_ref list
+(** The references of a {!facts_to_string} rendering; a malformed part
+    is dropped. *)
+
+val parse_origins : string -> origin_ref list
+(** The references of an {!origins_to_string} rendering, names
+    unescaped: the role ends at the first ['='], the halves at the
+    first unescaped ["<-"], each [TYPE:name] at the first [':'], so
+    [':'] inside names (host:port) survives.  A malformed part is
+    dropped. *)
 
 val pp : Format.formatter -> t -> unit

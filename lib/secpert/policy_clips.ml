@@ -209,7 +209,6 @@ open Expert
 let compile () = Clips.compile_forms (Clips.parse text)
 
 let install_forms engine (ctx : Context.t) forms =
-  Clips.install_builtins engine;
   let th = ctx.thresholds in
   Engine.set_global engine "CLONE_RATE" (Value.Int th.clone_rate_medium);
   Engine.set_global engine "CLONE_COUNT" (Value.Int th.clone_count_low);
@@ -251,5 +250,3 @@ let install_forms engine (ctx : Context.t) forms =
       Value.sym_true
     | _ -> failwith "warn expects (rule severity pid time rare parts...)");
   Clips.install_compiled engine forms
-
-let install engine ctx = install_forms engine ctx (compile ())

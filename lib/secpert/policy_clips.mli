@@ -8,7 +8,7 @@
     [data_transfer] fact on the [xfer] slot — which exercises the
     engine's multi-pattern joins exactly the way CLIPS policies do.
 
-    Host functions the policy calls (installed by {!install}):
+    Host functions the policy calls (installed by {!install_forms}):
     - [(warn rule severity pid time rare part...)] — emit a warning;
     - [(rarely freq time)] — the Low→Medium reinforcement test;
     - [(trusted-source type name)] — the trust database;
@@ -17,19 +17,13 @@
     Severities agree with the native policy on every corpus scenario
     (verified by the equivalence tests); warning {e texts} are terser. *)
 
-(** The policy source text. *)
-val text : string
-
-(** [install engine ctx] registers the host functions, sets the
-    threshold globals from [ctx] and loads {!text}. *)
-val install : Expert.Engine.t -> Context.t -> unit
-
-(** [compile ()] parses and compiles {!text} once — rule values are
+(** [compile ()] parses and compiles the policy text once — rule values are
     built eagerly and shared across engines ({!Expert.Clips.compile_forms}).
     @raise Expert.Clips.Error on syntax or defrule problems. *)
 val compile : unit -> Expert.Clips.installer list
 
-(** [install_forms engine ctx forms] is {!install} with the policy
-    already compiled by {!compile}. *)
+(** [install_forms engine ctx forms] registers the host functions, sets
+    the threshold globals from [ctx] and installs [forms], the policy as
+    {!compile} compiled it. *)
 val install_forms :
   Expert.Engine.t -> Context.t -> Expert.Clips.installer list -> unit

@@ -25,12 +25,6 @@ let appended t = t.t_appended
 let raw_bytes t = t.t_raw_bytes
 let framed_bytes t = t.t_framed_bytes
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let ensure_dir path =
   if not (Sys.file_exists path) then Sys.mkdir path 0o755
   else if not (Sys.is_directory path) then
@@ -39,7 +33,8 @@ let ensure_dir path =
 let load_manifest path =
   if not (Sys.file_exists path) then Ok []
   else
-    read_file path |> String.split_on_char '\n'
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "")
     |> List.fold_left
          (fun acc line ->
@@ -117,6 +112,30 @@ let append t ~entry ~sealed =
   t.t_raw_bytes <- t.t_raw_bytes + sealed.Segment.s_raw_bytes;
   t.t_framed_bytes <- t.t_framed_bytes + String.length sealed.Segment.s_bytes;
   entry
+
+(* The one rule from a session outcome to its manifest entry: a typed
+   failure is stored too, as [error:<kind>] that never matches, so the
+   warehouse is a complete account of what was run. *)
+let record t ~run ~scenario ~policy ?seed ?fault ~expected ~matches outcome
+    (sealed : Segment.sealed) =
+  let verdict, matched, warnings, distinct, degraded =
+    match outcome with
+    | Ok (r : Hth.Engine.result) ->
+      let v = Hth.Report.verdict r in
+      ( Hth.Report.verdict_label v, matches v, List.length r.warnings,
+        List.length r.distinct, r.degraded <> [] )
+    | Error e -> "error:" ^ Hth.Error.kind e, false, 0, 0, false
+  in
+  append t ~sealed
+    ~entry:
+      { Manifest.e_run = run; e_scenario = scenario; e_policy = policy;
+        e_seed = seed; e_fault = fault; e_verdict = verdict;
+        e_expected = expected; e_match = matched; e_warnings = warnings;
+        e_distinct = distinct; e_degraded = degraded;
+        (* the size and segment fields are [append]'s *)
+        e_steps = 0; e_raw_bytes = 0; e_framed_bytes = 0;
+        e_digest = Manifest.digest sealed.s_index.ix_counters;
+        e_segment = "" }
 
 let close t =
   close_out_noerr t.t_pack;

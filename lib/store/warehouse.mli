@@ -44,11 +44,31 @@ val append : t -> entry:Manifest.entry -> sealed:Segment.sealed -> Manifest.entr
     invisible, and the handle must be closed — a store reopened with
     {!open_} appends after whatever the failed write left. *)
 
+val record :
+  t ->
+  run:string ->
+  scenario:string ->
+  policy:string ->
+  ?seed:int ->
+  ?fault:string ->
+  expected:string ->
+  matches:(Hth.Report.verdict -> bool) ->
+  (Hth.Engine.result, Hth.Error.t) result ->
+  Segment.sealed ->
+  Manifest.entry
+(** [record t ~run ... outcome sealed] stores one session: its entry
+    carries the verdict label and [matches]'s answer for it, the
+    warning and distinct counts, the degraded flag and the
+    {!Manifest.digest} of [sealed]'s counters; a typed failure is
+    recorded as [error:<kind>], not matching, with zero counts.  Then
+    {!append}s it (same failures) and returns the entry as committed.
+    [fault] is the fault-plan spec, if one was given. *)
+
 val close : t -> unit
 
 val sanitize_run : string -> string
-(** Scenario name -> run id / file stem: '/' and ' ' become '_' (the
-    same mapping batch [--trace-dir] uses). *)
+(** Scenario name -> run id / file stem: '/' and ' ' become '_' (batch
+    [--trace-dir] names its files with it too). *)
 
 (** {2 Read side} *)
 

@@ -18,37 +18,119 @@ trap 'rm -rf "$tmp"' EXIT INT TERM
 status=0
 
 echo "== exports gate =="
-# Every value a lib/ interface exports must be named, as a whole word,
-# by some .ml/.mli file other than its own module's pair; an export
-# nothing else names is dead surface (ROADMAP item 4(e)).  The only
-# allowlist is the Asm mnemonics that mirror Isa.Insn one to one.
+# Every value a lib/ interface exports must be used outside its own
+# module's pair: named with its module path (Image.fetch, whatever
+# prefixes it), or bare inside its own library or in a file that opens
+# the module (open M, let open M, M.( ... )).  Comments and string
+# literals are blanked first, so a word in prose is no use.  An export
+# nothing uses is dead surface (ROADMAP item 4(e)).  The only allowlist
+# is the Asm mnemonics that mirror Isa.Insn one to one.
+code_only='
+  # an OCaml file with comments and string literals blanked
+  BEGIN { st = 0; depth = 0 }
+  {
+    line = $0; n = length(line); out = ""; i = 1
+    while (i <= n) {
+      c = substr(line, i, 1); c2 = substr(line, i, 2)
+      if (st == 2) {
+        if (c2 == "(*") { depth++; i += 2; continue }
+        if (c2 == "*)") {
+          depth--; i += 2
+          if (depth == 0) { st = 0; out = out " " }
+          continue
+        }
+        i++; continue
+      }
+      if (st == 1) {
+        if (c == "\\") { i += 2; continue }
+        if (c == "\"") { st = 0; out = out " " }
+        i++; continue
+      }
+      if (st == 3) {
+        if (substr(line, i, length(qend)) == qend) {
+          st = 0; i += length(qend); out = out " "; continue
+        }
+        i++; continue
+      }
+      if (c2 == "(*" && substr(line, i, 3) != "(*)") {
+        st = 2; depth = 1; i += 2; continue
+      }
+      if (c == "\"") { st = 1; i++; continue }
+      if (c == "{" && match(substr(line, i), /^\{[a-z_]*\|/)) {
+        qend = "|" substr(line, i + 1, RLENGTH - 2) "}"
+        st = 3; i += RLENGTH; continue
+      }
+      if (c == "'\''" && !(i > 1 && substr(line, i - 1, 1) ~ /[A-Za-z0-9_'\'']/)) {
+        if (substr(line, i + 1, 1) == "\\") {
+          i += (substr(line, i + 2, 1) ~ /[0-9]/) ? 6 : 4; out = out " "
+          continue
+        }
+        if (substr(line, i + 2, 1) == "'\''") { i += 3; out = out " "; continue }
+      }
+      out = out c; i++
+    }
+    print out
+  }'
 src=$(find lib bin test bench examples perfbench \
         \( -name '*.ml' -o -name '*.mli' \) -not -path '*/_build/*' | sort)
+: > "$tmp/vals"
 for f in $src; do
-  grep -o "[A-Za-z_][A-Za-z0-9_']*" "$f" | sort -u | sed "s|^|$f |"
+  awk "$code_only" "$f" > "$tmp/code"
+  # words: bare names, M.name pairs (Q:) and opened modules (O:)
+  {
+    grep -o "[A-Za-z_][A-Za-z0-9_']*" "$tmp/code" || true
+    grep -o "[A-Z][A-Za-z0-9_']*\.[a-z_][A-Za-z0-9_']*" "$tmp/code" \
+      | sed 's/^/Q:/' || true
+    grep -o "open!\{0,1\} *[A-Z][A-Za-z0-9_.']*" "$tmp/code" \
+      | sed 's/.*[ .]//; s/^/O:/' || true
+    grep -o "[A-Z][A-Za-z0-9_']*\.(" "$tmp/code" \
+      | sed 's/\.($//; s/^/O:/' || true
+  } | sort -u | sed "s|^|$f |"
+  # exports: FILE MODULE NAME, MODULE the innermost (sub)module
+  case "$f" in
+  lib/*.mli)
+    awk -v f="$f" '
+      BEGIN {
+        m = f; sub(/.*\//, "", m); sub(/\.mli$/, "", m)
+        mod[1] = toupper(substr(m, 1, 1)) substr(m, 2); d = 1
+      }
+      /^ *module [A-Z][A-Za-z0-9_]* *: *sig/ {
+        name = $2; sub(/:.*/, "", name); mod[++d] = name; next
+      }
+      /^ *end *$/ { if (d > 1) d--; next }
+      /^ *val [a-z_]/ {
+        v = $0; sub(/^ *val /, "", v); sub(/[^A-Za-z0-9_'\''].*/, "", v)
+        print f, mod[d], v
+      }' "$tmp/code" >> "$tmp/vals" ;;
+  esac
 done > "$tmp/words"
-for mli in $(echo "$src" | grep '^lib/.*\.mli$'); do
-  sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli" | sed "s|^|$mli |"
-done > "$tmp/vals"
 awk -v allow="calli idivl jg jge jle jmpi jns orl popl shrl" '
   BEGIN {
     n = split(allow, a, " ")
     for (i = 1; i <= n; i++) allowed["lib/asm/asm.mli " a[i]] = 1
   }
   FNR == NR { files[$2] = files[$2] " " $1; next }
-  !(($1 " " $2) in allowed) {
+  !(($1 " " $3) in allowed) {
     own = substr($1, 1, length($1) - 1)
-    k = split(files[$2], fs, " ")
+    dir = $1; sub(/\/[^\/]*$/, "", dir)
     used = 0
+    k = split(files["Q:" $2 "." $3], fs, " ")
     for (i = 1; i <= k; i++) if (fs[i] != $1 && fs[i] != own) used = 1
-    if (!used) print $1 ": " $2
+    k = split(files[$3], fs, " ")
+    for (i = 1; i <= k && !used; i++) {
+      g = fs[i]
+      if (g == $1 || g == own) continue
+      gd = g; sub(/\/[^\/]*$/, "", gd)
+      if (gd == dir || index(files["O:" $2] " ", " " g " ")) used = 1
+    }
+    if (!used) print $1 ": " $2 "." $3
   }' "$tmp/words" "$tmp/vals" > "$tmp/unused"
 if [ -s "$tmp/unused" ]; then
-  echo "  EXPORTS NAMED NOWHERE ELSE:" >&2
+  echo "  EXPORTS USED NOWHERE ELSE:" >&2
   sed 's/^/    /' "$tmp/unused" >&2
   status=1
 else
-  echo "  ok: every lib/ export is named outside its module"
+  echo "  ok: every lib/ export is used outside its module"
 fi
 
 echo "== determinism gate =="

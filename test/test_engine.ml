@@ -108,6 +108,49 @@ let duplicate_path_case =
       Alcotest.(check string) "the image installed last runs" "B"
         unmonitored.rep_console)
 
+(* [/bin/a] calls [greet], which [/lib/b] exports. *)
+let needy ~a_needs ~b_needs =
+  let a =
+    let u =
+      Asm.create ~needed:a_needs ~path:"/bin/a" ~kind:Binary.Image.Executable
+        ~base:Guest.Common.exe_base ()
+    in
+    Asm.label u "_start";
+    Asm.call u "greet";
+    Guest.Runtime.sys_exit u 0;
+    Asm.hlt u;
+    Asm.finalize u
+  in
+  let b =
+    let u =
+      Asm.create ~needed:b_needs ~path:"/lib/b"
+        ~kind:Binary.Image.Shared_object ~base:Guest.Common.so_base ()
+    in
+    Asm.label u "greet";
+    Asm.export u "greet";
+    Guest.Runtime.print u "__msg" "B";
+    Asm.ret u;
+    Asm.finalize u
+  in
+  Hth.Engine.setup ~main:"/bin/a" ~programs:[ a; b ] ()
+
+(* The loader walks each path once, so a needed cycle loads and runs
+   (an unbounded walk would overflow the stack). *)
+let needed_cycle_case name ~a_needs ~b_needs =
+  Alcotest.test_case name `Quick (fun () ->
+      let s = needy ~a_needs ~b_needs in
+      match Hth.Engine.run_outcome (Hth.Engine.create ()) s with
+      | Error e -> Alcotest.failf "session failed: %s" (Hth.Error.to_string e)
+      | Ok r ->
+        Alcotest.(check string) "console" "B"
+          r.os_report.Osim.Kernel.rep_console)
+
+let needed_cycle_cases =
+  [ needed_cycle_case "needed cycle: two images need each other"
+      ~a_needs:[ "/lib/b" ] ~b_needs:[ "/bin/a" ];
+    needed_cycle_case "needed cycle: an image needs itself"
+      ~a_needs:[ "/bin/a"; "/lib/b" ] ~b_needs:[] ]
+
 (* An executable importing a routine no image exports. *)
 let unresolved path =
   let u =
@@ -173,3 +216,4 @@ let suite =
   List.map scenario_case golden_scenarios
   @ [ no_events_case; duplicate_path_case; unresolved_spawn_case;
       unresolved_exec_case ]
+  @ needed_cycle_cases

@@ -355,29 +355,7 @@ let absorb_case =
 (* ------------------------------------------------------------------ *)
 (* serve: ordered line protocol over the fleet                         *)
 
-let resolver name =
-  Option.map
-    (fun (sc : Guest.Scenario.t) ->
-      { Fleet.Serve.t_setup = sc.sc_setup;
-        t_expected = Guest.Scenario.expected_label sc.sc_expected;
-        t_matches = Guest.Scenario.matches sc.sc_expected })
-    (Guest.Corpus.find name)
-
-let serve_once lines =
-  let pending = ref lines in
-  let out = ref [] in
-  let n =
-    Fleet.Serve.run ~jobs:2 ~resolver
-      ~input:(fun () ->
-        match !pending with
-        | [] -> None
-        | l :: rest ->
-          pending := rest;
-          Some l)
-      ~output:(fun line -> out := line :: !out)
-      ()
-  in
-  n, List.rev !out
+let serve_once = Test_supervise.serve_once
 
 let field line k =
   match Forensics.Jsonl.parse_line line with

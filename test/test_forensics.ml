@@ -44,11 +44,7 @@ let reader_of_file path =
   | Ok t -> t
   | Error m -> Alcotest.failf "%s: %s" path m
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* ------------------------------------------------------------------ *)
 (* JSONL parser inverts the emitter                                    *)
@@ -127,7 +123,7 @@ let test_explain_golden_structure () =
       Alcotest.(check bool) "chain has taint origins" true
         (c.origins <> []);
       List.iter
-        (fun ((fr : Forensics.Chain.fact_ref), entry) ->
+        (fun ((fr : Secpert.Evidence.fact_ref), entry) ->
           match entry with
           | None ->
             Alcotest.failf "fact %s#%d@%d does not resolve"
@@ -161,7 +157,7 @@ let check_provenance name trace_bytes =
       Alcotest.(check bool) (where ^ ": non-empty evidence") true
         (c.facts <> []);
       List.iter
-        (fun ((fr : Forensics.Chain.fact_ref), entry) ->
+        (fun ((fr : Secpert.Evidence.fact_ref), entry) ->
           match entry with
           | None ->
             Alcotest.failf "%s: fact %s#%d@%d has no event at that step"
@@ -355,6 +351,96 @@ let test_counter_families () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Evidence wire format: a name is one name                            *)
+
+(* A guest writes hard-coded data to a file whose name imitates the end
+   of one origin reference and a second, SOCKET-sourced one. *)
+let forged_name = "x;source=SOCKET:evil:80<-BINARY:/bin/fake"
+
+let forger =
+  let open Asm in
+  let u =
+    create ~path:"/bin/forger" ~kind:Binary.Image.Executable
+      ~base:Guest.Common.exe_base ()
+  in
+  asciz u "name" forged_name;
+  asciz u "data" "hardcoded";
+  space u "fd" 4;
+  label u "_start";
+  Guest.Runtime.sys_creat u ~path:(lbl "name");
+  movl u (mlbl "fd") eax;
+  Guest.Runtime.sys_write u ~fd:(mlbl "fd") ~buf:(lbl "data") ~len:(imm 9);
+  Guest.Runtime.sys_close u ~fd:(mlbl "fd");
+  Guest.Runtime.sys_exit u 0;
+  hlt u;
+  finalize u
+
+let test_forged_origin () =
+  let buf = Buffer.create 4096 in
+  (match
+     Hth.Engine.run_outcome (Hth.Engine.create ())
+       ~trace:(Obs.Trace.buffer_target buf)
+       (Hth.Engine.setup ~main:"/bin/forger" ~programs:[ forger ] ())
+   with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "session failed: %s" (Hth.Error.to_string e));
+  let origins =
+    List.concat_map
+      (fun (c : Forensics.Chain.t) ->
+        List.map
+          (fun (l : Forensics.Chain.origin_link) ->
+            let o = l.origin in
+            Fmt.str "%s %s:%s <- %s:%s" o.og_role o.og_type o.og_name
+              o.og_origin_type o.og_origin_name)
+          c.origins)
+      (Forensics.Chain.explain (reader_of_string (Buffer.contents buf)))
+  in
+  Alcotest.(check (list string)) "the recorded origins, and no other"
+    [ "source BINARY:/bin/forger <- UNKNOWN:";
+      "target FILE:" ^ forged_name ^ " <- BINARY:/bin/forger" ]
+    origins
+
+(* Names drawn heavy in the characters the format separates on. *)
+let name_gen =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (int_bound 6)
+         (oneof
+            [ map (String.make 1) char;
+              oneofl [ "\\"; ";"; "<-"; "<"; "-"; ":"; "="; ","; "#"; "@" ];
+              string_size ~gen:printable (int_bound 4) ])))
+
+let evidence_gen =
+  let open QCheck.Gen in
+  let origin =
+    let* role = oneofl [ "source"; "target"; "server"; "resource"; "trigger" ]
+    and* otype = oneofl [ "FILE"; "SOCKET"; "BINARY" ]
+    and* name = name_gen
+    and* origin_type =
+      oneofl [ "FILE"; "SOCKET"; "BINARY"; "USER_INPUT"; "UNKNOWN" ]
+    and* origin_name = name_gen in
+    return (Secpert.Evidence.origin ~role ~otype ~name ~origin_type ~origin_name)
+  in
+  let fact =
+    let* fr_template = oneofl [ "data_transfer"; "transfer_source"; "exec" ]
+    and* fr_id = nat
+    and* fr_step = int_range (-1) 100_000 in
+    return { Secpert.Evidence.fr_template; fr_id; fr_step }
+  in
+  let* facts = list_size (int_bound 4) fact
+  and* origins = list_size (int_bound 4) origin in
+  return { Secpert.Evidence.facts; origins }
+
+let prop_evidence_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"evidence: render then parse is identity"
+    (QCheck.make ~print:(Fmt.to_to_string Secpert.Evidence.pp) evidence_gen)
+    (fun e ->
+      Secpert.Evidence.parse_facts (Secpert.Evidence.facts_to_string e)
+      = e.facts
+      && Secpert.Evidence.parse_origins (Secpert.Evidence.origins_to_string e)
+         = e.origins)
+
 let suite =
   [ Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "jsonl rejects malformed" `Quick test_jsonl_rejects;
@@ -372,4 +458,7 @@ let suite =
       test_histogram_percentiles;
     Alcotest.test_case "counter families stable" `Quick
       test_counter_families;
-    Alcotest.test_case "span clock is wall time" `Quick test_span_wall_clock ]
+    Alcotest.test_case "span clock is wall time" `Quick test_span_wall_clock;
+    Alcotest.test_case "evidence: a file name forges no origin" `Quick
+      test_forged_origin;
+    Test_props.to_alcotest_seeded prop_evidence_roundtrip ]

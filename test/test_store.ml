@@ -134,11 +134,7 @@ let deflate_pins =
     "bytes 0-255", 272, "e01bb3120b18a254248b9c013c8da37e";
     "7919 walk", 916, "7e65cf29d75536b4eeba1764670786c9" ]
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let golden_files () =
   Sys.readdir "golden" |> Array.to_list
@@ -440,30 +436,11 @@ let fresh_dir =
       Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d)) |> ignore;
     d
 
-let entry_for (sc : Guest.Scenario.t) result (sealed : Store.Segment.sealed) =
-  let verdict, matched =
-    match result with
-    | Ok r ->
-      let v = Hth.Report.verdict r in
-      (Hth.Report.verdict_label v, Guest.Scenario.matches sc.sc_expected v)
-    | Error e -> ("error:" ^ Hth.Error.kind e, false)
-  in
-  { Store.Manifest.e_run = sc.sc_name;
-    e_scenario = sc.sc_name;
-    e_policy = "native";
-    e_seed = None;
-    e_fault = None;
-    e_verdict = verdict;
-    e_expected = Guest.Scenario.expected_label sc.sc_expected;
-    e_match = matched;
-    e_warnings = 0;
-    e_distinct = 0;
-    e_degraded = false;
-    e_steps = 0;
-    e_raw_bytes = 0;
-    e_framed_bytes = 0;
-    e_digest = Store.Manifest.digest sealed.Store.Segment.s_index.ix_counters;
-    e_segment = "" }
+(* the manifest entry `hth_run` writes for a corpus run *)
+let record wh (sc : Guest.Scenario.t) result sealed =
+  Store.Warehouse.record wh ~run:sc.sc_name ~scenario:sc.sc_name
+    ~policy:"native" ~expected:(Guest.Scenario.expected_label sc.sc_expected)
+    ~matches:(Guest.Scenario.matches sc.sc_expected) result sealed
 
 let open_store dir =
   match Store.Warehouse.open_ dir with
@@ -497,10 +474,7 @@ let build_store ~jobs dir =
         | Some s -> s
         | None -> Alcotest.failf "%s: no segment in outcome" name
       in
-      ignore
-        (Store.Warehouse.append wh
-           ~entry:(entry_for (find name) o.o_result sealed)
-           ~sealed))
+      ignore (record wh (find name) o.o_result sealed))
     corpus outcomes;
   Store.Warehouse.close wh;
   List.map
@@ -548,11 +522,7 @@ let test_store_determinism () =
 let append_run wh name =
   let sc = find name in
   let raw, sealed = capture sc in
-  let e =
-    Store.Warehouse.append wh
-      ~entry:(entry_for sc (Ok (Guest.Scenario.run sc)) sealed)
-      ~sealed
-  in
+  let e = record wh sc (Ok (Guest.Scenario.run sc)) sealed in
   (e.e_run, raw, sealed)
 
 (* every run loads back byte-exact, by trace and by index *)

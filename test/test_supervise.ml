@@ -36,6 +36,13 @@ let run_script svc lines =
   in
   n, List.rev !out
 
+(* One connection's whole life on a fresh two-worker service. *)
+let serve_once lines =
+  let svc = Fleet.Serve.create ~jobs:2 ~resolver () in
+  Fun.protect
+    ~finally:(fun () -> Fleet.Serve.shutdown svc)
+    (fun () -> run_script svc lines)
+
 let field line k =
   match Forensics.Jsonl.parse_line line with
   | Error e -> Alcotest.failf "unparseable response %s: %s" line e
