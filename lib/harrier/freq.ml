@@ -1,106 +1,56 @@
-(* Counts are keyed by a single packed int ((pid lsl 32) lor leader) and
-   held as [int ref] cells so the hot path — the same block entered
-   back-to-back by the same process, i.e. every iteration of a tight
-   guest loop — is two integer compares and an [incr] through the
-   one-entry cache, with no tuple allocation and no rehash. *)
+(* Counts are held as [int ref] cells so the hot path — the same block
+   entered back-to-back, i.e. every iteration of a tight guest loop — is
+   one integer compare and an [incr] through [last_cell], with no
+   lookup. *)
 
 type t = {
-  counts : (int, int ref) Hashtbl.t;  (* (pid lsl 32) lor leader -> count *)
-  last_app : (int, int) Hashtbl.t;  (* pid -> leader of last app BB *)
-  mutable hot_pid : int;  (* one-entry cache over [counts] *)
-  mutable hot_addr : int;
-  mutable hot_cell : int ref;
+  counts : (int, int ref) Hashtbl.t;  (* leader -> count *)
+  mutable last_app : int;  (* leader of the last app BB; -1 before any *)
+  mutable last_cell : int ref;  (* the count cell of [last_app] *)
 }
 
+(* [last_cell] before any application block ran; never incremented,
+   since no leader equals -1. *)
 let no_cell = ref 0
 
 let create () =
-  { counts = Hashtbl.create 256; last_app = Hashtbl.create 8;
-    hot_pid = -1; hot_addr = -1; hot_cell = no_cell }
+  { counts = Hashtbl.create 32; last_app = -1; last_cell = no_cell }
 
-let[@inline] key ~pid addr = (pid lsl 32) lor (addr land 0xFFFFFFFF)
-let[@inline] key_pid k = k lsr 32
-let[@inline] key_addr k = k land 0xFFFFFFFF
-
-let invalidate t =
-  t.hot_pid <- -1;
-  t.hot_addr <- -1;
-  t.hot_cell <- no_cell
-
-let on_bb t ~pid ~is_app addr =
+let on_bb t ~is_app addr =
   if is_app then begin
-    if pid = t.hot_pid && addr = t.hot_addr then incr t.hot_cell
+    if addr = t.last_app then incr t.last_cell
     else begin
-      Hashtbl.replace t.last_app pid addr;
-      let k = key ~pid addr in
       let cell =
-        match Hashtbl.find_opt t.counts k with
+        match Hashtbl.find_opt t.counts addr with
         | Some c -> c
         | None ->
           let c = ref 0 in
-          Hashtbl.add t.counts k c;
+          Hashtbl.add t.counts addr c;
           c
       in
       incr cell;
-      t.hot_pid <- pid;
-      t.hot_addr <- addr;
-      t.hot_cell <- cell
+      t.last_app <- addr;
+      t.last_cell <- cell
     end
   end
 
-let attributed_bb t ~pid = Hashtbl.find_opt t.last_app pid
+let attributed_bb t = if t.last_app < 0 then None else Some t.last_app
 
-let count t ~pid addr =
-  match Hashtbl.find_opt t.counts (key ~pid addr) with
+let event_frequency t = !(t.last_cell)
+
+let count t addr =
+  match Hashtbl.find_opt t.counts addr with
   | Some c -> !c
   | None -> 0
 
-let event_frequency t ~pid =
-  match attributed_bb t ~pid with
-  | Some addr -> count t ~pid addr
-  | None -> 0
+let blocks t = Hashtbl.fold (fun addr c acc -> (addr, !c) :: acc) t.counts []
 
-let hot t ~limit =
-  let all =
-    Hashtbl.fold
-      (fun k c acc -> (key_pid k, key_addr k, !c) :: acc)
-      t.counts []
+let copy t =
+  let counts = Hashtbl.copy t.counts in
+  Hashtbl.filter_map_inplace (fun _ c -> Some (ref !c)) counts;
+  let last_cell =
+    match Hashtbl.find_opt counts t.last_app with
+    | Some c -> c
+    | None -> no_cell
   in
-  let sorted =
-    List.sort
-      (fun (p1, a1, n1) (p2, a2, n2) ->
-        match Int.compare n2 n1 with
-        | 0 ->
-          (match Int.compare p1 p2 with
-           | 0 -> Int.compare a1 a2
-           | c -> c)
-        | c -> c)
-      all
-  in
-  List.filteri (fun i _ -> i < limit) sorted
-
-let inherit_from t ~parent ~child =
-  (match Hashtbl.find_opt t.last_app parent with
-   | Some addr -> Hashtbl.replace t.last_app child addr
-   | None -> ());
-  let copied =
-    Hashtbl.fold
-      (fun k c acc ->
-        if key_pid k = parent then (key_addr k, !c) :: acc else acc)
-      t.counts []
-  in
-  List.iter
-    (fun (addr, n) -> Hashtbl.replace t.counts (key ~pid:child addr) (ref n))
-    copied;
-  (* a replace may have dropped the cell the cache aliases *)
-  invalidate t
-
-let reset t ~pid =
-  Hashtbl.remove t.last_app pid;
-  let doomed =
-    Hashtbl.fold
-      (fun k _ acc -> if key_pid k = pid then k :: acc else acc)
-      t.counts []
-  in
-  List.iter (Hashtbl.remove t.counts) doomed;
-  invalidate t
+  { counts; last_app = t.last_app; last_cell }

@@ -1,38 +1,36 @@
-(** Basic-block frequency with last-application-BB attribution
-    (Section 7.4, Fig. 3).
+(** Basic-block frequency of one process, with last-application-BB
+    attribution (Section 7.4, Fig. 3).
 
     Only blocks of the {e application} image (kind [Executable]) are
     counted: events triggered inside shared objects are attributed to the
     last application block executed before control entered the library,
     so `execve` reached through libc's [system] is charged to the
-    application call site, not to libc's own (hot) blocks. *)
+    application call site, not to libc's own (hot) blocks.  Each process
+    owns one [t]; a forked child starts from a {!copy} of its parent's,
+    and [execve] starts afresh. *)
 
 type t
 
 val create : unit -> t
 
-(** [on_bb t ~pid ~is_app addr] records a basic-block entry. *)
-val on_bb : t -> pid:int -> is_app:bool -> int -> unit
+(** [on_bb t ~is_app addr] records a basic-block entry. *)
+val on_bb : t -> is_app:bool -> int -> unit
 
-(** [attributed_bb t ~pid] is the leader address of the last application
+(** [attributed_bb t] is the leader address of the last application
     block, if any application code ran yet. *)
-val attributed_bb : t -> pid:int -> int option
+val attributed_bb : t -> int option
 
-(** [event_frequency t ~pid] is the execution count of the attributed
-    block — the [frequency] slot of every Secpert fact. *)
-val event_frequency : t -> pid:int -> int
+(** [event_frequency t] is the execution count of the attributed block
+    — the [frequency] slot of every Secpert fact. *)
+val event_frequency : t -> int
 
-(** [count t ~pid addr] is the execution count of one block. *)
-val count : t -> pid:int -> int -> int
+(** [count t addr] is the execution count of one block. *)
+val count : t -> int -> int
 
-(** [hot t ~limit] is the top-[limit] hottest blocks as
-    [(pid, leader, count)], deterministically ordered: count
-    descending, then pid and address ascending. *)
-val hot : t -> limit:int -> (int * int * int) list
+(** [blocks t] is every counted block as [(leader, count)], in no
+    particular order. *)
+val blocks : t -> (int * int) list
 
-(** [inherit_from t ~parent ~child] copies counts and attribution to a
-    forked child. *)
-val inherit_from : t -> parent:int -> child:int -> unit
-
-(** [reset t ~pid] clears per-process state (execve). *)
-val reset : t -> pid:int -> unit
+(** [copy t] is an independent copy for a forked child: the same counts
+    in fresh cells, and the same attribution. *)
+val copy : t -> t

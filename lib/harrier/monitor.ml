@@ -6,7 +6,6 @@ type config = {
   track_dataflow : bool;
   track_frequency : bool;
   shortcircuit : Shortcircuit.spec list;
-  clone_window : int;
   shadow_page_budget : int option;
   tier : bool;
   tier_threshold : int;
@@ -14,11 +13,11 @@ type config = {
 
 let default_config =
   { track_dataflow = true; track_frequency = true;
-    shortcircuit = [ Shortcircuit.gethostbyname ]; clone_window = 3000;
-    shadow_page_budget = None; tier = true; tier_threshold = 8 }
+    shortcircuit = [ Shortcircuit.gethostbyname ]; shadow_page_budget = None;
+    tier = true; tier_threshold = 8 }
 
-(* Per-process monitor state, keyed by the machine (physical equality —
-   a machine is the identity of a running program instance). *)
+(* Ticks within which clones count as "recent" for the clone events. *)
+let recent_clone_ticks = 3000
 
 (* Cached per-segment facts for the instruction hook: consecutive
    instructions overwhelmingly execute from the same segment, and
@@ -43,10 +42,16 @@ type tier_entry =
   | Ready of Summary.t option  (* [None]: compiled body, dataflow off *)
   | Rejected
 
+(* All Harrier state of one monitored process (Fig. 6's DataFlow
+   structures, its block counts and fd table).  The record is bound into
+   its machine's hooks when the process starts or forks, so the hot path
+   never looks it up. *)
 type pstate = {
   pid : int;
   shadow : Shadow.t;
   sc : Shortcircuit.t;
+  freq : Freq.t;
+  res : Resources.t;
   tiers : (int, tier_entry) Hashtbl.t;
   mutable pending_origin : Taint.Tagset.t option;
       (** origin of the resource name seen at the pre-syscall hook,
@@ -66,14 +71,12 @@ type t = {
   cfg : config;
   space : Taint.Space.t;  (* taint arena shared by every process shadow *)
   kernel : Osim.Kernel.t;
-  freq : Freq.t;
-  resources : Resources.t;
+  procs : (int, pstate) Hashtbl.t;
+      (* pid -> record, for the kernel callbacks and the reports *)
   routines : (int, string) Hashtbl.t;  (* short-circuited routine entries *)
   name_origins : (string, Taint.Tagset.t) Hashtbl.t;
       (* last known origin of each resource name, for transfer sources *)
   imm_tags : (string, Taint.Tagset.t) Hashtbl.t;  (* image -> BINARY tag *)
-  mutable pmap : (Vm.Machine.t * pstate) list;
-  mutable cur : (Vm.Machine.t * pstate) option;
   mutable clone_times : int list;
   mutable sinks : sink list;  (* dispatch order = registration *)
   mutable count : int;
@@ -88,31 +91,22 @@ let subscribe t f = t.sinks <- t.sinks @ [ f ]
 
 let event_count t = t.count
 
-let c_unknown = Obs.Counter.make "harrier.unknown_machine"
-
-(* [state_of t m] is [None] for a machine the monitor never saw.  That
-   indicates a wiring bug, but it must not abort the whole session: the
-   hooks and kernel callbacks degrade to no-ops (counted under
-   [harrier.unknown_machine]) and the run is reported, not crashed. *)
-let state_of t m =
-  match t.cur with
-  | Some (m', s) when m' == m -> Some s
-  | _ ->
-    (match List.find_opt (fun (m', _) -> m' == m) t.pmap with
-     | Some ((_, s) as hit) ->
-       t.cur <- Some hit;
-       Some s
-     | None ->
-       Obs.Counter.incr c_unknown;
-       Log.warn (fun f -> f "unknown machine: observation dropped");
-       None)
+(* The record of [p].  Every process the kernel runs went through
+   [on_process_start] or [on_fork] first, so a miss is a wiring bug: it
+   raises, and the engine reports the session as a crash rather than a
+   run that silently dropped observations. *)
+let proc t (p : Osim.Process.t) =
+  match Hashtbl.find t.procs p.pid with
+  | s -> s
+  | exception Not_found ->
+    invalid_arg (Fmt.str "Harrier.Monitor: pid %d was never started" p.pid)
 
 (* Human-readable degradation reasons, one per affected process, in pid
    order (deterministic for reports and traces). *)
 let degraded t =
-  t.pmap
-  |> List.filter (fun (_, s) -> Shadow.degraded s.shadow)
-  |> List.map (fun (_, s) -> s)
+  Hashtbl.fold
+    (fun _ s acc -> if Shadow.degraded s.shadow then s :: acc else acc)
+    t.procs []
   |> List.sort (fun a b -> compare a.pid b.pid)
   |> List.map (fun s ->
          Fmt.str
@@ -163,9 +157,9 @@ let emit_log_only t e = ignore (emit t e)
 
 let meta t (s : pstate) : Events.meta =
   { pid = s.pid; time = Osim.Kernel.ticks t.kernel;
-    freq = Freq.event_frequency t.freq ~pid:s.pid;
+    freq = Freq.event_frequency s.freq;
     addr =
-      (match Freq.attributed_bb t.freq ~pid:s.pid with
+      (match Freq.attributed_bb s.freq with
        | Some a -> a
        | None -> 0);
     (* with a sink installed this is exactly the step of the event's
@@ -173,7 +167,17 @@ let meta t (s : pstate) : Events.meta =
        tracing off, fall back to the event ordinal *)
     step = (if Obs.Trace.enabled () then Obs.Trace.steps () else t.count) }
 
-let hot_blocks t ~limit = Freq.hot t.freq ~limit
+(* Count descending, then pid and address ascending. *)
+let hot_blocks t ~limit =
+  Hashtbl.fold
+    (fun pid s acc ->
+      List.fold_left
+        (fun acc (addr, n) -> (pid, addr, n) :: acc)
+        acc (Freq.blocks s.freq))
+    t.procs []
+  |> List.sort (fun (p1, a1, n1) (p2, a2, n2) ->
+         compare (n2, p1, a1) (n1, p2, a2))
+  |> List.filteri (fun i _ -> i < limit)
 
 let string_origin s m addr =
   match Vm.Machine.read_cstring m addr with
@@ -204,47 +208,40 @@ let seg_info_at t s m addr =
        s.seg_info <- Some si;
        si)
 
-let hook_bb t m addr =
-  match state_of t m with
-  | None -> ()
-  | Some s ->
-    let is_app = (seg_info_at t s m addr).si_app in
-    Freq.on_bb t.freq ~pid:s.pid ~is_app addr
+let hook_bb t s m addr =
+  Freq.on_bb s.freq ~is_app:(seg_info_at t s m addr).si_app addr
 
-let hook_insn t m addr insn =
-  match state_of t m with
-  | None -> ()
-  | Some s ->
+let hook_insn t s m addr insn =
+  (match (insn : Isa.Insn.t) with
+   | Call target ->
+     let dest = Vm.Machine.read_operand m Isa.Insn.W target in
+     (match Hashtbl.find_opt t.routines dest with
+      | Some routine ->
+        Shortcircuit.on_call s.sc ~routine m s.shadow ~ret_addr:(addr + 1)
+      | None -> ())
+   | Ret -> Shortcircuit.on_ret s.sc m s.shadow
+   | _ -> ());
+  if t.cfg.track_dataflow then begin
+    (* guard taint: immediates use an empty tag on purpose — only
+       {e data} taint reaching a compare marks trigger-gated flow *)
     (match (insn : Isa.Insn.t) with
-     | Call target ->
-       let dest = Vm.Machine.read_operand m Isa.Insn.W target in
-       (match Hashtbl.find_opt t.routines dest with
-        | Some routine ->
-          Shortcircuit.on_call s.sc ~routine m s.shadow ~ret_addr:(addr + 1)
-        | None -> ())
-     | Ret -> Shortcircuit.on_ret s.sc m s.shadow
+     | Cmp (sz, a, b) ->
+       let tag =
+         Taint.Tagset.union t.space
+           (Dataflow.operand_tag s.shadow m Taint.Tagset.empty sz a)
+           (Dataflow.operand_tag s.shadow m Taint.Tagset.empty sz b)
+       in
+       if not (Taint.Tagset.is_empty tag) then s.guard <- tag
+     | Test (a, b) ->
+       let tag =
+         Taint.Tagset.union t.space
+           (Dataflow.operand_tag s.shadow m Taint.Tagset.empty Isa.Insn.W a)
+           (Dataflow.operand_tag s.shadow m Taint.Tagset.empty Isa.Insn.W b)
+       in
+       if not (Taint.Tagset.is_empty tag) then s.guard <- tag
      | _ -> ());
-    if t.cfg.track_dataflow then begin
-      (* guard taint: immediates use an empty tag on purpose — only
-         {e data} taint reaching a compare marks trigger-gated flow *)
-      (match (insn : Isa.Insn.t) with
-       | Cmp (sz, a, b) ->
-         let tag =
-           Taint.Tagset.union t.space
-             (Dataflow.operand_tag s.shadow m Taint.Tagset.empty sz a)
-             (Dataflow.operand_tag s.shadow m Taint.Tagset.empty sz b)
-         in
-         if not (Taint.Tagset.is_empty tag) then s.guard <- tag
-       | Test (a, b) ->
-         let tag =
-           Taint.Tagset.union t.space
-             (Dataflow.operand_tag s.shadow m Taint.Tagset.empty Isa.Insn.W a)
-             (Dataflow.operand_tag s.shadow m Taint.Tagset.empty Isa.Insn.W b)
-         in
-         if not (Taint.Tagset.is_empty tag) then s.guard <- tag
-       | _ -> ());
-      Dataflow.step s.shadow m ~imm_tag:(seg_info_at t s m addr).si_tag insn
-    end
+    Dataflow.step s.shadow m ~imm_tag:(seg_info_at t s m addr).si_tag insn
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Tier policy                                                         *)
@@ -296,62 +293,83 @@ let promote t s (seg : Vm.Machine.segment) addr len m =
    tier, with this hook's summary application standing in for the
    per-instruction dataflow hooks.  Bodies contain no control transfer,
    so shortcircuit call/return tracking is unaffected. *)
-let hook_block t m seg addr len =
-  match state_of t m with
-  | None -> false
-  | Some s ->
-    (match Hashtbl.find_opt s.tiers addr with
-     | Some (Ready None) ->
-       t.ts_compiled <- t.ts_compiled + 1;
-       true
-     | Some (Ready (Some sm)) -> apply_summary t s m sm
-     | Some Rejected -> false
-     | Some (Cold n) ->
-       incr n;
-       if !n >= t.cfg.tier_threshold then promote t s seg addr len m
-       else false
-     | None ->
-       if t.cfg.tier_threshold <= 1 then promote t s seg addr len m
-       else begin
-         Hashtbl.replace s.tiers addr (Cold (ref 1));
-         false
-       end)
+let hook_block t s m seg addr len =
+  match Hashtbl.find_opt s.tiers addr with
+  | Some (Ready None) ->
+    t.ts_compiled <- t.ts_compiled + 1;
+    true
+  | Some (Ready (Some sm)) -> apply_summary t s m sm
+  | Some Rejected -> false
+  | Some (Cold n) ->
+    incr n;
+    if !n >= t.cfg.tier_threshold then promote t s seg addr len m else false
+  | None ->
+    if t.cfg.tier_threshold <= 1 then promote t s seg addr len m
+    else begin
+      Hashtbl.replace s.tiers addr (Cold (ref 1));
+      false
+    end
 
 let tier_stats t = (t.ts_compiled, t.ts_summarized, t.ts_deopt)
+
+(* [s]'s machine hooks: closures over the record, written at full arity
+   so no call allocates, chosen by the config.  Tiering is disabled
+   outright under a shadow page budget: summary application order would
+   interact with the sticky overflow set, and degraded runs are the slow
+   path anyway. *)
+let hooks t s : Vm.Machine.hooks =
+  let none = Vm.Machine.no_hooks in
+  { pre_insn =
+      (if t.cfg.track_dataflow || t.cfg.shortcircuit <> [] then
+         fun m addr insn -> hook_insn t s m addr insn
+       else none.pre_insn);
+    on_bb =
+      (if t.cfg.track_frequency then fun m addr -> hook_bb t s m addr
+       else none.on_bb);
+    on_block =
+      (if t.cfg.tier && t.cfg.shadow_page_budget = None then
+         fun m seg addr len -> hook_block t s m seg addr len
+       else none.on_block) }
+
+let bind t (p : Osim.Process.t) s =
+  Hashtbl.replace t.procs p.pid s;
+  Vm.Machine.set_hooks p.machine (hooks t s)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel callbacks                                                    *)
 
+(* Spawn and execve: a fresh record, except that execve keeps the fd
+   table, as the kernel keeps the fds. *)
 let on_process_start t (p : Osim.Process.t) =
-  t.pmap <- List.filter (fun (_, s) -> s.pid <> p.pid) t.pmap;
-  t.cur <- None;
+  let res =
+    match Hashtbl.find_opt t.procs p.pid with
+    | Some old -> old.res
+    | None -> Resources.create ()
+  in
   let s =
     { pid = p.pid;
       shadow =
         Shadow.create ?page_budget:t.cfg.shadow_page_budget ~space:t.space ();
-      sc = Shortcircuit.create t.cfg.shortcircuit;
-      tiers = Hashtbl.create 32; pending_origin = None;
+      sc = Shortcircuit.create t.cfg.shortcircuit; freq = Freq.create ();
+      res; tiers = Hashtbl.create 32; pending_origin = None;
       guard = Taint.Tagset.empty; seg_info = None }
   in
-  t.pmap <- (p.machine, s) :: t.pmap;
-  Freq.reset t.freq ~pid:p.pid;
+  bind t p s;
   (* argv / environment live on the initial stack: USER_INPUT *)
   let esp = Vm.Machine.get_reg p.machine ESP in
   Shadow.set_range s.shadow esp
     (Osim.Kernel.stack_top - esp)
     (Taint.Tagset.singleton t.space Taint.Source.User_input)
 
-let on_image_load t (p : Osim.Process.t) (img : Binary.Image.t) =
-  (match state_of t p.machine with
-   | None -> ()
-   | Some s ->
-     (* mappings changed; drop the instruction-hook segment cache *)
-     s.seg_info <- None;
-     let tag = imm_tag t img.path in
-     List.iter
-       (fun (sec : Binary.Section.t) ->
-         Shadow.set_range s.shadow sec.addr (Binary.Section.size sec) tag)
-       img.sections);
+let on_image_load t p (img : Binary.Image.t) =
+  let s = proc t p in
+  (* mappings changed; drop the instruction-hook segment cache *)
+  s.seg_info <- None;
+  let tag = imm_tag t img.path in
+  List.iter
+    (fun (sec : Binary.Section.t) ->
+      Shadow.set_range s.shadow sec.addr (Binary.Section.size sec) tag)
+    img.sections;
   List.iter
     (fun (e : Binary.Symbol.export) ->
       if
@@ -362,24 +380,23 @@ let on_image_load t (p : Osim.Process.t) (img : Binary.Image.t) =
       then Hashtbl.replace t.routines e.sym_addr e.sym_name)
     img.exports
 
-let on_fork t ~(parent : Osim.Process.t) ~(child : Osim.Process.t) =
-  match state_of t parent.machine with
-  | None -> ()
-  | Some ps ->
-    let cs =
-      { pid = child.pid; shadow = Shadow.clone ps.shadow;
-        sc = Shortcircuit.clone ps.sc;
-        (* fresh tier table: the child re-warms its own hit counts
-           (summaries are cheap to rebuild and hit counts are per
-           process by design) *)
-        tiers = Hashtbl.create 32; pending_origin = ps.pending_origin;
-        guard = ps.guard; seg_info = ps.seg_info }
-    in
-    (* the child's eax holds fork's result, written by the kernel *)
-    Shadow.set_reg cs.shadow EAX Taint.Tagset.empty;
-    t.pmap <- (child.machine, cs) :: t.pmap;
-    Freq.inherit_from t.freq ~parent:parent.pid ~child:child.pid;
-    Resources.inherit_from t.resources ~parent:parent.pid ~child:child.pid
+(* Fork: the child's record copies the parent's, and is bound into the
+   child's machine, which shares the parent's hooks until then. *)
+let on_fork t ~parent ~(child : Osim.Process.t) =
+  let ps = proc t parent in
+  let cs =
+    { pid = child.pid; shadow = Shadow.clone ps.shadow;
+      sc = Shortcircuit.clone ps.sc; freq = Freq.copy ps.freq;
+      res = Resources.copy ps.res;
+      (* fresh tier table: the child re-warms its own hit counts
+         (summaries are cheap to rebuild and hit counts are per process
+         by design) *)
+      tiers = Hashtbl.create 32; pending_origin = ps.pending_origin;
+      guard = ps.guard; seg_info = ps.seg_info }
+  in
+  (* the child's eax holds fork's result, written by the kernel *)
+  Shadow.set_reg cs.shadow EAX Taint.Tagset.empty;
+  bind t child cs
 
 let file_resource name origin : Events.resource =
   { r_kind = Events.R_file; r_name = name; r_origin = origin }
@@ -388,11 +405,8 @@ let sock_resource name origin : Events.resource =
   { r_kind = Events.R_socket; r_name = name; r_origin = origin }
 
 let on_pre_syscall t (p : Osim.Process.t) (sc : Osim.Syscall.t) =
-  match state_of t p.machine with
-  | None -> Osim.Kernel.Allow
-  | Some s ->
+  let s = proc t p in
   let m = p.machine in
-  let pid = s.pid in
   match sc with
   | Execve { path_addr; path; argv } ->
     let origin = string_origin s m path_addr in
@@ -401,13 +415,13 @@ let on_pre_syscall t (p : Osim.Process.t) (sc : Osim.Syscall.t) =
   | Fork ->
     let now = Osim.Kernel.ticks t.kernel in
     t.clone_times <-
-      now :: List.filter (fun tm -> now - tm <= t.cfg.clone_window)
-               t.clone_times;
+      now
+      :: List.filter (fun tm -> now - tm <= recent_clone_ticks) t.clone_times;
     emit t
       (Events.Clone
          { total = Osim.Kernel.clone_total t.kernel + 1;
            recent = List.length t.clone_times;
-           window = t.cfg.clone_window; meta = meta t s })
+           window = recent_clone_ticks; meta = meta t s })
   | Open { path_addr; path; _ } | Creat { path_addr; path } ->
     let origin = string_origin s m path_addr in
     s.pending_origin <- Some origin;
@@ -427,7 +441,7 @@ let on_pre_syscall t (p : Osim.Process.t) (sc : Osim.Syscall.t) =
   | Bind { fd; addr_ptr; port } ->
     let origin = Shadow.range s.shadow addr_ptr 4 in
     let local = Fmt.str "LocalHost:%d" port in
-    Resources.bind_origin t.resources ~pid ~fd origin local;
+    Resources.bind_origin s.res ~fd origin local;
     emit t
       (Events.Access
          { call = "SYS_bind"; res = sock_resource local origin;
@@ -450,8 +464,8 @@ let on_pre_syscall t (p : Osim.Process.t) (sc : Osim.Syscall.t) =
       | exception Vm.Machine.Fault_exn _ -> ""
       | h -> h
     in
-    let target = Resources.resource_of t.resources ~pid ~fd ~fallback:res in
-    let via_server = Resources.server_of t.resources ~pid ~fd in
+    let target = Resources.resource_of s.res ~fd ~fallback:res in
+    let via_server = Resources.server_of s.res ~fd in
     let annotate tags =
       List.map
         (fun src ->
@@ -477,11 +491,8 @@ let on_pre_syscall t (p : Osim.Process.t) (sc : Osim.Syscall.t) =
   | Read _ | Close _ | Exit _ | Time | Getpid | Dup _ | Nanosleep _
   | Socket | Listen _ | Accept _ | Unknown _ -> Osim.Kernel.Allow
 
-let on_post_syscall t (p : Osim.Process.t) (sc : Osim.Syscall.t) ~result =
-  match state_of t p.machine with
-  | None -> ()
-  | Some s ->
-  let pid = s.pid in
+let on_post_syscall t p (sc : Osim.Syscall.t) ~result =
+  let s = proc t p in
   (* the syscall result in eax was written by the kernel *)
   Shadow.set_reg s.shadow EAX Taint.Tagset.empty;
   match sc with
@@ -505,7 +516,7 @@ let on_post_syscall t (p : Osim.Process.t) (sc : Osim.Syscall.t) ~result =
     in
     s.pending_origin <- None;
     Hashtbl.replace t.name_origins path origin;
-    Resources.set t.resources ~pid ~fd:result
+    Resources.set s.res ~fd:result
       { e_kind = Events.R_file; e_name = path; e_origin = origin;
         e_server = None }
   | Connect { fd; addr_name; _ } when result = 0 ->
@@ -514,19 +525,19 @@ let on_post_syscall t (p : Osim.Process.t) (sc : Osim.Syscall.t) ~result =
     in
     s.pending_origin <- None;
     Hashtbl.replace t.name_origins addr_name origin;
-    Resources.set t.resources ~pid ~fd
+    Resources.set s.res ~fd
       { e_kind = Events.R_socket; e_name = addr_name; e_origin = origin;
         e_server = None }
   | Accept { fd; port; peer; _ } when result >= 0 ->
     let bound_origin, local =
-      match Resources.bound t.resources ~pid ~fd with
+      match Resources.bound s.res ~fd with
       | Some (origin, local) -> origin, local
       | None -> Taint.Tagset.empty, Fmt.str "LocalHost:%d" port
     in
     let peer_name = Option.value peer ~default:"remote" in
     Hashtbl.replace t.name_origins peer_name bound_origin;
     let server = sock_resource local bound_origin in
-    Resources.set t.resources ~pid ~fd:result
+    Resources.set s.res ~fd:result
       { e_kind = Events.R_socket; e_name = peer_name;
         e_origin = Taint.Tagset.empty; e_server = Some server };
     emit_log_only t
@@ -535,32 +546,22 @@ let on_post_syscall t (p : Osim.Process.t) (sc : Osim.Syscall.t) ~result =
            res = sock_resource peer_name Taint.Tagset.empty;
            meta = meta t s })
   | Dup { fd; _ } when result >= 0 ->
-    (match Resources.get t.resources ~pid ~fd with
-     | Some entry -> Resources.set t.resources ~pid ~fd:result entry
+    (match Resources.get s.res ~fd with
+     | Some entry -> Resources.set s.res ~fd:result entry
      | None -> ())
-  | Close { fd; _ } -> Resources.remove t.resources ~pid ~fd
+  | Close { fd; _ } -> Resources.remove s.res ~fd
   | Open _ | Creat _ | Connect _ | Accept _ | Dup _ | Execve _ | Exit _
   | Fork | Write _ | Time | Getpid | Nanosleep _ | Brk _ | Socket
   | Bind _ | Listen _ | Unknown _ -> ()
 
 let attach ?(config = default_config) kernel =
   let t =
-    { cfg = config; space = Taint.Space.create (); kernel; freq = Freq.create ();
-      resources = Resources.create (); routines = Hashtbl.create 8;
-      name_origins = Hashtbl.create 32;
-      imm_tags = Hashtbl.create 8; pmap = []; cur = None; clone_times = [];
-      sinks = []; count = 0; ts_compiled = 0; ts_summarized = 0;
-      ts_deopt = 0 }
+    { cfg = config; space = Taint.Space.create (); kernel;
+      procs = Hashtbl.create 8; routines = Hashtbl.create 8;
+      name_origins = Hashtbl.create 32; imm_tags = Hashtbl.create 8;
+      clone_times = []; sinks = []; count = 0; ts_compiled = 0;
+      ts_summarized = 0; ts_deopt = 0 }
   in
-  let hooks = Osim.Kernel.hooks kernel in
-  if config.track_dataflow || config.shortcircuit <> [] then
-    hooks.pre_insn <- hook_insn t;
-  if config.track_frequency then hooks.on_bb <- hook_bb t;
-  (* tiering is disabled outright under a shadow page budget: summary
-     application order would interact with the sticky overflow set, and
-     degraded runs are the slow path anyway *)
-  if config.tier && config.shadow_page_budget = None then
-    hooks.on_block <- hook_block t;
   let mon = Osim.Kernel.monitor kernel in
   mon.on_process_start <- on_process_start t;
   mon.on_image_load <- on_image_load t;

@@ -1,20 +1,22 @@
 (** Harrier: the run-time monitor (Section 7, Fig. 6).
 
-    [attach] wires the monitor into a kernel: it installs the machine
-    hooks (instruction dataflow, basic-block frequency) and the kernel
-    monitor callbacks (image loads, process starts, forks, syscalls).
-    Events are delivered to a list of {e subscribers} registered with
-    {!subscribe} — trace emission, metrics, an event accumulator, and
-    Secpert in the full framework.  Every subscriber sees every event;
-    any of them may answer [Kill], which stops the offending process
-    before the system call executes. *)
+    [attach] wires the monitor into a kernel's callbacks (image loads,
+    process starts, forks, syscalls).  Each process has one record of
+    all its Harrier state (shadow, short-circuit frames, block counts,
+    fd table, tier table), bound into the hooks (instruction dataflow,
+    basic-block frequency, tiering) installed on its machine when it
+    starts or forks; fork copies the record, and [execve] replaces it
+    but keeps the fd table.  Events are delivered to a list of
+    {e subscribers} registered with {!subscribe} — trace emission,
+    metrics, an event accumulator, and Secpert in the full framework.
+    Every subscriber sees every event; any of them may answer [Kill],
+    which stops the offending process before the system call executes. *)
 
 type config = {
   track_dataflow : bool;  (** per-instruction taint (Section 7.3) *)
   track_frequency : bool;  (** BB counting (Section 7.4) *)
   shortcircuit : Shortcircuit.spec list;
       (** library routines tracked atomically (Section 7.2) *)
-  clone_window : int;  (** ticks; clones within it count as "recent" *)
   shadow_page_budget : int option;
       (** bound on live shadow pages per process; when it trips, taint
           saturates to conservative over-tainting (see {!Shadow.create})
@@ -30,7 +32,8 @@ type config = {
 }
 
 (** Everything on: dataflow, frequency, gethostbyname short-circuit,
-    a 3000-tick clone window, tiering at threshold 8. *)
+    tiering at threshold 8.  Clones within 3000 ticks of each other
+    count as "recent", whatever the config. *)
 val default_config : config
 
 type t
@@ -41,11 +44,13 @@ type t
     exact even for killed processes). *)
 type sink = Events.t -> Osim.Kernel.decision
 
-(** [attach ?config kernel] installs the monitor.  Call before
-    [Kernel.spawn].  Every tag the monitor creates is interned in a
-    fresh taint space of its own ({!Taint.Space.create}), which its
-    process shadows share, so nothing an earlier session interned
-    affects this one. *)
+(** [attach ?config kernel] installs the kernel callbacks, and no
+    machine hooks up front.  Call before [Kernel.spawn]: a callback for
+    a process that never started raises [Invalid_argument], a wiring bug
+    the engine reports as a crash.  Every tag the monitor creates is
+    interned in a fresh taint space of its own ({!Taint.Space.create}),
+    which its process shadows share, so nothing an earlier session
+    interned affects this one. *)
 val attach : ?config:config -> Osim.Kernel.t -> t
 
 val config : t -> config
@@ -76,8 +81,9 @@ val event_count : t -> int
 val tier_stats : t -> int * int * int
 
 (** [hot_blocks t ~limit] is the top-[limit] hottest application basic
-    blocks as [(pid, leader, count)] (see {!Freq.hot}); deterministic
-    ordering. *)
+    blocks over every process as [(pid, leader, count)] (see {!Freq}),
+    ordered by count descending, then pid and leader ascending.  A
+    process's counts restart at [execve]. *)
 val hot_blocks : t -> limit:int -> (int * int * int) list
 
 (** [degraded t] lists one human-readable reason per process whose

@@ -6,36 +6,28 @@ type entry = {
 }
 
 type t = {
-  table : (int * int, entry) Hashtbl.t;
-  binds : (int * int, Taint.Tagset.t * string) Hashtbl.t;
+  table : (int, entry) Hashtbl.t;  (* fd -> entry *)
+  binds : (int, Taint.Tagset.t * string) Hashtbl.t;
 }
 
-let create () = { table = Hashtbl.create 32; binds = Hashtbl.create 8 }
+let create () = { table = Hashtbl.create 8; binds = Hashtbl.create 2 }
 
-let set t ~pid ~fd entry = Hashtbl.replace t.table (pid, fd) entry
+let set t ~fd entry = Hashtbl.replace t.table fd entry
 
-let get t ~pid ~fd = Hashtbl.find_opt t.table (pid, fd)
+let get t ~fd = Hashtbl.find_opt t.table fd
 
-let remove t ~pid ~fd =
-  Hashtbl.remove t.table (pid, fd);
-  Hashtbl.remove t.binds (pid, fd)
+let remove t ~fd =
+  Hashtbl.remove t.table fd;
+  Hashtbl.remove t.binds fd
 
-let bind_origin t ~pid ~fd tag local =
-  Hashtbl.replace t.binds (pid, fd) (tag, local)
+let bind_origin t ~fd tag local = Hashtbl.replace t.binds fd (tag, local)
 
-let bound t ~pid ~fd = Hashtbl.find_opt t.binds (pid, fd)
+let bound t ~fd = Hashtbl.find_opt t.binds fd
 
-let inherit_from t ~parent ~child =
-  let copy tbl =
-    Hashtbl.iter
-      (fun (pid, fd) v -> if pid = parent then Hashtbl.replace tbl (child, fd) v)
-      (Hashtbl.copy tbl)
-  in
-  copy t.table;
-  copy t.binds
+let copy t = { table = Hashtbl.copy t.table; binds = Hashtbl.copy t.binds }
 
-let resource_of t ~pid ~fd ~fallback : Events.resource =
-  match get t ~pid ~fd with
+let resource_of t ~fd ~fallback : Events.resource =
+  match get t ~fd with
   | Some e -> { r_kind = e.e_kind; r_name = e.e_name; r_origin = e.e_origin }
   | None ->
     (match (fallback : Osim.Syscall.resource) with
@@ -64,7 +56,7 @@ let resource_of t ~pid ~fd ~fallback : Events.resource =
        { r_kind = Events.R_stdio; r_name = "unknown";
          r_origin = Taint.Tagset.empty })
 
-let server_of t ~pid ~fd =
-  match get t ~pid ~fd with
+let server_of t ~fd =
+  match get t ~fd with
   | Some { e_server; _ } -> e_server
   | None -> None

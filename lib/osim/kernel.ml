@@ -23,7 +23,6 @@ type t = {
   k_fs : Fs.t;
   k_net : Net.t;
   k_monitor : monitor;
-  k_hooks : Vm.Machine.hooks;
   k_fault : Fault.state;  (* deterministic fault-injection decisions *)
   max_procs : int;
   mutable procs : Process.t list;  (* in spawn order *)
@@ -48,14 +47,13 @@ let quantum = 2000
 let create ?(max_procs = 48) ?(user_input = []) ?(fault = Fault.none) ~fs
     ~net () =
   { k_fs = fs; k_net = net; k_monitor = null_monitor ();
-    k_hooks = Vm.Machine.no_hooks (); k_fault = Fault.start fault;
+    k_fault = Fault.start fault;
     max_procs; procs = []; next_pid = 1; k_ticks = 0; input = user_input;
     console_buf = Buffer.create 256; clones = 0; max_live = 0;
     last_run_pid = -1 }
 
 let fs k = k.k_fs
 let monitor k = k.k_monitor
-let hooks k = k.k_hooks
 let ticks k = k.k_ticks
 let live_count k = List.length (List.filter Process.is_live k.procs)
 let clone_total k = k.clones
@@ -121,7 +119,7 @@ let setup_stack m ~argv ~env =
 
 let fresh_machine k path ~argv ~env =
   let images = load k path in
-  let m = Vm.Machine.create ~hooks:k.k_hooks () in
+  let m = Vm.Machine.create () in
   List.iter (Vm.Machine.map_image m) images;
   setup_stack m ~argv ~env;
   let entry =

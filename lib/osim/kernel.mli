@@ -14,12 +14,14 @@ type decision = Allow | Kill
     other). *)
 type monitor = {
   mutable on_process_start : Process.t -> unit;
-      (** fired after the machine is set up (initial stack in place) and
-          before image-load notifications *)
+      (** fired on spawn and on a successful [execve] (same pid, new
+          machine), after the machine is set up (initial stack in place)
+          and before image-load notifications *)
   mutable on_image_load : Process.t -> Binary.Image.t -> unit;
   mutable on_pre_syscall : Process.t -> Syscall.t -> decision;
   mutable on_post_syscall : Process.t -> Syscall.t -> result:int -> unit;
   mutable on_fork : parent:Process.t -> child:Process.t -> unit;
+      (** fired after the child's machine is cloned and before it runs *)
 }
 
 type t
@@ -29,14 +31,14 @@ type t
     monitor. *)
 val stack_top : int
 
-(** [create ~fs ~net ()] builds a world with a null {!monitor} and
-    empty VM hooks, installed on every machine (the monitor mutates
-    their fields); [user_input] scripts the bytes read from stdin;
-    [max_procs] bounds the process table ([fork] then fails with
-    EAGAIN, taming fork bombs); [fault] injects deterministic syscall
-    faults (default {!Fault.none}) — every injection is counted under
-    [osim.faults.injected.<kind>] and emitted as an [Obs.Trace]
-    "fault" event. *)
+(** [create ~fs ~net ()] builds a world with a null {!monitor}; every
+    machine it creates starts with {!Vm.Machine.no_hooks}, and a monitor
+    binds its own from [on_process_start] and [on_fork]; [user_input]
+    scripts the bytes read from stdin; [max_procs] bounds the process
+    table ([fork] then fails with EAGAIN, taming fork bombs); [fault]
+    injects deterministic syscall faults (default {!Fault.none}) — every
+    injection is counted under [osim.faults.injected.<kind>] and emitted
+    as an [Obs.Trace] "fault" event. *)
 val create :
   ?max_procs:int ->
   ?user_input:string list ->
@@ -49,8 +51,6 @@ val create :
 val fs : t -> Fs.t
 
 val monitor : t -> monitor
-
-val hooks : t -> Vm.Machine.hooks
 
 (** [ticks k] is the world clock: total instructions executed. *)
 val ticks : t -> int

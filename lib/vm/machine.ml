@@ -20,7 +20,7 @@ type t = {
          same segment, so [step] skips the segment-list scan *)
   mutable status : status;
   mutable at_bb_start : bool;
-  h : hooks;
+  mutable h : hooks;
 }
 
 and segment = {
@@ -32,9 +32,9 @@ and segment = {
 }
 
 and hooks = {
-  mutable pre_insn : t -> int -> Isa.Insn.t -> unit;
-  mutable on_bb : t -> int -> unit;
-  mutable on_block : t -> segment -> int -> int -> bool;
+  pre_insn : t -> int -> Isa.Insn.t -> unit;
+  on_bb : t -> int -> unit;
+  on_block : t -> segment -> int -> int -> bool;
 }
 
 (* Sentinel "no segment": an empty interval, so the fetch fast path
@@ -43,7 +43,7 @@ let no_seg =
   { seg_base = 0; seg_insns = [||]; seg_image = "";
     seg_kind = Binary.Image.Executable; seg_lens = [||] }
 
-let no_hooks () =
+let no_hooks =
   { pre_insn = (fun _ _ _ -> ());
     on_bb = (fun _ _ -> ());
     on_block = (fun _ _ _ _ -> false) }
@@ -62,13 +62,13 @@ let zero_page = Bytes.make page_size '\000'
 
 exception Fault_exn of fault
 
-let create ?hooks () =
-  let h = match hooks with Some h -> h | None -> no_hooks () in
+let create () =
   { regs = Array.make Isa.Reg.count 0; eip = 0; zf = false; sf = false;
     lt = false; pages = Array.make (mem_size lsr page_bits) zero_page;
-    segs = []; cur_seg = no_seg; status = Running; at_bb_start = true; h }
+    segs = []; cur_seg = no_seg; status = Running; at_bb_start = true;
+    h = no_hooks }
 
-let hooks m = m.h
+let set_hooks m h = m.h <- h
 
 (* Eager copy of the private pages, no copy-on-write: a fork inherits
    few pages, and an ownership check on every store would tax the

@@ -39,14 +39,15 @@ type segment = {
       (** straight-line body lengths, from {!Binary.Image.t.blocks} *)
 }
 
-(** Instrumentation callbacks.  All default to no-ops ([on_block]
-    defaults to refusing every block, i.e. pure interpretation). *)
+(** Instrumentation callbacks.  Each machine carries its own set, so a
+    monitor binds per-process state into the closures rather than
+    looking it up on every call. *)
 type hooks = {
-  mutable pre_insn : t -> int -> Isa.Insn.t -> unit;
+  pre_insn : t -> int -> Isa.Insn.t -> unit;
       (** called with the address and instruction {e before} execution *)
-  mutable on_bb : t -> int -> unit;
+  on_bb : t -> int -> unit;
       (** called when control enters a basic block (leader address) *)
-  mutable on_block : t -> segment -> int -> int -> bool;
+  on_block : t -> segment -> int -> int -> bool;
       (** [on_block m seg addr len]: offered a straight-line body of
           [len] instructions at block leader [addr] before it runs.
           Return [true] to execute it as one unit, with no
@@ -55,7 +56,9 @@ type hooks = {
           them — or [false] to interpret as usual. *)
 }
 
-val no_hooks : unit -> hooks
+(** No-op hooks ([on_block] refuses every block, i.e. pure
+    interpretation): what {!create} installs. *)
+val no_hooks : hooks
 
 (** Size of each process's address space (1 MiB). *)
 val mem_size : int
@@ -66,13 +69,16 @@ val mem_size : int
     granularity. *)
 val page_bits : int
 
-val create : ?hooks:hooks -> unit -> t
+(** [create ()] is a machine with empty memory and {!no_hooks}. *)
+val create : unit -> t
 
-val hooks : t -> hooks
+(** [set_hooks m h] replaces [m]'s hooks; the next instruction runs
+    under [h]. *)
+val set_hooks : t -> hooks -> unit
 
 (** [clone m] duplicates the full architectural state ([fork]): [m]'s
-    private pages are copied, and text segments and hooks are
-    shared. *)
+    private pages are copied, and text segments are shared, as are the
+    hooks until {!set_hooks} rebinds the clone's. *)
 val clone : t -> t
 
 (** [resident_pages m] is the number of pages [m] holds privately:

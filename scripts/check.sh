@@ -133,6 +133,49 @@ else
   echo "  ok: every lib/ export is used outside its module"
 fi
 
+echo "== section 9 ladder gate =="
+# EXPERIMENTS.md section 9's ladder table quotes the "levels" rows of
+# the committed BENCH_perf.json (one row per line): each table row's
+# current milliseconds (ns_per_run / 1e6) and slowdown must match its
+# row, and every level needs a table row.
+if awk '
+  FNR == NR {
+    if ($0 !~ /"harrier-levels\//) next
+    name = $0; sub(/.*"harrier-levels\//, "", name); sub(/".*/, "", name)
+    ns = $0; sub(/.*"ns_per_run": */, "", ns); sub(/[,}].*/, "", ns)
+    x = $0; sub(/.*"slowdown_vs_native": */, "", x); sub(/[,}].*/, "", x)
+    want[name] = sprintf("%.2f ms | %.2fx", ns / 1e6, x)
+    next
+  }
+  /^## / { s9 = ($0 ~ /^## Section 9/) }
+  s9 && /^\| Configuration \|/ { tab = 1; next }
+  tab && !/^\|/ { tab = 0 }
+  tab && !/^\|---/ {
+    split($0, c, "|")
+    for (i = 2; i <= 5; i++) gsub(/^ +| +$/, "", c[i])
+    got = c[4] " | " c[5]
+    if (!(c[2] in want)) {
+      print "  table row with no levels entry: " c[2]; bad = 1
+    } else if (want[c[2]] != got) {
+      print "  " c[2] ": table says " got ", BENCH_perf.json says " \
+        want[c[2]]
+      bad = 1
+    }
+    seen[c[2]] = 1
+  }
+  END {
+    for (k in want) if (!(k in seen)) {
+      print "  no table row for level: " k; bad = 1
+    }
+    exit bad
+  }' BENCH_perf.json EXPERIMENTS.md > "$tmp/ladder"; then
+  echo "  ok: EXPERIMENTS.md section 9 quotes BENCH_perf.json's levels"
+else
+  echo "  SECTION 9 DISAGREES WITH BENCH_perf.json:" >&2
+  cat "$tmp/ladder" >&2
+  status=1
+fi
+
 echo "== determinism gate =="
 for s in "ElmExploit" "nlspath" "procex" "grabem" "vixie crontab" \
          "pma" "superforker" "ls" "column"; do

@@ -152,36 +152,49 @@ let test_df_call_clears_ret_slot () =
 
 let test_freq_counting () =
   let f = Harrier.Freq.create () in
-  Harrier.Freq.on_bb f ~pid:1 ~is_app:true 0x10;
-  Harrier.Freq.on_bb f ~pid:1 ~is_app:true 0x10;
-  Harrier.Freq.on_bb f ~pid:1 ~is_app:true 0x20;
-  check_int "count per leader" 2 (Harrier.Freq.count f ~pid:1 0x10);
+  check "nothing attributed yet" true (Harrier.Freq.attributed_bb f = None);
+  check_int "no event freq yet" 0 (Harrier.Freq.event_frequency f);
+  Harrier.Freq.on_bb f ~is_app:true 0x10;
+  Harrier.Freq.on_bb f ~is_app:true 0x10;
+  Harrier.Freq.on_bb f ~is_app:true 0x20;
+  check_int "count per leader" 2 (Harrier.Freq.count f 0x10);
   check "attribution follows app" true
-    (Harrier.Freq.attributed_bb f ~pid:1 = Some 0x20);
-  check_int "event freq of attributed" 1
-    (Harrier.Freq.event_frequency f ~pid:1)
+    (Harrier.Freq.attributed_bb f = Some 0x20);
+  check_int "event freq of attributed" 1 (Harrier.Freq.event_frequency f);
+  Alcotest.(check (list (pair int int)))
+    "blocks" [ 0x10, 2; 0x20, 1 ]
+    (List.sort compare (Harrier.Freq.blocks f))
 
 let test_freq_library_attribution () =
   (* Fig. 3: shared-object blocks keep the last *app* block current *)
   let f = Harrier.Freq.create () in
-  Harrier.Freq.on_bb f ~pid:1 ~is_app:true 0x10;
-  Harrier.Freq.on_bb f ~pid:1 ~is_app:false 0x4000;
-  Harrier.Freq.on_bb f ~pid:1 ~is_app:false 0x4010;
+  Harrier.Freq.on_bb f ~is_app:true 0x10;
+  Harrier.Freq.on_bb f ~is_app:false 0x4000;
+  Harrier.Freq.on_bb f ~is_app:false 0x4010;
   check "library code not attributed" true
-    (Harrier.Freq.attributed_bb f ~pid:1 = Some 0x10);
-  check_int "library blocks not counted" 0
-    (Harrier.Freq.count f ~pid:1 0x4000)
+    (Harrier.Freq.attributed_bb f = Some 0x10);
+  check_int "library blocks not counted" 0 (Harrier.Freq.count f 0x4000)
 
-let test_freq_inherit_reset () =
-  let f = Harrier.Freq.create () in
-  Harrier.Freq.on_bb f ~pid:1 ~is_app:true 0x10;
-  Harrier.Freq.inherit_from f ~parent:1 ~child:2;
-  check_int "child inherits counts" 1 (Harrier.Freq.count f ~pid:2 0x10);
+(* A forked child's copy starts from the parent's counts and attribution,
+   in cells of its own: neither side's later blocks reach the other. *)
+let test_freq_copy () =
+  let parent = Harrier.Freq.create () in
+  Harrier.Freq.on_bb parent ~is_app:true 0x10;
+  let child = Harrier.Freq.copy parent in
+  check_int "child inherits counts" 1 (Harrier.Freq.count child 0x10);
   check "child inherits attribution" true
-    (Harrier.Freq.attributed_bb f ~pid:2 = Some 0x10);
-  Harrier.Freq.reset f ~pid:1;
-  check_int "parent reset" 0 (Harrier.Freq.count f ~pid:1 0x10);
-  check_int "child unaffected" 1 (Harrier.Freq.count f ~pid:2 0x10)
+    (Harrier.Freq.attributed_bb child = Some 0x10);
+  check_int "child inherits event freq" 1
+    (Harrier.Freq.event_frequency child);
+  Harrier.Freq.on_bb parent ~is_app:true 0x10;
+  check_int "parent counts on" 2 (Harrier.Freq.count parent 0x10);
+  check_int "child unaffected" 1 (Harrier.Freq.count child 0x10);
+  Harrier.Freq.on_bb child ~is_app:true 0x10;
+  Harrier.Freq.on_bb child ~is_app:true 0x20;
+  check_int "child counts its own" 2 (Harrier.Freq.count child 0x10);
+  check_int "parent unaffected" 2 (Harrier.Freq.count parent 0x10);
+  check "parent attribution unaffected" true
+    (Harrier.Freq.attributed_bb parent = Some 0x10)
 
 (* ------------------------------------------------------------------ *)
 (* Resources                                                           *)
@@ -192,26 +205,27 @@ let entry name origin : Harrier.Resources.entry =
 
 let test_resources_lifecycle () =
   let r = Harrier.Resources.create () in
-  Harrier.Resources.set r ~pid:1 ~fd:3 (entry "/f" (tag_of [ bin_x ]));
-  check "get" true (Harrier.Resources.get r ~pid:1 ~fd:3 <> None);
-  check "other pid isolated" true
-    (Harrier.Resources.get r ~pid:2 ~fd:3 = None);
-  Harrier.Resources.inherit_from r ~parent:1 ~child:2;
-  check "inherited" true (Harrier.Resources.get r ~pid:2 ~fd:3 <> None);
-  Harrier.Resources.remove r ~pid:1 ~fd:3;
-  check "removed" true (Harrier.Resources.get r ~pid:1 ~fd:3 = None);
+  Harrier.Resources.set r ~fd:3 (entry "/f" (tag_of [ bin_x ]));
+  check "get" true (Harrier.Resources.get r ~fd:3 <> None);
+  check "other fd absent" true (Harrier.Resources.get r ~fd:4 = None);
+  let child = Harrier.Resources.copy r in
+  check "inherited" true (Harrier.Resources.get child ~fd:3 <> None);
+  Harrier.Resources.remove r ~fd:3;
+  check "removed" true (Harrier.Resources.get r ~fd:3 = None);
   check "child survives removal" true
-    (Harrier.Resources.get r ~pid:2 ~fd:3 <> None)
+    (Harrier.Resources.get child ~fd:3 <> None);
+  Harrier.Resources.set child ~fd:5 (entry "/g" Taint.Tagset.empty);
+  check "parent unaffected by the child" true
+    (Harrier.Resources.get r ~fd:5 = None)
 
 let test_resources_fallback () =
   let r = Harrier.Resources.create () in
   let res =
-    Harrier.Resources.resource_of r ~pid:1 ~fd:0
-      ~fallback:Osim.Syscall.R_stdin
+    Harrier.Resources.resource_of r ~fd:0 ~fallback:Osim.Syscall.R_stdin
   in
   check "stdin fallback" true (res.r_name = "STDIN");
   let res =
-    Harrier.Resources.resource_of r ~pid:1 ~fd:9
+    Harrier.Resources.resource_of r ~fd:9
       ~fallback:(Osim.Syscall.R_file "/kernel-view")
   in
   check "kernel file fallback" true (res.r_name = "/kernel-view");
@@ -220,13 +234,16 @@ let test_resources_fallback () =
 
 let test_resources_bind () =
   let r = Harrier.Resources.create () in
-  Harrier.Resources.bind_origin r ~pid:1 ~fd:4 (tag_of [ bin_x ])
-    "LocalHost:80";
-  (match Harrier.Resources.bound r ~pid:1 ~fd:4 with
+  Harrier.Resources.bind_origin r ~fd:4 (tag_of [ bin_x ]) "LocalHost:80";
+  (match Harrier.Resources.bound r ~fd:4 with
    | Some (tag, local) ->
      Alcotest.check tagset "bound origin" (tag_of [ bin_x ]) tag;
      check "local name" true (local = "LocalHost:80")
-   | None -> Alcotest.fail "bound entry missing")
+   | None -> Alcotest.fail "bound entry missing");
+  check "bound survives the copy" true
+    (Harrier.Resources.bound (Harrier.Resources.copy r) ~fd:4 <> None);
+  Harrier.Resources.remove r ~fd:4;
+  check "close drops the bind" true (Harrier.Resources.bound r ~fd:4 = None)
 
 (* ------------------------------------------------------------------ *)
 (* Short-circuit                                                       *)
@@ -455,6 +472,121 @@ let test_monitor_fork_inherits_taint () =
      | _ -> Alcotest.fail "sources wrong")
   | None -> Alcotest.fail "child write not observed"
 
+(* Each process's hooks are its own: a child that overwrites the
+   inherited buffer with immediates (mov only) leaves the parent's taint
+   alone, so the parent's later write carries only the file it read. *)
+let test_monitor_fork_isolates_child () =
+  let exe =
+    let u = Asm.create ~path:"/bin/m" ~kind:Binary.Image.Executable
+        ~base:0x1000 ()
+    in
+    Guest.Runtime.prologue u;
+    Asm.asciz u "src" "/secret";
+    Asm.asciz u "dst" "/leak";
+    Asm.space u "fd" 4;
+    Asm.label u "_start";
+    Guest.Runtime.sys_open u ~path:(Asm.lbl "src") ~flags:0;
+    Asm.movl u (Asm.mlbl "fd") Asm.eax;
+    Guest.Runtime.sys_read u ~fd:(Asm.mlbl "fd") ~buf:(Asm.lbl "__buf")
+      ~len:(Asm.imm 16);
+    Guest.Runtime.sys_fork u;
+    Asm.testl u Asm.eax Asm.eax;
+    Asm.jnz u "parent";
+    (* child *)
+    for i = 0 to 3 do
+      Asm.movl u (Asm.mlbl ~off:(4 * i) "__buf") (Asm.imm 0x41414141)
+    done;
+    Guest.Runtime.sys_exit u 0;
+    Asm.label u "parent";
+    Guest.Runtime.sys_sleep u 100;
+    Guest.Runtime.sys_creat u ~path:(Asm.lbl "dst");
+    Asm.movl u (Asm.mlbl "fd") Asm.eax;
+    Guest.Runtime.sys_write u ~fd:(Asm.mlbl "fd") ~buf:(Asm.lbl "__buf")
+      ~len:(Asm.imm 16);
+    Guest.Runtime.sys_exit u 0;
+    Asm.hlt u;
+    Asm.finalize u
+  in
+  let r =
+    Hth.Engine.run (Hth.Engine.create ())
+      (Hth.Engine.setup ~programs:[ exe ]
+         ~files:[ "/secret", "classified-bytes" ] ~main:"/bin/m" ())
+  in
+  match
+    List.find_map
+      (function
+        | Harrier.Events.Transfer
+            { data; target = { r_name = "/leak"; _ }; meta; _ } ->
+          Some (data, meta)
+        | _ -> None)
+      r.events
+  with
+  | Some (data, meta) ->
+    check_int "the parent wrote" 1 meta.pid;
+    check "FILE:/secret" true (List.mem "/secret" (Taint.Tagset.files data));
+    Alcotest.(check (list string))
+      "no BINARY from the child's stores" []
+      (Taint.Tagset.binaries data)
+  | None -> Alcotest.fail "parent write not observed"
+
+(* execve keeps the fd table, as the kernel keeps the fds, and restarts
+   the block counts: /bin/w, loaded at /bin/m's base, writes from its
+   first block to the fd /bin/m created under a hard-coded name. *)
+let test_monitor_exec_keeps_fds () =
+  let image path ~data ~code =
+    let u = Asm.create ~path ~kind:Binary.Image.Executable ~base:0x1000 () in
+    List.iter (fun (name, s) -> Asm.asciz u name s) data;
+    Asm.label u "_start";
+    code u;
+    Asm.hlt u;
+    Asm.finalize u
+  in
+  let m =
+    image "/bin/m" ~data:[ "out", "/out"; "prog", "/bin/w" ] ~code:(fun u ->
+        Guest.Runtime.sys_creat u ~path:(Asm.lbl "out");
+        Guest.Runtime.sys_execve u ~path:(Asm.lbl "prog") ();
+        Guest.Runtime.sys_exit u 1)
+  in
+  let w =
+    image "/bin/w" ~data:[ "msg", "hello" ] ~code:(fun u ->
+        Guest.Runtime.sys_write u ~fd:(Asm.imm 3) ~buf:(Asm.lbl "msg")
+          ~len:(Asm.imm 5);
+        Guest.Runtime.sys_exit u 0)
+  in
+  let r =
+    Hth.Engine.run (Hth.Engine.create ())
+      (Hth.Engine.setup ~programs:[ m; w ] ~main:"/bin/m" ())
+  in
+  match
+    List.find_map
+      (function
+        | Harrier.Events.Transfer { target; meta; _ } -> Some (target, meta)
+        | _ -> None)
+      r.events
+  with
+  | Some (target, meta) ->
+    Alcotest.(check string) "target" "/out" target.r_name;
+    Alcotest.(check (list string))
+      "origin BINARY:/bin/m" [ "/bin/m" ]
+      (Taint.Tagset.binaries target.r_origin);
+    check_int "counts restart at exec" 1 meta.freq;
+    check_int "at /bin/w's entry block" 0x1000 meta.addr
+  | None -> Alcotest.fail "no transfer"
+
+(* A kernel callback for a process the monitor never saw start is a
+   wiring bug: it raises instead of dropping the observation. *)
+let test_monitor_unknown_pid_raises () =
+  let fs = Osim.Fs.create () in
+  Osim.Fs.install_image fs (Guest.Common.trivial "/bin/true");
+  let k = Osim.Kernel.create ~fs ~net:(Osim.Net.create ()) () in
+  (match Osim.Kernel.spawn k ~path:"/bin/true" ~argv:[ "/bin/true" ] with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail e);
+  ignore (Harrier.Monitor.attach k);
+  match Osim.Kernel.run k ~max_ticks:10_000 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a callback for an unstarted pid must raise"
+
 let suite =
   [ Alcotest.test_case "shadow registers" `Quick test_shadow_regs;
     Alcotest.test_case "shadow memory ranges" `Quick test_shadow_memory;
@@ -475,8 +607,7 @@ let suite =
     Alcotest.test_case "frequency counting" `Quick test_freq_counting;
     Alcotest.test_case "frequency library attribution (Fig. 3)" `Quick
       test_freq_library_attribution;
-    Alcotest.test_case "frequency inherit and reset" `Quick
-      test_freq_inherit_reset;
+    Alcotest.test_case "frequency copy" `Quick test_freq_copy;
     Alcotest.test_case "resources lifecycle" `Quick
       test_resources_lifecycle;
     Alcotest.test_case "resources fallback" `Quick test_resources_fallback;
@@ -494,4 +625,10 @@ let suite =
     Alcotest.test_case "monitor event metadata" `Quick
       test_monitor_event_meta;
     Alcotest.test_case "monitor fork inherits taint" `Quick
-      test_monitor_fork_inherits_taint ]
+      test_monitor_fork_inherits_taint;
+    Alcotest.test_case "monitor fork isolates the child" `Quick
+      test_monitor_fork_isolates_child;
+    Alcotest.test_case "monitor exec keeps fds and restarts counts" `Quick
+      test_monitor_exec_keeps_fds;
+    Alcotest.test_case "monitor unknown pid raises" `Quick
+      test_monitor_unknown_pid_raises ]

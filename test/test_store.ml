@@ -853,46 +853,19 @@ let test_fleet_queries () =
     Alcotest.failf "expected Load_failure, got %s" (Hth.Error.to_string e)
   | Ok _ -> Alcotest.fail "diff of a missing run must fail"
 
-(* ------------------------------------------------------------------ *)
-(* seeded qcheck wrapper (same idiom as test_props)                     *)
-
-let seed =
-  match Sys.getenv_opt "QCHECK_SEED" with
-  | Some s when int_of_string_opt (String.trim s) <> None ->
-    int_of_string (String.trim s)
-  | _ ->
-    Random.self_init ();
-    Random.int 1_000_000_000
-
-let to_alcotest_seeded test =
-  let name, speed, run =
-    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) test
-  in
-  let run () =
-    try run ()
-    with e ->
-      Printf.eprintf
-        "\n[qcheck] reproduce this failure with: QCHECK_SEED=%d dune \
-         runtest --force\n\
-         %!"
-        seed;
-      raise e
-  in
-  (name, speed, run)
-
 let suite =
   [ Alcotest.test_case "deflate: unit round-trips" `Quick test_deflate_units;
-    to_alcotest_seeded prop_deflate_roundtrip;
+    Test_props.to_alcotest_seeded prop_deflate_roundtrip;
     Alcotest.test_case "deflate: output pinned on goldens" `Quick
       test_deflate_pinned;
-    to_alcotest_seeded prop_deflate_interleaved;
+    Test_props.to_alcotest_seeded prop_deflate_interleaved;
     Alcotest.test_case "segment: 12-scenario corpus round-trip" `Quick
       test_corpus_roundtrip;
     Alcotest.test_case "segment: index matches a full trace parse" `Quick
       test_index_matches_trace;
     Alcotest.test_case "segment: corruption is a typed Load_failure" `Quick
       test_corruption;
-    to_alcotest_seeded prop_index_chunking_invariant;
+    Test_props.to_alcotest_seeded prop_index_chunking_invariant;
     Alcotest.test_case "warehouse: byte-identical across jobs 1 and 2"
       `Quick test_store_determinism;
     Alcotest.test_case "pack: unpublished tail, then append" `Quick
@@ -901,7 +874,7 @@ let suite =
       test_pack_reopen;
     Alcotest.test_case "pack: old per-run layout rejected" `Quick
       test_old_layout_rejected;
-    to_alcotest_seeded prop_store_fuzz;
+    Test_props.to_alcotest_seeded prop_store_fuzz;
     Alcotest.test_case "store answers = jsonl answers" `Quick
       test_store_answers_match_jsonl;
     Alcotest.test_case "fleet queries: search, profile, diff" `Quick

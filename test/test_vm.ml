@@ -13,7 +13,8 @@ let machine_of ?(base = 0x1000) ?hooks insns =
       ~text:(Array.of_list insns) ~sections:[] ~exports:[] ~relocs:[]
       ~needed:[] ~entry:base
   in
-  let m = Machine.create ?hooks () in
+  let m = Machine.create () in
+  Option.iter (Machine.set_hooks m) hooks;
   Machine.map_image m img;
   Machine.set_eip m base;
   Machine.set_reg m ESP 0xF000;
@@ -228,8 +229,9 @@ let test_bb_hook () =
   let open Isa.Insn in
   let base = 0x1000 in
   let bbs = ref [] in
-  let hooks = Machine.no_hooks () in
-  hooks.on_bb <- (fun _ addr -> bbs := addr :: !bbs);
+  let hooks =
+    { Machine.no_hooks with on_bb = (fun _ addr -> bbs := addr :: !bbs) }
+  in
   let m =
     machine_of ~base ~hooks
       [ Mov (W, Reg EAX, Imm 1);       (* 0: BB leader *)
@@ -238,9 +240,16 @@ let test_bb_hook () =
         Mov (W, Reg EBX, Imm 3);       (* 3: same BB *)
         Hlt ]
   in
+  (* a clone shares the hooks until they are rebound *)
+  let shared = Machine.clone m and rebound = Machine.clone m in
+  Machine.set_hooks rebound Machine.no_hooks;
   ignore (run m);
   Alcotest.(check (list int)) "bb leaders" [ base; base + 2 ]
-    (List.rev !bbs)
+    (List.rev !bbs);
+  ignore (run rebound);
+  check_int "rebound clone: no calls" 2 (List.length !bbs);
+  ignore (run shared);
+  check_int "shared clone: the same hook" 4 (List.length !bbs)
 
 (* An accepted body runs through the interpreter's [exec] with no
    per-instruction hooks and settles the [vm.*] counters once per block;
@@ -266,9 +275,11 @@ let test_accepted_body () =
         Hlt ]
     in
     let pre = ref 0 in
-    let hooks = Machine.no_hooks () in
-    hooks.pre_insn <- (fun _ _ _ -> incr pre);
-    hooks.on_block <- (fun _ _ _ len -> check_int "offered body" 5 len; true);
+    let hooks =
+      { Machine.no_hooks with
+        pre_insn = (fun _ _ _ -> incr pre);
+        on_block = (fun _ _ _ len -> check_int "offered body" 5 len; true) }
+    in
     let tiered = machine_of ~hooks prog in
     let (outcome, n), tiered_counts =
       vm_counters (fun () -> Machine.step_block tiered ~fuel:100)
@@ -306,14 +317,18 @@ let test_accepted_body () =
 let test_pre_insn_hook_order () =
   let open Isa.Insn in
   let seen = ref [] in
-  let hooks = Machine.no_hooks () in
-  hooks.pre_insn <- (fun m addr _ ->
-      (* pre-hook observes the state *before* the instruction *)
-      seen := (addr, Machine.get_reg m EAX) :: !seen);
-  let m =
-    machine_of ~hooks [ Mov (W, Reg EAX, Imm 9); Mov (W, Reg EBX, Reg EAX);
-                        Hlt ]
+  let hooks =
+    { Machine.no_hooks with
+      pre_insn =
+        (fun m addr _ ->
+          (* pre-hook observes the state *before* the instruction *)
+          seen := (addr, Machine.get_reg m EAX) :: !seen) }
   in
+  let m =
+    machine_of [ Mov (W, Reg EAX, Imm 9); Mov (W, Reg EBX, Reg EAX); Hlt ]
+  in
+  (* hooks set after mapping take effect from the next instruction *)
+  Machine.set_hooks m hooks;
   ignore (run m);
   (match List.rev !seen with
    | (a0, 0) :: (a1, 9) :: _ ->
