@@ -1,70 +1,70 @@
 (* Paged shadow memory.
 
-   Memory tags live in fixed-size pages of tag-set arrays, allocated on
-   the first non-empty store into the page and reclaimed when their last
-   tagged byte is cleared, so untainted regions cost nothing to read and
-   [range]/[set_range] touch whole page runs instead of doing one hash
-   lookup per byte.  A one-entry page cache short-circuits the table
-   lookup for the consecutive accesses the data-flow hooks produce.
-   Tag sets are hash-consed ([Taint.Tagset.equal] is pointer equality),
-   which the range scan exploits: a run of bytes carrying the same tag —
-   the common case after a [set_range] — costs one pointer comparison
-   per byte and no unions.  Shadow pages cover the same addresses as
-   the guest's own memory pages. *)
+   Memory tags live in pages covering the guest's own 4 KiB memory
+   pages.  A page is a [Bytes] of [page_size] little-endian 32-bit
+   intern ids ([Taint.Tagset.id]; id 0 is the empty set), read back
+   through the space's id table ([Taint.Tagset.of_id]).  So a page is
+   16 KiB of plain bytes that the GC never scans, initialises slot by
+   slot or puts behind a write barrier, and [clone] copies it with one
+   [Bytes.copy].  Pages are indexed the way [Vm.Machine] indexes guest
+   pages: one table slot per page of the address space, each pointing
+   at the shared [no_page] sentinel until the first non-empty store
+   into it.  A page is reclaimed when its last tagged byte is cleared,
+   so untainted regions cost one table load to read.  Addresses outside
+   the address space read as untagged and stores there are dropped: the
+   VM faults on any such access, so no guest byte exists to carry the
+   tag.
+
+   Tag sets are hash-consed, so equal sets have equal ids, which the
+   range scan exploits: a run of bytes carrying the same tag — the
+   common case after a [set_range] — costs one integer comparison per
+   byte and no unions, and an idempotent store writes nothing. *)
 
 let page_bits = Vm.Machine.page_bits
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
+let mem_size = Vm.Machine.mem_size
+let n_pages = mem_size lsr page_bits
 
 type page = {
-  data : Taint.Tagset.t array;
-  mutable live : int;  (* number of non-empty slots; > 0 while mapped *)
+  ids : Bytes.t;  (* [page_size] 32-bit tag ids, little-endian *)
+  mutable live : int;  (* number of non-zero ids; > 0 while mapped *)
 }
 
-(* Distinguished "unmapped" page so lookups stay option-free; also the
-   cached result for a miss. *)
-let no_page = { data = [||]; live = 0 }
+(* The "no page" sentinel every unmapped slot points at. *)
+let no_page = { ids = Bytes.empty; live = 0 }
 
 type t = {
-  space : Taint.Space.t;  (* hash-consing arena for every union below *)
+  space : Taint.Space.t;  (* interns every tag stored or unioned below *)
   regs : Taint.Tagset.t array;
-  pages : (int, page) Hashtbl.t;  (* page index -> page *)
+  pages : page array;  (* [n_pages] slots, [no_page] until first tagged *)
   budget : int;  (* max live pages before saturation (max_int = none) *)
+  mutable mapped : int;  (* slots not pointing at [no_page] *)
   mutable overflow : Taint.Tagset.t;
       (* union of every tag whose store was refused by the budget; once
          non-empty the shadow is degraded and every read is widened by
          this set — conservative over-tainting, taint is never lost *)
   mutable tagged : int;  (* total non-empty bytes across pages *)
-  mutable last_idx : int;  (* one-entry lookup cache *)
-  mutable last_page : page;
 }
 
 let c_loads = Obs.Counter.make "harrier.shadow.loads"
 let c_stores = Obs.Counter.make "harrier.shadow.stores"
 
-(* A gauge: +1 on page allocation, -1 on reclaim, so the counter's
-   current value is the number of live pages. *)
-let c_pages_live = Obs.Counter.make "harrier.shadow.pages_live"
-
 (* One increment per shadow that crosses into saturation. *)
 let c_degraded = Obs.Counter.make "harrier.degraded"
 let c_refused = Obs.Counter.make "harrier.shadow.stores_refused"
 
-let create ?page_budget ?space () =
-  let space =
-    match space with Some sp -> sp | None -> Taint.Space.create ()
-  in
+let create ?page_budget ~space () =
   { space; regs = Array.make Isa.Reg.count Taint.Tagset.empty;
-    pages = Hashtbl.create 64;
+    pages = Array.make n_pages no_page;
     budget = (match page_budget with Some b -> max 0 b | None -> max_int);
-    overflow = Taint.Tagset.empty; tagged = 0; last_idx = min_int;
-    last_page = no_page }
+    mapped = 0; overflow = Taint.Tagset.empty; tagged = 0 }
 
 let space s = s.space
 
 let degraded s = not (Taint.Tagset.is_empty s.overflow)
 
-let live_pages s = Hashtbl.length s.pages
+let live_pages s = s.mapped
 
 (* Refuse a store the page budget cannot accommodate: widen [overflow]
    instead, so subsequent reads still see the tag (and possibly more). *)
@@ -74,45 +74,28 @@ let refuse s tag =
   s.overflow <- Taint.Tagset.union s.space s.overflow tag
 
 let clone s =
-  let pages = Hashtbl.create (Hashtbl.length s.pages) in
-  Obs.Counter.add c_pages_live (Hashtbl.length s.pages);
-  Hashtbl.iter
-    (fun idx p ->
-      Hashtbl.add pages idx { data = Array.copy p.data; live = p.live })
-    s.pages;
-  { space = s.space; regs = Array.copy s.regs; pages; budget = s.budget;
-    overflow = s.overflow; tagged = s.tagged; last_idx = min_int;
-    last_page = no_page }
+  { s with
+    regs = Array.copy s.regs;
+    pages =
+      Array.map
+        (fun p ->
+          if p == no_page then p else { ids = Bytes.copy p.ids; live = p.live })
+        s.pages }
 
 let[@inline] reg s r = s.regs.(Isa.Reg.index r)
 
 let[@inline] set_reg s r tag = s.regs.(Isa.Reg.index r) <- tag
 
-(* [get_page] caches hits and misses: the hooks hammer the same page
-   (stack or copy buffer) with consecutive accesses. *)
-let get_page s idx =
-  if idx = s.last_idx then s.last_page
-  else begin
-    let p =
-      match Hashtbl.find_opt s.pages idx with
-      | Some p -> p
-      | None -> no_page
-    in
-    s.last_idx <- idx;
-    s.last_page <- p;
-    p
-  end
+(* Page [i] of the table, [no_page] when unmapped or outside the
+   address space. *)
+let[@inline] page s i =
+  if i < n_pages then Array.unsafe_get s.pages i else no_page
 
-let add_page s idx p =
-  Obs.Counter.incr c_pages_live;
-  Hashtbl.add s.pages idx p;
-  s.last_idx <- idx;
-  s.last_page <- p
+let[@inline] get_id p off =
+  Int32.to_int (Bytes.get_int32_le p.ids (off lsl 2)) land 0xFFFF_FFFF
 
-let remove_page s idx =
-  Obs.Counter.add c_pages_live (-1);
-  Hashtbl.remove s.pages idx;
-  if s.last_idx = idx then s.last_page <- no_page
+let[@inline] set_id p off id =
+  Bytes.set_int32_le p.ids (off lsl 2) (Int32.of_int id)
 
 (* Widen a read by the overflow set when the shadow is degraded; free
    (one pointer compare) otherwise. *)
@@ -120,163 +103,122 @@ let[@inline] widen s t =
   if Taint.Tagset.is_empty s.overflow then t
   else Taint.Tagset.union s.space t s.overflow
 
-let byte s addr =
-  Obs.Counter.incr c_loads;
-  let p = get_page s (addr asr page_bits) in
-  widen s
-    (if p == no_page then Taint.Tagset.empty
-     else p.data.(addr land page_mask))
+let empty_tag = Taint.Tagset.empty
 
-let fresh_page () = { data = Array.make page_size Taint.Tagset.empty; live = 0 }
-
-let set_byte s addr tag =
-  Obs.Counter.incr c_stores;
-  let idx = addr asr page_bits in
-  let p = get_page s idx in
-  if p != no_page && p.data.(addr land page_mask) == tag then
-    (* idempotent store: skip the write (and its barrier) entirely *)
-    ()
-  else if p == no_page then begin
-    if not (Taint.Tagset.is_empty tag) then begin
-      if Hashtbl.length s.pages >= s.budget then refuse s tag
+(* Union the tags of bytes [i, stop) of [p] into [acc], whose id is
+   [acc_id].  A byte carrying no tag, or the id already accumulated,
+   costs one integer comparison, and the first tag joins an empty [acc]
+   without a union.  The scans here and below are top-level tail loops,
+   so no call allocates a closure. *)
+let rec union_ids sp p i stop acc acc_id =
+  if i >= stop then acc
+  else begin
+    let id = get_id p i in
+    if id = acc_id || id = 0 then union_ids sp p (i + 1) stop acc acc_id
+    else begin
+      let t = Taint.Tagset.of_id sp id in
+      if acc_id = 0 then union_ids sp p (i + 1) stop t id
       else begin
-        let p = fresh_page () in
-        p.data.(addr land page_mask) <- tag;
-        p.live <- 1;
-        s.tagged <- s.tagged + 1;
-        add_page s idx p
+        let acc = Taint.Tagset.union sp acc t in
+        union_ids sp p (i + 1) stop acc (Taint.Tagset.id acc)
       end
     end
   end
+
+(* The union over the pages that [pos, stop) spans. *)
+let rec union_pages s pos stop acc =
+  if pos >= stop then acc
   else begin
-    let off = addr land page_mask in
-    let was_empty = Taint.Tagset.is_empty p.data.(off) in
-    let tag_empty = Taint.Tagset.is_empty tag in
-    p.data.(off) <- tag;
-    match was_empty, tag_empty with
-    | true, false ->
-      p.live <- p.live + 1;
-      s.tagged <- s.tagged + 1
-    | false, true ->
-      p.live <- p.live - 1;
-      s.tagged <- s.tagged - 1;
-      if p.live = 0 then remove_page s idx
-    | _ -> ()
+    let off = pos land page_mask in
+    let n = min (stop - pos) (page_size - off) in
+    let p = page s (pos lsr page_bits) in
+    union_pages s (pos + n) stop
+      (if p == no_page then acc
+       else union_ids s.space p off (off + n) acc (Taint.Tagset.id acc))
   end
-
-(* The empty tag is a unique interned node, so emptiness in the hot
-   loops below is a pointer comparison against this binding rather than
-   a cross-module call. *)
-let empty_tag = Taint.Tagset.empty
-
-(* Union the bytes [off, off+n) of [p] into [acc]; runs of the tag
-   already accumulated cost one pointer comparison per byte (interning),
-   and [union] itself fast-paths the empty/equal cases.  Written as a
-   tail loop so no [ref] cell is allocated per call. *)
-let union_in_page sp p off n acc =
-  let data = p.data in
-  let stop = off + n in
-  let rec go i acc =
-    if i >= stop then acc
-    else begin
-      let t = data.(i) in
-      go (i + 1)
-        (if t != acc && t != empty_tag then Taint.Tagset.union sp acc t
-         else acc)
-    end
-  in
-  go off acc
 
 let range s addr len =
   Obs.Counter.incr c_loads;
   let off = addr land page_mask in
-  if len = 1 then begin
-    (* single byte — every byte-sized mov lands here *)
-    let p = get_page s (addr asr page_bits) in
-    widen s (if p == no_page then empty_tag else p.data.(off))
-  end
-  else if len <= 0 then empty_tag
+  if len <= 0 then empty_tag
   else if off + len <= page_size then begin
     (* fast path: the whole range lives in one page *)
-    let p = get_page s (addr asr page_bits) in
+    let p = page s (addr lsr page_bits) in
     widen s
       (if p == no_page then empty_tag
-       else union_in_page s.space p off len empty_tag)
+       else union_ids s.space p off (off + len) empty_tag 0)
   end
-  else begin
-    let acc = ref empty_tag in
-    let pos = ref addr and remaining = ref len in
-    while !remaining > 0 do
-      let off = !pos land page_mask in
-      let n = min !remaining (page_size - off) in
-      let p = get_page s (!pos asr page_bits) in
-      if p != no_page then acc := union_in_page s.space p off n !acc;
-      pos := !pos + n;
-      remaining := !remaining - n
-    done;
-    widen s !acc
-  end
+  else
+    (* only bytes inside the address space can carry a tag *)
+    widen s (union_pages s (max addr 0) (min (addr + len) mem_size) empty_tag)
 
-(* Store [tag] over bytes [off, off+n) of the page at [idx],
-   maintaining the live counters.  Idempotent stores — every byte
-   already carries [tag], the common case when a loop re-copies the
-   same buffer — are detected with pointer comparisons and write
-   nothing. *)
-let set_in_page s idx off n tag =
-  let p = get_page s idx in
-  if p == no_page then begin
-    (* clearing an unmapped page is a no-op *)
-    if tag != empty_tag then begin
-      if Hashtbl.length s.pages >= s.budget then refuse s tag
-      else begin
-        let p = fresh_page () in
-        Array.fill p.data off n tag;
-        p.live <- n;
-        s.tagged <- s.tagged + n;
-        add_page s idx p
+let byte s addr = range s addr 1
+
+let fill p off n id =
+  if id = 0 then Bytes.fill p.ids (off lsl 2) (n lsl 2) '\000'
+  else
+    for i = off to off + n - 1 do
+      set_id p i id
+    done
+
+let rec all_ids p i stop id =
+  i >= stop || (get_id p i = id && all_ids p (i + 1) stop id)
+
+let rec count_live p i stop c =
+  if i >= stop then c
+  else count_live p (i + 1) stop (if get_id p i <> 0 then c + 1 else c)
+
+(* Store [tag] over bytes [off, off+n) of page [i], maintaining the live
+   counters.  Idempotent stores — every byte already carries [tag], the
+   common case when a loop re-copies the same buffer — are detected by
+   id comparison and write nothing. *)
+let set_in_page s i off n tag =
+  let id = Taint.Tagset.id tag in
+  let p = page s i in
+  if p != no_page then begin
+    let stop = off + n in
+    if not (all_ids p off stop id) then begin
+      let old_live = if n = page_size then p.live else count_live p off stop 0 in
+      fill p off n id;
+      let delta = (if id = 0 then 0 else n) - old_live in
+      p.live <- p.live + delta;
+      s.tagged <- s.tagged + delta;
+      if p.live = 0 then begin
+        s.pages.(i) <- no_page;
+        s.mapped <- s.mapped - 1
       end
     end
   end
-  else begin
-    let data = p.data in
-    let stop = off + n in
-    let rec all_same i = i >= stop || (data.(i) == tag && all_same (i + 1)) in
-    if not (all_same off) then begin
-      let old_live =
-        if n = page_size then p.live
-        else begin
-          let rec count i c =
-            if i >= stop then c
-            else count (i + 1) (if data.(i) != empty_tag then c + 1 else c)
-          in
-          count off 0
-        end
-      in
-      Array.fill data off n tag;
-      let new_live = if tag == empty_tag then 0 else n in
-      p.live <- p.live + new_live - old_live;
-      s.tagged <- s.tagged + new_live - old_live;
-      if p.live = 0 then remove_page s idx
+  else if id <> 0 && i < n_pages then begin
+    (* the page's first tagged bytes; clearing an unmapped page, or a
+       store outside the address space, does nothing *)
+    if s.mapped >= s.budget then refuse s tag
+    else begin
+      let p = { ids = Bytes.make (page_size lsl 2) '\000'; live = n } in
+      fill p off n id;
+      s.pages.(i) <- p;
+      s.mapped <- s.mapped + 1;
+      s.tagged <- s.tagged + n
     end
   end
 
+let rec set_pages s pos stop tag =
+  if pos < stop then begin
+    let off = pos land page_mask in
+    let n = min (stop - pos) (page_size - off) in
+    set_in_page s (pos lsr page_bits) off n tag;
+    set_pages s (pos + n) stop tag
+  end
+
 let set_range s addr len tag =
-  if len = 1 then set_byte s addr tag
-  else if len > 0 then begin
+  if len > 0 then begin
     Obs.Counter.incr c_stores;
     let off = addr land page_mask in
     if off + len <= page_size then
-      set_in_page s (addr asr page_bits) off len tag
-    else begin
-      let pos = ref addr and remaining = ref len in
-      while !remaining > 0 do
-        let off = !pos land page_mask in
-        let n = min !remaining (page_size - off) in
-        set_in_page s (!pos asr page_bits) off n tag;
-        pos := !pos + n;
-        remaining := !remaining - n
-      done
-    end
+      set_in_page s (addr lsr page_bits) off len tag
+    else set_pages s (max addr 0) (min (addr + len) mem_size) tag
   end
+
+let set_byte s addr tag = set_range s addr 1 tag
 
 let tagged_bytes s = s.tagged

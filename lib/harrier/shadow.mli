@@ -5,23 +5,28 @@
     "Harrier Data Structures" box of Fig. 6 (Reg. DataFlow / Mem.
     DataFlow).
 
-    Memory tags are stored in fixed-size pages allocated on first taint
-    and reclaimed when fully cleared, so reads of untainted regions are
-    a single table miss and [range]/[set_range] operate on page runs
-    rather than per-byte hash lookups. *)
+    Memory tags are stored as 32-bit tag-set ids ({!Taint.Tagset.id}) in
+    4 KiB pages of bytes, the guest's own page size, allocated on first
+    taint and reclaimed when fully cleared.  A table with one slot per
+    page of the 1 MiB address space indexes them, as
+    {!Vm.Machine} indexes guest pages, so a read of an untainted region
+    is one table load and [range]/[set_range] work on page runs.
+    Addresses outside the address space read as untagged, and stores
+    there are dropped without allocating or counting against the page
+    budget. *)
 
 type t
 
-(** [create ?page_budget ?space ()] builds an empty shadow.
+(** [create ?page_budget ~space ()] builds an empty shadow.
     [page_budget] bounds the number of live shadow pages: once reached,
     stores that would allocate a new page are {e refused} — their tag is
     folded into a sticky overflow set that widens every subsequent read,
     so the shadow degrades to conservative over-tainting rather than
     silently dropping taint.  No budget means unbounded (exact)
     tracking.  [space] is the taint hash-consing arena every union runs
-    in; it must be the space the stored tags were interned in.  Absent,
-    a fresh private space is created. *)
-val create : ?page_budget:int -> ?space:Taint.Space.t -> unit -> t
+    in, and every stored tag must have been interned in it: memory keeps
+    only tag ids, which are read back as [space]'s sets. *)
+val create : ?page_budget:int -> space:Taint.Space.t -> unit -> t
 
 (** The taint space this shadow unions in (shared by {!clone}). *)
 val space : t -> Taint.Space.t

@@ -14,7 +14,9 @@
    immutable and pre-seeded into every space, so [is_empty]/[equal]
    stay pointer checks and [empty] needs no space in hand.  Tag sets
    from different spaces must not be mixed in one computation: contents
-   stay correct, but pointer equality only holds within a space. *)
+   stay correct, but pointer equality only holds within a space.  A
+   space also maps each id back to its node, so a store of bare ids
+   (the shadow's memory pages) can be read back as tag sets. *)
 
 module S = Set.Make (Source)
 
@@ -46,6 +48,7 @@ let singleton_buckets = 16
 type space = {
   intern_tbl : t Intern.t;
   mutable next_id : int;
+  mutable nodes : t array;  (* id -> node, for ids below [next_id] *)
   singleton_tbl : (Source.t, t) Hashtbl.t;
   memo_keys : int array;
   memo_vals : t array;
@@ -64,6 +67,7 @@ let make_space () =
   let sp =
     { intern_tbl = Intern.create intern_buckets;
       next_id = 1;
+      nodes = Array.make intern_buckets empty;
       singleton_tbl = Hashtbl.create singleton_buckets;
       memo_keys = Array.make (1 lsl memo_bits) (-1);
       memo_vals = Array.make (1 lsl memo_bits) empty }
@@ -82,11 +86,22 @@ let intern sp set =
     let t = { id = sp.next_id; set } in
     sp.next_id <- sp.next_id + 1;
     Intern.add sp.intern_tbl key t;
+    let n = Array.length sp.nodes in
+    if t.id = n then begin
+      let nodes = Array.make (2 * n) empty in
+      Array.blit sp.nodes 0 nodes 0 n;
+      sp.nodes <- nodes
+    end;
+    sp.nodes.(t.id) <- t;
     t
 
 let[@inline] is_empty t = t == empty
 
 let[@inline] id t = t.id
+
+let[@inline] of_id sp i =
+  if i >= 0 && i < sp.next_id then Array.unsafe_get sp.nodes i
+  else invalid_arg "Tagset.of_id"
 
 (* Interning makes structural equality pointer equality. *)
 let[@inline] equal a b = a == b

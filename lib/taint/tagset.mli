@@ -55,6 +55,11 @@ val compare : t -> t -> int
     [id a = id b] iff [equal a b], for tags of the same space. *)
 val id : t -> int
 
+(** [of_id sp i] is the tag set of [sp] whose {!id} is [i], so
+    [of_id sp (id t) == t] for every [t] interned in [sp].  Raises
+    [Invalid_argument] if [sp] has interned no set with id [i]. *)
+val of_id : space -> int -> t
+
 val cardinal : t -> int
 
 (** [exists p t] is true iff some source in [t] satisfies [p]. *)

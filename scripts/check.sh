@@ -176,6 +176,41 @@ else
   status=1
 fi
 
+echo "== inventory gate =="
+# DESIGN.md section 3's table has one row per library under lib/: every
+# lib/*/dune (name ...) needs a row naming it with its own directory,
+# and every row needs such a library, so the table cannot go stale.
+for d in lib/*/dune; do
+  sed -n 's/.*(name \([A-Za-z0-9_]*\).*/\1/p' "$d" | sed "s|\$| ${d%dune}|"
+done > "$tmp/inventory.libs"
+if awk '
+  FNR == NR { lib[$1] = $2; next }
+  /^## / { s3 = ($0 ~ /^## 3\./) }
+  s3 && /^\| `/ {
+    split($0, c, "|")
+    gsub(/[ `]/, "", c[2]); gsub(/[ `]/, "", c[3])
+    if (!(c[2] in lib)) {
+      print "  row for a library no lib/*/dune defines: " c[2]; bad = 1
+    } else if (lib[c[2]] != c[3]) {
+      print "  " c[2] " is listed under " c[3] ", its dune file is in " \
+        lib[c[2]]
+      bad = 1
+    }
+    row[c[2]] = 1
+  }
+  END {
+    for (n in lib) if (!(n in row)) {
+      print "  no row for library " n " (" lib[n] ")"; bad = 1
+    }
+    exit bad
+  }' "$tmp/inventory.libs" DESIGN.md > "$tmp/inventory"; then
+  echo "  ok: DESIGN.md section 3 lists every lib/ library in its directory"
+else
+  echo "  DESIGN.md SECTION 3 DISAGREES WITH lib/*/dune:" >&2
+  cat "$tmp/inventory" >&2
+  status=1
+fi
+
 echo "== determinism gate =="
 for s in "ElmExploit" "nlspath" "procex" "grabem" "vixie crontab" \
          "pma" "superforker" "ls" "column"; do

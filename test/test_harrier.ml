@@ -44,6 +44,70 @@ let test_shadow_clone () =
   Alcotest.check tagset "original unchanged" (tag_of [ user ])
     (Harrier.Shadow.byte s 5)
 
+(* Memory keeps 32-bit tag ids: ids past one and two bytes must read
+   back as the same interned sets, through single bytes, page-straddling
+   ranges and a clone. *)
+let test_shadow_wide_ids () =
+  let big = Taint.Space.create () in
+  let tags =
+    Array.init 70_000 (fun i ->
+        Taint.Tagset.singleton big (Taint.Source.File ("/f" ^ string_of_int i)))
+  in
+  let small = tags.(0) and mid = tags.(300) and high = tags.(69_999) in
+  check "one-byte id" true (Taint.Tagset.id small <= 255);
+  check "two-byte id" true
+    (Taint.Tagset.id mid > 255 && Taint.Tagset.id mid <= 65_535);
+  check "id past 65535" true (Taint.Tagset.id high > 65_535);
+  check "of_id inverts id" true
+    (Taint.Tagset.of_id big (Taint.Tagset.id high) == high);
+  let s = Harrier.Shadow.create ~space:big () in
+  Harrier.Shadow.set_byte s 0x1FFF high;
+  Harrier.Shadow.set_byte s 0x2000 small;
+  Harrier.Shadow.set_range s 0x2FFC 8 mid;
+  Harrier.Shadow.set_byte s 0x3001 high;
+  let both = Taint.Tagset.union big mid high in
+  let check_reads what s =
+    check (what ^ ": byte") true (Harrier.Shadow.byte s 0x1FFF == high);
+    check (what ^ ": small byte") true (Harrier.Shadow.byte s 0x2000 == small);
+    check (what ^ ": edge pair") true
+      (Harrier.Shadow.range s 0x1FFF 2 == Taint.Tagset.union big high small);
+    check (what ^ ": range below the edge") true
+      (Harrier.Shadow.range s 0x2FFC 4 == mid);
+    check (what ^ ": range across the edge") true
+      (Harrier.Shadow.range s 0x2FFC 8 == both);
+    check_int (what ^ ": tagged bytes") 10 (Harrier.Shadow.tagged_bytes s)
+  in
+  check_reads "original" s;
+  let c = Harrier.Shadow.clone s in
+  check_reads "clone" c;
+  Harrier.Shadow.set_range c 0x2FFC 8 high;
+  check "clone store" true (Harrier.Shadow.range c 0x2FFC 8 == high);
+  check_reads "original after clone store" s
+
+(* Past the 1 MiB address space nothing is tagged: stores there
+   allocate no page and never touch the page budget. *)
+let test_shadow_out_of_space () =
+  let s = Harrier.Shadow.create ~page_budget:1 ~space:sp () in
+  let a = tag_of [ user ] and b = tag_of [ file_a ] in
+  Harrier.Shadow.set_byte s 0x100000 a;
+  Harrier.Shadow.set_range s 0x100010 64 a;
+  Harrier.Shadow.set_range s 0x7FFF_FFF0 8 a;
+  check_int "no page" 0 (Harrier.Shadow.live_pages s);
+  check_int "no tagged byte" 0 (Harrier.Shadow.tagged_bytes s);
+  check "budget untouched" false (Harrier.Shadow.degraded s);
+  Harrier.Shadow.set_range s 0xFFFFE 4 b;
+  check_int "one page" 1 (Harrier.Shadow.live_pages s);
+  check_int "only the in-space bytes" 2 (Harrier.Shadow.tagged_bytes s);
+  Harrier.Shadow.set_byte s 0x100000 (tag_of [ bin_x ]);
+  Harrier.Shadow.set_range s 0xFFFFF 2 a;
+  check "a full budget is not hit" false (Harrier.Shadow.degraded s);
+  check_int "still one page" 1 (Harrier.Shadow.live_pages s);
+  Alcotest.check tagset "past the end reads untagged" Taint.Tagset.empty
+    (Harrier.Shadow.byte s 0x100000);
+  Alcotest.check tagset "a straddling range unions the in-space bytes"
+    (tag_of [ user; file_a ])
+    (Harrier.Shadow.range s 0xFFFFC 8)
+
 (* ------------------------------------------------------------------ *)
 (* Dataflow                                                            *)
 
@@ -591,6 +655,9 @@ let suite =
   [ Alcotest.test_case "shadow registers" `Quick test_shadow_regs;
     Alcotest.test_case "shadow memory ranges" `Quick test_shadow_memory;
     Alcotest.test_case "shadow clone isolation" `Quick test_shadow_clone;
+    Alcotest.test_case "shadow ids past 16 bits" `Quick test_shadow_wide_ids;
+    Alcotest.test_case "shadow past the address space" `Quick
+      test_shadow_out_of_space;
     Alcotest.test_case "dataflow mov reg" `Quick test_df_mov_reg;
     Alcotest.test_case "dataflow immediate is BINARY" `Quick
       test_df_mov_imm;

@@ -79,10 +79,12 @@ let prop_of_list_set_semantics =
 
 module Ref_set = Set.Make (Taint.Source)
 
+(* [of_id] maps every interned set's id back to that very node. *)
 let same_as_model t model =
   Taint.Tagset.to_list t = Ref_set.elements model
   && Taint.Tagset.cardinal t = Ref_set.cardinal model
   && Taint.Tagset.is_empty t = Ref_set.is_empty model
+  && Taint.Tagset.of_id sp (Taint.Tagset.id t) == t
 
 let prop_interned_union_model =
   Test.make ~name:"interned union matches reference set union" ~count:300
