@@ -68,8 +68,8 @@ let rec run () =
          Option.map
            (fun v -> [ n; string_of_int v ])
            (List.assoc_opt n stats))
-       [ "vm.blocks"; "vm.blocks.promoted"; "vm.blocks.deopt";
-         "harrier.summary.applied" ]);
+       [ "vm.blocks"; "vm.blocks.compiled"; "vm.blocks.promoted";
+         "vm.blocks.deopt"; "harrier.summary.applied" ]);
   run_chaos ()
 
 (* Robustness tally: the same corpus pass under a seeded fault plan and

@@ -15,7 +15,7 @@ type t = {
 
 let make ~path ~kind ~base ~text ~sections ~exports ~relocs ~needed ~entry =
   { path; kind; base; text; sections; exports; relocs; needed; entry;
-    blocks = Isa.Block.body_lens text }
+    blocks = Isa.Insn.body_lens text }
 
 let patch_insn insn addr =
   let open Isa.Insn in

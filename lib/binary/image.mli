@@ -20,7 +20,7 @@ type t = {
   entry : int;  (** absolute address of the entry point *)
   blocks : int array;
       (** [blocks.(i)] is the straight-line body length starting at
-          [text.(i)] (see {!Isa.Block.body_lens}); computed once at
+          [text.(i)] (see {!Isa.Insn.body_lens}); computed once at
           {!make} and invariant under {!link}, because relocation
           patching preserves instruction shape *)
 }

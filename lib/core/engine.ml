@@ -272,15 +272,14 @@ let run_outcome_ambient eng ~budgets ~fault s =
             List.filter (fun (n, _) -> not (strategy_counter n)) stats_raw
           in
           let tier =
-            let compiled, summarized, deopt =
-              Harrier.Monitor.tier_stats monitor
+            let count n =
+              Option.value (List.assoc_opt n stats_raw) ~default:0
             in
-            let blocks_total =
-              Option.value (List.assoc_opt "vm.blocks" stats_raw) ~default:0
-            in
-            { tc_interpreted = max 0 (blocks_total - compiled);
-              tc_compiled = compiled; tc_summarized = summarized;
-              tc_deopt = deopt }
+            let compiled = count "vm.blocks.compiled" in
+            { tc_interpreted = max 0 (count "vm.blocks" - compiled);
+              tc_compiled = compiled;
+              tc_summarized = count "harrier.summary.applied";
+              tc_deopt = count "vm.blocks.deopt" }
           in
           let hot_blocks = Harrier.Monitor.hot_blocks monitor ~limit:10 in
           (* Embed the per-run profile in the trace so offline analysis

@@ -53,7 +53,10 @@ val setup :
 (** The loopback address every world knows as ["LocalHost"]. *)
 val localhost_ip : int
 
-(** Per-tier basic-block execution counts for one run. *)
+(** Per-tier basic-block execution counts for one run, read from the
+    session's strategy counters: [vm.blocks.compiled],
+    [harrier.summary.applied] and [vm.blocks.deopt], with interpreted
+    being [vm.blocks] minus compiled. *)
 type tier_counts = {
   tc_interpreted : int;  (** block executions stepped per-instruction *)
   tc_compiled : int;  (** block executions run as compiled bodies *)

@@ -10,16 +10,14 @@
       belongs to;
     - [cpuid] writes the HARDWARE tag into eax..edx;
     - comparisons and control transfers propagate nothing (implicit flows
-      are out of scope, as in the prototype). *)
+      are out of scope, as in the prototype).  A compare or test does
+      yield a {e guard} tag: the union of its operands' tags, with
+      immediates untainted — the data that steers the next branch. *)
 
 (** [step shadow machine ~imm_tag insn] updates [shadow] for the effects
-    of [insn].  [imm_tag] is the BINARY tag of the executing image. *)
+    of [insn] and returns its guard tag: the operand taint of a [cmp] or
+    [test], and [Taint.Tagset.empty] for every other instruction.
+    [imm_tag] is the BINARY tag of the executing image. *)
 val step :
-  Shadow.t -> Vm.Machine.t -> imm_tag:Taint.Tagset.t -> Isa.Insn.t -> unit
-
-(** [operand_tag shadow machine imm_tag size op] is the taint currently
-    carried by [op] (immediates read [imm_tag]).  Exposed for the
-    monitor's compare-guard tracking. *)
-val operand_tag :
-  Shadow.t -> Vm.Machine.t -> Taint.Tagset.t -> Isa.Insn.size ->
-  Isa.Operand.t -> Taint.Tagset.t
+  Shadow.t -> Vm.Machine.t -> imm_tag:Taint.Tagset.t -> Isa.Insn.t ->
+  Taint.Tagset.t

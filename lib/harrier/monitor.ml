@@ -80,9 +80,6 @@ type t = {
   mutable clone_times : int list;
   mutable sinks : sink list;  (* dispatch order = registration *)
   mutable count : int;
-  mutable ts_compiled : int;  (* block executions run as compiled bodies *)
-  mutable ts_summarized : int;  (* of those, with a taint summary applied *)
-  mutable ts_deopt : int;  (* promotion rejections + runtime bail-outs *)
 }
 
 let config t = t.cfg
@@ -222,25 +219,10 @@ let hook_insn t s m addr insn =
    | Ret -> Shortcircuit.on_ret s.sc m s.shadow
    | _ -> ());
   if t.cfg.track_dataflow then begin
-    (* guard taint: immediates use an empty tag on purpose — only
-       {e data} taint reaching a compare marks trigger-gated flow *)
-    (match (insn : Isa.Insn.t) with
-     | Cmp (sz, a, b) ->
-       let tag =
-         Taint.Tagset.union t.space
-           (Dataflow.operand_tag s.shadow m Taint.Tagset.empty sz a)
-           (Dataflow.operand_tag s.shadow m Taint.Tagset.empty sz b)
-       in
-       if not (Taint.Tagset.is_empty tag) then s.guard <- tag
-     | Test (a, b) ->
-       let tag =
-         Taint.Tagset.union t.space
-           (Dataflow.operand_tag s.shadow m Taint.Tagset.empty Isa.Insn.W a)
-           (Dataflow.operand_tag s.shadow m Taint.Tagset.empty Isa.Insn.W b)
-       in
-       if not (Taint.Tagset.is_empty tag) then s.guard <- tag
-     | _ -> ());
-    Dataflow.step s.shadow m ~imm_tag:(seg_info_at t s m addr).si_tag insn
+    let guard =
+      Dataflow.step s.shadow m ~imm_tag:(seg_info_at t s m addr).si_tag insn
+    in
+    if not (Taint.Tagset.is_empty guard) then s.guard <- guard
   end
 
 (* ------------------------------------------------------------------ *)
@@ -250,12 +232,10 @@ let c_promoted = Obs.Counter.make "vm.blocks.promoted"
 let c_deopt = Obs.Counter.make "vm.blocks.deopt"
 let c_summary_applied = Obs.Counter.make "harrier.summary.applied"
 
-let apply_summary t s m sm =
+let apply_summary s m sm =
   match Summary.apply sm s.shadow m with
   | Summary.Applied g ->
     Obs.Counter.incr c_summary_applied;
-    t.ts_compiled <- t.ts_compiled + 1;
-    t.ts_summarized <- t.ts_summarized + 1;
     (match g with Some tag -> s.guard <- tag | None -> ());
     true
   | Summary.Deopt ->
@@ -263,30 +243,27 @@ let apply_summary t s m sm =
        interpreter runs the block so the fault (or wrapped access)
        lands at exactly the right instruction; the block stays Ready *)
     Obs.Counter.incr c_deopt;
-    t.ts_deopt <- t.ts_deopt + 1;
     false
 
 let promote t s (seg : Vm.Machine.segment) addr len m =
   Obs.Counter.incr c_promoted;
   if not t.cfg.track_dataflow then begin
     Hashtbl.replace s.tiers addr (Ready None);
-    t.ts_compiled <- t.ts_compiled + 1;
     true
   end
   else
-    match Isa.Block.analyze seg.seg_insns ~pos:(addr - seg.seg_base) ~len with
+    match
+      Summary.compile ~space:t.space ~imm_tag:(imm_tag t seg.seg_image)
+        seg.seg_insns ~pos:(addr - seg.seg_base) ~len
+    with
     | None ->
       (* flow not exactly capturable: permanent deopt to interpretation *)
       Obs.Counter.incr c_deopt;
-      t.ts_deopt <- t.ts_deopt + 1;
       Hashtbl.replace s.tiers addr Rejected;
       false
-    | Some flow ->
-      let sm =
-        Summary.make ~space:t.space ~imm_tag:(imm_tag t seg.seg_image) flow
-      in
+    | Some sm ->
       Hashtbl.replace s.tiers addr (Ready (Some sm));
-      apply_summary t s m sm
+      apply_summary s m sm
 
 (* The [on_block] hook: the VM offers a straight-line body before
    running it; answering [true] commits this execution to the compiled
@@ -295,10 +272,8 @@ let promote t s (seg : Vm.Machine.segment) addr len m =
    so shortcircuit call/return tracking is unaffected. *)
 let hook_block t s m seg addr len =
   match Hashtbl.find_opt s.tiers addr with
-  | Some (Ready None) ->
-    t.ts_compiled <- t.ts_compiled + 1;
-    true
-  | Some (Ready (Some sm)) -> apply_summary t s m sm
+  | Some (Ready None) -> true
+  | Some (Ready (Some sm)) -> apply_summary s m sm
   | Some Rejected -> false
   | Some (Cold n) ->
     incr n;
@@ -309,8 +284,6 @@ let hook_block t s m seg addr len =
       Hashtbl.replace s.tiers addr (Cold (ref 1));
       false
     end
-
-let tier_stats t = (t.ts_compiled, t.ts_summarized, t.ts_deopt)
 
 (* [s]'s machine hooks: closures over the record, written at full arity
    so no call allocates, chosen by the config.  Tiering is disabled
@@ -549,9 +522,11 @@ let on_post_syscall t p (sc : Osim.Syscall.t) ~result =
     (match Resources.get s.res ~fd with
      | Some entry -> Resources.set s.res ~fd:result entry
      | None -> ())
-  | Close { fd; _ } -> Resources.remove s.res ~fd
-  | Open _ | Creat _ | Connect _ | Accept _ | Dup _ | Execve _ | Exit _
-  | Fork | Write _ | Time | Getpid | Nanosleep _ | Brk _ | Socket
+  | Close { fd; _ } when result = 0 ->
+    (* a failed close (an injected fault) leaves the fd open *)
+    Resources.remove s.res ~fd
+  | Open _ | Creat _ | Connect _ | Accept _ | Dup _ | Close _ | Execve _
+  | Exit _ | Fork | Write _ | Time | Getpid | Nanosleep _ | Brk _ | Socket
   | Bind _ | Listen _ | Unknown _ -> ()
 
 let attach ?(config = default_config) kernel =
@@ -559,8 +534,7 @@ let attach ?(config = default_config) kernel =
     { cfg = config; space = Taint.Space.create (); kernel;
       procs = Hashtbl.create 8; routines = Hashtbl.create 8;
       name_origins = Hashtbl.create 32; imm_tags = Hashtbl.create 8;
-      clone_times = []; sinks = []; count = 0; ts_compiled = 0;
-      ts_summarized = 0; ts_deopt = 0 }
+      clone_times = []; sinks = []; count = 0 }
   in
   let mon = Osim.Kernel.monitor kernel in
   mon.on_process_start <- on_process_start t;

@@ -74,12 +74,6 @@ val metrics_sink : sink
 
 val event_count : t -> int
 
-(** [tier_stats t] is [(compiled, summarized, deopt)]: block executions
-    that ran as compiled bodies, those of them whose taint transfer was
-    applied as one fused summary, and deoptimizations (promotion
-    rejections plus runtime bounds bail-outs back to interpretation). *)
-val tier_stats : t -> int * int * int
-
 (** [hot_blocks t ~limit] is the top-[limit] hottest application basic
     blocks over every process as [(pid, leader, count)] (see {!Freq}),
     ordered by count descending, then pid and leader ascending.  A

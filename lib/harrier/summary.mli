@@ -1,8 +1,9 @@
-(** Compiled per-block taint transfer summaries.
+(** Per-block taint transfer summaries.
 
-    A summary is the executable form of an {!Isa.Block.flow}: one fused
-    application updates the shadow state for a whole straight-line block
-    — bounds-check every touched address, evaluate every entry-relative
+    A summary is one straight-line block's Section 7.3.1 taint transfer,
+    expressed over block-entry state and compiled to flat arrays: one
+    fused application updates the shadow state for the whole block —
+    bounds-check every touched address, evaluate every entry-relative
     taint expression, apply the writes in program order — exactly as
     per-instruction {!Dataflow.step} calls would have.  Summaries are
     built once per promoted block and applied on every subsequent hot
@@ -19,10 +20,18 @@ type outcome =
           interpret this execution so the fault (or wrapped access)
           surfaces at exactly the right instruction *)
 
-(** [make ~space ~imm_tag flow] compiles [flow].  [imm_tag] is the
-    BINARY provenance tag of the image the block lives in; [space] the
-    arena all tag unions run in. *)
-val make : space:Taint.Space.t -> imm_tag:Taint.Tagset.t -> Isa.Block.flow -> t
+(** [compile ~space ~imm_tag insns ~pos ~len] summarizes the body
+    [insns.(pos) .. insns.(pos+len-1)], which must be body-safe
+    ([len <= (Isa.Insn.body_lens insns).(pos)]), or is [None] when its
+    flow cannot be captured exactly: an address that is not affine in
+    the entry registers, a read that may alias an earlier in-block
+    write, or a [pop] to an ESP-relative destination.  Such a block
+    stays interpreted — precision is never traded for speed.
+    [imm_tag] is the BINARY provenance tag of the image the block lives
+    in; [space] the arena all tag unions run in. *)
+val compile :
+  space:Taint.Space.t -> imm_tag:Taint.Tagset.t -> Isa.Insn.t array ->
+  pos:int -> len:int -> t option
 
 (** [apply s shadow m] applies the summary against [shadow] using [m]'s
     current (block-entry) register values for address evaluation.  Not

@@ -208,6 +208,7 @@ let segment_at m addr =
    writes (see lib/obs), cheap enough for the step loop. *)
 let c_instructions = Obs.Counter.make "vm.instructions"
 let c_blocks = Obs.Counter.make "vm.blocks"
+let c_compiled = Obs.Counter.make "vm.blocks.compiled"
 let c_fetch_hits = Obs.Counter.make "vm.fetch_cache.hits"
 let c_fetch_misses = Obs.Counter.make "vm.fetch_cache.misses"
 
@@ -301,8 +302,13 @@ let pop m =
   v
 
 (* cpuid writes a fixed processor identity; the interesting part is that
-   the monitor tags the destination registers HARDWARE. *)
-let cpuid_values = (0x756E_6547, 0x4963_6E74, 0x6C65_746E, 0x0000_0F4A)
+   the monitor tags the destination registers HARDWARE.  A recursion
+   rather than [List.iter], so [exec] stays closure-free. *)
+let rec set_regs m = function
+  | [] -> ()
+  | (r, v) :: rest ->
+    set_reg m r v;
+    set_regs m rest
 
 (* Saturated top-level helper, so [exec] allocates no closures on the
    per-instruction path; the operator arguments below are static
@@ -389,11 +395,7 @@ let exec m insn =
     m.eip <- m.eip + 1;
     Syscall n
   | Cpuid ->
-    let a, b, c, d = cpuid_values in
-    set_reg m EAX a;
-    set_reg m EBX b;
-    set_reg m ECX c;
-    set_reg m EDX d;
+    set_regs m cpuid_words;
     m.eip <- m.eip + 1;
     Continue
   | Nop ->
@@ -453,6 +455,7 @@ let step_block m ~fuel =
         (step_in m seg, 1)
       else begin
         Obs.Counter.incr c_blocks;
+        Obs.Counter.incr c_compiled;
         m.h.on_bb m m.eip;
         m.at_bb_start <- false;
         let insns = seg.seg_insns in

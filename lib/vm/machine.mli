@@ -150,7 +150,8 @@ val step : t -> outcome
     body is offered to the [on_block] hook and — if accepted — runs as
     one unit: the interpreter's own instruction semantics, with no
     per-instruction hooks and the per-instruction counters settled once
-    per block.  In every other case exactly one instruction is
+    per block.  Each accepted body counts once in [vm.blocks.compiled]
+    (a strategy counter).  In every other case exactly one instruction is
     interpreted via {!step}.  Returns the outcome and the number of
     instructions retired, for quantum accounting.  Equivalent to [fuel]
     iterated {!step}s up to the accepted per-block instrumentation. *)

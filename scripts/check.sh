@@ -425,9 +425,49 @@ else
   diff -r "$tmp/tier_on" "$tmp/tier_off" | head -10 >&2 || true
   status=1
 fi
+# Tiering with dataflow off: a promoted block runs as a body with no
+# hooks and no summary (the monitor's `Ready None` tier), which nothing
+# above exercises.  Every corpus scenario at threshold 1 must trace byte
+# for byte as with --no-tier, and exit the same way (1, a verdict
+# mismatch, is expected without dataflow; 2 would be a name this loop
+# misread).  pma must compile some blocks, so the tier really ran.
+run_exe=_build/default/bin/hth_run.exe
+"$run_exe" list \
+  | awk 'substr($0, 1, 2) == "  " {
+           n = substr($0, 3, 40); sub(/ +$/, "", n); print n }' \
+  > "$tmp/names"
+ndf_n=0
+ndf_bad=0
+while IFS= read -r s; do
+  rc_on=0
+  rc_off=0
+  "$run_exe" run "$s" --no-dataflow --tier-threshold 1 \
+    --trace "$tmp/ndf_on.jsonl" >/dev/null 2>&1 || rc_on=$?
+  "$run_exe" run "$s" --no-dataflow --no-tier \
+    --trace "$tmp/ndf_off.jsonl" >/dev/null 2>&1 || rc_off=$?
+  ndf_n=$((ndf_n + 1))
+  if [ "$rc_on" -gt 1 ] || [ "$rc_on" -ne "$rc_off" ] \
+     || ! cmp -s "$tmp/ndf_on.jsonl" "$tmp/ndf_off.jsonl"; then
+    echo "  TIERING WITHOUT DATAFLOW DIVERGED: $s (exit $rc_on vs $rc_off)" >&2
+    ndf_bad=$((ndf_bad + 1))
+  fi
+done < "$tmp/names"
+ndf_compiled=$("$run_exe" run pma --no-dataflow --tier-threshold 1 --stats \
+  2>/dev/null | awk '$1 == "compiled" { print $2 }')
+if [ "$ndf_bad" -eq 0 ] && [ "$ndf_n" -gt 0 ] \
+   && [ "${ndf_compiled:-0}" -gt 0 ]; then
+  echo "  ok: $ndf_n scenarios, --no-dataflow at threshold 1 = --no-tier" \
+    "(pma: $ndf_compiled compiled blocks)"
+else
+  echo "  TIERING WITHOUT DATAFLOW: $ndf_bad of $ndf_n scenarios diverged;" \
+    "pma compiled ${ndf_compiled:-0} blocks" >&2
+  status=1
+fi
 # Random branchy guests (forward skips, EDI-counted inner loops, jumps
 # through EBP), tiered at threshold 1 vs interpreted, at the long qcheck
-# count: the properties suite carries the tier equivalence property.
+# count: the properties suite carries the tier equivalence property, and
+# the property that a summary leaves the shadow as per-instruction
+# dataflow does.
 if (cd test && QCHECK_LONG=1 ../_build/default/test/test_hth.exe \
       test properties > /dev/null 2>&1); then
   echo "  ok: properties suite with long qcheck counts"

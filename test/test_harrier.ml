@@ -125,7 +125,7 @@ let machine_with insns =
 
 let imm_tag = tag_of [ bin_x ]
 
-let step_df s m insn = Harrier.Dataflow.step s m ~imm_tag insn
+let step_df s m insn = ignore (Harrier.Dataflow.step s m ~imm_tag insn)
 
 let test_df_mov_reg () =
   let m = machine_with [] and s = Harrier.Shadow.create ~space:sp () in
@@ -203,6 +203,24 @@ let test_df_cmp_propagates_nothing () =
   step_df s m (Cmp (W, Reg EBX, Reg EAX));
   Alcotest.check tagset "cmp leaves dst alone" Taint.Tagset.empty
     (Harrier.Shadow.reg s EBX)
+
+(* A compare or test returns its operands' taint as the guard, with
+   immediates untainted; every other instruction returns the empty set. *)
+let test_df_guard () =
+  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp () in
+  let guard insn = Harrier.Dataflow.step s m ~imm_tag insn in
+  Harrier.Shadow.set_reg s EAX (tag_of [ user ]);
+  Harrier.Shadow.set_byte s 0x2002 (tag_of [ file_a ]);
+  Alcotest.check tagset "cmp unions both operands" (tag_of [ user; file_a ])
+    (guard (Cmp (W, Reg EAX, Isa.Operand.abs 0x2000)));
+  Alcotest.check tagset "cmpb reads one byte" Taint.Tagset.empty
+    (guard (Cmp (B, Reg EBX, Isa.Operand.abs 0x2000)));
+  Alcotest.check tagset "test" (tag_of [ user ])
+    (guard (Test (Reg EAX, Reg EBX)));
+  Alcotest.check tagset "an immediate is untainted" Taint.Tagset.empty
+    (guard (Cmp (W, Reg EBX, Imm 7)));
+  Alcotest.check tagset "a mov has no guard" Taint.Tagset.empty
+    (guard (Mov (W, Reg EBX, Reg EAX)))
 
 let test_df_call_clears_ret_slot () =
   let m = machine_with [] and s = Harrier.Shadow.create ~space:sp () in
@@ -637,6 +655,53 @@ let test_monitor_exec_keeps_fds () =
     check_int "at /bin/w's entry block" 0x1000 meta.addr
   | None -> Alcotest.fail "no transfer"
 
+(* A close the fault plan fails never runs, so the fd stays open and
+   keeps its entry: a later write to it still targets the hard-coded
+   file, and the policy still sees that name's BINARY origin. *)
+let test_monitor_failed_close_keeps_fd () =
+  let exe =
+    let u = Asm.create ~path:"/bin/m" ~kind:Binary.Image.Executable
+        ~base:0x1000 ()
+    in
+    Asm.asciz u "out" "/tmp/drop";
+    Asm.asciz u "msg" "hello";
+    Asm.space u "fd" 4;
+    Asm.label u "_start";
+    Guest.Runtime.sys_creat u ~path:(Asm.lbl "out");
+    Asm.movl u (Asm.mlbl "fd") Asm.eax;
+    Guest.Runtime.sys_close u ~fd:(Asm.mlbl "fd");
+    Guest.Runtime.sys_write u ~fd:(Asm.mlbl "fd") ~buf:(Asm.lbl "msg")
+      ~len:(Asm.imm 5);
+    Guest.Runtime.sys_exit u 0;
+    Asm.hlt u;
+    Asm.finalize u
+  in
+  let fault = Result.get_ok (Osim.Fault.parse "SYS_close=eio") in
+  let r =
+    Hth.Engine.run (Hth.Engine.create ()) ~fault
+      (Hth.Engine.setup ~programs:[ exe ] ~main:"/bin/m" ())
+  in
+  (match
+     List.find_map
+       (function
+         | Harrier.Events.Transfer { target; _ } -> Some target
+         | _ -> None)
+       r.events
+   with
+   | Some target ->
+     Alcotest.(check string) "target" "/tmp/drop" target.r_name;
+     Alcotest.(check (list string))
+       "origin BINARY:/bin/m" [ "/bin/m" ]
+       (Taint.Tagset.binaries target.r_origin)
+   | None -> Alcotest.fail "no transfer");
+  Alcotest.(check (list (pair string string)))
+    "one HIGH check_write"
+    [ "check_write", "HIGH" ]
+    (List.map
+       (fun (w : Secpert.Warning.t) ->
+         w.rule, Secpert.Severity.label w.severity)
+       r.warnings)
+
 (* A kernel callback for a process the monitor never saw start is a
    wiring bug: it raises instead of dropping the observation. *)
 let test_monitor_unknown_pid_raises () =
@@ -669,6 +734,7 @@ let suite =
     Alcotest.test_case "dataflow push/pop" `Quick test_df_push_pop;
     Alcotest.test_case "dataflow cmp propagates nothing" `Quick
       test_df_cmp_propagates_nothing;
+    Alcotest.test_case "dataflow compare/test guard" `Quick test_df_guard;
     Alcotest.test_case "dataflow call clears return slot" `Quick
       test_df_call_clears_ret_slot;
     Alcotest.test_case "frequency counting" `Quick test_freq_counting;
@@ -697,5 +763,7 @@ let suite =
       test_monitor_fork_isolates_child;
     Alcotest.test_case "monitor exec keeps fds and restarts counts" `Quick
       test_monitor_exec_keeps_fds;
+    Alcotest.test_case "monitor failed close keeps the fd" `Quick
+      test_monitor_failed_close_keeps_fd;
     Alcotest.test_case "monitor unknown pid raises" `Quick
       test_monitor_unknown_pid_raises ]

@@ -492,7 +492,8 @@ let prop_dataflow_matches_reference =
       in
       List.iter
         (fun step ->
-          Harrier.Dataflow.step shadow m ~imm_tag (insn_of_tstep step))
+          ignore
+            (Harrier.Dataflow.step shadow m ~imm_tag (insn_of_tstep step)))
         steps;
       List.for_all
         (fun (i, expected) ->
@@ -632,6 +633,119 @@ let tier_body_gen : Isa.Insn.t Gen.t =
       1, map (fun m -> Isa.Insn.Pop m) mem;
       1, return Isa.Insn.Cpuid;
       1, return Isa.Insn.Nop ]
+
+(* ------------------------------------------------------------------ *)
+(* Summaries vs per-instruction dataflow on shadow state.  One
+   [Summary.apply] over a random straight-line body must leave the
+   shadow as running [Dataflow.step] before each instruction does: the
+   same register tags, the same tag on every byte the body can touch
+   (the data slots and the stack around ESP) and the same guard.
+   [prop_tier_equivalence] sees only the taint that reaches an event or
+   the console.  The suite case counts the bodies [compile] rejects and
+   [apply] deopts, and fails unless some were applied and compared. *)
+
+type summary_tally = {
+  mutable applied : int;
+  mutable rejected : int;
+  mutable deopted : int;
+}
+
+let summary_tally = { applied = 0; rejected = 0; deopted = 0 }
+
+(* ESP mostly mid-memory, sometimes at the very end of it, where a pop
+   reads past the address space and the summary must deopt *)
+let entry_esp_gen =
+  Gen.frequency
+    [ 4, Gen.map (fun k -> 0x8000 + (4 * k)) (Gen.int_bound 63);
+      1, Gen.map (fun k -> Vm.Machine.mem_size - (4 * k)) (Gen.int_bound 3) ]
+
+(* the body; EAX..EBP and ESP at entry; the 8 register tags, tagged
+   bytes among the data slots and tagged bytes around ESP *)
+let summary_case_gen =
+  let open Gen in
+  let tagged_bytes =
+    list_size (int_bound 24) (pair (int_bound 0x7F) tagset_gen)
+  in
+  triple
+    (list_size (int_range 1 24) tier_body_gen)
+    (pair (list_size (return 7) (int_bound 0xFFFF)) entry_esp_gen)
+    (triple (list_size (return Isa.Reg.count) tagset_gen) tagged_bytes
+       tagged_bytes)
+
+let prop_summary_matches_dataflow =
+  Test.make ~name:"summaries agree with per-instruction dataflow"
+    ~count:200 ~long_factor:10
+    (make
+       ~print:(fun (body, (_, esp), _) ->
+         Printf.sprintf "esp=0x%x body=[%s]" esp
+           (String.concat "; " (List.map Isa.Insn.to_string body)))
+       summary_case_gen)
+    (fun (body, (vals, esp), (reg_tags, slot_bytes, stack_bytes)) ->
+      let text = Array.of_list (body @ [ Isa.Insn.Hlt ]) in
+      let len = (Isa.Insn.body_lens text).(0) in
+      let m = Vm.Machine.create () in
+      Vm.Machine.map_image m
+        (Binary.Image.make ~path:"/img" ~kind:Binary.Image.Executable
+           ~base:0x1000 ~text ~sections:[] ~exports:[] ~relocs:[] ~needed:[]
+           ~entry:0x1000);
+      Vm.Machine.set_eip m 0x1000;
+      List.iteri (fun i v -> Vm.Machine.set_reg m (Isa.Reg.of_index i) v) vals;
+      Vm.Machine.set_reg m ESP esp;
+      let reference = Harrier.Shadow.create ~space:sp () in
+      List.iteri
+        (fun i t -> Harrier.Shadow.set_reg reference (Isa.Reg.of_index i) t)
+        reg_tags;
+      List.iter
+        (fun (off, t) -> Harrier.Shadow.set_byte reference (0x4000 + off) t)
+        slot_bytes;
+      List.iter
+        (fun (off, t) ->
+          Harrier.Shadow.set_byte reference (esp - 0x40 + off) t)
+        stack_bytes;
+      let summarized = Harrier.Shadow.clone reference in
+      match Harrier.Summary.compile ~space:sp ~imm_tag text ~pos:0 ~len with
+      | None ->
+        summary_tally.rejected <- summary_tally.rejected + 1;
+        true
+      | Some s ->
+        (match Harrier.Summary.apply s summarized m with
+         | Deopt ->
+           summary_tally.deopted <- summary_tally.deopted + 1;
+           true
+         | Applied guard ->
+           summary_tally.applied <- summary_tally.applied + 1;
+           (* the reference: the per-instruction rule before each
+              instruction executes; the last non-empty guard wins *)
+           let rec interpret i last =
+             if i = len then Some last
+             else
+               let g = Harrier.Dataflow.step reference m ~imm_tag text.(i) in
+               match Vm.Machine.step m with
+               | Vm.Machine.Continue ->
+                 interpret (i + 1)
+                   (if Taint.Tagset.is_empty g then last else Some g)
+               | Vm.Machine.Syscall _ | Vm.Machine.Stopped _ -> None
+           in
+           let same_bytes lo hi =
+             List.for_all
+               (fun a ->
+                 Taint.Tagset.equal
+                   (Harrier.Shadow.byte reference a)
+                   (Harrier.Shadow.byte summarized a))
+               (List.init (hi - lo) (fun k -> lo + k))
+           in
+           (match interpret 0 None with
+            | None -> false (* an applied body must run to its end *)
+            | Some last ->
+              List.for_all
+                (fun r ->
+                  Taint.Tagset.equal
+                    (Harrier.Shadow.reg reference r)
+                    (Harrier.Shadow.reg summarized r))
+                Isa.Reg.all
+              && same_bytes 0x4000 0x4080
+              && same_bytes (esp - 0x70) (esp + 0x70)
+              && Option.equal Taint.Tagset.equal guard last)))
 
 (* One piece of a loop body.  Jumps land on a piece boundary of their
    own sequence, at most at its end, so no jump enters an inner loop
@@ -943,4 +1057,20 @@ let seed_resolution_case =
       check "garbage falls back to fresh" 7 ~env:(Some "not-a-seed");
       check "absent falls back to fresh" 7 ~env:None)
 
-let suite = seed_resolution_case :: List.map to_alcotest_seeded props
+let summary_agreement_case =
+  let name, speed, run = to_alcotest_seeded prop_summary_matches_dataflow in
+  ( name,
+    speed,
+    fun () ->
+      summary_tally.applied <- 0;
+      summary_tally.rejected <- 0;
+      summary_tally.deopted <- 0;
+      run ();
+      Printf.printf "summaries: %d applied, %d rejected, %d deopted\n"
+        summary_tally.applied summary_tally.rejected summary_tally.deopted;
+      if summary_tally.applied = 0 then
+        Alcotest.fail "no body compiled and applied: nothing was compared" )
+
+let suite =
+  seed_resolution_case :: summary_agreement_case
+  :: List.map to_alcotest_seeded props
