@@ -13,7 +13,8 @@
    so untainted regions cost one table load to read.  Addresses outside
    the address space read as untagged and stores there are dropped: the
    VM faults on any such access, so no guest byte exists to carry the
-   tag.
+   tag.  The register file holds ids too, in an [int array], so a
+   register store is a plain store with no write barrier.
 
    Tag sets are hash-consed, so equal sets have equal ids, which the
    range scan exploits: a run of bytes carrying the same tag — the
@@ -36,7 +37,7 @@ let no_page = { ids = Bytes.empty; live = 0 }
 
 type t = {
   space : Taint.Space.t;  (* interns every tag stored or unioned below *)
-  regs : Taint.Tagset.t array;
+  regs : int array;  (* tag id per register, by [Isa.Reg.index] *)
   pages : page array;  (* [n_pages] slots, [no_page] until first tagged *)
   budget : int;  (* max live pages before saturation (max_int = none) *)
   mutable mapped : int;  (* slots not pointing at [no_page] *)
@@ -55,7 +56,7 @@ let c_degraded = Obs.Counter.make "harrier.degraded"
 let c_refused = Obs.Counter.make "harrier.shadow.stores_refused"
 
 let create ?page_budget ~space () =
-  { space; regs = Array.make Isa.Reg.count Taint.Tagset.empty;
+  { space; regs = Array.make Isa.Reg.count 0;
     pages = Array.make n_pages no_page;
     budget = (match page_budget with Some b -> max 0 b | None -> max_int);
     mapped = 0; overflow = Taint.Tagset.empty; tagged = 0 }
@@ -82,9 +83,9 @@ let clone s =
           if p == no_page then p else { ids = Bytes.copy p.ids; live = p.live })
         s.pages }
 
-let[@inline] reg s r = s.regs.(Isa.Reg.index r)
+let[@inline] reg s r = Taint.Tagset.of_id s.space s.regs.(Isa.Reg.index r)
 
-let[@inline] set_reg s r tag = s.regs.(Isa.Reg.index r) <- tag
+let[@inline] set_reg s r tag = s.regs.(Isa.Reg.index r) <- Taint.Tagset.id tag
 
 (* Page [i] of the table, [no_page] when unmapped or outside the
    address space. *)

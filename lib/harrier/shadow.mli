@@ -24,8 +24,9 @@ type t
     so the shadow degrades to conservative over-tainting rather than
     silently dropping taint.  No budget means unbounded (exact)
     tracking.  [space] is the taint hash-consing arena every union runs
-    in, and every stored tag must have been interned in it: memory keeps
-    only tag ids, which are read back as [space]'s sets. *)
+    in, and every stored tag must have been interned in it: memory and
+    the registers keep only tag ids, which are read back as [space]'s
+    sets. *)
 val create : ?page_budget:int -> space:Taint.Space.t -> unit -> t
 
 (** The taint space this shadow unions in (shared by {!clone}). *)

@@ -18,15 +18,17 @@
    evaluate every taint expression against the {e entry} shadow, then
    apply the writes in program order.
 
-   [apply] is the whole point of the compiled tier, so it is written to
-   do no heap allocation on the steady-state path: the loops are plain
-   indexed [for]s over parallel arrays (no closures, no tuple keys), and
-   every taint expression memoizes its last input tags.  Tag sets are
-   interned, so "the inputs didn't change since the previous
-   application" is a handful of pointer compares — and a tight guest
-   loop whose operand tags have stabilized (the overwhelmingly common
-   case) replays its entire transfer without touching the union memo at
-   all.
+   [apply] is the whole point of the compiled tier, so its steady state
+   allocates nothing but its result, and only when the block's guard is
+   tainted ([Applied (Some tag)], 4 words; [Applied None] is built once
+   and [Deopt] is a constant): its loops are [for]s and top-level
+   recursions over parallel arrays (no closures, no tuple keys, no ref
+   cells), and every taint expression memoizes its last input tags.
+   Tag sets are interned, so "the inputs didn't change since the
+   previous application" is a handful of pointer compares — and a tight
+   guest loop whose operand tags have stabilized (the overwhelmingly
+   common case) replays its entire transfer without touching the union
+   memo at all.
 
    Summaries are built per run and applied single-threaded, so the
    scratch and memo arrays live inside the summary value. *)
@@ -376,21 +378,17 @@ let compile ~space ~imm_tag insns ~pos ~len =
 
 let mem_size = Vm.Machine.mem_size
 
-(* The helpers below are written as tail recursions over accumulators
-   (rather than [for] + [ref]) so the steady-state [apply] allocates
-   nothing at all — not even the ref cells. *)
+(* The helpers below are top-level tail recursions over accumulators:
+   a local recursive function would be a closure over its free
+   variables, allocated on every call. *)
 
-let[@inline] eval_addr m (a : addr) =
-  let n = Array.length a.a_regs in
-  let rec go k v =
-    if k >= n then v
-    else
-      go (k + 1)
-        (v
-         + Array.unsafe_get a.a_coefs k
-           * Vm.Machine.get_reg m (Array.unsafe_get a.a_regs k))
-  in
-  go 0 a.a_disp
+let rec eval_addr m (a : addr) k v =
+  if k >= Array.length a.a_regs then v
+  else
+    eval_addr m a (k + 1)
+      (v
+       + Array.unsafe_get a.a_coefs k
+         * Vm.Machine.get_reg m (Array.unsafe_get a.a_regs k))
 
 (* Evaluate every touched address into [s_vals]; [false] on the first
    bounds miss.  Unmasked evaluation is conservative: a
@@ -400,7 +398,7 @@ let rec eval_addrs s m i =
   i >= Array.length s.s_addrs
   || begin
     let a = Array.unsafe_get s.s_addrs i in
-    let v = eval_addr m a in
+    let v = eval_addr m a 0 a.a_disp in
     v >= 0
     && v + a.a_len <= mem_size
     && begin
@@ -471,12 +469,13 @@ let rec eval_texprs s shadow i =
     eval_texprs s shadow (i + 1)
   end
 
-(* 4. the last compare/test evaluating non-empty is the guard *)
+(* 4. the last compare/test evaluating non-empty is the guard; empty
+   when there is none *)
 let rec last_guard s i acc =
   if i >= Array.length s.s_guards then acc
   else
     let t = Array.unsafe_get s.s_tags (Array.unsafe_get s.s_guards i) in
-    last_guard s (i + 1) (if Taint.Tagset.is_empty t then acc else Some t)
+    last_guard s (i + 1) (if Taint.Tagset.is_empty t then acc else t)
 
 let applied_clean = Applied None
 
@@ -498,7 +497,6 @@ let apply s shadow m =
           (Array.unsafe_get s.s_addrs ai).a_len
           (Array.unsafe_get s.s_tags x)
     done;
-    match last_guard s 0 None with
-    | None -> applied_clean
-    | some -> Applied some
+    let g = last_guard s 0 Taint.Tagset.empty in
+    if Taint.Tagset.is_empty g then applied_clean else Applied (Some g)
   end

@@ -573,40 +573,34 @@ let handle_syscall k (p : Process.t) ~retry =
         k.k_monitor.on_post_syscall p sc ~result:0
     end
 
+(* One scheduler quantum: [Vm.Machine.run] retires instructions until a
+   syscall, a stop or spent fuel; after a syscall that leaves the
+   process runnable, the rest of the quantum continues.  Ticks advance
+   by the retired count before the outcome is handled, so a syscall
+   observes the same clock as under per-instruction stepping. *)
 let run_quantum k (p : Process.t) =
   if p.pid <> k.last_run_pid then begin
     Obs.Counter.incr c_switches;
     k.last_run_pid <- p.pid
   end;
-  let steps = ref 0 in
-  (* constructor match, not polymorphic compare — this test runs once
-     per simulated instruction *)
-  let runnable () =
-    match p.state with Process.Runnable -> true | _ -> false
-  in
-  while !steps < quantum && runnable () do
-    (* tiered dispatch: a hot straight-line block retires as one unit
-       (never overrunning the quantum — blocks longer than the
-       remaining fuel are interpreted); everything else is exactly one
-       interpreted step.  Ticks advance by the retired count before the
-       outcome is handled, so a syscall observes the same clock as
-       under per-instruction stepping. *)
-    let out, n =
-      Vm.Machine.step_block p.machine ~fuel:(quantum - !steps)
-    in
-    steps := !steps + n;
+  let rec go fuel =
+    let out, n = Vm.Machine.run p.machine ~fuel in
     k.k_ticks <- k.k_ticks + n;
-    match out with
-    | Continue -> ()
-    | Syscall 0x80 -> handle_syscall k p ~retry:false
-    | Syscall _ -> Vm.Machine.set_reg p.machine EAX (-38)
-    | Stopped Halted -> p.state <- Exited 0
-    | Stopped (Faulted f) ->
-      p.state <- Killed (Fmt.to_to_string Vm.Machine.pp_fault f)
-    | Stopped Running ->
-      (* a VM invariant violation; contain it to this process *)
-      p.state <- Killed "vm invariant: step returned Stopped Running"
-  done
+    (match out with
+     | Continue -> ()
+     | Syscall 0x80 -> handle_syscall k p ~retry:false
+     | Syscall _ -> Vm.Machine.set_reg p.machine EAX (-38)
+     | Stopped Halted -> p.state <- Exited 0
+     | Stopped (Faulted f) ->
+       p.state <- Killed (Fmt.to_to_string Vm.Machine.pp_fault f)
+     | Stopped Running ->
+       (* a VM invariant violation; contain it to this process *)
+       p.state <- Killed "vm invariant: run returned Stopped Running");
+    match p.state with
+    | Process.Runnable when n < fuel -> go (fuel - n)
+    | _ -> ()
+  in
+  go quantum
 
 type report = {
   rep_ticks : int;

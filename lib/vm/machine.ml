@@ -85,6 +85,8 @@ let resident_pages m =
 
 let eip m = m.eip
 
+let status m = m.status
+
 let set_eip m a =
   m.eip <- a;
   m.at_bb_start <- true
@@ -204,39 +206,51 @@ let segment_at m addr =
     (fun s -> addr >= s.seg_base && addr < s.seg_base + Array.length s.seg_insns)
     m.segs
 
-(* Observability: the per-instruction counters are single unboxed field
-   writes (see lib/obs), cheap enough for the step loop. *)
+(* Observability.  [step] counts as it goes; [run], the dense path,
+   counts in locals and settles each counter with one [add] per call
+   (see lib/obs: an [incr] is a domain-local lookup, too dear per
+   instruction). *)
 let c_instructions = Obs.Counter.make "vm.instructions"
 let c_blocks = Obs.Counter.make "vm.blocks"
 let c_compiled = Obs.Counter.make "vm.blocks.compiled"
 let c_fetch_hits = Obs.Counter.make "vm.fetch_cache.hits"
 let c_fetch_misses = Obs.Counter.make "vm.fetch_cache.misses"
 
-(* Allocation-free fetch: hit the cached segment or rescan; [no_seg]
-   means no segment maps [addr]. *)
-let seg_for m addr =
+(* Allocation-free fetch: [cached m addr] when the cached segment maps
+   [addr]; otherwise [rescan], which yields [no_seg] when no segment
+   maps it.  The callers count the hit or miss. *)
+let[@inline] cached m addr =
   let s = m.cur_seg in
-  if addr - s.seg_base >= 0 && addr - s.seg_base < Array.length s.seg_insns
-  then begin
-    Obs.Counter.incr c_fetch_hits;
+  addr - s.seg_base >= 0 && addr - s.seg_base < Array.length s.seg_insns
+
+let[@inline never] rescan m addr =
+  match segment_at m addr with
+  | Some s ->
+    m.cur_seg <- s;
     s
+  | None -> no_seg
+
+let seg_for m addr =
+  if cached m addr then begin
+    Obs.Counter.incr c_fetch_hits;
+    m.cur_seg
   end
   else begin
     Obs.Counter.incr c_fetch_misses;
-    match segment_at m addr with
-    | Some s ->
-      m.cur_seg <- s;
-      s
-    | None -> no_seg
+    rescan m addr
   end
 
 let fetch m addr =
   let s = seg_for m addr in
   if s == no_seg then None else Some s.seg_insns.(addr - s.seg_base)
 
+(* A top-level helper rather than a local function over [m], which
+   would allocate a closure per memory operand. *)
+let[@inline] reg_or_zero m = function None -> 0 | Some r -> get_reg m r
+
 let eff_addr m (r : Isa.Operand.mem_ref) =
-  let v = function None -> 0 | Some reg -> get_reg m reg in
-  (r.disp + v r.base + (v r.index * r.scale)) land 0xFFFFFFFF
+  (r.disp + reg_or_zero m r.base + (reg_or_zero m r.index * r.scale))
+  land 0xFFFFFFFF
 
 let read_operand m size op =
   let mask v = match size with
@@ -405,85 +419,115 @@ let exec m insn =
     m.status <- Halted;
     Stopped Halted
 
-(* One interpreted instruction from an already-resolved segment; the
-   single [seg_for] call stays with the caller so the fetch-cache
-   counters count each fetch exactly once on every path. *)
-let step_in m seg =
-  if seg == no_seg then begin
-    m.status <- Faulted (Bad_fetch m.eip);
-    Stopped m.status
-  end
-  else begin
-    let insn = seg.seg_insns.(m.eip - seg.seg_base) in
-    try
-      Obs.Counter.incr c_instructions;
-      if m.at_bb_start then begin
-        Obs.Counter.incr c_blocks;
-        m.h.on_bb m m.eip
-      end;
-      m.h.pre_insn m m.eip insn;
-      m.at_bb_start <- Isa.Insn.writes_control_flow insn;
-      exec m insn
-    with Fault_exn f ->
-      m.status <- Faulted f;
-      Stopped m.status
-  end
-
 let step m =
   match m.status with
   | (Halted | Faulted _) as s -> Stopped s
-  | Running -> step_in m (seg_for m m.eip)
+  | Running ->
+    let seg = seg_for m m.eip in
+    if seg == no_seg then begin
+      m.status <- Faulted (Bad_fetch m.eip);
+      Stopped m.status
+    end
+    else begin
+      let insn = seg.seg_insns.(m.eip - seg.seg_base) in
+      try
+        Obs.Counter.incr c_instructions;
+        if m.at_bb_start then begin
+          Obs.Counter.incr c_blocks;
+          m.h.on_bb m m.eip
+        end;
+        m.h.pre_insn m m.eip insn;
+        m.at_bb_start <- Isa.Insn.writes_control_flow insn;
+        exec m insn
+      with Fault_exn f ->
+        m.status <- Faulted f;
+        Stopped m.status
+    end
 
-(* Tiered dispatch: at a basic-block start whose straight-line body fits
-   the remaining [fuel], offer the block to the [on_block] hook.  If it
-   accepts (the tier policy has promoted the block and applied — or
-   deliberately skipped — its taint summary), the body runs through
-   [exec] with no per-instruction hook calls; the terminator and every
-   other case take the interpreted [step] path unchanged.  Returns the
-   outcome plus the number of instructions retired (for quantum
-   accounting). *)
-let step_block m ~fuel =
+(* One [run]'s counts, settled into the counters.  Every fetch attempt
+   retires, so the fetch hits are the retired count less the misses; a
+   bad fetch executes nothing, so it is no instruction. *)
+let settle out ~retired ~misses ~blocks ~compiled =
+  let bad_fetch =
+    match out with Stopped (Faulted (Bad_fetch _)) -> 1 | _ -> 0
+  in
+  Obs.Counter.add c_instructions (retired - bad_fetch);
+  Obs.Counter.add c_blocks blocks;
+  Obs.Counter.add c_compiled compiled;
+  Obs.Counter.add c_fetch_hits (retired - misses);
+  Obs.Counter.add c_fetch_misses misses
+
+(* The quantum loop.  At a basic-block start whose straight-line body
+   fits the remaining fuel, the body is offered to the [on_block] hook;
+   an accepted body (the tier policy has promoted the block and applied
+   — or deliberately skipped — its taint summary) runs through [exec]
+   with no per-instruction hook calls.  Everything else interprets as
+   [step] does.  A body holds no terminator, so [exec] returns
+   [Continue] for each of its instructions.  The counts are local
+   variables, each bumped before what it counts runs, so they are exact
+   when a fault cuts the loop short; one handler covers the whole
+   loop. *)
+let run m ~fuel =
   match m.status with
   | (Halted | Faulted _) as s -> (Stopped s, 0)
   | Running ->
-    let seg = seg_for m m.eip in
-    if not m.at_bb_start || seg == no_seg then (step_in m seg, 1)
-    else begin
-      let off = m.eip - seg.seg_base in
-      let len = seg.seg_lens.(off) in
-      if len = 0 || len > fuel || not (m.h.on_block m seg m.eip len) then
-        (step_in m seg, 1)
-      else begin
-        Obs.Counter.incr c_blocks;
-        Obs.Counter.incr c_compiled;
-        m.h.on_bb m m.eip;
-        m.at_bb_start <- false;
-        let insns = seg.seg_insns in
-        (* per-insn accounting is hoisted to one [add] per kind (the
-           first fetch was counted by [seg_for]; the rest of the body
-           would all hit the one-entry cache); a mid-block fault rolls
-           the difference back so the counts match interpretation
-           exactly.  A body holds no terminator, so [exec] returns
-           [Continue] for each of its instructions.  One handler for
-           the whole body rather than one per instruction: on the dense
-           copy kernel that measured ~3% faster. *)
-        Obs.Counter.add c_instructions len;
-        Obs.Counter.add c_fetch_hits (len - 1);
-        let i = ref 0 in
-        match
-          while !i < len do
-            ignore (exec m insns.(off + !i));
-            incr i
-          done
-        with
-        | () -> (Continue, len)
-        | exception Fault_exn f ->
-          m.status <- Faulted f;
-          Obs.Counter.add c_instructions (!i + 1 - len);
-          Obs.Counter.add c_fetch_hits (!i - (len - 1));
-          (Stopped m.status, !i + 1)
-      end
-    end
+    let out = ref Continue and retired = ref 0 and misses = ref 0 in
+    let blocks = ref 0 and compiled = ref 0 in
+    (match
+       while !out == Continue && !retired < fuel do
+         let eip = m.eip in
+         let seg =
+           if cached m eip then m.cur_seg
+           else begin
+             incr misses;
+             rescan m eip
+           end
+         in
+         if seg == no_seg then begin
+           incr retired;
+           m.status <- Faulted (Bad_fetch eip);
+           out := Stopped m.status
+         end
+         else begin
+           let off = eip - seg.seg_base in
+           let len = if m.at_bb_start then seg.seg_lens.(off) else 0 in
+           if len > 0 && len <= fuel - !retired && m.h.on_block m seg eip len
+           then begin
+             incr blocks;
+             incr compiled;
+             m.h.on_bb m eip;
+             m.at_bb_start <- false;
+             let insns = seg.seg_insns in
+             for i = off to off + len - 1 do
+               incr retired;
+               ignore (exec m insns.(i))
+             done
+           end
+           else begin
+             let insn = seg.seg_insns.(off) in
+             incr retired;
+             if m.at_bb_start then begin
+               incr blocks;
+               m.h.on_bb m eip
+             end;
+             m.h.pre_insn m eip insn;
+             m.at_bb_start <- Isa.Insn.writes_control_flow insn;
+             out := exec m insn
+           end
+         end
+       done
+     with
+     | () -> ()
+     | exception Fault_exn f ->
+       m.status <- Faulted f;
+       out := Stopped m.status
+     | exception e ->
+       settle !out ~retired:!retired ~misses:!misses ~blocks:!blocks
+         ~compiled:!compiled;
+       raise e);
+    settle !out ~retired:!retired ~misses:!misses ~blocks:!blocks
+      ~compiled:!compiled;
+    (!out, !retired)
 
 let pp_fault ppf = function
   | Bad_fetch a -> Fmt.pf ppf "bad fetch at 0x%x" a

@@ -5,7 +5,7 @@
     guest instruction stream and exposes callbacks at instruction and
     basic-block granularity (Fig. 5 shows the analysis calls Pin inserts;
     here they are the [pre_insn] and [on_bb] hooks).  System calls are not
-    executed by the machine — [step] returns [Syscall] and the simulated
+    executed by the machine — [run] returns [Syscall] and the simulated
     kernel takes over, exactly as [int $0x80] traps to the OS.
 
     Semantics notes (documented deviations from real x86, irrelevant to
@@ -22,7 +22,7 @@ type fault =
 
 type status = Running | Halted | Faulted of fault
 
-(** Raised by memory accessors on out-of-range addresses; [step] catches
+(** Raised by memory accessors on out-of-range addresses; [run] and [step] catch
     it internally, but kernel-side accesses (string decoding) must handle
     it. *)
 exception Fault_exn of fault
@@ -88,6 +88,8 @@ val resident_pages : t -> int
 
 val eip : t -> int
 
+val status : t -> status
+
 val set_eip : t -> int -> unit
 
 val get_reg : t -> Isa.Reg.t -> int
@@ -142,20 +144,26 @@ type outcome =
   | Syscall of int  (** [Int n] executed; eip already advanced *)
   | Stopped of status  (** halted or faulted *)
 
-(** [step m] executes one instruction, firing hooks. *)
+(** [step m] executes one instruction, firing hooks and counting it in
+    the [vm.*] counters as it goes: the single-step reference that
+    {!run} must agree with. *)
 val step : t -> outcome
 
-(** [step_block m ~fuel] is the tiered dispatcher: at a basic-block
-    start whose straight-line body has at most [fuel] instructions, the
-    body is offered to the [on_block] hook and — if accepted — runs as
-    one unit: the interpreter's own instruction semantics, with no
-    per-instruction hooks and the per-instruction counters settled once
-    per block.  Each accepted body counts once in [vm.blocks.compiled]
-    (a strategy counter).  In every other case exactly one instruction is
-    interpreted via {!step}.  Returns the outcome and the number of
-    instructions retired, for quantum accounting.  Equivalent to [fuel]
-    iterated {!step}s up to the accepted per-block instrumentation. *)
-val step_block : t -> fuel:int -> outcome * int
+(** [run m ~fuel] runs up to [fuel] instructions — a scheduler quantum —
+    and stops early at a syscall or when the machine stops; it returns
+    that outcome ([Continue] when the fuel ran out) and the number of
+    instructions retired, a faulting one or a bad fetch included.  At a
+    basic-block start whose straight-line body fits the remaining fuel,
+    the body is offered to the [on_block] hook and — if accepted — runs
+    as one unit: the interpreter's own instruction semantics, with no
+    per-instruction hooks.  Each accepted body counts once in
+    [vm.blocks.compiled] (a strategy counter).  Every other instruction
+    is interpreted as {!step} interprets it.  The [vm.*] counters are
+    counted locally and settled once per call, on every exit; their
+    totals equal those of iterated {!step}s, apart from
+    [vm.blocks.compiled].  Equivalent to iterated {!step}s up to the
+    accepted per-block instrumentation. *)
+val run : t -> fuel:int -> outcome * int
 
 val pp_fault : Format.formatter -> fault -> unit
 

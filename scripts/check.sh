@@ -17,6 +17,29 @@ trap 'rm -rf "$tmp"' EXIT INT TERM
 
 status=0
 
+echo "== build profile gate =="
+# The default build is the release profile (dune-workspace), so library
+# modules compile without -opaque and [@inline] crosses modules; the
+# root dune file's env stanza keeps the dev profile's strictness and
+# warnings-as-errors.  One library module's compile line stands for all.
+flags=$(dune rules lib/vm/.vm.objs/native/vm__Machine.cmx 2>/dev/null \
+          | tr -s ' \t()' '\n')
+if ! printf '%s\n' "$flags" | grep -qx -- '-impl'; then
+  echo "  BUILD PROFILE: no compile rule for vm__Machine.cmx" >&2
+  status=1
+elif printf '%s\n' "$flags" | grep -qx -- '-opaque'; then
+  echo "  BUILD PROFILE: library modules compile with -opaque" \
+       "(is dune-workspace's release profile gone?)" >&2
+  status=1
+elif ! printf '%s\n' "$flags" | grep -qx -- '-strict-sequence' \
+     || ! printf '%s\n' "$flags" | grep -q -- '^@1\.\.3@'; then
+  echo "  BUILD PROFILE: -strict-sequence or the @1..3 warnings-as-errors" \
+       "are missing (is the root dune env stanza gone?)" >&2
+  status=1
+else
+  echo "  ok: no -opaque, warnings are errors"
+fi
+
 echo "== exports gate =="
 # Every value a lib/ interface exports must be used outside its own
 # module's pair: named with its module path (Image.fetch, whatever

@@ -251,21 +251,22 @@ let test_bb_hook () =
   ignore (run shared);
   check_int "shared clone: the same hook" 4 (List.length !bbs)
 
+(* [f ()] and the [vm.*] counters it moved. *)
+let vm_counters f =
+  let before = Obs.snapshot () in
+  let r = f () in
+  ( r,
+    List.filter
+      (fun (n, _) -> Astring.String.is_prefix ~affix:"vm." n)
+      (Obs.diff ~before ~after:(Obs.snapshot ())) )
+
 (* An accepted body runs through the interpreter's [exec] with no
-   per-instruction hooks and settles the [vm.*] counters once per block;
+   per-instruction hooks, and [run] settles the [vm.*] counters once;
    a fault mid-body must leave registers, memory, [eip], status and
    counters exactly as interpreting the same instructions does, apart
    from the body's one [vm.blocks.compiled]. *)
 let test_accepted_body () =
   let open Isa.Insn in
-  let vm_counters f =
-    let before = Obs.snapshot () in
-    let r = f () in
-    ( r,
-      List.filter
-        (fun (n, _) -> Astring.String.is_prefix ~affix:"vm." n)
-        (Obs.diff ~before ~after:(Obs.snapshot ())) )
-  in
   let compare ~load ~retired ~final =
     let prog =
       [ Mov (W, Reg EAX, Imm 7);
@@ -283,7 +284,7 @@ let test_accepted_body () =
     in
     let tiered = machine_of ~hooks prog in
     let (outcome, n), tiered_counts =
-      vm_counters (fun () -> Machine.step_block tiered ~fuel:100)
+      vm_counters (fun () -> Machine.run tiered ~fuel:5)
     in
     let interp = machine_of prog in
     let (), interp_counts =
@@ -320,6 +321,121 @@ let test_accepted_body () =
   (* a word load straddling the end of memory faults at the fourth
      instruction, after three have retired *)
   compare ~load:0xFFFFE ~retired:4 ~final:(Some (Machine.Bad_access 0x100001))
+
+(* [run ~fuel] against iterated [step]s on a twin machine, for quanta
+   that end on spent fuel in straight-line code, at [int 0x80], at a
+   faulting load and at a bad fetch: the same outcome, retired count,
+   registers, [eip], status and [vm.*] counter diffs.  Each case runs
+   under pure interpretation and under a hook that accepts every body
+   that fits the fuel left; [vm.blocks.compiled], which only [run]
+   counts, must then show [compiled] bodies. *)
+let test_run_matches_step () =
+  let open Isa.Insn in
+  let accept_all =
+    { Machine.no_hooks with on_block = (fun _ _ _ _ -> true) }
+  in
+  let case name ~fuel ~want ~retired ~compiled prog =
+    List.iter
+      (fun (mode, hooks, bodies) ->
+        let name = name ^ ", " ^ mode in
+        let ran = machine_of ~hooks prog in
+        let (out, n), run_counts =
+          vm_counters (fun () -> Machine.run ran ~fuel)
+        in
+        let stepped = machine_of ~hooks prog in
+        let (last, steps), step_counts =
+          vm_counters (fun () ->
+              let rec go k =
+                match Machine.step stepped with
+                | Machine.Continue when k < fuel -> go (k + 1)
+                | o -> (o, k)
+              in
+              go 1)
+        in
+        check (name ^ ": outcome") true (out = want && last = want);
+        check_int (name ^ ": retired") retired n;
+        check_int (name ^ ": steps") retired steps;
+        check_int (name ^ ": eip") (Machine.eip stepped) (Machine.eip ran);
+        check_str (name ^ ": status")
+          (Fmt.to_to_string Machine.pp_status (Machine.status stepped))
+          (Fmt.to_to_string Machine.pp_status (Machine.status ran));
+        List.iter
+          (fun r ->
+            check_int (name ^ ": " ^ Isa.Reg.name r)
+              (Machine.get_reg stepped r) (Machine.get_reg ran r))
+          Isa.Reg.all;
+        Alcotest.(check (option int))
+          (name ^ ": compiled bodies") bodies
+          (List.assoc_opt "vm.blocks.compiled" run_counts);
+        Alcotest.(check (list (pair string int)))
+          (name ^ ": vm counters") step_counts
+          (List.remove_assoc "vm.blocks.compiled" run_counts))
+      [ "interpreted", Machine.no_hooks, None;
+        "bodies accepted", accept_all, Some compiled ]
+  in
+  let base = 0x1000 in
+  (* accepted: the 2-instruction body; then the next body (5) no longer
+     fits the 2 instructions of fuel left and interprets *)
+  case "fuel runs out" ~fuel:5 ~want:Machine.Continue ~retired:5 ~compiled:1
+    [ Mov (W, Reg EAX, Imm 1);
+      Mov (W, Isa.Operand.abs 0x2000, Reg EAX);
+      Jmp (Imm (base + 3));
+      Add (Reg EAX, Isa.Operand.abs 0x2000);
+      Mov (W, Reg EBX, Reg EAX);
+      Mov (W, Reg ECX, Imm 3);
+      Inc (Reg ECX);
+      Mov (W, Reg EDX, Imm 5);
+      Hlt ];
+  case "syscall" ~fuel:100 ~want:(Machine.Syscall 0x80) ~retired:3
+    ~compiled:1
+    [ Mov (W, Reg EAX, Imm 4);
+      Mov (W, Reg EBX, Isa.Operand.abs 0x2000);
+      Int 0x80;
+      Mov (W, Reg ECX, Imm 1);
+      Hlt ];
+  case "faulting load" ~fuel:100
+    ~want:(Machine.Stopped (Faulted (Bad_access 0x200000))) ~retired:3
+    ~compiled:1
+    [ Mov (W, Reg EAX, Imm 1);
+      Mov (W, Reg EBX, Imm 2);
+      Mov (W, Reg ECX, Isa.Operand.abs 0x200000);
+      Mov (W, Reg EDX, Imm 3);
+      Hlt ];
+  case "bad fetch" ~fuel:100
+    ~want:(Machine.Stopped (Faulted (Bad_fetch 0x9999))) ~retired:3
+    ~compiled:1
+    [ Mov (W, Reg EAX, Imm 1); Jmp (Imm 0x9999) ]
+
+(* The dense path allocates nothing per instruction: a 100,000-
+   instruction quantum of an unmonitored loop that stores and loads
+   memory, through absolute and register-based operands, allocates a
+   constant few words (its result). *)
+let test_run_allocation () =
+  let open Isa.Insn in
+  let base = 0x1000 in
+  let slot = { Isa.Operand.base = Some ESI; index = Some EDI; scale = 4;
+               disp = 0x2000 } in
+  let m =
+    machine_of ~base
+      [ Mov (W, Reg ECX, Imm 1_000_000);
+        Mov (W, Reg ESI, Imm 8);
+        Mov (W, Isa.Operand.abs 0x2000, Reg ECX);
+        Mov (W, Reg EAX, Isa.Operand.abs 0x2000);
+        Mov (W, Isa.Operand.Mem slot, Reg EAX);
+        Add (Reg EBX, Isa.Operand.Mem slot);
+        Dec (Reg ECX);
+        Jcc (NZ, Imm (base + 2));
+        Hlt ]
+  in
+  (* warm up: the first fetch, the first store's page, counter cells *)
+  ignore (Machine.run m ~fuel:1_000);
+  let before = Gc.minor_words () in
+  let out, n = Machine.run m ~fuel:100_000 in
+  let words = Gc.minor_words () -. before in
+  check_int "the whole quantum ran" 100_000 n;
+  check "fuel ran out" true (out = Machine.Continue);
+  if words > 16. then
+    Alcotest.failf "100,000 instructions allocated %.0f minor words" words
 
 let test_pre_insn_hook_order () =
   let open Isa.Insn in
@@ -602,6 +718,9 @@ let suite =
     Alcotest.test_case "basic-block hook" `Quick test_bb_hook;
     Alcotest.test_case "accepted body matches interpretation" `Quick
       test_accepted_body;
+    Alcotest.test_case "run matches step" `Quick test_run_matches_step;
+    Alcotest.test_case "run allocates nothing per instruction" `Quick
+      test_run_allocation;
     Alcotest.test_case "pre-instruction hook order" `Quick
       test_pre_insn_hook_order;
     Alcotest.test_case "segments and fetch" `Quick test_segments;
