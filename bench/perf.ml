@@ -11,7 +11,7 @@ open Bechamel
 open Toolkit
 
 (* one arena for every tag set this benchmark interns *)
-let sp = Taint.Space.create ()
+let sp = Taint.Tagset.make_space ()
 
 (* The workload: an instruction-dense copy/checksum kernel (~60k
    instructions), so per-instruction monitoring dominates. *)

@@ -167,8 +167,8 @@ let budget_conv =
 
 let budget_args =
   let doc =
-    "Bound one session resource (repeatable).  $(docv) is KEY=N with KEY \
-     one of ticks, wm, shadow-pages, warnings.  Budgets degrade \
+    "Bound one session resource (repeatable): KEY is one of ticks, \
+     shadow-pages, warnings and N a positive integer.  Budgets degrade \
      gracefully: the run completes and is flagged degraded."
   in
   Arg.(value & opt_all budget_conv [] & info [ "budget" ] ~docv:"KEY=N" ~doc)

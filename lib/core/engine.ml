@@ -3,12 +3,12 @@
 
    An [Engine.t] holds everything about running sessions that does not
    depend on a particular run: the monitor configuration, the trust
-   database and policy thresholds, and the policy compiled once (for
-   the textual CLIPS policy that is the parsed rule forms).  All of it
-   is immutable, so one engine serves any number of domains.  [run]
-   builds the per-run state: file system, network, kernel (whose loader
-   links the images), monitor, Secpert instance and a fresh taint
-   space. *)
+   database, the auto-kill level and the policy compiled once (for the
+   textual CLIPS policy that is the parsed rule forms).  All of it is
+   immutable, so one engine serves any number of domains.  [run] builds
+   the per-run state: Secpert instance, file system, network, kernel
+   (whose loader links the images), monitor (judging with that
+   instance) and a fresh taint space. *)
 
 type setup = {
   programs : Binary.Image.t list;
@@ -61,16 +61,13 @@ type result = {
 
 type budgets = {
   b_ticks : int option;
-  b_wm_facts : int option;
   b_shadow_pages : int option;
   b_warnings : int option;
 }
 
-let no_budgets =
-  { b_ticks = None; b_wm_facts = None; b_shadow_pages = None;
-    b_warnings = None }
+let no_budgets = { b_ticks = None; b_shadow_pages = None; b_warnings = None }
 
-let budget_keys = "ticks, wm, shadow-pages, warnings"
+let budget_keys = "ticks, shadow-pages, warnings"
 
 let apply_budget b spec =
   match String.index_opt spec '=' with
@@ -83,7 +80,6 @@ let apply_budget b spec =
      | Some n when n >= 1 ->
        (match key with
         | "ticks" -> Ok { b with b_ticks = Some n }
-        | "wm" -> Ok { b with b_wm_facts = Some n }
         | "shadow-pages" -> Ok { b with b_shadow_pages = Some n }
         | "warnings" -> Ok { b with b_warnings = Some n }
         | k ->
@@ -103,18 +99,16 @@ let parse_budgets specs =
 type t = {
   e_monitor_config : Harrier.Monitor.config;
   e_trust : Secpert.Trust.t option;
-  e_thresholds : Secpert.Context.thresholds option;
   e_auto_kill : Secpert.Severity.t option;
   e_compiled : Secpert.System.compiled;
   e_keep_events : bool;
 }
 
-let create ?monitor_config ?trust ?thresholds ?auto_kill
+let create ?monitor_config ?trust ?auto_kill
     ?(policy = Secpert.System.Native) ?(keep_events = true) () =
   { e_monitor_config =
       Option.value monitor_config ~default:Harrier.Monitor.default_config;
     e_trust = trust;
-    e_thresholds = thresholds;
     e_auto_kill = auto_kill;
     e_compiled = Secpert.System.compile policy;
     e_keep_events = keep_events }
@@ -179,28 +173,22 @@ let run_outcome_ambient eng ~budgets ~fault s =
   in
   match
     phase "build" h_build (fun () ->
-        let kernel = boot ~fault s in
-        let monitor = Harrier.Monitor.attach ~config:mcfg kernel in
-        (* The event pipeline, in dispatch order: the trace sink first
-           (each event's "flow" line must land at its pre-stamped step,
-           before any policy "rule"/"warning" lines), then the optional
-           accumulator, then metrics, then the policy. *)
-        Harrier.Monitor.subscribe monitor Harrier.Monitor.trace_sink;
-        let events_log = ref [] in
-        if eng.e_keep_events then
-          Harrier.Monitor.subscribe monitor (fun e ->
-              events_log := e :: !events_log;
-              Osim.Kernel.Allow);
-        Harrier.Monitor.subscribe monitor Harrier.Monitor.metrics_sink;
         let secpert =
           try
             Secpert.System.create_from ?trust:eng.e_trust
-              ?thresholds:eng.e_thresholds ?auto_kill:eng.e_auto_kill
-              ?warning_cap:budgets.b_warnings ?wm_budget:budgets.b_wm_facts
+              ?auto_kill:eng.e_auto_kill ?warning_cap:budgets.b_warnings
               ~compiled:eng.e_compiled ()
           with Failure msg -> raise (Error.Error_exn (Error.Policy_error msg))
         in
-        Secpert.System.attach secpert monitor;
+        let events_log = ref [] in
+        let judge =
+          if eng.e_keep_events then (fun e ->
+              events_log := e :: !events_log;
+              Secpert.System.handle_event secpert e)
+          else Secpert.System.handle_event secpert
+        in
+        let kernel = boot ~fault s in
+        let monitor = Harrier.Monitor.attach ~config:mcfg ~judge kernel in
         kernel, monitor, secpert, events_log)
   with
   | exception Error.Error_exn e -> fail e

@@ -3,13 +3,13 @@
 
     An engine freezes everything about running HTH sessions that does
     not depend on one particular run — monitor configuration, trust
-    database, policy thresholds and the policy itself (compiled once;
-    for the textual CLIPS policy that is one parse for the engine's
-    whole lifetime).  None of it changes after {!create}, so one engine
-    may run sessions on any number of domains at once.  {!run} builds
-    the genuinely per-session state: file system, network, kernel (whose
-    loader links the session's images), monitor, Secpert instance and a
-    fresh taint space.
+    database, auto-kill level and the policy itself (compiled once; for
+    the textual CLIPS policy that is one parse for the engine's whole
+    lifetime).  None of it changes after {!create}, so one engine may
+    run sessions on any number of domains at once.  {!run} builds the
+    genuinely per-session state: Secpert instance, file system,
+    network, kernel (whose loader links the session's images), monitor
+    (whose judge is that Secpert instance) and a fresh taint space.
 
     Determinism contract: a session run through a warm shared engine
     produces byte-identical traces, warnings and verdicts to the same
@@ -106,7 +106,6 @@ type result = {
     session. *)
 type budgets = {
   b_ticks : int option;  (** instruction budget; caps [setup.max_ticks] *)
-  b_wm_facts : int option;  (** Secpert working-memory fact budget *)
   b_shadow_pages : int option;  (** Harrier shadow pages per process *)
   b_warnings : int option;  (** stored-warning cap (verdict stays exact) *)
 }
@@ -115,8 +114,8 @@ type budgets = {
 val no_budgets : budgets
 
 (** [parse_budgets specs] folds repeated [--budget KEY=N] arguments —
-    keys [ticks], [wm], [shadow-pages], [warnings]; [N] a positive
-    int — over {!no_budgets}. *)
+    keys [ticks], [shadow-pages], [warnings]; [N] a positive int — over
+    {!no_budgets}.  Any other key is an error. *)
 val parse_budgets : string list -> (budgets, string) Stdlib.result
 
 type t
@@ -124,8 +123,8 @@ type t
 (** [create ()] compiles the shared artifacts once.
 
     [monitor_config] tunes Harrier (ablations turn dataflow /
-    frequency / short-circuiting off); [trust], [thresholds] and
-    [auto_kill] configure every Secpert instance the engine builds;
+    frequency / short-circuiting off); [trust] and [auto_kill]
+    configure every Secpert instance the engine builds;
     [policy] selects the native rules or the textual CLIPS policy
     (parsed here, once).
 
@@ -135,7 +134,6 @@ type t
 val create :
   ?monitor_config:Harrier.Monitor.config ->
   ?trust:Secpert.Trust.t ->
-  ?thresholds:Secpert.Context.thresholds ->
   ?auto_kill:Secpert.Severity.t ->
   ?policy:Secpert.System.policy ->
   ?keep_events:bool ->

@@ -6,7 +6,6 @@ type t = {
       (* working memory indexed by template name, newest first — joins
          only ever look at facts of the pattern's template *)
   wm_by_id : (int, Fact.t) Hashtbl.t;
-  mutable wm_count : int;
   mutable next_id : int;
   fired : (string, unit) Hashtbl.t;  (* refraction keys *)
   fns : (string, Value.t list -> Value.t) Hashtbl.t;
@@ -41,7 +40,7 @@ let c_firings = Obs.Counter.make "expert.firings"
 let create () =
   { templates = Hashtbl.create 16; rules_rev = []; rules_fwd = Some [];
     wm_by_tpl = Hashtbl.create 16; wm_by_id = Hashtbl.create 64;
-    wm_count = 0; next_id = 1;
+    next_id = 1;
     fired = Hashtbl.create 64; fns = Hashtbl.create 16;
     globals = Hashtbl.create 16; buffered = []; current = None }
 
@@ -92,7 +91,6 @@ let assert_fact e tpl_name slots =
     e.next_id <- e.next_id + 1;
     Hashtbl.replace e.wm_by_tpl tpl_name (fact :: bucket e tpl_name);
     Hashtbl.replace e.wm_by_id fact.Fact.id fact;
-    e.wm_count <- e.wm_count + 1;
     fact
 
 let retract_id e id =
@@ -101,7 +99,6 @@ let retract_id e id =
   | Some fact ->
     Obs.Counter.incr c_retracted;
     Hashtbl.remove e.wm_by_id id;
-    e.wm_count <- e.wm_count - 1;
     let tpl = fact.Fact.template in
     Hashtbl.replace e.wm_by_tpl tpl
       (List.filter (fun f -> f.Fact.id <> id) (bucket e tpl))

@@ -85,7 +85,7 @@ let first_naming t name =
     t.entries
 
 let events t =
-  let space = Taint.Space.create () in
+  let space = Taint.Tagset.make_space () in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | e :: rest when e.ev <> "flow" -> go acc rest

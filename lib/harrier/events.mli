@@ -94,6 +94,6 @@ val to_fields : t -> (string * Obs.value) list
     interning its tag sets in [space].  Total: malformed input is an
     [Error], never an exception. *)
 val of_fields :
-  Taint.Space.t -> (string * Obs.value) list -> (t, string) result
+  Taint.Tagset.space -> (string * Obs.value) list -> (t, string) result
 
 val pp : Format.formatter -> t -> unit

@@ -65,11 +65,10 @@ type pstate = {
   mutable seg_info : seg_info option;  (* one-entry instruction cache *)
 }
 
-type sink = Events.t -> Osim.Kernel.decision
-
 type t = {
   cfg : config;
-  space : Taint.Space.t;  (* taint arena shared by every process shadow *)
+  space : Taint.Tagset.space;
+      (* taint arena shared by every process shadow *)
   kernel : Osim.Kernel.t;
   procs : (int, pstate) Hashtbl.t;
       (* pid -> record, for the kernel callbacks and the reports *)
@@ -78,13 +77,11 @@ type t = {
       (* last known origin of each resource name, for transfer sources *)
   imm_tags : (string, Taint.Tagset.t) Hashtbl.t;  (* image -> BINARY tag *)
   mutable clone_times : int list;
-  mutable sinks : sink list;  (* dispatch order = registration *)
+  judge : Events.t -> Osim.Kernel.decision;  (* Secpert's verdict *)
   mutable count : int;
 }
 
 let config t = t.cfg
-
-let subscribe t f = t.sinks <- t.sinks @ [ f ]
 
 let event_count t = t.count
 
@@ -121,35 +118,21 @@ let imm_tag t image =
 
 let c_events = Obs.Counter.make "harrier.events"
 
-(* The trace sink: one structured "flow" line per event.  Must be the
-   {e first} subscriber so the flow line is the very next trace emission
-   after the event's meta was stamped (the meta's [step] is the index
-   that next line will get), and so it precedes any "rule"/"warning"
-   lines a policy sink emits for the same event. *)
-let trace_sink e =
-  if Obs.Trace.enabled () then Obs.Trace.emit "flow" (Events.to_fields e);
-  Osim.Kernel.Allow
-
-(* The metrics sink: per-run event totals, by kind. *)
-let metrics_sink e =
-  Obs.Counter.incr c_events;
-  Obs.Counter.incr (Obs.Counter.labeled "harrier.events" (Events.kind e));
-  Osim.Kernel.Allow
-
-(* Dispatch an event to every subscriber in registration order.  All
-   sinks see every event — a [Kill] verdict does not short-circuit the
-   rest (so accumulators and metrics stay exact) — and the combined
-   decision is [Kill] iff any sink said so. *)
+(* One event's whole path: its "flow" line, its counts, then the
+   verdict.  The flow line is the very next trace emission after [meta]
+   stamped the event (the meta's [step] is the index that line gets),
+   and it precedes every "rule"/"warning" line the judge emits for the
+   same event. *)
 let emit t e =
   t.count <- t.count + 1;
   Log.debug (fun f -> f "event %a" Events.pp e);
-  List.fold_left
-    (fun acc f ->
-      match f e with Osim.Kernel.Kill -> Osim.Kernel.Kill | Allow -> acc)
-    Osim.Kernel.Allow t.sinks
+  if Obs.Trace.enabled () then Obs.Trace.emit "flow" (Events.to_fields e);
+  Obs.Counter.incr c_events;
+  Obs.Counter.incr (Obs.Counter.labeled "harrier.events" (Events.kind e));
+  t.judge e
 
-(* Notify subscribers of an event whose decision the kernel will not
-   honour (e.g. SYS_accept at the post hook). *)
+(* Emit an event whose decision the kernel will not honour (e.g.
+   SYS_accept at the post hook). *)
 let emit_log_only t e = ignore (emit t e)
 
 let meta t (s : pstate) : Events.meta =
@@ -159,8 +142,8 @@ let meta t (s : pstate) : Events.meta =
       (match Freq.attributed_bb s.freq with
        | Some a -> a
        | None -> 0);
-    (* with a sink installed this is exactly the step of the event's
-       own "flow" line (nothing emits between here and [emit]); with
+    (* with tracing on this is exactly the step of the event's own
+       "flow" line (nothing emits between here and [emit]); with
        tracing off, fall back to the event ordinal *)
     step = (if Obs.Trace.enabled () then Obs.Trace.steps () else t.count) }
 
@@ -529,12 +512,12 @@ let on_post_syscall t p (sc : Osim.Syscall.t) ~result =
   | Exit _ | Fork | Write _ | Time | Getpid | Nanosleep _ | Brk _ | Socket
   | Bind _ | Listen _ | Unknown _ -> ()
 
-let attach ?(config = default_config) kernel =
+let attach ?(config = default_config) ~judge kernel =
   let t =
-    { cfg = config; space = Taint.Space.create (); kernel;
+    { cfg = config; space = Taint.Tagset.make_space (); kernel;
       procs = Hashtbl.create 8; routines = Hashtbl.create 8;
       name_origins = Hashtbl.create 32; imm_tags = Hashtbl.create 8;
-      clone_times = []; sinks = []; count = 0 }
+      clone_times = []; judge; count = 0 }
   in
   let mon = Osim.Kernel.monitor kernel in
   mon.on_process_start <- on_process_start t;

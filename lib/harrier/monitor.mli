@@ -6,11 +6,10 @@
     fd table, tier table), bound into the hooks (instruction dataflow,
     basic-block frequency, tiering) installed on its machine when it
     starts or forks; fork copies the record, and [execve] replaces it
-    but keeps the fd table.  Events are delivered to a list of
-    {e subscribers} registered with {!subscribe} — trace emission,
-    metrics, an event accumulator, and Secpert in the full framework.
-    Every subscriber sees every event; any of them may answer [Kill],
-    which stops the offending process before the system call executes. *)
+    but keeps the fd table.  Each event takes one path: its "flow"
+    trace line, its counts, then the [judge] given to {!attach} (Secpert
+    in the full framework), whose [Kill] stops the offending process
+    before the system call executes. *)
 
 type config = {
   track_dataflow : bool;  (** per-instruction taint (Section 7.3) *)
@@ -38,39 +37,25 @@ val default_config : config
 
 type t
 
-(** An event consumer.  Sinks are called in registration order on every
-    event; the monitor's combined decision is [Kill] iff any sink
-    answered [Kill] (no sink is skipped — accumulators and metrics stay
-    exact even for killed processes). *)
-type sink = Events.t -> Osim.Kernel.decision
+(** [attach ?config ~judge kernel] installs the kernel callbacks, and
+    no machine hooks up front.  Call before [Kernel.spawn]: a callback
+    for a process that never started raises [Invalid_argument], a wiring
+    bug the engine reports as a crash.  Every tag the monitor creates is
+    interned in a fresh taint space of its own
+    ({!Taint.Tagset.make_space}), which its process shadows share, so
+    nothing an earlier session interned affects this one.
 
-(** [attach ?config kernel] installs the kernel callbacks, and no
-    machine hooks up front.  Call before [Kernel.spawn]: a callback for
-    a process that never started raises [Invalid_argument], a wiring bug
-    the engine reports as a crash.  Every tag the monitor creates is
-    interned in a fresh taint space of its own ({!Taint.Space.create}),
-    which its process shadows share, so nothing an earlier session
-    interned affects this one. *)
-val attach : ?config:config -> Osim.Kernel.t -> t
+    Every event goes through three steps, in order: its "flow" line is
+    written when tracing is on (at the step its meta was stamped with,
+    so it precedes any "rule"/"warning" lines the judge writes), it is
+    counted into [harrier.events] and [harrier.events.<kind>], and
+    [judge] decides it.  The decision is honoured for events emitted
+    {e before} a system call executes. *)
+val attach :
+  ?config:config -> judge:(Events.t -> Osim.Kernel.decision) ->
+  Osim.Kernel.t -> t
 
 val config : t -> config
-
-(** [subscribe t f] appends [f] to the subscriber list.  Decisions of
-    sinks are honoured for events emitted {e before} a system call
-    executes.
-
-    Registration order is the dispatch order, and it matters for traced
-    runs: {!trace_sink} must be registered {e first}, so each event's
-    "flow" line lands at the step pre-stamped in its meta and precedes
-    any "rule"/"warning" lines emitted by a policy sink downstream. *)
-val subscribe : t -> sink -> unit
-
-(** Emits one structured "flow" trace line per event (no-op when
-    tracing is off).  Register first; see {!subscribe}. *)
-val trace_sink : sink
-
-(** Counts events into [harrier.events] and [harrier.events.<kind>]. *)
-val metrics_sink : sink
 
 val event_count : t -> int
 

@@ -36,7 +36,7 @@ type page = {
 let no_page = { ids = Bytes.empty; live = 0 }
 
 type t = {
-  space : Taint.Space.t;  (* interns every tag stored or unioned below *)
+  space : Taint.Tagset.space;  (* interns every tag stored or unioned below *)
   regs : int array;  (* tag id per register, by [Isa.Reg.index] *)
   pages : page array;  (* [n_pages] slots, [no_page] until first tagged *)
   budget : int;  (* max live pages before saturation (max_int = none) *)

@@ -27,10 +27,10 @@ type t
     in, and every stored tag must have been interned in it: memory and
     the registers keep only tag ids, which are read back as [space]'s
     sets. *)
-val create : ?page_budget:int -> space:Taint.Space.t -> unit -> t
+val create : ?page_budget:int -> space:Taint.Tagset.space -> unit -> t
 
 (** The taint space this shadow unions in (shared by {!clone}). *)
-val space : t -> Taint.Space.t
+val space : t -> Taint.Tagset.space
 
 (** [degraded s] is true once any store has been refused by the page
     budget; from then on reads over-approximate. *)

@@ -61,7 +61,7 @@ type cwrite =
   | W_mem of int * int  (* addr index, texpr index *)
 
 type t = {
-  s_space : Taint.Space.t;
+  s_space : Taint.Tagset.space;
   s_imm : Taint.Tagset.t;  (* the image's BINARY provenance tag *)
   s_hw : Taint.Tagset.t;
   s_addrs : addr array;

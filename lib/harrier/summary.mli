@@ -30,7 +30,7 @@ type outcome =
     [imm_tag] is the BINARY provenance tag of the image the block lives
     in; [space] the arena all tag unions run in. *)
 val compile :
-  space:Taint.Space.t -> imm_tag:Taint.Tagset.t -> Isa.Insn.t array ->
+  space:Taint.Tagset.space -> imm_tag:Taint.Tagset.t -> Isa.Insn.t array ->
   pos:int -> len:int -> t option
 
 (** [apply s shadow m] applies the summary against [shadow] using [m]'s

@@ -20,11 +20,14 @@ type rule = {
 type plan =
   | None_
   | Rules of rule list
-  | Seeded of { seed : int; rate : int }
+  | Seeded of int
 
 let none = None_
 
-let seeded ?(rate = 16) seed = Seeded { seed; rate = max 1 rate }
+let seeded seed = Seeded seed
+
+(* A seeded plan injects on about one applicable syscall in [seed_rate]. *)
+let seed_rate = 16
 
 (* ------------------------------------------------------------------ *)
 (* SPEC syntax                                                         *)
@@ -101,7 +104,7 @@ let rule_to_string r =
 let to_string = function
   | None_ -> "none"
   | Rules rs -> String.concat "," (List.map rule_to_string rs)
-  | Seeded { seed; rate } -> Fmt.str "seed:%d/rate:%d" seed rate
+  | Seeded seed -> Fmt.str "seed:%d/rate:%d" seed seed_rate
 
 (* ------------------------------------------------------------------ *)
 (* Decision state                                                      *)
@@ -172,10 +175,10 @@ let decide st ~call ~res ~sock =
            in
            if call_ok && res_ok && nth_ok then Some r.r_kind else None)
          rs
-     | Seeded { seed; rate } ->
+     | Seeded seed ->
        (match applicable ~call ~sock with
         | [] -> None
         | kinds ->
           let h = mix (mix_string (mix_string (mix 7 seed) call) res) n in
-          if h mod rate <> 0 then None
+          if h mod seed_rate <> 0 then None
           else Some (List.nth kinds ((h lsr 16) mod List.length kinds))))

@@ -46,12 +46,12 @@ type plan
 (** The plan that never injects ([start none] decides [None] always). *)
 val none : plan
 
-(** [seeded ?rate seed] injects on roughly [1/rate] of the syscalls that
-    have an applicable fault kind (default rate 16), choosing the kind
-    from the applicable set — ENOENT/EIO/ENOMEM on opens, EIO/short on
-    file reads and writes, ECONNRESET/short/stall on socket traffic,
-    EAGAIN on clone. *)
-val seeded : ?rate:int -> int -> plan
+(** [seeded seed] injects on roughly 1 in 16 of the syscalls that have
+    an applicable fault kind ([to_string] renders [seed:N/rate:16]),
+    choosing the kind from the applicable set — ENOENT/EIO/ENOMEM on
+    opens, EIO/short on file reads and writes, ECONNRESET/short/stall on
+    socket traffic, EAGAIN on clone. *)
+val seeded : int -> plan
 
 (** [parse spec] reads the [--fault-plan] syntax: comma-separated rules
     [CALL[@RESOURCE][#N]=KIND] where [CALL] is a syscall name or [*],

@@ -7,17 +7,14 @@ type thresholds = {
   alloc_medium : int;
 }
 
-let default_thresholds =
+let thresholds =
   { rare_frequency = 2; long_time = 2000; clone_count_low = 8;
     clone_rate_medium = 6; alloc_low = 0x4000; alloc_medium = 0x10000 }
 
 type t = {
   trust : Trust.t;
-  thresholds : thresholds;
   warn : Warning.t -> unit;
 }
 
-let rarely_executed ctx ~freq ~time =
-  freq > 0
-  && freq < ctx.thresholds.rare_frequency
-  && time > ctx.thresholds.long_time
+let rarely_executed ~freq ~time =
+  freq > 0 && freq < thresholds.rare_frequency && time > thresholds.long_time

@@ -22,8 +22,7 @@ let deftemplates engine =
          slot ~default:(Value.Int (-1)) "step" ]);
   Engine.deftemplate engine
     (Template.make t_data_transfer
-       [ slot ~default:(Value.Int 0) "xfer";
-         slot "call"; slot ~default:(Value.Str "") "head";
+       [ slot "call"; slot ~default:(Value.Str "") "head";
          slot ~default:(Value.Lst []) "sources";
          slot ~default:(Value.Lst []) "guard";
          slot "target_name"; slot "target_type"; slot "target_origin_name";
@@ -60,16 +59,6 @@ let resource_values trust (r : Harrier.Events.resource) =
     "resource_origin_name", Value.Str oname;
     "resource_origin_type", Value.Sym otype ]
 
-(* Join key linking a data_transfer fact to its transfer_source facts.
-   The counter is caller-owned (one per Secpert instance, so per
-   session): ids only need to be unique within one working memory, and
-   keeping the state session-scoped means concurrent fleet workers
-   never share a cell and warm runs allocate the same ids as cold
-   ones. *)
-let next_xfer xfer =
-  incr xfer;
-  !xfer
-
 let meta_values (m : Harrier.Events.meta) =
   [ "time", Value.Int m.time; "frequency", Value.Int m.freq;
     "address", Value.Int m.addr; "pid", Value.Int m.pid;
@@ -82,7 +71,7 @@ let source_entry trust (src, name_origin) =
       Value.Str (Option.value (Taint.Source.resource_name src) ~default:"");
       Value.Sym otype; Value.Str oname ]
 
-let assert_event ?(xfer = ref 0) engine trust (e : Harrier.Events.t) =
+let assert_event engine trust (e : Harrier.Events.t) =
   match e with
   | Exec { path; argv; meta } ->
     Engine.assert_fact engine t_system_call_access
@@ -126,8 +115,7 @@ let assert_event ?(xfer = ref 0) engine trust (e : Harrier.Events.t) =
           "server_origin_name", Value.Str oname ]
     in
     Engine.assert_fact engine t_data_transfer
-      ([ "xfer", Value.Int (next_xfer xfer);
-         "call", Value.Sym call; "head", Value.Str head;
+      ([ "call", Value.Sym call; "head", Value.Str head;
          "sources", Value.Lst (List.map (source_entry trust) sources);
          "guard", Value.Lst (List.map (source_entry trust) guard);
          "target_name", Value.Str target.r_name;
@@ -140,17 +128,14 @@ let assert_event ?(xfer = ref 0) engine trust (e : Harrier.Events.t) =
        @ meta_values meta)
 
 (* Assert an event plus, for transfers, one [transfer_source] fact per
-   data source (joined on the transfer's own fact id) — the encoding the
+   data source, whose [xfer] slot is the transfer fact's own id (the
+   value a rule's [?x <- (data_transfer ...)] binds) — the encoding the
    textual CLIPS policy pattern-matches against. *)
-let assert_event_full ?xfer engine trust (e : Harrier.Events.t) =
-  let main = assert_event ?xfer engine trust e in
+let assert_event_full engine trust (e : Harrier.Events.t) =
+  let main = assert_event engine trust e in
   match e with
   | Transfer { sources; meta; _ } ->
-    let xfer =
-      match Fact.slot main "xfer" with
-      | Some v -> v
-      | None -> Value.Int 0
-    in
+    let xfer = Value.Int main.Fact.id in
     main
     :: List.map
          (fun (src, name_origin) ->

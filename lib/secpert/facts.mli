@@ -24,25 +24,18 @@ val t_alloc_event : string
 val deftemplates : Expert.Engine.t -> unit
 
 (** [assert_event engine trust event] encodes and asserts [event],
-    returning the fact (callers retract it after inference).
-
-    [xfer] is the caller-owned join-id counter for [data_transfer]
-    facts.  Pass the same ref for every event of one session (Secpert
-    keeps one per instance) so transfer ids stay unique within that
-    working memory; the default is a fresh counter per call.  Keeping
-    this state caller-scoped (not process-global) lets concurrent
-    fleet sessions encode events without sharing any cell. *)
+    returning the fact (callers retract it after inference). *)
 val assert_event :
-  ?xfer:int ref -> Expert.Engine.t -> Trust.t -> Harrier.Events.t ->
-  Expert.Fact.t
+  Expert.Engine.t -> Trust.t -> Harrier.Events.t -> Expert.Fact.t
 
 (** [assert_event_full engine trust event] additionally asserts one
-    [transfer_source] fact per data source of a transfer, joined to the
-    main fact by its id in the [xfer] slot — the flattened encoding the
-    textual CLIPS policy uses.  [xfer] as in {!assert_event}. *)
+    [transfer_source] fact per data source of a transfer, whose [xfer]
+    slot holds the main fact's id — the flattened encoding the textual
+    CLIPS policy uses, which joins on it by binding the transfer's fact
+    address ([?x <- (data_transfer ...)], then
+    [(transfer_source (xfer ?x) ...)]).  The main fact comes first. *)
 val assert_event_full :
-  ?xfer:int ref -> Expert.Engine.t -> Trust.t -> Harrier.Events.t ->
-  Expert.Fact.t list
+  Expert.Engine.t -> Trust.t -> Harrier.Events.t -> Expert.Fact.t list
 
 (** {2 Decoding helpers for rule actions} *)
 

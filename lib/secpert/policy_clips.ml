@@ -54,7 +54,7 @@ let text =
 ;; ---------------- information flow (4.3) ----------------
 ;; hard-coded payload dropped into a hard-coded or remotely-named file
 (defrule wf_binary_to_file
-  (data_transfer (xfer ?x) (target_type FILE) (target_name ?tn)
+  ?x <- (data_transfer (target_type FILE) (target_name ?tn)
     (target_origin_type ?tot)
     (time ?time) (frequency ?freq) (pid ?pid))
   (transfer_source (xfer ?x) (s_type BINARY) (s_name ?sn))
@@ -66,7 +66,7 @@ let text =
 
 ;; hard-coded payload to a socket behind a hard-coded backdoor server
 (defrule wf_binary_to_server_socket
-  (data_transfer (xfer ?x) (target_type SOCKET) (target_name ?tn)
+  ?x <- (data_transfer (target_type SOCKET) (target_name ?tn)
     (server_side yes) (server_origin_type BINARY) (server_name ?srv)
     (time ?time) (frequency ?freq) (pid ?pid))
   (transfer_source (xfer ?x) (s_type BINARY) (s_name ?sn))
@@ -77,7 +77,7 @@ let text =
 
 ;; hard-coded payload to a hard-coded client socket
 (defrule wf_binary_to_client_socket
-  (data_transfer (xfer ?x) (target_type SOCKET) (target_name ?tn)
+  ?x <- (data_transfer (target_type SOCKET) (target_name ?tn)
     (target_origin_type BINARY) (server_side ?ss)
     (server_origin_type ?sot)
     (time ?time) (frequency ?freq) (pid ?pid))
@@ -90,7 +90,7 @@ let text =
 
 ;; file/socket flows: a resource *name* arriving over a socket is High
 (defrule wf_remote_named
-  (data_transfer (xfer ?x) (target_name ?tn) (target_type ?tt)
+  ?x <- (data_transfer (target_name ?tn) (target_type ?tt)
     (target_origin_type ?tot)
     (time ?time) (frequency ?freq) (pid ?pid))
   (transfer_source (xfer ?x) (s_type ?st) (s_name ?sn)
@@ -106,7 +106,7 @@ let text =
 
 ;; both resource names hard-coded
 (defrule wf_both_hardcoded
-  (data_transfer (xfer ?x) (target_name ?tn) (target_type ?tt)
+  ?x <- (data_transfer (target_name ?tn) (target_type ?tt)
     (target_origin_type BINARY) (target_origin_name ?ton)
     (time ?time) (frequency ?freq) (pid ?pid))
   (transfer_source (xfer ?x) (s_type ?st) (s_name ?sn)
@@ -122,7 +122,7 @@ let text =
 
 ;; exactly one name hard-coded
 (defrule wf_one_hardcoded
-  (data_transfer (xfer ?x) (target_name ?tn) (target_type ?tt)
+  ?x <- (data_transfer (target_name ?tn) (target_type ?tt)
     (target_origin_type ?tot)
     (time ?time) (frequency ?freq) (pid ?pid))
   (transfer_source (xfer ?x) (s_type ?st) (s_name ?sn)
@@ -140,7 +140,7 @@ let text =
 
 ;; any tracked file/socket flow through a hard-coded backdoor server
 (defrule wf_server_escalation
-  (data_transfer (xfer ?x) (target_name ?tn) (target_type ?tt)
+  ?x <- (data_transfer (target_name ?tn) (target_type ?tt)
     (server_side yes) (server_origin_type BINARY) (server_name ?srv)
     (time ?time) (frequency ?freq) (pid ?pid))
   (transfer_source (xfer ?x) (s_type ?st) (s_name ?sn))
@@ -154,7 +154,7 @@ let text =
 
 ;; hardware-derived data into a hard-coded resource
 (defrule wf_hardware
-  (data_transfer (xfer ?x) (target_name ?tn) (target_type ?tt)
+  ?x <- (data_transfer (target_name ?tn) (target_type ?tt)
     (target_origin_type ?tot) (server_side ?ss)
     (server_origin_type ?sot)
     (time ?time) (frequency ?freq) (pid ?pid))
@@ -167,7 +167,7 @@ let text =
 
 ;; user input exfiltrated to a hard-coded socket
 (defrule wf_user_exfiltration
-  (data_transfer (xfer ?x) (target_type SOCKET) (target_name ?tn)
+  ?x <- (data_transfer (target_type SOCKET) (target_name ?tn)
     (target_origin_type ?tot) (server_side ?ss)
     (server_origin_type ?sot)
     (time ?time) (frequency ?freq) (pid ?pid))
@@ -180,7 +180,7 @@ let text =
 
 ;; content analysis: executable bytes downloaded into a file
 (defrule wf_content
-  (data_transfer (xfer ?x) (target_type FILE) (target_name ?tn)
+  ?x <- (data_transfer (target_type FILE) (target_name ?tn)
     (head ?head) (time ?time) (frequency ?freq) (pid ?pid))
   (transfer_source (xfer ?x) (s_type SOCKET))
   (test (looks-executable ?head))
@@ -192,7 +192,7 @@ let text =
 ;; trigger-gated (dormant) behaviour: a rarely-executed write whose
 ;; control flow was steered by bytes that arrived over a socket
 (defrule check_trigger
-  (data_transfer (xfer ?x) (target_name ?tn) (target_type ?tt)
+  (data_transfer (target_name ?tn) (target_type ?tt)
     (guard ?guard)
     (time ?time) (frequency ?freq) (pid ?pid))
   (test (neq ?tt STDIO))
@@ -209,14 +209,14 @@ open Expert
 let compile () = Clips.compile_forms (Clips.parse text)
 
 let install_forms engine (ctx : Context.t) forms =
-  let th = ctx.thresholds in
+  let th = Context.thresholds in
   Engine.set_global engine "CLONE_RATE" (Value.Int th.clone_rate_medium);
   Engine.set_global engine "CLONE_COUNT" (Value.Int th.clone_count_low);
   Engine.set_global engine "ALLOC_LOW" (Value.Int th.alloc_low);
   Engine.set_global engine "ALLOC_MEDIUM" (Value.Int th.alloc_medium);
   Engine.defun engine "rarely" (function
     | [ Value.Int freq; Value.Int time ] ->
-      Value.of_bool (Context.rarely_executed ctx ~freq ~time)
+      Value.of_bool (Context.rarely_executed ~freq ~time)
     | _ -> failwith "rarely expects (freq time)");
   Engine.defun engine "trusted-source" (function
     | [ Value.Sym stype; Value.Str name ] ->

@@ -4,9 +4,11 @@
     the same policy as rule text for the {!Expert.Clips} loader, as an
     alternative to the native OCaml rules.  Transfers are matched
     through the flattened encoding ({!Facts.assert_event_full}): one
-    [transfer_source] fact per data source, joined to its
-    [data_transfer] fact on the [xfer] slot — which exercises the
-    engine's multi-pattern joins exactly the way CLIPS policies do.
+    [transfer_source] fact per data source, whose [xfer] slot holds its
+    [data_transfer] fact's id, which a rule binds as a fact address
+    ([?x <- (data_transfer ...)] then [(transfer_source (xfer ?x) ...)])
+    — the engine's multi-pattern joins, exercised the way CLIPS
+    policies do.
 
     Host functions the policy calls (installed by {!install_forms}):
     - [(warn rule severity pid time rare part...)] — emit a warning;
@@ -23,7 +25,8 @@
 val compile : unit -> Expert.Clips.installer list
 
 (** [install_forms engine ctx forms] registers the host functions, sets
-    the threshold globals from [ctx] and installs [forms], the policy as
-    {!compile} compiled it. *)
+    the threshold globals from {!Context.thresholds} (the constants the
+    native rules read) and installs [forms], the policy as {!compile}
+    compiled it. *)
 val install_forms :
   Expert.Engine.t -> Context.t -> Expert.Clips.installer list -> unit

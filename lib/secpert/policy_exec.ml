@@ -32,7 +32,7 @@ let check_execve ctx =
            ~time ~origins
            (message (Fmt.str "a SOCKET: (%S)" oname)))
     | "BINARY" ->
-      let rare = Context.rarely_executed ctx ~freq ~time in
+      let rare = Context.rarely_executed ~freq ~time in
       let severity = if rare then Severity.Medium else Severity.Low in
       ctx.Context.warn
         (Warning.make ~severity ~rule:"check_execve" ~pid ~time ~rare

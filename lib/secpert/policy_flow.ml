@@ -154,7 +154,7 @@ let check_write ctx =
       let time = Facts.get_int bindings "time" in
       let freq = Facts.get_int bindings "freq" in
       let pid = Facts.get_int bindings "pid" in
-      let rare = Context.rarely_executed ctx ~freq ~time in
+      let rare = Context.rarely_executed ~freq ~time in
       let target_origin_ref =
         Evidence.origin ~role:"target" ~otype:target_type ~name:target_name
           ~origin_type:tgt_origin ~origin_name:tgt_origin_name
@@ -267,7 +267,7 @@ let check_trigger ctx =
     let freq = Facts.get_int bindings "freq" in
     if
       (not (String.equal target_type "STDIO"))
-      && Context.rarely_executed ctx ~freq ~time
+      && Context.rarely_executed ~freq ~time
     then begin
       let triggers =
         match facts with

@@ -11,7 +11,7 @@ let check_clone ctx =
     let recent = Facts.get_int bindings "recent" in
     let time = Facts.get_int bindings "time" in
     let pid = Facts.get_int bindings "pid" in
-    let th = ctx.Context.thresholds in
+    let th = Context.thresholds in
     if recent > th.clone_rate_medium then
       ctx.Context.warn
         (Warning.make ~severity:Severity.Medium ~rule:"check_clone_rate"
@@ -39,7 +39,7 @@ let check_alloc ctx =
     let total = Facts.get_int bindings "total" in
     let time = Facts.get_int bindings "time" in
     let pid = Facts.get_int bindings "pid" in
-    let th = ctx.Context.thresholds in
+    let th = Context.thresholds in
     if total > th.alloc_medium then
       ctx.Context.warn
         (Warning.make ~severity:Severity.Medium ~rule:"check_alloc" ~pid

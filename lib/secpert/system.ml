@@ -17,36 +17,28 @@ type t = {
   policy : policy;
   auto_kill : Severity.t option;
   warning_cap : int;  (* max stored warnings (max_int = unbounded) *)
-  wm_budget : int;  (* max working-memory facts (max_int = unbounded) *)
   mutable warnings : Warning.t list;  (* newest first; capped *)
   mutable fresh : Warning.t list;  (* warnings of the event in flight *)
   mutable count : int;  (* total raised, stored or not *)
   mutable max_sev : Severity.t option;  (* over every warning raised *)
   mutable dropped : int;  (* raised but not stored (cap) *)
-  mutable wm_peak : int;
-  mutable wm_tripped : bool;
-  xfer : int ref;  (* per-instance transfer join-id counter *)
 }
 
 let c_warnings = Obs.Counter.make "secpert.warnings"
 let c_dropped = Obs.Counter.make "secpert.warnings.dropped"
-let c_wm_trip = Obs.Counter.make "secpert.wm_budget.tripped"
 
-let create_from ?(trust = Trust.default)
-    ?(thresholds = Context.default_thresholds) ?auto_kill ?warning_cap
-    ?wm_budget ~compiled () =
+let create_from ?(trust = Trust.default) ?auto_kill ?warning_cap ~compiled
+    () =
   let engine = Expert.Engine.create () in
   Facts.deftemplates engine;
-  let cap = function Some n -> max 0 n | None -> max_int in
   let t =
     { engine; trust; policy = compiled.c_policy; auto_kill;
-      warning_cap = cap warning_cap;
-      wm_budget = cap wm_budget; warnings = []; fresh = []; count = 0;
-      max_sev = None; dropped = 0; wm_peak = 0; wm_tripped = false;
-      xfer = ref 0 }
+      warning_cap =
+        (match warning_cap with Some n -> max 0 n | None -> max_int);
+      warnings = []; fresh = []; count = 0; max_sev = None; dropped = 0 }
   in
   let ctx =
-    { Context.trust; thresholds;
+    { Context.trust;
       warn =
         (fun w ->
           (* attach the firing activation's matched facts as evidence —
@@ -104,10 +96,8 @@ let create_from ?(trust = Trust.default)
    | Clips -> Policy_clips.install_forms engine ctx compiled.c_forms);
   t
 
-let create ?trust ?thresholds ?auto_kill ?warning_cap ?wm_budget
-    ?(policy = Native) () =
-  create_from ?trust ?thresholds ?auto_kill ?warning_cap ?wm_budget
-    ~compiled:(compile policy) ()
+let create ?trust ?auto_kill ?warning_cap ?(policy = Native) () =
+  create_from ?trust ?auto_kill ?warning_cap ~compiled:(compile policy) ()
 
 let trust t = t.trust
 
@@ -117,25 +107,16 @@ let handle_event t event =
   t.fresh <- [];
   let facts =
     match t.policy with
-    | Native -> [ Facts.assert_event ~xfer:t.xfer t.engine t.trust event ]
-    | Clips -> Facts.assert_event_full ~xfer:t.xfer t.engine t.trust event
+    | Native -> [ Facts.assert_event t.engine t.trust event ]
+    | Clips -> Facts.assert_event_full t.engine t.trust event
   in
   ignore (Expert.Engine.run t.engine);
   List.iter (Expert.Engine.retract t.engine) facts;
-  let wm = List.length (Expert.Engine.facts t.engine) in
-  if wm > t.wm_peak then t.wm_peak <- wm;
-  if wm > t.wm_budget && not t.wm_tripped then begin
-    t.wm_tripped <- true;
-    Obs.Counter.incr c_wm_trip
-  end;
   match t.auto_kill with
   | Some threshold
     when List.exists (fun w -> Severity.(w.Warning.severity >= threshold))
            t.fresh -> Osim.Kernel.Kill
   | Some _ | None -> Osim.Kernel.Allow
-
-let attach t monitor =
-  Harrier.Monitor.subscribe monitor (handle_event t)
 
 let warnings t = List.rev t.warnings
 
@@ -146,25 +127,14 @@ let warning_count t = t.count
 let max_severity t = t.max_sev
 
 let degraded t =
-  let reasons = [] in
-  let reasons =
-    if t.wm_tripped then
-      Fmt.str
-        "working-memory budget exceeded (peak %d facts > %d); verdicts \
-         computed, WM growth flagged"
-        t.wm_peak t.wm_budget
-      :: reasons
-    else reasons
-  in
   if t.dropped > 0 then
-    Fmt.str
-      "warning cap %d reached; %d later warning(s) dropped from the \
-       transcript (counts and verdict remain exact)"
-      t.warning_cap t.dropped
-    :: reasons
-  else reasons
+    [ Fmt.str
+        "warning cap %d reached; %d later warning(s) dropped from the \
+         transcript (counts and verdict remain exact)"
+        t.warning_cap t.dropped ]
+  else []
 
-let replay ?trust ?thresholds ?policy events =
-  let secpert = create ?trust ?thresholds ?policy () in
+let replay ?trust ?policy events =
+  let secpert = create ?trust ?policy () in
   List.iter (fun e -> ignore (handle_event secpert e)) events;
   warnings secpert

@@ -1,11 +1,12 @@
 (** The Secpert system instance (Section 6).
 
     Wraps the generic {!Expert.Engine} with the three policy rule
-    families, the trust database and the event-to-fact encoding.  Attach
-    it to a Harrier monitor: every event is asserted as a fact, the
-    engine runs to quiescence, warnings are collected, and the fact is
-    retracted (the prototype analyzes one event at a time, as in the
-    paper's single-session policy). *)
+    families, the trust database and the event-to-fact encoding.
+    {!handle_event} is a Harrier monitor's judge: every event is
+    asserted as facts, the engine runs to quiescence, warnings are
+    collected, and the facts are retracted (the prototype analyzes one
+    event at a time, as in the paper's single-session policy), so
+    working memory is empty between events. *)
 
 type t
 
@@ -30,15 +31,12 @@ val compile : policy -> compiled
     [warning_cap] bounds the {e stored} warning transcript: the verdict
     path ([warning_count], [max_severity], auto-kill decisions) stays
     exact, but warnings past the cap are dropped from [warnings] and the
-    instance reports itself {!degraded}.
-    [wm_budget] bounds working-memory growth: exceeding it after any
-    event flags the instance degraded (inference still runs). *)
+    instance reports itself {!degraded}.  The thresholds are the
+    policy constants {!Context.thresholds}. *)
 val create :
   ?trust:Trust.t ->
-  ?thresholds:Context.thresholds ->
   ?auto_kill:Severity.t ->
   ?warning_cap:int ->
-  ?wm_budget:int ->
   ?policy:policy ->
   unit ->
   t
@@ -48,10 +46,8 @@ val create :
     [create_from ~compiled:(compile policy)]. *)
 val create_from :
   ?trust:Trust.t ->
-  ?thresholds:Context.thresholds ->
   ?auto_kill:Severity.t ->
   ?warning_cap:int ->
-  ?wm_budget:int ->
   compiled:compiled ->
   unit ->
   t
@@ -61,14 +57,11 @@ val trust : t -> Trust.t
 val engine : t -> Expert.Engine.t
 
 (** [handle_event t e] runs the policy on one event and decides whether
-    the triggering system call may proceed. *)
+    the triggering system call may proceed.  Pass [handle_event t] as
+    the [~judge] of {!Harrier.Monitor.attach}: the monitor writes the
+    event's "flow" line first, so the "rule"/"warning" lines written
+    here follow it. *)
 val handle_event : t -> Harrier.Events.t -> Osim.Kernel.decision
-
-(** [attach t monitor] subscribes [handle_event] to the monitor's event
-    pipeline (sink name ["secpert"]).  Register trace/metrics sinks
-    before attaching so policy "rule"/"warning" trace lines follow the
-    event's own "flow" line. *)
-val attach : t -> Harrier.Monitor.t -> unit
 
 (** [warnings t] is every warning so far, oldest first. *)
 val warnings : t -> Warning.t list
@@ -83,18 +76,17 @@ val warning_count : t -> int
     the warning cap dropped stored warnings). *)
 val max_severity : t -> Severity.t option
 
-(** [degraded t] lists human-readable reasons this instance's budgets
-    tripped (warning cap, WM budget); empty when nothing tripped. *)
+(** [degraded t] is one human-readable reason when the warning cap
+    dropped stored warnings; empty otherwise. *)
 val degraded : t -> string list
 
-(** [replay ?trust ?thresholds ?policy events] pushes recorded events
+(** [replay ?trust ?policy events] pushes recorded events
     through a fresh instance and returns its warnings — identical to
     the live run's warnings when the configuration matches.  This is
     offline re-judging (the paper's Section 10, items 6–8): keep
     traces, judge them again as the policy evolves. *)
 val replay :
   ?trust:Trust.t ->
-  ?thresholds:Context.thresholds ->
   ?policy:policy ->
   Harrier.Events.t list ->
   Warning.t list

@@ -14,13 +14,19 @@
 
 type t
 
-(** A hash-consing arena: intern table, singleton cache, and
-    binary-union memo, sized for one session.  Each session creates a
-    fresh one, so its cache statistics depend on that session alone.
-    See {!Space} for the public constructor. *)
+(** A taint hash-consing arena: the intern table, singleton cache and
+    binary-union memo used by every allocating operation, sized for one
+    session.  Each session interns into a fresh space of its own, so
+    nothing one session interned affects the next, and its cache
+    statistics depend on that session alone.
+
+    Tag sets from different spaces must never be mixed in one
+    computation: contents stay correct, but pointer equality (and the
+    union memo) only hold within a space. *)
 type space
 
-(** A fresh, empty space (the canonical {!empty} node is pre-seeded). *)
+(** A fresh, empty space.  {!empty} is pre-seeded (id 0); new tag sets
+    are interned from id 1 up, deterministically in creation order. *)
 val make_space : unit -> space
 
 (** The empty tag: a value with no known external provenance.  A single

@@ -342,6 +342,22 @@ else
   status=1
 fi
 
+# The same parity under the textual CLIPS policy, whose transfer rules
+# join on the data_transfer fact's id: stdout and every trace must match.
+dune exec bin/hth_run.exe -- batch --clips-policy --jobs 1 \
+  --trace-dir "$tmp/clips1" > "$tmp/clips1.out"
+dune exec bin/hth_run.exe -- batch --clips-policy --jobs 4 \
+  --trace-dir "$tmp/clips4" > "$tmp/clips4.out"
+if cmp -s "$tmp/clips1.out" "$tmp/clips4.out" \
+   && diff -r "$tmp/clips1" "$tmp/clips4" >/dev/null; then
+  echo "  ok: batch --clips-policy --jobs 4 byte-identical to --jobs 1"
+else
+  echo "  FLEET NONDETERMINISM: --clips-policy --jobs 4 diverged" >&2
+  diff "$tmp/clips1.out" "$tmp/clips4.out" | head -10 >&2 || true
+  diff -r "$tmp/clips1" "$tmp/clips4" | head -10 >&2 || true
+  status=1
+fi
+
 # Repeated stress sanity: scheduling is racy even though output must
 # not be — three more 4-worker sweeps, all identical to the first.
 for i in 1 2 3; do

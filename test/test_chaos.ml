@@ -177,14 +177,15 @@ let test_fault_parse_errors () =
 let test_budget_parse_errors () =
   check_err "no =" (Hth.Engine.parse_budgets [ "ticks" ]);
   check_err "bad key" (Hth.Engine.parse_budgets [ "cpu=5" ]);
-  check_err "bad value" (Hth.Engine.parse_budgets [ "wm=abc" ]);
+  check_err "bad value" (Hth.Engine.parse_budgets [ "ticks=abc" ]);
+  check_err "no wm key" (Hth.Engine.parse_budgets [ "wm=10" ]);
   check_err "zero" (Hth.Engine.parse_budgets [ "warnings=0" ]);
   check_err "negative" (Hth.Engine.parse_budgets [ "ticks=-3" ]);
   match Hth.Engine.parse_budgets [ "ticks=100"; "shadow-pages=4" ] with
   | Ok b ->
     Alcotest.(check (option int)) "ticks" (Some 100) b.b_ticks;
     Alcotest.(check (option int)) "pages" (Some 4) b.b_shadow_pages;
-    Alcotest.(check (option int)) "wm unset" None b.b_wm_facts
+    Alcotest.(check (option int)) "warnings unset" None b.b_warnings
   | Error e -> Alcotest.fail e
 
 (* The hth_run converters reject malformed SPECs at the command line;
@@ -214,11 +215,11 @@ let test_cmdliner_parse_errors () =
   Alcotest.(check bool) "good plan accepted" true
     (ok (cmdliner_eval [ "--fault-plan"; "SYS_open=enoent" ]));
   Alcotest.(check bool) "good budget accepted" true
-    (ok (cmdliner_eval [ "--budget"; "wm=10"; "--budget"; "ticks=5" ]));
+    (ok (cmdliner_eval [ "--budget"; "warnings=10"; "--budget"; "ticks=5" ]));
   (match cmdliner_eval [ "--fault-plan"; "SYS_open=bogus" ] with
    | Error `Parse -> ()
    | _ -> Alcotest.fail "bad fault kind must be a cmdliner parse error");
-  (match cmdliner_eval [ "--budget"; "wm=abc" ] with
+  (match cmdliner_eval [ "--budget"; "ticks=abc" ] with
    | Error `Parse -> ()
    | _ -> Alcotest.fail "bad budget must be a cmdliner parse error")
 

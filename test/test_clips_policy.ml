@@ -3,7 +3,7 @@
    (max severity), and the same rule families firing. *)
 
 let check = Alcotest.(check bool)
-let sp = Taint.Space.create ()
+let sp = Taint.Tagset.make_space ()
 
 let sev_label = function
   | None -> "benign"
@@ -75,7 +75,8 @@ let test_clips_rare_escalation () =
     (judge_clips exec = Some Secpert.Severity.Medium)
 
 let test_clips_transfer_join () =
-  (* the multi-pattern join: per-source facts joined on the xfer slot *)
+  (* the multi-pattern join: per-source facts whose xfer slot holds the
+     transfer fact's id, bound by the rule as ?x <- (data_transfer ...) *)
   let transfer =
     Harrier.Events.Transfer
       { call = "SYS_write";

@@ -66,9 +66,9 @@ let scenario_case name =
         (cold.max_severity = warm1.max_severity
         && cold.max_severity = warm2.max_severity))
 
-(* [keep_events:false] drops the accumulator sink only: the event
+(* [keep_events:false] drops the event accumulator only: the event
    stream no longer materializes, but warnings, verdict and the trace
-   are untouched (the trace sink is an independent subscriber). *)
+   are untouched (the monitor writes each event's flow line itself). *)
 let no_events_case =
   Alcotest.test_case "keep_events:false" `Quick (fun () ->
       let sc = find "pma" in
@@ -84,6 +84,69 @@ let no_events_case =
         (warning_strings r);
       check_same_trace "trace unchanged without accumulator"
         ~expected:cold_trace ~actual:trace)
+
+(* ------------------------------------------------------------------ *)
+(* One event's path                                                    *)
+
+(* Under auto-kill, grabem's write to .exrc% is judged HIGH and killed.
+   The monitor writes the event's "flow" line at the step its meta was
+   stamped with, the judge's "rule" and "warning" lines follow it, the
+   evidence cites that step, and the write never runs: no "syscall"
+   line follows, and the event is counted although the call is not. *)
+let killed_event_case =
+  Alcotest.test_case "killed event: flow, rule, warning, no syscall" `Quick
+    (fun () ->
+      let eng = Hth.Engine.create ~auto_kill:Secpert.Severity.High () in
+      let trace, r = capture (Hth.Engine.run eng) (find "grabem") in
+      let lines =
+        String.split_on_char '\n' trace
+        |> List.filter (fun l -> l <> "")
+        |> List.map (fun l ->
+               match Forensics.Jsonl.parse_line l with
+               | Ok fields -> fields
+               | Error e -> Alcotest.failf "trace line %S: %s" l e)
+      in
+      let str k f =
+        match List.assoc_opt k f with Some (Obs.Str s) -> s | _ -> ""
+      in
+      let int k f =
+        match List.assoc_opt k f with Some (Obs.Int n) -> n | _ -> -1
+      in
+      let rec from_killed = function
+        | f :: rest when str "ev" f = "flow" && str "target_kind" f = "FILE"
+          -> f, rest
+        | _ :: rest -> from_killed rest
+        | [] -> Alcotest.fail "no flow line for the write to .exrc%"
+      in
+      let flow, rest = from_killed lines in
+      Alcotest.(check string) "killed call" "SYS_write" (str "call" flow);
+      Alcotest.(check string) "its target" ".exrc%" (str "target_name" flow);
+      Alcotest.(check int) "flow line's step" 17 (int "step" flow);
+      (match rest with
+       | rule :: warning :: rest ->
+         Alcotest.(check (list string)) "rule then warning follow"
+           [ "rule"; "warning" ] [ str "ev" rule; str "ev" warning ];
+         Alcotest.(check string) "rule" "check_write" (str "name" rule);
+         Alcotest.(check string) "severity" "HIGH" (str "severity" warning);
+         Alcotest.(check string) "evidence cites the flow line"
+           "data_transfer#5@17" (str "ev_facts" warning);
+         Alcotest.(check (list string)) "no syscall line follows" []
+           (List.filter_map
+              (fun f ->
+                if str "ev" f = "syscall" then Some (str "call" f) else None)
+              rest)
+       | _ -> Alcotest.fail "the flow line must be followed by two more");
+      let stat n = Option.value (List.assoc_opt n r.stats) ~default:0 in
+      Alcotest.(check (pair int int)) "transfer events vs SYS_write calls"
+        (4, 3)
+        (stat "harrier.events.transfer", stat "osim.syscalls.SYS_write");
+      Alcotest.(check bool) "process killed" true
+        (List.exists
+           (fun (_, _, st) ->
+             match (st : Osim.Process.run_state) with
+             | Killed _ -> true
+             | _ -> false)
+           r.os_report.Osim.Kernel.rep_final))
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)
@@ -214,6 +277,6 @@ let unresolved_exec_case =
 
 let suite =
   List.map scenario_case golden_scenarios
-  @ [ no_events_case; duplicate_path_case; unresolved_spawn_case;
-      unresolved_exec_case ]
+  @ [ no_events_case; killed_event_case; duplicate_path_case;
+      unresolved_spawn_case; unresolved_exec_case ]
   @ needed_cycle_cases

@@ -1,7 +1,7 @@
 (* Tests for the Section 10 future-work features: memory-abuse rules,
    content analysis and cross-session profiles. *)
 
-let sp = Taint.Space.create ()
+let sp = Taint.Tagset.make_space ()
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 

@@ -5,7 +5,7 @@
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let sp = Taint.Space.create ()
+let sp = Taint.Tagset.make_space ()
 let tag_of l = Taint.Tagset.of_list sp l
 let user = Taint.Source.User_input
 let file_a = Taint.Source.File "/a"
@@ -48,7 +48,7 @@ let test_shadow_clone () =
    back as the same interned sets, through single bytes, page-straddling
    ranges and a clone. *)
 let test_shadow_wide_ids () =
-  let big = Taint.Space.create () in
+  let big = Taint.Tagset.make_space () in
   let tags =
     Array.init 70_000 (fun i ->
         Taint.Tagset.singleton big (Taint.Source.File ("/f" ^ string_of_int i)))
@@ -757,7 +757,7 @@ let test_monitor_unknown_pid_raises () =
   (match Osim.Kernel.spawn k ~path:"/bin/true" ~argv:[ "/bin/true" ] with
    | Ok _ -> ()
    | Error e -> Alcotest.fail e);
-  ignore (Harrier.Monitor.attach k);
+  ignore (Harrier.Monitor.attach ~judge:(fun _ -> Osim.Kernel.Allow) k);
   match Osim.Kernel.run k ~max_ticks:10_000 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a callback for an unstarted pid must raise"

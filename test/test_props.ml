@@ -4,7 +4,7 @@
    interpreter, the filesystem, and engine refraction. *)
 
 open QCheck
-let sp = Taint.Space.create ()
+let sp = Taint.Tagset.make_space ()
 
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)

@@ -7,7 +7,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-let sp = Taint.Space.create ()
+let sp = Taint.Tagset.make_space ()
 let tag_of l = Taint.Tagset.of_list sp l
 let user = Taint.Source.User_input
 let bin_mal = Taint.Source.Binary "/mal"

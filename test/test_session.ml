@@ -144,18 +144,6 @@ let test_auto_kill_stops_exfiltration () =
          match st with Osim.Process.Killed _ -> true | _ -> false)
        enforced.os_report.rep_final)
 
-(* --- thresholds are honoured ---------------------------------------- *)
-
-let test_custom_thresholds () =
-  (* with an absurdly high clone threshold the forker looks benign *)
-  let sc = find "loop forker" in
-  let thresholds =
-    { Secpert.Context.default_thresholds with clone_count_low = 10_000;
-      clone_rate_medium = 10_000 }
-  in
-  let r = Hth.Engine.run (Hth.Engine.create ~thresholds ()) sc.sc_setup in
-  check_int "no clone warnings" 0 (List.length r.warnings)
-
 (* --- Appendix B on corpus images ------------------------------------ *)
 
 let image_of_scenario name =
@@ -261,7 +249,6 @@ let suite =
     Alcotest.test_case "report verdicts" `Quick test_verdicts;
     Alcotest.test_case "auto-kill stops exfiltration" `Quick
       test_auto_kill_stops_exfiltration;
-    Alcotest.test_case "custom thresholds" `Quick test_custom_thresholds;
     Alcotest.test_case "secure binary on corpus images" `Quick
       test_secure_binary_on_corpus;
     Alcotest.test_case "whole corpus classifies correctly" `Slow

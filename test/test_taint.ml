@@ -17,7 +17,7 @@ let src_hw = Source.Hardware
 let no_trust (_ : Source.t) = false
 
 (* one shared arena for every tag set this file builds *)
-let sp = Space.create ()
+let sp = Tagset.make_space ()
 
 let test_source_equal () =
   check "same file equal" true (Source.equal (File "/a") (File "/a"));

@@ -3,7 +3,7 @@
    re-judging those events reproduces the live warnings. *)
 
 let check = Alcotest.(check bool)
-let sp = Taint.Space.create ()
+let sp = Taint.Tagset.make_space ()
 let check_int = Alcotest.(check int)
 
 let find name =
