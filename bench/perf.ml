@@ -110,7 +110,7 @@ let wm_inference () =
       done)
     [ "a"; "b"; "c"; "d" ];
   Expert.Engine.defrule e
-    (Expert.Engine.rule ~name:"join"
+    (Expert.Engine.rule ~name:(Expert.Engine.name "join")
        [ Expert.Pattern.make "a" [ "v", Expert.Pattern.Var "x" ];
          Expert.Pattern.make "b" [ "v", Expert.Pattern.Var "x" ] ]
        (fun _ _ _ -> ()));

@@ -186,7 +186,7 @@ let compile_defrule = function
       let env = { vars = bindings } in
       List.iter (run_action eng env) actions
     in
-    Engine.rule ~name ~negated ~guard patterns action
+    Engine.rule ~name:(Engine.name name) ~negated ~guard patterns action
   | _ -> fail "defrule: missing name"
 
 let parse_defrule eng rest = Engine.defrule eng (compile_defrule rest)

@@ -19,6 +19,7 @@ type t = {
 
 and rule = {
   rule_name : string;
+  firings : Obs.Counter.t;  (* expert.firings.<rule_name> *)
   salience : int;
   patterns : Pattern.t list;
   negated : Pattern.t list;
@@ -28,9 +29,14 @@ and rule = {
   action : t -> Pattern.bindings -> Fact.t list -> unit;
 }
 
+type name = { n_name : string; n_firings : Obs.Counter.t }
+
+let name n = { n_name = n; n_firings = Obs.Counter.labeled "expert.firings" n }
+
 let rule ~name ?(salience = 0) ?(negated = []) ?(guard = fun _ _ -> true)
     patterns action =
-  { rule_name = name; salience; negated; patterns; guard; action }
+  { rule_name = name.n_name; firings = name.n_firings; salience; negated;
+    patterns; guard; action }
 
 let c_asserted = Obs.Counter.make "expert.facts.asserted"
 let c_retracted = Obs.Counter.make "expert.facts.retracted"
@@ -189,7 +195,7 @@ let run ?(limit = 10_000) e =
       | Some (rule, bindings, matched, key) ->
         Hashtbl.replace e.fired key ();
         Obs.Counter.incr c_firings;
-        Obs.Counter.incr (Obs.Counter.labeled "expert.firings" rule.rule_name);
+        Obs.Counter.incr rule.firings;
         if Obs.Trace.enabled () then
           Obs.Trace.emit "rule"
             [ "name", Obs.Str rule.rule_name;

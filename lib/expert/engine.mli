@@ -13,6 +13,7 @@ type t
     variable bindings and the matched facts (pattern order). *)
 type rule = {
   rule_name : string;
+  firings : Obs.Counter.t;  (** [expert.firings.<rule_name>] *)
   salience : int;  (** higher fires first; default 0 *)
   patterns : Pattern.t list;
   negated : Pattern.t list;
@@ -24,10 +25,19 @@ type rule = {
   action : t -> Pattern.bindings -> Fact.t list -> unit;
 }
 
+(** A rule name together with its [expert.firings.<name>] counter. *)
+type name
+
+(** [name n] makes the counter.  Make a name once per policy — when the
+    module that writes the rule is initialised, or when a textual policy
+    is compiled — and build every session's rule from it, so neither a
+    session nor a firing makes a counter. *)
+val name : string -> name
+
 (** [rule ~name ?salience ?negated ?guard patterns action] builds a
     rule. *)
 val rule :
-  name:string ->
+  name:name ->
   ?salience:int ->
   ?negated:Pattern.t list ->
   ?guard:(t -> Pattern.bindings -> bool) ->

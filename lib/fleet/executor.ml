@@ -53,18 +53,13 @@ let run engines seq j =
          if j.j_store then Some (Store.Segment.Writer.create ()) else None
        in
        (* the engine owns the sink lifecycle ([?trace]); with both
-          capture kinds requested, one chunked sink tees into buffer and
-          writer so the bytes are identical by construction *)
+          capture kinds requested, the writer's sink tees its chunks
+          into the buffer, so the bytes are identical by construction *)
        let trace =
          match (buf, writer) with
          | None, None -> None
          | Some b, None -> Some (Obs.Trace.buffer_target b)
-         | None, Some w -> Some (Store.Segment.Writer.target w)
-         | Some b, Some w ->
-           Some
-             (Obs.Trace.chunk_target (fun chunk ->
-                  Buffer.add_string b chunk;
-                  Store.Segment.Writer.add_chunk w chunk))
+         | tee, Some w -> Some (Store.Segment.Writer.target ?tee w)
        in
        let result =
          try

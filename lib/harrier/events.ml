@@ -69,12 +69,16 @@ let pp ppf = function
       Fmt.(option (any " via server " ++ pp_resource))
       via_server pp_meta meta
 
-let kind = function
-  | Exec _ -> "exec"
-  | Clone _ -> "clone"
-  | Access _ -> "access"
-  | Alloc _ -> "alloc"
-  | Transfer _ -> "transfer"
+let kinds = [| "exec"; "clone"; "access"; "alloc"; "transfer" |]
+
+let kind_index = function
+  | Exec _ -> 0
+  | Clone _ -> 1
+  | Access _ -> 2
+  | Alloc _ -> 3
+  | Transfer _ -> 4
+
+let kind e = kinds.(kind_index e)
 
 (* ------------------------------------------------------------------ *)
 (* The "flow" line codec                                               *)

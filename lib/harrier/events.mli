@@ -65,10 +65,13 @@ val kind_name : resource_kind -> string
 
 val meta_of : t -> meta
 
-(** [kind e] is the event's shape: ["exec"], ["clone"], ["access"],
-    ["alloc"] or ["transfer"] — the ["kind"] field of its flow line and
+(** The event shapes' names: ["exec"], ["clone"], ["access"],
+    ["alloc"] and ["transfer"] — the ["kind"] field of a flow line and
     the label of its [harrier.events.<kind>] counter. *)
-val kind : t -> string
+val kinds : string array
+
+(** [kind_index e] is the position of [e]'s shape in {!kinds}. *)
+val kind_index : t -> int
 
 (** {2 The flow-line codec}
 

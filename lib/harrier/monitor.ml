@@ -117,6 +117,7 @@ let imm_tag t image =
     tag
 
 let c_events = Obs.Counter.make "harrier.events"
+let c_kinds = Array.map (Obs.Counter.labeled "harrier.events") Events.kinds
 
 (* One event's whole path: its "flow" line, its counts, then the
    verdict.  The flow line is the very next trace emission after [meta]
@@ -128,7 +129,7 @@ let emit t e =
   Log.debug (fun f -> f "event %a" Events.pp e);
   if Obs.Trace.enabled () then Obs.Trace.emit "flow" (Events.to_fields e);
   Obs.Counter.incr c_events;
-  Obs.Counter.incr (Obs.Counter.labeled "harrier.events" (Events.kind e));
+  Obs.Counter.incr c_kinds.(Events.kind_index e);
   t.judge e
 
 (* Emit an event whose decision the kernel will not honour (e.g.

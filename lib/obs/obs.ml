@@ -375,26 +375,47 @@ let absorb x =
 (* ------------------------------------------------------------------ *)
 (* JSON string literals: the one escaper every JSONL writer shares     *)
 
+(* Runs of bytes that need no escape are copied with one
+   [Buffer.add_substring] each, so a typical trace string costs a scan
+   and one copy rather than a call per byte. *)
 let add_json_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+  let from = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring buf s !from (i - !from);
+      from := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring buf s !from (String.length s - !from);
   Buffer.add_char buf '"'
 
 let json_string s =
   let b = Buffer.create (String.length s + 2) in
   add_json_string b s;
   Buffer.contents b
+
+(* [string_of_int] formats through C at ~120 ns a call, and every trace
+   line carries several ints; writing the digits costs a fifth of that. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
 
 let add_json_fields buf fields =
   List.iteri
@@ -403,7 +424,7 @@ let add_json_fields buf fields =
       add_json_string buf k;
       Buffer.add_char buf ':';
       match v with
-      | Int n -> Buffer.add_string buf (string_of_int n)
+      | Int n -> add_int buf n
       | Bool b -> Buffer.add_string buf (if b then "true" else "false")
       | Str s -> add_json_string buf s)
     fields
@@ -425,17 +446,28 @@ module Trace = struct
      disable lifecycle themselves. *)
   type target =
     | T_buffer of Buffer.t
-    | T_chunks of { threshold : int; write : string -> unit }
+    | T_chunks of {
+        threshold : int;
+        line : int -> string -> (string * value) list -> unit;
+        write : string -> unit;
+      }
 
   (* The installed sink.  [Direct] renders straight into the caller's
      destination buffer — zero copies, zero per-line allocation.
-     [Chunked] renders into one reused staging buffer and hands
-     line-aligned chunks of at least [threshold] bytes to [write], so
-     the segment store receives its data frames pre-chunked. *)
+     [Chunked] renders into a staging buffer, hands each line's step,
+     kind and fields to [line] as it is emitted, and hands line-aligned
+     chunks of at least [threshold] bytes to [write], so the segment
+     store receives its data frames pre-chunked and indexes them
+     without re-reading a byte. *)
   type sink =
     | Noop
     | Direct of Buffer.t
-    | Chunked of { buf : Buffer.t; threshold : int; write : string -> unit }
+    | Chunked of {
+        buf : Buffer.t;
+        threshold : int;
+        line : int -> string -> (string * value) list -> unit;
+        write : string -> unit;
+      }
 
   (* One sink and step index per domain: a fleet worker traces its own
      session into its own buffer without synchronizing with anyone. *)
@@ -453,30 +485,34 @@ module Trace = struct
 
   let buffer_target b = T_buffer b
 
-  let chunk_target ?(threshold = default_chunk) write =
-    T_chunks { threshold; write }
+  let chunk_target ?(threshold = default_chunk) ~line write =
+    T_chunks { threshold; line; write }
 
   let install target =
     let st = state () in
     (st.sink <-
        (match target with
        | T_buffer b -> Direct b
-       | T_chunks { threshold; write } ->
-         Chunked { buf = Buffer.create (threshold + 512); threshold; write }));
+       | T_chunks { threshold; line; write } ->
+         (* started small and grown on demand: a corpus trace is
+            ~5 KiB, and a buffer sized for the 64 KiB threshold cost
+            every session a 66 KB major-heap block *)
+         Chunked { buf = Buffer.create 4096; threshold; line; write }));
     st.step <- 0
 
   let to_buffer b = install (buffer_target b)
 
-  (* Flush-on-disable: a chunked sink may hold a partial chunk; hand it
-     over before dropping the sink so the destination sees every line. *)
+  (* The sink is gone before a chunked sink's last partial chunk is
+     handed over, so a [write] that raises still leaves the domain
+     untraced. *)
   let disable () =
     let st = state () in
-    (match st.sink with
+    let sink = st.sink in
+    st.sink <- Noop;
+    match sink with
     | Chunked { buf; write; _ } when Buffer.length buf > 0 ->
-      write (Buffer.contents buf);
-      Buffer.clear buf
-    | Noop | Direct _ | Chunked _ -> ());
-    st.sink <- Noop
+      write (Buffer.contents buf)
+    | Noop | Direct _ | Chunked _ -> ()
 
   let steps () = (state ()).step
 
@@ -486,7 +522,7 @@ module Trace = struct
      [Buffer.contents] string. *)
   let render buf st ev fields =
     Buffer.add_string buf "{\"step\":";
-    Buffer.add_string buf (string_of_int st.step);
+    add_int buf st.step;
     Buffer.add_string buf ",\"ev\":";
     add_json_string buf ev;
     (match fields with [] -> () | _ :: _ -> Buffer.add_char buf ',');
@@ -500,7 +536,8 @@ module Trace = struct
     match st.sink with
     | Noop -> ()
     | Direct buf -> render buf st ev fields
-    | Chunked { buf; threshold; write } ->
+    | Chunked { buf; threshold; line; write } ->
+      line st.step ev fields;
       render buf st ev fields;
       if Buffer.length buf >= threshold then begin
         write (Buffer.contents buf);

@@ -178,11 +178,19 @@ module Trace : sig
   val buffer_target : Buffer.t -> target
   (** Lines render directly into the buffer, newline-terminated. *)
 
-  val chunk_target : ?threshold:int -> (string -> unit) -> target
-  (** [chunk_target write] hands [write] line-aligned chunks of at
+  val chunk_target :
+    ?threshold:int ->
+    line:(int -> string -> (string * value) list -> unit) ->
+    (string -> unit) ->
+    target
+  (** [chunk_target ~line write] hands [write] line-aligned chunks of at
       least [threshold] bytes (default 64KiB); the final partial chunk
-      is flushed by {!disable}.  This is how the segment store receives
-      trace bytes pre-framed. *)
+      is flushed by {!disable}.  Each emitted line is also posted, as
+      it is emitted and before the chunk holding it is written, as
+      [line step ev fields]: the very values {!emit} was given, so a
+      consumer indexes the trace without parsing it back.  This is how
+      the segment store receives its trace bytes pre-framed, together
+      with their index postings. *)
 
   val install : target -> unit
   (** Install a sink for the calling domain; resets the step index. *)
@@ -191,7 +199,9 @@ module Trace : sig
   (** [install (buffer_target b)]. *)
 
   val disable : unit -> unit
-  (** Flush any staged chunk, then restore the no-op backend. *)
+  (** Restore the no-op backend, then hand a chunked sink's staged last
+      chunk to its writer; a writer that raises leaves the domain
+      untraced all the same. *)
 
   val steps : unit -> int
   (** Events emitted since the current sink was installed. *)

@@ -39,6 +39,10 @@ let c_syscalls = Obs.Counter.make "osim.syscalls"
 let c_switches = Obs.Counter.make "osim.context_switches"
 let c_faults = Obs.Counter.make "osim.faults.injected"
 
+(* The labeled members, made once: [Obs.Counter.labeled] builds the
+   name and takes the registry lock on every call. *)
+let c_calls = Array.map (Obs.Counter.labeled "osim.syscalls") Syscall.names
+
 let stack_top = 0xFF000
 
 (* The scheduler time slice, in instructions. *)
@@ -537,7 +541,10 @@ let handle_syscall k (p : Process.t) ~retry =
           f "[%d] pid %d %a" k.k_ticks p.pid Syscall.pp sc);
       if not retry then begin
         Obs.Counter.incr c_syscalls;
-        Obs.Counter.incr (Obs.Counter.labeled "osim.syscalls" (Syscall.name sc))
+        Obs.Counter.incr
+          (match Syscall.index sc with
+          | -1 -> Obs.Counter.labeled "osim.syscalls" (Syscall.name sc)
+          | i -> c_calls.(i))
       end;
       let trace_done result =
         if Obs.Trace.enabled () then

@@ -50,4 +50,12 @@ type t =
     as distinct events. *)
 val name : t -> string
 
+(** The names of the known calls, so that a counter per call can be
+    made once. *)
+val names : string array
+
+(** [index sc] is the position of [name sc] in {!names}; [-1] for
+    [Unknown], whose name carries its number. *)
+val index : t -> int
+
 val pp : Format.formatter -> t -> unit

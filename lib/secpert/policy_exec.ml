@@ -1,5 +1,7 @@
 open Expert
 
+let check_execve_name = Engine.name "check_execve"
+
 let check_execve ctx =
   let patterns =
     [ Pattern.make Facts.t_system_call_access
@@ -40,6 +42,6 @@ let check_execve ctx =
            (message (Fmt.str "(%S)" oname)))
     | "USER_INPUT" | "FILE" | "HARDWARE" | "UNKNOWN" | _ -> ()
   in
-  Engine.rule ~name:"check_execve" patterns action
+  Engine.rule ~name:check_execve_name patterns action
 
 let register engine ctx = Engine.defrule engine (check_execve ctx)

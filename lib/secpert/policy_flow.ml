@@ -1,5 +1,8 @@
 open Expert
 
+let check_write_name = Engine.name "check_write"
+let check_trigger_name = Engine.name "check_trigger"
+
 (* Severity of one (source, target) combination, following Section 4.3.
    [t_origin] is the origin type of the target's name; for accepted
    connections the listening server's address origin is what makes the
@@ -231,7 +234,7 @@ let check_write ctx =
         sources
     end
   in
-  Engine.rule ~name:"check_write" patterns action
+  Engine.rule ~name:check_write_name patterns action
 
 (* Trigger-gated (dormant) behaviour: a transfer on a {e rarely
    executed} path whose control flow was steered by remote bytes — the
@@ -305,7 +308,7 @@ let check_trigger ctx =
               target_name trigger_names))
     end
   in
-  Engine.rule ~name:"check_trigger" patterns action
+  Engine.rule ~name:check_trigger_name patterns action
 
 let register engine ctx =
   Engine.defrule engine (check_write ctx);

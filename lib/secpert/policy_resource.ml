@@ -1,5 +1,8 @@
 open Expert
 
+let check_clone_name = Engine.name "check_clone"
+let check_alloc_name = Engine.name "check_alloc"
+
 let check_clone ctx =
   let patterns =
     [ Pattern.make Facts.t_clone_event
@@ -23,7 +26,7 @@ let check_clone ctx =
         (Warning.make ~severity:Severity.Low ~rule:"check_clone_count" ~pid
            ~time "Found several SYS_clone calls\n\tThis call was frequent")
   in
-  Engine.rule ~name:"check_clone" patterns action
+  Engine.rule ~name:check_clone_name patterns action
 
 (* Section 10 future work #4: "new rules to support different types of
    resource abuse such as memory".  A process holding an outsized heap
@@ -54,7 +57,7 @@ let check_alloc ctx =
            (Fmt.str "Found growing memory allocation (%d bytes held)"
               total))
   in
-  Engine.rule ~name:"check_alloc" patterns action
+  Engine.rule ~name:check_alloc_name patterns action
 
 let register engine ctx =
   Engine.defrule engine (check_clone ctx);

@@ -27,6 +27,13 @@ type t = {
 let c_warnings = Obs.Counter.make "secpert.warnings"
 let c_dropped = Obs.Counter.make "secpert.warnings.dropped"
 
+(* [secpert.warnings.<severity>], made once *)
+let c_severity =
+  let c s = Obs.Counter.labeled "secpert.warnings" (Severity.label s) in
+  let low = c Severity.Low and medium = c Severity.Medium
+  and high = c Severity.High in
+  function Severity.Low -> low | Medium -> medium | High -> high
+
 let create_from ?(trust = Trust.default) ?auto_kill ?warning_cap ~compiled
     () =
   let engine = Expert.Engine.create () in
@@ -66,9 +73,7 @@ let create_from ?(trust = Trust.default) ?auto_kill ?warning_cap ~compiled
             Obs.Counter.incr c_dropped
           end;
           Obs.Counter.incr c_warnings;
-          Obs.Counter.incr
-            (Obs.Counter.labeled "secpert.warnings"
-               (Severity.label w.Warning.severity));
+          Obs.Counter.incr (c_severity w.Warning.severity);
           if Obs.Trace.enabled () then begin
             let ev = w.Warning.evidence in
             Obs.Trace.emit "warning"

@@ -86,45 +86,60 @@ let dist_rev = Array.init 30 (fun c -> rev_bits c 5)
 (* ------------------------------------------------------------------ *)
 (* Encoder                                                             *)
 
-type bw = { mutable acc : int; mutable nbits : int; out : Buffer.t }
-
-let put bw v n =
-  bw.acc <- bw.acc lor (v lsl bw.nbits);
-  bw.nbits <- bw.nbits + n;
-  while bw.nbits >= 8 do
-    Buffer.add_char bw.out (Char.unsafe_chr (bw.acc land 0xff));
-    bw.acc <- bw.acc lsr 8;
-    bw.nbits <- bw.nbits - 8
-  done
-
 let win_size = 32768
 let min_match = 3
 let max_match = 258
 let hash_size = 1 lsl 15
 let max_chain = 64
 
-(* The match finder's tables, kept per domain and reused by every call.
-   [head] maps a 3-byte hash to its latest position; [prev] links a
-   position to the previous one with the same hash, in a ring indexed by
-   position mod [win_size].  Entries hold [base + position], and each
-   call starts [base] past every value earlier calls stored, so a
-   leftover entry reads as empty (below [base]) and no call refills the
-   tables.  A ring slot is overwritten only by the position one window
-   later, and by then the older position is out of range, so every
-   chain the search follows is exact. *)
+(* Unchecked 32- and 64-bit loads and stores; every index below is in
+   range by construction (the comments at each use say why). *)
+external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external str64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* The match finder's tables, kept per domain and reused by every call,
+   as arrays of 32-bit entries in [Bytes] (128 KiB each, half what
+   OCaml ints take, and never scanned by the GC).  [head] maps a 3-byte
+   hash to its latest position; [prev] links a position to the previous
+   one with the same hash, in a ring indexed by position mod
+   [win_size].  Entries hold [base + position], and each call starts
+   [base] past every value earlier calls stored, so a leftover entry
+   reads as empty (below [base]) and no call refills the tables; when
+   [base] would pass the 32-bit range, one call refills them with -1
+   and starts again at 0.  A ring slot is overwritten only by the
+   position one window later, and by then the older position is out of
+   range, so every chain the search follows is exact (for inputs under
+   2 GiB; past that a position finds no match).
+
+   The bit writer lives in the same record: bits collect LSB-first in
+   [acc] ([nbits] of them, fewer than 32 between symbols) and leave 32
+   at a time, little-endian, into [out] at [op]. *)
 type tables = {
-  head : int array;
-  prev : int array;
+  head : Bytes.t;
+  prev : Bytes.t;
   mutable base : int;
-  out : Buffer.t;
+  mutable out : Bytes.t;
+  mutable op : int;
+  mutable acc : int;
+  mutable nbits : int;
   busy : bool Atomic.t;
 }
 
+let max_entry = 0x7fff_ffff
+
 let new_tables () =
-  { head = Array.make hash_size (-1); prev = Array.make win_size (-1);
-    base = 0; out = Buffer.create 4096; busy = Atomic.make false }
+  { head = Bytes.make (4 * hash_size) '\xff';
+    prev = Bytes.make (4 * win_size) '\xff'; base = 0;
+    out = Bytes.create 4096; op = 0; acc = 0; nbits = 0;
+    busy = Atomic.make false }
 
 let tables_key = Domain.DLS.new_key new_tables
+
+let set_headroom k =
+  let t = Domain.DLS.get tables_key in
+  if max_entry - k > t.base then t.base <- max_entry - k
 
 (* The domain's tables, or a private set while another systhread on the
    same domain is inside [compress]. *)
@@ -132,108 +147,149 @@ let take_tables () =
   let t = Domain.DLS.get tables_key in
   if Atomic.compare_and_set t.busy false true then t else new_tables ()
 
+let[@inline] imin (a : int) b = if a < b then a else b
+
+(* entry [k] of a table, [k] a hash or a position mod [win_size]; -1
+   (empty) sign-extends *)
+let[@inline] entry b k = Int32.to_int (get32u b (k lsl 2))
+let[@inline] set_entry b k v = set32u b (k lsl 2) (Int32.of_int v)
+
+let[@inline] hash s i =
+  (Char.code (String.unsafe_get s i) lsl 10)
+  lxor (Char.code (String.unsafe_get s (i + 1)) lsl 5)
+  lxor Char.code (String.unsafe_get s (i + 2))
+  land (hash_size - 1)
+
+(* [i] with hash [h] becomes the head of its chain *)
+let[@inline] insert head prev base h i =
+  set_entry prev (i land (win_size - 1)) (entry head h);
+  set_entry head h (base + i)
+
+(* Append the [n] low bits of [v] ([n <= 31]): [acc] then holds at most
+   62 bits, and a full 32-bit word leaves at once.  [out] has room for
+   the whole stream plus one word (see [compress]). *)
+let[@inline] put t v n =
+  let acc = t.acc lor (v lsl t.nbits) and nbits = t.nbits + n in
+  if nbits >= 32 then begin
+    let w = Int32.of_int acc in
+    set32u t.out t.op (if Sys.big_endian then swap32 w else w);
+    t.op <- t.op + 4;
+    t.acc <- acc lsr 32;
+    t.nbits <- nbits - 32
+  end
+  else begin
+    t.acc <- acc;
+    t.nbits <- nbits
+  end
+
+let[@inline] emit_lit t c =
+  put t (Array.unsafe_get lit_code c) (Array.unsafe_get lit_len c)
+
+(* A match is one [put]: length code, its extra bits, distance code and
+   its extra bits, at most 8 + 5 + 5 + 13 = 31 bits. *)
+let emit_match t len dist =
+  let sym = len_sym.(len) in
+  let ls = lit_len.(sym) and le = len_extra.(sym - 257) in
+  let dc = dist_code_of dist in
+  put t
+    (lit_code.(sym)
+    lor ((len - len_base.(sym - 257)) lsl ls)
+    lor ((dist_rev.(dc) lor ((dist - dist_base.(dc)) lsl 5)) lsl (ls + le)))
+    (ls + le + 5 + dist_extra.(dc))
+
+(* Length of the common prefix of [s] at [c] and [i], at most [limit],
+   eight bytes at a time while eight remain ([i + limit <= length s]
+   and [c < i]). *)
+let[@inline] match_len s c i limit =
+  let l = ref 0 in
+  while !l + 8 <= limit && (str64u s (c + !l) : int64) = str64u s (i + !l) do
+    l := !l + 8
+  done;
+  while !l < limit && String.unsafe_get s (c + !l) = String.unsafe_get s (i + !l)
+  do
+    incr l
+  done;
+  !l
+
 let compress s =
   let n = String.length s in
   let t = take_tables () in
   Fun.protect ~finally:(fun () -> Atomic.set t.busy false) @@ fun () ->
-  if t.base > max_int - n then begin
-    Array.fill t.head 0 hash_size (-1);
-    Array.fill t.prev 0 win_size (-1);
+  if t.base > max_entry - n then begin
+    Bytes.fill t.head 0 (Bytes.length t.head) '\xff';
+    Bytes.fill t.prev 0 (Bytes.length t.prev) '\xff';
     t.base <- 0
   end;
+  (* a literal costs at most 9 bits and a match of [l >= 3] bytes at
+     most 31, so the stream is under 11 bits per input byte, plus the
+     3-bit header, the 7-bit end code and the last word's slack *)
+  let room = n + (n / 2) + 16 in
+  if Bytes.length t.out < room then t.out <- Bytes.create room;
+  t.op <- 0;
+  t.acc <- 0;
+  t.nbits <- 0;
+  put t 3 3 (* BFINAL = 1, BTYPE = 01 (fixed Huffman) *);
   let base = t.base and head = t.head and prev = t.prev in
   t.base <- base + n;
-  let out = t.out in
-  Buffer.clear out;
-  let bw = { acc = 0; nbits = 0; out } in
-  put bw 1 1 (* BFINAL *);
-  put bw 1 2 (* BTYPE = 01, fixed Huffman *);
-  let emit_lit c =
-    let sym = Char.code c in
-    put bw lit_code.(sym) lit_len.(sym)
-  in
-  let emit_match len dist =
-    let sym = len_sym.(len) in
-    put bw lit_code.(sym) lit_len.(sym);
-    let eb = len_extra.(sym - 257) in
-    if eb > 0 then put bw (len - len_base.(sym - 257)) eb;
-    let dc = dist_code_of dist in
-    put bw dist_rev.(dc) 5;
-    let deb = dist_extra.(dc) in
-    if deb > 0 then put bw (dist - dist_base.(dc)) deb
-  in
-  if n >= min_match then begin
-    let hash i =
-      (Char.code (String.unsafe_get s i) lsl 10)
-      lxor (Char.code (String.unsafe_get s (i + 1)) lsl 5)
-      lxor Char.code (String.unsafe_get s (i + 2))
-      land (hash_size - 1)
-    in
-    let insert i =
-      let h = hash i in
-      prev.(i land (win_size - 1)) <- head.(h);
-      head.(h) <- base + i
-    in
-    (* last position where a 3-byte hash still fits *)
-    let last_hash = n - min_match in
-    let i = ref 0 in
-    while !i < n do
-      if !i > last_hash then begin
-        emit_lit (String.unsafe_get s !i);
-        incr i
-      end
-      else begin
-        let i0 = !i in
-        let limit = min max_match (n - i0) in
-        let best_len = ref 0 and best_dist = ref 0 in
-        let cand = ref (head.(hash i0) - base) in
-        let chain = ref max_chain in
-        (* the nearest longest match, as a full walk would pick it: a
-           candidate that differs at offset [best_len] cannot beat the
-           best, and nothing beats a match of [limit] *)
-        while
-          !cand >= 0 && i0 - !cand <= win_size && !chain > 0
-          && !best_len < limit
-        do
-          let c = !cand in
-          if String.unsafe_get s (c + !best_len)
-             = String.unsafe_get s (i0 + !best_len)
-          then begin
-            let l = ref 0 in
-            while
-              !l < limit
-              && String.unsafe_get s (c + !l) = String.unsafe_get s (i0 + !l)
-            do
-              incr l
-            done;
-            if !l > !best_len then begin
-              best_len := !l;
-              best_dist := i0 - c
-            end
-          end;
-          cand := prev.(c land (win_size - 1)) - base;
-          decr chain
-        done;
-        if !best_len >= min_match then begin
-          emit_match !best_len !best_dist;
-          let stop = min (i0 + !best_len) (last_hash + 1) in
-          for k = i0 to stop - 1 do
-            insert k
-          done;
-          i := i0 + !best_len
+  (* last position where a 3-byte hash still fits *)
+  let last_hash = n - min_match in
+  let i = ref 0 in
+  while !i <= last_hash do
+    let i0 = !i in
+    let h = hash s i0 in
+    let limit = imin max_match (n - i0) in
+    let best_len = ref 0 and best_dist = ref 0 in
+    let cand = ref (entry head h - base) in
+    let chain = ref max_chain in
+    (* the nearest longest match, as a full walk would pick it: a
+       candidate that differs at offset [best_len] cannot beat the
+       best, and nothing beats a match of [limit] *)
+    while
+      !cand >= 0 && i0 - !cand <= win_size && !chain > 0 && !best_len < limit
+    do
+      let c = !cand in
+      if String.unsafe_get s (c + !best_len) = String.unsafe_get s (i0 + !best_len)
+      then begin
+        let l = match_len s c i0 limit in
+        if l > !best_len then begin
+          best_len := l;
+          best_dist := i0 - c
         end
-        else begin
-          emit_lit (String.unsafe_get s i0);
-          insert i0;
-          incr i
-        end
-      end
-    done
-  end
-  else String.iter emit_lit s;
-  put bw lit_code.(256) lit_len.(256) (* end of block *);
-  if bw.nbits > 0 then Buffer.add_char out (Char.unsafe_chr (bw.acc land 0xff));
-  Buffer.contents out
+      end;
+      cand := entry prev (c land (win_size - 1)) - base;
+      decr chain
+    done;
+    insert head prev base h i0;
+    if !best_len >= min_match then begin
+      emit_match t !best_len !best_dist;
+      (* the positions the match covers, each hash rolled from the
+         previous one: shifting out the oldest byte's bits and xoring
+         in the newest is [hash s k] *)
+      let h = ref h in
+      for k = i0 + 1 to imin (i0 + !best_len) (last_hash + 1) - 1 do
+        h :=
+          ((!h lsl 5) lxor Char.code (String.unsafe_get s (k + 2)))
+          land (hash_size - 1);
+        insert head prev base !h k
+      done;
+      i := i0 + !best_len
+    end
+    else begin
+      emit_lit t (Char.code (String.unsafe_get s i0));
+      incr i
+    end
+  done;
+  for k = !i to n - 1 do
+    emit_lit t (Char.code (String.unsafe_get s k))
+  done;
+  put t lit_code.(256) lit_len.(256) (* end of block *);
+  while t.nbits > 0 do
+    Bytes.unsafe_set t.out t.op (Char.unsafe_chr (t.acc land 0xff));
+    t.op <- t.op + 1;
+    t.acc <- t.acc lsr 8;
+    t.nbits <- t.nbits - 8
+  done;
+  Bytes.sub_string t.out 0 t.op
 
 (* ------------------------------------------------------------------ *)
 (* Decoder                                                             *)

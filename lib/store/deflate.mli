@@ -19,6 +19,13 @@ val compress : string -> string
     that finds them in use takes a private set); reuse never changes
     the output. *)
 
+val set_headroom : int -> unit
+(** [set_headroom k] moves the calling domain's table positions on (never
+    back) so that the next {!compress} of more than [k] bytes refills
+    the tables, a refill that otherwise comes once per 2 GiB a domain
+    compresses.  Outputs do not change; the store suite uses it to
+    compress on both sides of the refill. *)
+
 val decompress : string -> (string, string) result
 (** [decompress z] inflates a raw deflate stream.  Any malformation —
     truncation, bad symbol, distance past the output start — is an

@@ -28,14 +28,10 @@ type sealed = {
 }
 
 let str_field fields k =
-  match List.assoc_opt k fields with
-  | Some (Forensics.Jsonl.Str s) -> Some s
-  | _ -> None
+  match List.assoc_opt k fields with Some (Obs.Str s) -> Some s | _ -> None
 
 let int_field fields k =
-  match List.assoc_opt k fields with
-  | Some (Forensics.Jsonl.Int i) -> Some i
-  | _ -> None
+  match List.assoc_opt k fields with Some (Obs.Int i) -> Some i | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
@@ -44,7 +40,8 @@ module Writer = struct
   type t = {
     w_buf : Buffer.t;
     w_chunk_bytes : int;
-    mutable w_steps : int;
+    mutable w_posted : int;  (* lines posted by the sink *)
+    mutable w_steps : int;  (* lines in data frames *)
     mutable w_raw : int;
     mutable w_chunks : chunk list;  (* reversed *)
     mutable w_warnings : warning list;  (* reversed *)
@@ -57,26 +54,18 @@ module Writer = struct
   let default_chunk_bytes = 64 * 1024
 
   let create ?(chunk_bytes = default_chunk_bytes) () =
-    let w_buf = Buffer.create (chunk_bytes / 4) in
+    (* a corpus session's segment is 1–5 KB; larger ones grow it *)
+    let w_buf = Buffer.create 4096 in
     Buffer.add_string w_buf Frame.magic;
-    { w_buf; w_chunk_bytes = chunk_bytes; w_steps = 0; w_raw = 0;
-      w_chunks = []; w_warnings = []; w_names = Hashtbl.create 32;
+    { w_buf; w_chunk_bytes = chunk_bytes; w_posted = 0; w_steps = 0;
+      w_raw = 0; w_chunks = []; w_warnings = []; w_names = Hashtbl.create 32;
       w_blocks = []; w_counters = []; w_sealed = false }
 
-  (* The emitter writes [{"step":N,"ev":"kind",...}] with [ev] always
-     the second field and kinds never needing escapes, so the event
-     kind is readable without a full parse. *)
-  let ev_of_line s lo hi =
-    match String.index_from_opt s lo ',' with
-    | Some c
-      when c + 7 <= hi
-           && String.sub s (c + 1) 6 = "\"ev\":\"" -> (
-      match String.index_from_opt s (c + 7) '"' with
-      | Some e when e <= hi -> Some (String.sub s (c + 7) (e - (c + 7)))
-      | _ -> None)
-    | _ -> None
-
-  let index_line t ev step fields =
+  (* One line's postings, from the fields its emitter rendered: only
+     the four indexed event kinds post anything, and a line's step is
+     the one the sink stamped on it. *)
+  let index_line t step ev fields =
+    t.w_posted <- t.w_posted + 1;
     match ev with
     | "warning" ->
       let rule = Option.value ~default:"" (str_field fields "rule") in
@@ -122,49 +111,31 @@ module Writer = struct
       | _ -> ())
     | _ -> ()
 
-  (* Index the chunk's lines.  The step of a line is its ordinal in
-     the whole trace — guaranteed by the emitter, which stamps [step]
-     with a per-line bump — so no per-line parse is needed to know it;
-     only the four indexed event kinds get a full parse. *)
-  let scan_chunk t chunk =
-    let n = String.length chunk in
-    let lines = ref 0 in
-    let lo = ref 0 in
-    while !lo < n do
-      let hi =
-        match String.index_from_opt chunk !lo '\n' with
-        | Some i -> i
-        | None -> n
-      in
-      (match ev_of_line chunk !lo hi with
-      | Some (("flow" | "warning" | "counter" | "hot_block") as ev) -> (
-        match
-          Forensics.Jsonl.parse_line (String.sub chunk !lo (hi - !lo))
-        with
-        | Ok fields -> index_line t ev (t.w_steps + !lines) fields
-        | Error _ -> () (* indexing is advisory; loads stay byte-exact *))
-      | _ -> ());
-      incr lines;
-      lo := hi + 1
-    done;
-    !lines
-
+  (* A chunk holds exactly the lines posted since the previous one: the
+     sink posts each line before it writes the chunk holding it. *)
   let add_chunk t chunk =
-    if t.w_sealed then invalid_arg "Store.Segment.Writer.add_chunk: sealed";
+    if t.w_sealed then invalid_arg "Store.Segment.Writer: sealed";
     if String.length chunk > 0 then begin
-      let pos = Buffer.length t.w_buf in
-      let c_first_step = t.w_steps in
-      let c_raw_off = t.w_raw in
-      let lines = scan_chunk t chunk in
       t.w_chunks <-
-        { c_pos = pos; c_raw_off; c_first_step; c_lines = lines }
+        { c_pos = Buffer.length t.w_buf; c_raw_off = t.w_raw;
+          c_first_step = t.w_steps; c_lines = t.w_posted - t.w_steps }
         :: t.w_chunks;
-      t.w_steps <- t.w_steps + lines;
+      t.w_steps <- t.w_posted;
       t.w_raw <- t.w_raw + String.length chunk;
       Frame.add t.w_buf ~kind:Frame.Data chunk
     end
 
-  let target t = Obs.Trace.chunk_target ~threshold:t.w_chunk_bytes (add_chunk t)
+  let target ?tee t =
+    let write =
+      match tee with
+      | None -> add_chunk t
+      | Some b ->
+        fun chunk ->
+          Buffer.add_string b chunk;
+          add_chunk t chunk
+    in
+    Obs.Trace.chunk_target ~threshold:t.w_chunk_bytes ~line:(index_line t)
+      write
 
   let add_line b fields =
     Buffer.add_char b '{';

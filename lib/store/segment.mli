@@ -5,7 +5,9 @@
     {!Frame} for the wire format).  The index is built {e while the
     trace streams through the writer} — chunk offsets, warning steps,
     resource-name postings, per-block hit counts and the embedded
-    per-run counters — so fleet-wide queries never decompress data
+    per-run counters — from the fields each line was emitted with, which
+    the writer's trace sink posts to it line by line, so no rendered
+    byte is parsed back.  Fleet-wide queries never decompress data
     frames, and per-run reads seek by chunk instead of scanning.
 
     The end frame is the completeness marker: a segment without one
@@ -40,8 +42,8 @@ type sealed = {
   s_index : index;
 }
 
-(** Streaming writer: feed line-aligned trace chunks (what
-    {!Obs.Trace.chunk_target} delivers), seal once. *)
+(** Streaming writer: install its {!target} as a session's trace sink,
+    seal once. *)
 module Writer : sig
   type t
 
@@ -51,18 +53,20 @@ module Writer : sig
       segments to be byte-comparable, so leave the default alone
       outside tests. *)
 
-  val add_chunk : t -> string -> unit
-  (** Append one line-aligned chunk of raw JSONL trace bytes.
-      @raise Invalid_argument after {!seal}. *)
-
-  val target : t -> Obs.Trace.target
+  val target : ?tee:Buffer.t -> t -> Obs.Trace.target
   (** A trace sink feeding this writer, e.g. for
-      [Hth.Engine.run_outcome ?trace]. *)
+      [Hth.Engine.run_outcome ?trace]: a chunked {!Obs.Trace.target}
+      whose line postings build the index and whose chunks become data
+      frames, so bytes reach the writer only together with their
+      postings.  [tee] also receives every chunk, in order, so it ends
+      up holding the session's JSONL trace byte for byte.  Install it
+      for one session only.
+      @raise Invalid_argument if a chunk arrives after {!seal}. *)
 
   val seal : t -> sealed
   (** Close the segment: writes the index and end frames, bumps the
-      [store.*] counters.  Idempotent per writer via the sealed flag.
-      @raise Invalid_argument on double seal. *)
+      [store.*] counters.
+      @raise Invalid_argument on a second call. *)
 end
 
 type loaded = {

@@ -631,6 +631,31 @@ else
   diff -r "$tmp/store1" "$tmp/store2" | head -10 >&2 || true
   status=1
 fi
+# the same store whichever sink wrote it: with --trace-dir the writer's
+# sink tees every chunk into the trace buffer, and a chunk that reached
+# the writer without its index postings would change the pack; the
+# CLIPS policy's stores are compared across both sinks and both job
+# counts too
+"$run_exe" batch --jobs 1 --store "$tmp/store.teed" \
+  --trace-dir "$tmp/store.traces" > /dev/null
+"$run_exe" batch --jobs 1 --clips-policy --store "$tmp/store.clips1" \
+  > /dev/null
+"$run_exe" batch --jobs 1 --clips-policy --store "$tmp/store.clips.teed" \
+  --trace-dir "$tmp/store.clips.traces" > /dev/null
+"$run_exe" batch --jobs 2 --clips-policy --store "$tmp/store.clips2" \
+  > /dev/null
+for pair in store1:store.teed store.clips1:store.clips.teed \
+            store.clips1:store.clips2; do
+  a=${pair%%:*}
+  b=${pair#*:}
+  if diff -r "$tmp/$a" "$tmp/$b" >/dev/null; then
+    echo "  ok: $b byte-identical to $a"
+  else
+    echo "  STORE DIVERGED: $b differs from $a" >&2
+    diff -r "$tmp/$a" "$tmp/$b" | head -10 >&2 || true
+    status=1
+  fi
+done
 
 # store-vs-file answers: one run teed to both destinations, every
 # per-run analysis compared byte for byte

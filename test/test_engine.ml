@@ -275,8 +275,41 @@ let unresolved_exec_case =
              code
          | _ -> Alcotest.fail "the launcher did not exit on its own"))
 
+(* ------------------------------------------------------------------ *)
+(* A failing sink                                                      *)
+
+(* A chunk writer that raises when the engine hands it the session's
+   last chunk fails that session (as an exception or a typed error)
+   and must still leave its domain without a sink: the next, untraced
+   session there renders no lines and stamps its events with their
+   ordinals, as on a domain that never traced. *)
+let failing_sink_case =
+  Alcotest.test_case "failing chunk writer: sink removed anyway" `Quick
+    (fun () ->
+      let eng = Hth.Engine.create () in
+      let setup = (find "pma").sc_setup in
+      let steps (r : Hth.Engine.result) =
+        List.map (fun e -> (Harrier.Events.meta_of e).step) r.events
+      in
+      Domain.join
+      @@ Domain.spawn (fun () ->
+             let untraced = steps (Hth.Engine.run eng setup) in
+             let dead =
+               Obs.Trace.chunk_target
+                 ~line:(fun _ _ _ -> ())
+                 (fun _ -> failwith "disk full")
+             in
+             (match Hth.Engine.run_outcome eng ~trace:dead setup with
+             | Ok _ -> Alcotest.fail "the writer's failure was lost"
+             | Error _ | (exception _) -> ());
+             Alcotest.(check bool) "no sink installed" false
+               (Obs.Trace.enabled ());
+             Alcotest.(check (list int)) "events stamped with ordinals"
+               untraced
+               (steps (Hth.Engine.run eng setup))))
+
 let suite =
   List.map scenario_case golden_scenarios
-  @ [ no_events_case; killed_event_case; duplicate_path_case;
+  @ [ no_events_case; killed_event_case; failing_sink_case; duplicate_path_case;
       unresolved_spawn_case; unresolved_exec_case ]
   @ needed_cycle_cases

@@ -144,7 +144,7 @@ let test_engine_fires () =
   let e = fresh_engine () in
   let hits = ref 0 in
   Engine.defrule e
-    (Engine.rule ~name:"r"
+    (Engine.rule ~name:(Engine.name "r")
        [ Pattern.make "ev" [ "kind", Pattern.Lit (Value.Sym "x") ] ]
        (fun _ _ _ -> incr hits));
   ignore (Engine.assert_fact e "ev" [ "kind", Value.Sym "x" ]);
@@ -155,7 +155,7 @@ let test_engine_fires () =
 let test_engine_refraction () =
   let e = fresh_engine () in
   Engine.defrule e
-    (Engine.rule ~name:"r" [ Pattern.make "ev" [] ] (fun _ _ _ -> ()));
+    (Engine.rule ~name:(Engine.name "r") [ Pattern.make "ev" [] ] (fun _ _ _ -> ()));
   ignore (Engine.assert_fact e "ev" []);
   check_int "first run fires" 1 (Engine.run e);
   check_int "second run silent" 0 (Engine.run e);
@@ -167,10 +167,10 @@ let test_engine_salience () =
   let order = ref [] in
   let record name = order := name :: !order in
   Engine.defrule e
-    (Engine.rule ~name:"low" ~salience:(-5) [ Pattern.make "ev" [] ]
+    (Engine.rule ~name:(Engine.name "low") ~salience:(-5) [ Pattern.make "ev" [] ]
        (fun _ _ _ -> record "low"));
   Engine.defrule e
-    (Engine.rule ~name:"high" ~salience:10 [ Pattern.make "ev" [] ]
+    (Engine.rule ~name:(Engine.name "high") ~salience:10 [ Pattern.make "ev" [] ]
        (fun _ _ _ -> record "high"));
   ignore (Engine.assert_fact e "ev" []);
   ignore (Engine.run e);
@@ -181,7 +181,7 @@ let test_engine_join () =
   let e = fresh_engine () in
   let pairs = ref 0 in
   Engine.defrule e
-    (Engine.rule ~name:"join"
+    (Engine.rule ~name:(Engine.name "join")
        [ Pattern.make "ev" [ "level", Pattern.Var "l" ];
          Pattern.make "ev"
            [ "kind", Pattern.Lit (Value.Sym "probe");
@@ -204,7 +204,7 @@ let test_engine_guard () =
   let e = fresh_engine () in
   let hits = ref 0 in
   Engine.defrule e
-    (Engine.rule ~name:"guarded"
+    (Engine.rule ~name:(Engine.name "guarded")
        ~guard:(fun _ b -> Pattern.lookup b "l" = Some (Value.Int 3))
        [ Pattern.make "ev" [ "level", Pattern.Var "l" ] ]
        (fun _ _ _ -> incr hits));
@@ -217,7 +217,7 @@ let test_engine_cascade () =
   let e = fresh_engine () in
   Engine.deftemplate e (Template.make "out" [ Template.slot "v" ]);
   Engine.defrule e
-    (Engine.rule ~name:"produce"
+    (Engine.rule ~name:(Engine.name "produce")
        [ Pattern.make "ev" [ "level", Pattern.Var "l" ] ]
        (fun e b _ ->
          match Pattern.lookup b "l" with
@@ -225,7 +225,7 @@ let test_engine_cascade () =
          | None -> ()));
   let consumed = ref None in
   Engine.defrule e
-    (Engine.rule ~name:"consume" [ Pattern.make "out" [ "v", Pattern.Var "v" ] ]
+    (Engine.rule ~name:(Engine.name "consume") [ Pattern.make "out" [ "v", Pattern.Var "v" ] ]
        (fun _ b _ -> consumed := Pattern.lookup b "v"));
   ignore (Engine.assert_fact e "ev" [ "kind", Value.Sym "x"; "level", Value.Int 8 ]);
   check_int "two firings" 2 (Engine.run e);
@@ -235,7 +235,7 @@ let test_engine_limit () =
   let e = fresh_engine () in
   (* a rule that keeps asserting fresh facts: the limit must stop it *)
   Engine.defrule e
-    (Engine.rule ~name:"loop" [ Pattern.make "ev" [] ]
+    (Engine.rule ~name:(Engine.name "loop") [ Pattern.make "ev" [] ]
        (fun e _ _ -> ignore (Engine.assert_fact e "ev" [])));
   ignore (Engine.assert_fact e "ev" []);
   check_int "limited" 5 (Engine.run ~limit:5 e)
@@ -244,7 +244,7 @@ let test_engine_negated () =
   let e = fresh_engine () in
   let hits = ref 0 in
   Engine.defrule e
-    (Engine.rule ~name:"lonely"
+    (Engine.rule ~name:(Engine.name "lonely")
        ~negated:
          [ Pattern.make "ev" [ "kind", Pattern.Lit (Value.Sym "blocker") ] ]
        [ Pattern.make "ev" [ "kind", Pattern.Lit (Value.Sym "x") ] ]
@@ -262,7 +262,7 @@ let test_engine_negated_binding () =
   let e = fresh_engine () in
   let hits = ref [] in
   Engine.defrule e
-    (Engine.rule ~name:"unpaired"
+    (Engine.rule ~name:(Engine.name "unpaired")
        ~negated:
          [ Pattern.make "ev"
              [ "kind", Pattern.Lit (Value.Sym "ack");
@@ -422,7 +422,7 @@ let test_engine_negation_after_retract () =
   let e = fresh_engine () in
   let hits = ref 0 in
   Engine.defrule e
-    (Engine.rule ~name:"r"
+    (Engine.rule ~name:(Engine.name "r")
        ~negated:
          [ Pattern.make "ev" [ "kind", Pattern.Lit (Value.Sym "blocker") ] ]
        [ Pattern.make "ev" [ "kind", Pattern.Lit (Value.Sym "x") ] ]

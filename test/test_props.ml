@@ -402,7 +402,7 @@ let prop_engine_refraction =
       Expert.Engine.deftemplate e
         (Expert.Template.make "t" [ Expert.Template.slot "v" ]);
       Expert.Engine.defrule e
-        (Expert.Engine.rule ~name:"r" [ Expert.Pattern.make "t" [] ]
+        (Expert.Engine.rule ~name:(Expert.Engine.name "r") [ Expert.Pattern.make "t" [] ]
            (fun _ _ _ -> ()));
       for i = 1 to n do
         ignore (Expert.Engine.assert_fact e "t" [ "v", Expert.Value.Int i ])

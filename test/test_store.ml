@@ -31,15 +31,12 @@ let find name =
 (* Run one session with the tee sink — the exact wiring `hth_run --trace
    --store` and the batch executor use — returning the reference trace
    bytes and the sealed segment. *)
-let capture ?chunk_bytes (sc : Guest.Scenario.t) =
+let capture ?chunk_bytes ?(engine = Hth.Engine.create ())
+    (sc : Guest.Scenario.t) =
   let buf = Buffer.create 4096 in
   let w = Store.Segment.Writer.create ?chunk_bytes () in
-  let trace =
-    Obs.Trace.chunk_target ?threshold:chunk_bytes (fun chunk ->
-        Buffer.add_string buf chunk;
-        Store.Segment.Writer.add_chunk w chunk)
-  in
-  (match Hth.Engine.run_outcome (Hth.Engine.create ()) ~trace sc.sc_setup with
+  let trace = Store.Segment.Writer.target ~tee:buf w in
+  (match Hth.Engine.run_outcome engine ~trace sc.sc_setup with
   | Ok _ -> ()
   | Error e ->
     Alcotest.failf "%s: session failed: %s" sc.sc_name
@@ -203,6 +200,63 @@ let prop_deflate_interleaved =
           String.equal z first && Store.Deflate.decompress z = Ok s)
         recipes)
 
+(* The encoder against its reference model ([Deflate_model], the
+   plain form of the same parse and code): byte-identical output on
+   every input.  Inputs are drawn as (kind, length, seed): slices of
+   real trace text, runs over a few distinct bytes (chains past the
+   64-step budget), arbitrary bytes, copies of one 258-byte block (the
+   longest match, then a mismatch) and a block repeated at a distance
+   within two bytes of the 32 KiB window edge. *)
+let model_input (kind, len, seed) =
+  let rng = Random.State.make [| seed |] in
+  let bytes n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  match kind with
+  | 0 | 1 | 2 -> deflate_input (kind, len, seed)
+  | 3 ->
+    let block = bytes 258 in
+    let b = Buffer.create (len + 259) in
+    while Buffer.length b < len do
+      Buffer.add_string b block;
+      Buffer.add_char b (Char.chr (Random.State.int rng 256))
+    done;
+    Buffer.sub b 0 len
+  | _ ->
+    let block = bytes (3 + Random.State.int rng 300) in
+    let dist = Deflate_model.win_size + Random.State.int rng 5 - 2 in
+    let tail = min len (70 * 1024 - dist - String.length block) in
+    block ^ bytes (dist - String.length block) ^ block ^ bytes (max 0 tail)
+
+let prop_deflate_model =
+  Test.make ~count:40 ~long_factor:10
+    ~name:"store: deflate output equals the reference encoder"
+    (make
+       ~print:Print.(triple int int int)
+       Gen.(triple (int_bound 4) (int_bound (70 * 1024)) (int_bound 1_000_000)))
+    (fun recipe ->
+      let s = model_input recipe in
+      String.equal (Store.Deflate.compress s) (Deflate_model.compress s))
+
+(* The refill, which 2 GiB of input on one domain would bring: the
+   first input takes the table entries up to the last 32-bit value,
+   the second refills the tables, the third follows the refill; each
+   output equals the model's. *)
+let test_deflate_refill () =
+  let inputs =
+    [ deflate_input (0, 40_000, 1); deflate_input (1, 30_000, 2);
+      deflate_input (0, 20_000, 3) ]
+  in
+  Domain.join
+  @@ Domain.spawn (fun () ->
+         Store.Deflate.set_headroom (String.length (List.hd inputs));
+         List.iteri
+           (fun k s ->
+             Alcotest.(check bool)
+               (Printf.sprintf "input %d equals the model" k)
+               true
+               (String.equal (Store.Deflate.compress s)
+                  (Deflate_model.compress s)))
+           inputs)
+
 (* ------------------------------------------------------------------ *)
 (* segment round-trip over the corpus                                  *)
 
@@ -247,63 +301,174 @@ let test_corpus_roundtrip () =
             (String.length raw) raw_bytes))
     corpus
 
-(* The index must agree with a full parse of the trace: same warnings,
-   same embedded counters, same hot blocks, and every name posting's
-   step really is a flow line naming it. *)
+(* The writer's bytes, pinned: length and MD5 of the sealed segment of
+   every golden scenario, and of pma and superforker under the CLIPS
+   policy, written through [Writer.target] at the default chunk size by
+   the writer that re-parsed rendered lines for its index.  A writer or
+   encoder change must leave every segment byte-identical; a trace
+   change is a new input, whose pins are recorded with an unchanged
+   writer. *)
+let segment_pins =
+  [ "ElmExploit", 1963, "486d1bcf07b3f465669c6f62dceed621";
+    "nlspath", 1239, "1ba977ec83d5407eeb861d9058a40a46";
+    "procex", 2127, "de66691a6264e57b7622d2cadc90fea6";
+    "grabem", 2122, "23c9cc74db066c7f8f28002903424dbb";
+    "vixie crontab", 1805, "127f70376a24849cd13906ab2e35396b";
+    "pma", 2719, "223adde74219a61b3184a247117bcac9";
+    "superforker", 4283, "98a2909e6ac0ffea47d91a56d18b054f";
+    "ls", 1409, "91a44e2ba35ee74f30941f4c100a52b6";
+    "column", 1694, "bdfd84c7dc9a58d8a9d0a6c106bbe0c2";
+    "sleeper daemon idle", 1491, "a83896b6bea2ebe3688da329315ec1c3";
+    "sleeper daemon triggered", 2460, "02d2a0eeacd7240936ead85425f72ba4";
+    "sleeper daemon disarmed", 1441, "9c7b637ef394675a50988cd47e22fe74";
+    "logic bomb idle", 1411, "a1158d0643ea588ba39738c385f5bd62";
+    "logic bomb triggered", 2125, "e86155e9c7aeeda284318a54f065162a";
+    "logic bomb defused", 1270, "841edbb436f5b5da799f7f14ee9bb77e";
+    "worm pair idle", 1443, "205dd34a50ca6bf0b0acf951b44d88f8";
+    "worm pair triggered", 2136, "52f5d8a219064219b55ba7d289512122";
+    "worm pair recalled", 1449, "cf249618e1409b179fb57f972cb56289";
+    "update client idle", 1728, "564df6c8c7438a3799defabe502c6943";
+    "update client triggered", 2761, "7a9006ca00fb136b2ca70f90d1a35b6e";
+    "update client rejected", 1740, "a10c193ac3c0af9bfc5199e6d8cba9e9";
+    "pma (clips)", 2780, "a303b064f041381c5f96f513c53b6470";
+    "superforker (clips)", 4111, "f7871b1a867ed0577591c43275271de5" ]
+
+let test_segment_pinned () =
+  let native = Hth.Engine.create () in
+  let clips = Hth.Engine.create ~policy:Secpert.System.Clips () in
+  let cases =
+    List.map (fun name -> name, name, native) Test_golden.golden_scenarios
+    @ [ "pma (clips)", "pma", clips;
+        "superforker (clips)", "superforker", clips ]
+  in
+  List.iter
+    (fun (label, name, engine) ->
+      let w = Store.Segment.Writer.create () in
+      (match
+         Hth.Engine.run_outcome engine ~trace:(Store.Segment.Writer.target w)
+           (find name).sc_setup
+       with
+      | Ok _ -> ()
+      | Error e ->
+        Alcotest.failf "%s: session failed: %s" label (Hth.Error.to_string e));
+      let bytes = (Store.Segment.Writer.seal w).s_bytes in
+      let got = (String.length bytes, Digest.to_hex (Digest.string bytes)) in
+      match List.find_opt (fun (l, _, _) -> l = label) segment_pins with
+      | None ->
+        Alcotest.failf "%s: no segment pin recorded (got %d, %s)" label
+          (fst got) (snd got)
+      | Some (_, len, digest) ->
+        Alcotest.(check (pair int string))
+          (label ^ ": segment length and MD5") (len, digest) got)
+    cases
+
+(* The index the writer must build, from the raw trace and the sealed
+   bytes alone.  The chunk directory lists the segment's data frames in
+   file order, each with its raw offset, first step and line count.
+   The postings follow from parsing every line with [Forensics.Jsonl]
+   (a line's step is its ordinal): a [warning] line gives its rule and
+   severity ([""] when absent); a [flow] line posts its step under each
+   of its [res_name], [target_name], [server_name] and [call] strings,
+   once per name; a [counter] line with a string [name] and an int
+   [value], and a [hot_block] line with int [pid], [addr] and [count],
+   give one entry each. *)
+let reference_index raw (sealed : Store.Segment.sealed) =
+  let bytes = sealed.s_bytes in
+  let rec frames pos raw_off step acc =
+    if pos = String.length bytes then List.rev acc
+    else
+      match Store.Frame.read bytes ~pos with
+      | Error e -> Alcotest.failf "reference: bad frame at %d: %s" pos e
+      | Ok (f, next) -> (
+        match f.Store.Frame.f_kind, Store.Frame.payload f with
+        | Store.Frame.Data, Ok chunk ->
+          let c_lines = count_lines chunk in
+          frames next (raw_off + String.length chunk) (step + c_lines)
+            ({ Store.Segment.c_pos = pos; c_raw_off = raw_off;
+               c_first_step = step; c_lines }
+             :: acc)
+        | Store.Frame.Data, Error e ->
+          Alcotest.failf "reference: data frame at %d: %s" pos e
+        | (Store.Frame.Index | Store.Frame.End), _ ->
+          frames next raw_off step acc)
+  in
+  let warnings = ref [] and blocks = ref [] and counters = ref [] in
+  let names = Hashtbl.create 32 in
+  String.split_on_char '\n' raw
+  |> List.filter (fun l -> l <> "")
+  |> List.iteri (fun step line ->
+         match Forensics.Jsonl.parse_line line with
+         | Error e -> Alcotest.failf "reference: bad trace line %S: %s" line e
+         | Ok fields -> (
+           let str k =
+             match List.assoc_opt k fields with
+             | Some (Obs.Str v) -> Some v
+             | _ -> None
+           and int k =
+             match List.assoc_opt k fields with
+             | Some (Obs.Int v) -> Some v
+             | _ -> None
+           in
+           match str "ev" with
+           | Some "warning" ->
+             warnings :=
+               { Store.Segment.w_step = step;
+                 w_rule = Option.value ~default:"" (str "rule");
+                 w_severity = Option.value ~default:"" (str "severity") }
+               :: !warnings
+           | Some "flow" ->
+             List.iter
+               (fun k ->
+                 match str k with
+                 | None -> ()
+                 | Some name -> (
+                   match Hashtbl.find_opt names name with
+                   | Some (last :: _) when last = step -> ()
+                   | Some steps -> Hashtbl.replace names name (step :: steps)
+                   | None -> Hashtbl.replace names name [ step ]))
+               [ "res_name"; "target_name"; "server_name"; "call" ]
+           | Some "counter" -> (
+             match str "name", int "value" with
+             | Some n, Some v -> counters := (n, v) :: !counters
+             | _ -> ())
+           | Some "hot_block" -> (
+             match int "pid", int "addr", int "count" with
+             | Some p, Some a, Some c -> blocks := (p, a, c) :: !blocks
+             | _ -> ())
+           | _ -> ()));
+  { Store.Segment.ix_chunks = frames (String.length Store.Frame.magic) 0 0 [];
+    ix_warnings = List.rev !warnings;
+    ix_names =
+      Hashtbl.fold (fun name steps acc -> (name, List.rev steps) :: acc)
+        names []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+    ix_blocks = List.rev !blocks;
+    ix_counters = List.rev !counters }
+
+(* Every corpus scenario under both policies: the sealed index is the
+   reference index, part for part. *)
 let test_index_matches_trace () =
   List.iter
-    (fun name ->
-      let sc = find name in
-      let raw, sealed = capture sc in
-      let ix = sealed.Store.Segment.s_index in
-      let lines =
-        String.split_on_char '\n' raw
-        |> List.filter (fun l -> l <> "")
-        |> List.map (fun l ->
-               match Forensics.Jsonl.parse_line l with
-               | Ok fields -> fields
-               | Error m -> Alcotest.failf "%s: bad trace line: %s" name m)
-      in
-      let ev fields =
-        match List.assoc_opt "ev" fields with
-        | Some (Forensics.Jsonl.Str s) -> s
-        | _ -> ""
-      in
-      let count k = List.length (List.filter (fun f -> ev f = k) lines) in
-      Alcotest.(check int)
-        (name ^ ": one index warning per warning line")
-        (count "warning")
-        (List.length ix.Store.Segment.ix_warnings);
-      Alcotest.(check int)
-        (name ^ ": one index counter per counter line")
-        (count "counter")
-        (List.length ix.Store.Segment.ix_counters);
-      Alcotest.(check int)
-        (name ^ ": one index block per hot_block line")
-        (count "hot_block")
-        (List.length ix.Store.Segment.ix_blocks);
-      (* spot-check name postings against the trace by step *)
-      let nth_fields step = List.nth lines step in
+    (fun (policy, engine) ->
       List.iter
-        (fun (posted, steps) ->
-          List.iter
-            (fun step ->
-              let fields = nth_fields step in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: step %d is a flow line naming %S" name
-                   step posted)
-                true
-                (ev fields = "flow"
-                && List.exists
-                     (function
-                       | ( ("res_name" | "target_name" | "server_name"
-                           | "call"),
-                           Forensics.Jsonl.Str v ) -> v = posted
-                       | _ -> false)
-                     fields))
-            steps)
-        ix.Store.Segment.ix_names)
-    [ "pma"; "sleeper daemon triggered" ]
+        (fun (sc : Guest.Scenario.t) ->
+          let raw, sealed = capture ~engine sc in
+          let ix = sealed.Store.Segment.s_index
+          and want = reference_index raw sealed in
+          let part what same =
+            Alcotest.(check bool)
+              (Printf.sprintf "%s (%s): %s" sc.sc_name policy what)
+              true same
+          in
+          part "chunk directory" (ix.ix_chunks = want.ix_chunks);
+          part "warnings" (ix.ix_warnings = want.ix_warnings);
+          part "name postings" (ix.ix_names = want.ix_names);
+          part "hot blocks" (ix.ix_blocks = want.ix_blocks);
+          part "counters" (ix.ix_counters = want.ix_counters))
+        Guest.Corpus.all)
+    [ "native", Hth.Engine.create ~keep_events:false ();
+      "clips",
+      Hth.Engine.create ~keep_events:false ~policy:Secpert.System.Clips () ]
 
 (* ------------------------------------------------------------------ *)
 (* corruption: complete-or-typed-failure, never a shorter answer       *)
@@ -359,36 +524,24 @@ let test_corruption () =
    vary with the threshold and flush timing.  Whatever the chunking,
    the reconstructed bytes and the semantic index (warnings, names,
    blocks, counters) must not change; only ix_chunks — the physical
-   layout — may, and even it must tile the trace exactly. *)
+   layout — may, and even it must tile the trace exactly.  Each case
+   runs a real session through [Writer.target] at a drawn [chunk_bytes]
+   (one line per chunk at the low end, one chunk at the high end). *)
 let prop_index_chunking_invariant =
-  let sc = find "pma" in
-  let raw, reference = capture sc in
-  let lines =
-    String.split_on_char '\n' raw
-    |> List.filter (fun l -> l <> "")
-    |> List.map (fun l -> l ^ "\n")
+  let scenarios = [ "pma"; "sleeper daemon triggered"; "superforker" ] in
+  let references =
+    List.map (fun name -> name, capture (find name)) scenarios
   in
   Test.make ~count:60
     ~name:"store: index invariant under line-aligned re-chunking"
-    (make Gen.(list_size (int_range 1 20) (int_range 1 30)))
-    (fun sizes ->
-      let w = Store.Segment.Writer.create () in
-      let rec feed lines sizes =
-        match lines with
-        | [] -> ()
-        | _ ->
-          let k, rest_sizes =
-            match sizes with
-            | s :: tl -> (s, tl)
-            | [] -> (max 1 (List.length lines), [])
-          in
-          let chunk = List.filteri (fun i _ -> i < k) lines in
-          let rest = List.filteri (fun i _ -> i >= k) lines in
-          Store.Segment.Writer.add_chunk w (String.concat "" chunk);
-          feed rest rest_sizes
-      in
-      feed lines sizes;
-      let sealed = Store.Segment.Writer.seal w in
+    (make
+       ~print:Print.(pair string int)
+       Gen.(
+         pair (oneofl scenarios)
+           (oneof [ int_range 1 300; int_range 1 40_000 ])))
+    (fun (name, chunk_bytes) ->
+      let raw, reference = List.assoc name references in
+      let _, sealed = capture ~chunk_bytes (find name) in
       let ix = sealed.Store.Segment.s_index
       and ref_ix = reference.Store.Segment.s_index in
       let reconstructs =
@@ -411,8 +564,14 @@ let prop_index_chunking_invariant =
           | (c : Store.Segment.chunk) :: tl ->
             c.c_first_step = step && steps_ok (step + c.c_lines) tl
         in
-        steps_ok 0 sealed.Store.Segment.s_index.Store.Segment.ix_chunks
-        && offsets_ok sealed.Store.Segment.s_index.Store.Segment.ix_chunks
+        (* and every chunk but the last holds at least [chunk_bytes] *)
+        let rec sizes_ok = function
+          | (a : Store.Segment.chunk) :: (b :: _ as tl) ->
+            b.c_raw_off - a.c_raw_off >= chunk_bytes && sizes_ok tl
+          | [] | [ _ ] -> true
+        in
+        let chunks = sealed.Store.Segment.s_index.Store.Segment.ix_chunks in
+        steps_ok 0 chunks && offsets_ok chunks && sizes_ok chunks
       in
       reconstructs && chunks_tile
       && ix.Store.Segment.ix_warnings = ref_ix.Store.Segment.ix_warnings
@@ -859,6 +1018,11 @@ let suite =
     Alcotest.test_case "deflate: output pinned on goldens" `Quick
       test_deflate_pinned;
     Test_props.to_alcotest_seeded prop_deflate_interleaved;
+    Test_props.to_alcotest_seeded prop_deflate_model;
+    Alcotest.test_case "deflate: output across the table refill" `Quick
+      test_deflate_refill;
+    Alcotest.test_case "segment: bytes pinned on goldens" `Quick
+      test_segment_pinned;
     Alcotest.test_case "segment: 12-scenario corpus round-trip" `Quick
       test_corpus_roundtrip;
     Alcotest.test_case "segment: index matches a full trace parse" `Quick

@@ -222,6 +222,59 @@ let test_golden_fuzz () =
       done)
     lines
 
+(* The JSON writer every trace line goes through, against the plain
+   rendering it replaced: ints as [string_of_int] prints them, strings
+   escaped one byte at a time.  Keys and strings draw every byte value,
+   ints the whole range, [min_int] and [max_int] included. *)
+let reference_json fields =
+  let b = Buffer.create 64 in
+  let str s =
+    Buffer.add_char b '"';
+    String.iter
+      (function
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
+  in
+  Buffer.add_char b '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char b ',';
+      str k;
+      Buffer.add_char b ':';
+      match v with
+      | Obs.Int n -> Buffer.add_string b (string_of_int n)
+      | Obs.Bool v -> Buffer.add_string b (string_of_bool v)
+      | Obs.Str s -> str s)
+    fields;
+  Buffer.add_char b '}';
+  Buffer.contents b
+
+let prop_json_writer =
+  let open QCheck in
+  let value =
+    Gen.(
+      oneof
+        [ map (fun n -> Obs.Int n) int;
+          map (fun n -> Obs.Int n) (int_range (-1000) 100_000);
+          oneofl [ Obs.Int min_int; Obs.Int max_int; Obs.Int 0 ];
+          map (fun v -> Obs.Bool v) bool;
+          map (fun s -> Obs.Str s) (string_size ~gen:char (int_bound 40)) ])
+  in
+  Test.make ~count:500 ~name:"json writer: output equals the per-byte reference"
+    (make
+       ~print:(fun fields -> reference_json fields)
+       Gen.(list_size (int_bound 6)
+              (pair (string_size ~gen:char (int_bound 8)) value)))
+    (fun fields -> String.equal (Obs.json_object fields) (reference_json fields))
+
 let suite =
   [ Alcotest.test_case "session trace round trip" `Quick
       test_roundtrip_session;
@@ -238,4 +291,5 @@ let suite =
       `Quick test_corpus_exact;
     Alcotest.test_case "golden traces are ASCII" `Quick test_goldens_ascii;
     Alcotest.test_case "golden flow lines: mutations never raise" `Quick
-      test_golden_fuzz ]
+      test_golden_fuzz;
+    Test_props.to_alcotest_seeded prop_json_writer ]
