@@ -17,23 +17,17 @@ let sp = Taint.Tagset.make_space ()
    instructions), so per-instruction monitoring dominates. *)
 let workload () = Guest.Perf_workload.scenario ~iters:100
 
-(* The ablation ladder measures pure interpretation ([tier = false]) so
-   each increment isolates one monitoring feature; the final row turns
-   tiered block compilation back on to show the summary fast path
-   recovering most of the dataflow cost. *)
+(* The ablation ladder: each row adds one monitoring feature. *)
 let bare_config =
   { Harrier.Monitor.default_config with track_dataflow = false;
-    track_frequency = false; shortcircuit = []; tier = false }
+    track_frequency = false; shortcircuit = [] }
 
 let freq_config =
   { Harrier.Monitor.default_config with track_dataflow = false;
-    shortcircuit = []; tier = false }
+    shortcircuit = [] }
 
 let dataflow_config =
-  { Harrier.Monitor.default_config with track_frequency = false;
-    tier = false }
-
-let full_config = { Harrier.Monitor.default_config with tier = false }
+  { Harrier.Monitor.default_config with track_frequency = false }
 
 let session_tests () =
   let sc = workload () in
@@ -49,8 +43,7 @@ let session_tests () =
       Test.make ~name:"+syscall monitor" (Staged.stage (run_with bare_config));
       Test.make ~name:"+bb frequency" (Staged.stage (run_with freq_config));
       Test.make ~name:"+dataflow" (Staged.stage (run_with dataflow_config));
-      Test.make ~name:"full HTH" (Staged.stage (run_with full_config));
-      Test.make ~name:"full HTH (tiered)"
+      Test.make ~name:"full HTH"
         (Staged.stage (run_with Harrier.Monitor.default_config)) ]
 
 (* native vs textual-CLIPS policy throughput on the same event stream *)

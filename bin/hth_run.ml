@@ -42,27 +42,6 @@ let no_shortcircuit_flag =
   let doc = "Disable library-call short-circuiting (gethostbyname)." in
   Arg.(value & flag & info [ "no-shortcircuit" ] ~doc)
 
-let no_tier_flag =
-  let doc =
-    "Disable tiered block execution: every basic block is interpreted \
-     per-instruction (tier 0) instead of promoting hot blocks to \
-     compiled bodies with fused taint summaries.  Traces are \
-     byte-identical either way; this flag only trades speed."
-  in
-  Arg.(value & flag & info [ "no-tier" ] ~doc)
-
-let tier_threshold_arg =
-  let doc =
-    Printf.sprintf
-      "Promote a basic block to tier 1 after it has been entered $(docv) \
-       times (default %d).  1 compiles every block on first entry."
-      Harrier.Monitor.default_config.tier_threshold
-  in
-  Arg.(
-    value
-    & opt int Harrier.Monitor.default_config.tier_threshold
-    & info [ "tier-threshold" ] ~docv:"N" ~doc)
-
 let trust_nothing_flag =
   let doc = "Empty the trust database (libc warnings included)." in
   Arg.(value & flag & info [ "trust-nothing" ] ~doc)
@@ -192,7 +171,7 @@ let budgets_of specs =
 
 (* The engine `run` and `batch` build; a bad --kill-at is a usage
    error. *)
-let make_engine ~monitor_config ~trust_nothing ~clips ~kill_at =
+let make_engine ?monitor_config ~trust_nothing ~clips ~kill_at () =
   let auto_kill =
     Option.map
       (fun s ->
@@ -203,15 +182,15 @@ let make_engine ~monitor_config ~trust_nothing ~clips ~kill_at =
           exit 2)
       kill_at
   in
-  Hth.Engine.create ~monitor_config
+  Hth.Engine.create ?monitor_config
     ~trust:
       (if trust_nothing then Secpert.Trust.nothing else Secpert.Trust.default)
     ~policy:(if clips then Secpert.System.Clips else Secpert.System.Native)
     ?auto_kill ()
 
-let run_scenario name events no_dataflow no_freq no_shortcircuit no_tier
-    tier_threshold trust_nothing clips verbose kill_at trace_file stats
-    fault_plan seed budget_specs store_dir =
+let run_scenario name events no_dataflow no_freq no_shortcircuit
+    trust_nothing clips verbose kill_at trace_file stats fault_plan seed
+    budget_specs store_dir =
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Debug)
@@ -229,9 +208,8 @@ let run_scenario name events no_dataflow no_freq no_shortcircuit no_tier
             track_frequency = not no_freq;
             shortcircuit =
               (if no_shortcircuit then []
-               else Harrier.Monitor.default_config.shortcircuit);
-            tier = not no_tier;
-            tier_threshold }
+               else Harrier.Monitor.default_config.shortcircuit) }
+        ()
     in
     let job =
       Fleet.Executor.job ~budgets:(budgets_of budget_specs)
@@ -265,7 +243,6 @@ let run_scenario name events no_dataflow no_freq no_shortcircuit no_tier
        Fmt.pr "%a@." Osim.Kernel.pp_report r.os_report;
        if stats then begin
          Fmt.pr "%a@." Hth.Report.pp_stats r.stats;
-         Fmt.pr "%a@." Hth.Report.pp_tier r.tier;
          Fmt.pr "%a@." Hth.Report.pp_hot_blocks r.hot_blocks
        end;
        if
@@ -278,8 +255,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run_scenario $ scenario_arg $ events_flag $ no_dataflow_flag
-      $ no_freq_flag $ no_shortcircuit_flag $ no_tier_flag
-      $ tier_threshold_arg $ trust_nothing_flag
+      $ no_freq_flag $ no_shortcircuit_flag $ trust_nothing_flag
       $ clips_flag $ verbose_flag $ kill_at_arg $ trace_arg $ stats_flag
       $ fault_plan_arg $ seed_arg $ budget_args $ store_arg)
 
@@ -319,17 +295,11 @@ let batch_cmd =
     in
     Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
   in
-  let run no_tier tier_threshold trust_nothing clips kill_at fault_plan
-      seed budget_specs jobs trace_dir store_dir =
+  let run trust_nothing clips kill_at fault_plan seed budget_specs jobs
+      trace_dir store_dir =
     let budgets = budgets_of budget_specs in
     let fault = fault_of fault_plan seed in
-    let engine =
-      make_engine ~trust_nothing ~clips ~kill_at
-        ~monitor_config:
-          { Harrier.Monitor.default_config with
-            tier = not no_tier;
-            tier_threshold }
-    in
+    let engine = make_engine ~trust_nothing ~clips ~kill_at () in
     Option.iter
       (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
       trace_dir;
@@ -392,8 +362,7 @@ let batch_cmd =
   in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
-      const run $ no_tier_flag $ tier_threshold_arg $ trust_nothing_flag
-      $ clips_flag $ kill_at_arg
+      const run $ trust_nothing_flag $ clips_flag $ kill_at_arg
       $ fault_plan_arg $ seed_arg $ budget_args $ jobs_arg $ trace_dir_arg
       $ batch_store_arg)
 
@@ -401,9 +370,6 @@ let default =
   Term.(ret (const (`Help (`Pager, None))))
 
 let () =
-  (* span histograms in wall-clock seconds, set before any domain starts *)
-  Obs.Span.set_clock (fun () ->
-      Int64.to_float (Monotonic_clock.now ()) *. 1e-9);
   let info =
     Cmd.info "hth_run" ~version:"1.0"
       ~doc:"Hunting Trojan Horses: run monitored guest scenarios"

@@ -288,9 +288,6 @@ let main jobs socket deadline window max_inflight default_ticks grace
           ~grace ?store path)
 
 let () =
-  (* span histograms in wall-clock seconds, set before any domain starts *)
-  Obs.Span.set_clock (fun () ->
-      Int64.to_float (Monotonic_clock.now ()) *. 1e-9);
   let doc = "Hunting Trojan Horses: line-framed JSON analysis service" in
   let info = Cmd.info "hth_serve" ~version:"1.0" ~doc in
   exit

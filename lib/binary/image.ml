@@ -10,12 +10,10 @@ type t = {
   relocs : Symbol.reloc list;
   needed : string list;
   entry : int;
-  blocks : int array;
 }
 
 let make ~path ~kind ~base ~text ~sections ~exports ~relocs ~needed ~entry =
-  { path; kind; base; text; sections; exports; relocs; needed; entry;
-    blocks = Isa.Insn.body_lens text }
+  { path; kind; base; text; sections; exports; relocs; needed; entry }
 
 let patch_insn insn addr =
   let open Isa.Insn in

@@ -18,11 +18,6 @@ type t = {
   relocs : Symbol.reloc list;
   needed : string list;  (** paths of shared objects this image requires *)
   entry : int;  (** absolute address of the entry point *)
-  blocks : int array;
-      (** [blocks.(i)] is the straight-line body length starting at
-          [text.(i)] (see {!Isa.Insn.body_lens}); computed once at
-          {!make} and invariant under {!link}, because relocation
-          patching preserves instruction shape *)
 }
 
 val make :

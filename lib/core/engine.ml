@@ -32,10 +32,8 @@ let setup ?(programs = []) ?(files = []) ?(hosts = []) ?(servers = [])
   { programs; files; hosts; servers; incoming; user_input; main; argv; env;
     max_ticks }
 
-(* Per-tier block execution counts for one run: how many basic-block
-   executions were interpreted, how many ran as compiled bodies, how
-   many of those applied a fused taint summary, and how many
-   deoptimized back to interpretation. *)
+(* One tier, the interpreter: only [tc_interpreted] is non-zero.  The
+   record stays because perfbench reads it. *)
 type tier_counts = {
   tc_interpreted : int;
   tc_compiled : int;
@@ -239,35 +237,25 @@ let run_outcome_ambient eng ~budgets ~fault s =
           note_outcome (if degraded = [] then "ok" else "degraded");
           let stats_raw = Obs.diff ~before ~after:(Obs.snapshot ()) in
           (* Strategy counters measure {e how} the run was executed —
-             taint-arena cache traffic, shadow fast-path hit rates,
-             tier promotion/deopt activity — not what the guest did.
-             They legitimately differ between the tiered and the
-             interpreted execution strategy, so they are kept out of
-             both [result.stats] and the trace's embedded profile: those
-             two surfaces are byte-deterministic across strategies.
+             taint-arena cache traffic, shadow fast-path hit rates — not
+             what the guest did, so they are kept out of both
+             [result.stats] and the trace's embedded profile.
              Guest-behaviour counters ([vm.instructions], [vm.blocks],
-             [vm.fetch_cache.*], [osim.*], events, policy) stay, and
-             the tiered fast path replicates them exactly. *)
+             [vm.fetch_cache.*], [osim.*], events, policy) stay. *)
           let strategy_counter n =
             let has_prefix p =
               String.length n >= String.length p
               && String.sub n 0 (String.length p) = p
             in
             has_prefix "taint." || has_prefix "harrier.shadow."
-            || has_prefix "vm.blocks." || has_prefix "harrier.summary."
           in
           let stats =
             List.filter (fun (n, _) -> not (strategy_counter n)) stats_raw
           in
           let tier =
-            let count n =
-              Option.value (List.assoc_opt n stats_raw) ~default:0
-            in
-            let compiled = count "vm.blocks.compiled" in
-            { tc_interpreted = max 0 (count "vm.blocks" - compiled);
-              tc_compiled = compiled;
-              tc_summarized = count "harrier.summary.applied";
-              tc_deopt = count "vm.blocks.deopt" }
+            { tc_interpreted =
+                Option.value (List.assoc_opt "vm.blocks" stats) ~default:0;
+              tc_compiled = 0; tc_summarized = 0; tc_deopt = 0 }
           in
           let hot_blocks = Harrier.Monitor.hot_blocks monitor ~limit:10 in
           (* Embed the per-run profile in the trace so offline analysis
@@ -301,15 +289,29 @@ let run_outcome_ambient eng ~budgets ~fault s =
 (* [?trace] scopes a sink to this one session: installed before the
    first "phase" line, flushed and removed on every exit path.  Without
    it the ambient sink (whatever the caller installed) is used, so the
-   existing golden-trace paths are unchanged. *)
+   existing golden-trace paths are unchanged.  [Obs.Trace.disable]
+   removes the sink before it hands over the last chunk, so a writer
+   that raises there still leaves the domain untraced; its failure
+   fails a session that succeeded, and a failed session keeps its own
+   error. *)
 let run_outcome eng ?(budgets = no_budgets) ?(fault = Osim.Fault.none) ?trace s
     =
   match trace with
   | None -> run_outcome_ambient eng ~budgets ~fault s
   | Some target ->
     Obs.Trace.install target;
-    Fun.protect ~finally:Obs.Trace.disable (fun () ->
-        run_outcome_ambient eng ~budgets ~fault s)
+    let outcome =
+      match run_outcome_ambient eng ~budgets ~fault s with
+      | outcome -> outcome
+      | exception e ->
+        Obs.Trace.disable ();
+        raise e
+    in
+    (match Obs.Trace.disable () with
+     | () -> outcome
+     | exception e when Result.is_ok outcome ->
+       Error (Error.Crash { phase = "trace"; exn = Printexc.to_string e })
+     | exception _ -> outcome)
 
 let run eng ?budgets ?fault ?trace s =
   match run_outcome eng ?budgets ?fault ?trace s with

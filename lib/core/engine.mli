@@ -53,19 +53,15 @@ val setup :
 (** The loopback address every world knows as ["LocalHost"]. *)
 val localhost_ip : int
 
-(** Per-tier basic-block execution counts for one run, read from the
-    session's strategy counters: [vm.blocks.compiled],
-    [harrier.summary.applied] and [vm.blocks.deopt], with interpreted
-    being [vm.blocks] minus compiled. *)
+(** Block executions by execution tier.  There is one tier, the
+    interpreter, so [tc_interpreted] is the session's [vm.blocks] and
+    the other three fields are 0.  The record stays because perfbench
+    reads it. *)
 type tier_counts = {
-  tc_interpreted : int;  (** block executions stepped per-instruction *)
-  tc_compiled : int;  (** block executions run as compiled bodies *)
-  tc_summarized : int;
-      (** compiled executions whose taint transfer was one fused
-          summary application *)
-  tc_deopt : int;
-      (** deoptimizations: promotion rejections (flow not exactly
-          summarizable) plus runtime bounds bail-outs *)
+  tc_interpreted : int;  (** block executions, all interpreted *)
+  tc_compiled : int;  (** always 0 *)
+  tc_summarized : int;  (** always 0 *)
+  tc_deopt : int;  (** always 0 *)
 }
 
 type result = {
@@ -86,18 +82,17 @@ type result = {
   stats : Obs.snapshot;
       (** observability counters incremented during this run
           (instructions, syscalls by name, rule firings, warnings by
-          severity, ...).  Strategy counters — [taint.*],
-          [harrier.shadow.*], [vm.blocks.*], [harrier.summary.*] —
-          measure how the run was executed rather than what the guest
-          did, and are excluded so stats (and the embedded trace
-          profile) are byte-identical across execution strategies;
-          read them through {!Obs.diff} directly when profiling. *)
+          severity, ...).  Strategy counters — [taint.*] and
+          [harrier.shadow.*] — measure how the run was executed rather
+          than what the guest did, and are excluded from stats (and
+          the embedded trace profile); read them through {!Obs.diff}
+          directly when profiling. *)
   hot_blocks : (int * int * int) list;
       (** top-10 hottest application basic blocks as
           [(pid, leader, count)], deterministic ordering — also
           embedded into the trace as ["hot_block"] lines so
           [hth_trace profile] reproduces the live numbers offline *)
-  tier : tier_counts;  (** per-tier block execution counts *)
+  tier : tier_counts;  (** see {!tier_counts} *)
 }
 
 (** Supervisor resource budgets for one session.  Every budget degrades
@@ -151,7 +146,10 @@ val create :
     [trace] scopes a sink to this session: the engine installs it
     before the first trace line, and flushes + removes it on every exit
     path (including session-path failures, so a crashed run's partial
-    trace still reaches the destination).  Without [trace] the ambient
+    trace still reaches the destination).  The sink is removed before
+    its last chunk is handed over; if that hand-over raises, a session
+    that succeeded becomes [Error (Crash { phase = "trace"; _ })] and a
+    failed one keeps its own error.  Without [trace] the ambient
     {!Obs.Trace} sink — whatever the caller installed — is used.
 
     Reusing the engine across calls reuses its compiled policy; results

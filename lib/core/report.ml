@@ -65,12 +65,6 @@ let pp_stats ppf (stats : Obs.snapshot) =
        hs);
   Fmt.pf ppf "@]"
 
-let pp_tier ppf (t : Engine.tier_counts) =
-  Fmt.pf ppf
-    "@[<v>tiers:@,  interpreted     %d@,  compiled        %d@,\
-    \  summary-applied %d@,  deopted         %d@,@]"
-    t.tc_interpreted t.tc_compiled t.tc_summarized t.tc_deopt
-
 let pp_hot_blocks ppf = function
   | [] -> ()
   | blocks ->

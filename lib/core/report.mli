@@ -24,11 +24,6 @@ val pp_result : verbose:bool -> Format.formatter -> Engine.result -> unit
     run to run). *)
 val pp_stats : Format.formatter -> Obs.snapshot -> unit
 
-(** [pp_tier ppf t] renders {!Engine.result.tier} — per-tier block
-    execution counts (interpreted / compiled / summary-applied /
-    deopted). *)
-val pp_tier : Format.formatter -> Engine.tier_counts -> unit
-
 (** [pp_hot_blocks ppf blocks] renders {!Engine.result.hot_blocks}
     as a [pid addr count] table; prints nothing for an empty list. *)
 val pp_hot_blocks : Format.formatter -> (int * int * int) list -> unit

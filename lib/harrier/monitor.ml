@@ -8,13 +8,12 @@ type config = {
   shortcircuit : Shortcircuit.spec list;
   shadow_page_budget : int option;
   tier : bool;
-  tier_threshold : int;
 }
 
 let default_config =
   { track_dataflow = true; track_frequency = true;
     shortcircuit = [ Shortcircuit.gethostbyname ]; shadow_page_budget = None;
-    tier = true; tier_threshold = 8 }
+    tier = false }
 
 (* Ticks within which clones count as "recent" for the clone events. *)
 let recent_clone_ticks = 3000
@@ -31,17 +30,6 @@ type seg_info = {
   si_app : bool;  (* executable (application) segment? *)
 }
 
-(* Tier state of one basic block (keyed by leader address).  A block
-   starts [Cold] and counts hits; crossing the promotion threshold it
-   becomes [Ready] — carrying a compiled taint summary when dataflow is
-   on — or [Rejected] when the affine analysis cannot capture its flow
-   exactly, in which case it stays interpreted forever (precision is
-   never traded for speed). *)
-type tier_entry =
-  | Cold of int ref
-  | Ready of Summary.t option  (* [None]: compiled body, dataflow off *)
-  | Rejected
-
 (* All Harrier state of one monitored process (Fig. 6's DataFlow
    structures, its block counts and fd table).  The record is bound into
    its machine's hooks when the process starts or forks, so the hot path
@@ -52,7 +40,6 @@ type pstate = {
   sc : Shortcircuit.t;
   freq : Freq.t;
   res : Resources.t;
-  tiers : (int, tier_entry) Hashtbl.t;
   mutable pending_origin : Taint.Tagset.t option;
       (** origin of the resource name seen at the pre-syscall hook,
           attached to the fd at the post hook *)
@@ -209,71 +196,8 @@ let hook_insn t s m addr insn =
     if not (Taint.Tagset.is_empty guard) then s.guard <- guard
   end
 
-(* ------------------------------------------------------------------ *)
-(* Tier policy                                                         *)
-
-let c_promoted = Obs.Counter.make "vm.blocks.promoted"
-let c_deopt = Obs.Counter.make "vm.blocks.deopt"
-let c_summary_applied = Obs.Counter.make "harrier.summary.applied"
-
-let apply_summary s m sm =
-  match Summary.apply sm s.shadow m with
-  | Summary.Applied g ->
-    Obs.Counter.incr c_summary_applied;
-    (match g with Some tag -> s.guard <- tag | None -> ());
-    true
-  | Summary.Deopt ->
-    (* an address left the block's proven bounds this time around: the
-       interpreter runs the block so the fault (or wrapped access)
-       lands at exactly the right instruction; the block stays Ready *)
-    Obs.Counter.incr c_deopt;
-    false
-
-let promote t s (seg : Vm.Machine.segment) addr len m =
-  Obs.Counter.incr c_promoted;
-  if not t.cfg.track_dataflow then begin
-    Hashtbl.replace s.tiers addr (Ready None);
-    true
-  end
-  else
-    match
-      Summary.compile ~space:t.space ~imm_tag:(imm_tag t seg.seg_image)
-        seg.seg_insns ~pos:(addr - seg.seg_base) ~len
-    with
-    | None ->
-      (* flow not exactly capturable: permanent deopt to interpretation *)
-      Obs.Counter.incr c_deopt;
-      Hashtbl.replace s.tiers addr Rejected;
-      false
-    | Some sm ->
-      Hashtbl.replace s.tiers addr (Ready (Some sm));
-      apply_summary s m sm
-
-(* The [on_block] hook: the VM offers a straight-line body before
-   running it; answering [true] commits this execution to the compiled
-   tier, with this hook's summary application standing in for the
-   per-instruction dataflow hooks.  Bodies contain no control transfer,
-   so shortcircuit call/return tracking is unaffected. *)
-let hook_block t s m seg addr len =
-  match Hashtbl.find_opt s.tiers addr with
-  | Some (Ready None) -> true
-  | Some (Ready (Some sm)) -> apply_summary s m sm
-  | Some Rejected -> false
-  | Some (Cold n) ->
-    incr n;
-    if !n >= t.cfg.tier_threshold then promote t s seg addr len m else false
-  | None ->
-    if t.cfg.tier_threshold <= 1 then promote t s seg addr len m
-    else begin
-      Hashtbl.replace s.tiers addr (Cold (ref 1));
-      false
-    end
-
 (* [s]'s machine hooks: closures over the record, written at full arity
-   so no call allocates, chosen by the config.  Tiering is disabled
-   outright under a shadow page budget: summary application order would
-   interact with the sticky overflow set, and degraded runs are the slow
-   path anyway. *)
+   so no call allocates, chosen by the config. *)
 let hooks t s : Vm.Machine.hooks =
   let none = Vm.Machine.no_hooks in
   { pre_insn =
@@ -282,11 +206,7 @@ let hooks t s : Vm.Machine.hooks =
        else none.pre_insn);
     on_bb =
       (if t.cfg.track_frequency then fun m addr -> hook_bb t s m addr
-       else none.on_bb);
-    on_block =
-      (if t.cfg.tier && t.cfg.shadow_page_budget = None then
-         fun m seg addr len -> hook_block t s m seg addr len
-       else none.on_block) }
+       else none.on_bb) }
 
 let bind t (p : Osim.Process.t) s =
   Hashtbl.replace t.procs p.pid s;
@@ -308,7 +228,7 @@ let on_process_start t (p : Osim.Process.t) =
       shadow =
         Shadow.create ?page_budget:t.cfg.shadow_page_budget ~space:t.space ();
       sc = Shortcircuit.create t.cfg.shortcircuit; freq = Freq.create ();
-      res; tiers = Hashtbl.create 32; pending_origin = None;
+      res; pending_origin = None;
       guard = Taint.Tagset.empty; seg_info = None }
   in
   bind t p s;
@@ -344,11 +264,7 @@ let on_fork t ~parent ~(child : Osim.Process.t) =
   let cs =
     { pid = child.pid; shadow = Shadow.clone ps.shadow;
       sc = Shortcircuit.clone ps.sc; freq = Freq.copy ps.freq;
-      res = Resources.copy ps.res;
-      (* fresh tier table: the child re-warms its own hit counts
-         (summaries are cheap to rebuild and hit counts are per process
-         by design) *)
-      tiers = Hashtbl.create 32; pending_origin = ps.pending_origin;
+      res = Resources.copy ps.res; pending_origin = ps.pending_origin;
       guard = ps.guard; seg_info = ps.seg_info }
   in
   (* the child's eax holds fork's result, written by the kernel *)

@@ -3,13 +3,13 @@
     [attach] wires the monitor into a kernel's callbacks (image loads,
     process starts, forks, syscalls).  Each process has one record of
     all its Harrier state (shadow, short-circuit frames, block counts,
-    fd table, tier table), bound into the hooks (instruction dataflow,
-    basic-block frequency, tiering) installed on its machine when it
-    starts or forks; fork copies the record, and [execve] replaces it
-    but keeps the fd table.  Each event takes one path: its "flow"
-    trace line, its counts, then the [judge] given to {!attach} (Secpert
-    in the full framework), whose [Kill] stops the offending process
-    before the system call executes. *)
+    fd table), bound into the hooks (instruction dataflow, basic-block
+    frequency) installed on its machine when it starts or forks; fork
+    copies the record, and [execve] replaces it but keeps the fd table.
+    Each event takes one path: its "flow" trace line, its counts, then
+    the [judge] given to {!attach} (Secpert in the full framework),
+    whose [Kill] stops the offending process before the system call
+    executes. *)
 
 type config = {
   track_dataflow : bool;  (** per-instruction taint (Section 7.3) *)
@@ -21,18 +21,14 @@ type config = {
           saturates to conservative over-tainting (see {!Shadow.create})
           and the run is flagged {!degraded}.  [None] = exact tracking *)
   tier : bool;
-      (** tiered execution: hot straight-line blocks run as compiled
-          bodies with one fused taint-summary application instead of
-          per-instruction shadow ops.  Behaviour-preserving — blocks
-          whose flow the summary analysis cannot capture exactly stay
-          interpreted.  Forced off under a [shadow_page_budget]. *)
-  tier_threshold : int;
-      (** per-process hit count at which a block is promoted *)
+      (** ignored, [false] in {!default_config}: every instruction runs
+          through the per-instruction hooks.  The field stays because
+          perfbench sets it. *)
 }
 
-(** Everything on: dataflow, frequency, gethostbyname short-circuit,
-    tiering at threshold 8.  Clones within 3000 ticks of each other
-    count as "recent", whatever the config. *)
+(** Everything on: dataflow, frequency, gethostbyname short-circuit.
+    Clones within 3000 ticks of each other count as "recent", whatever
+    the config. *)
 val default_config : config
 
 type t

@@ -51,41 +51,6 @@ let cpuid_words =
   [ (Reg.EAX, 0x756E_6547); (Reg.EBX, 0x4963_6E74); (Reg.ECX, 0x6C65_746E);
     (Reg.EDX, 0x0000_0F4A) ]
 
-(* Bodies are capped so one fast-path dispatch cannot swallow an
-   arbitrary slice of a scheduling quantum; runs longer than the cap
-   split into cap-sized windows. *)
-let max_body = 48
-
-let dst_ok (op : Operand.t) =
-  match op with Imm _ -> false | Reg _ | Mem _ -> true
-
-(* Body-safe: executes in a straight line (no control transfer, no
-   trap to the kernel), cannot raise the interpreter's special-cased
-   [Div_by_zero], and has a well-formed destination (a write to an
-   immediate raises a plain [Failure], which the step loop does not
-   catch — such an instruction must never enter a compiled body). *)
-let body_safe = function
-  | Mov (_, dst, _) -> dst_ok dst
-  | Add (d, _) | Sub (d, _) | And (d, _) | Or (d, _) | Xor (d, _)
-  | Mul (d, _) | Shl (d, _) | Shr (d, _) -> dst_ok d
-  | Inc d | Dec d | Pop d -> dst_ok d
-  | Lea _ | Cmp _ | Test _ | Push _ | Cpuid | Nop -> true
-  | Div _ -> false
-  | Jmp _ | Jcc _ | Call _ | Ret | Int _ | Hlt -> false
-
-(* One reverse pass; the table is invariant under linking because
-   relocation patching preserves every instruction's constructor
-   shape. *)
-let body_lens text =
-  let n = Array.length text in
-  let lens = Array.make n 0 in
-  for i = n - 1 downto 0 do
-    if body_safe text.(i) then
-      lens.(i) <-
-        (if i = n - 1 then 1 else min max_body (1 + lens.(i + 1)))
-  done;
-  lens
-
 let size_suffix = function B -> "b" | W -> "l"
 
 let pp ppf t =

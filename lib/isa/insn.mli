@@ -43,14 +43,6 @@ type t =
     [Hlt] — the instructions that terminate a basic block. *)
 val writes_control_flow : t -> bool
 
-(** [body_lens text].(i) is the length of the straight-line {e body}
-    starting at instruction [i]: the run of instructions that execute
-    without control transfer, kernel trap or interpreter special-casing
-    ([div]), capped at 48 (0 when [text.(i)] itself ends a block).  The
-    tiered VM runs such a body as one unit; its terminator always
-    interprets. *)
-val body_lens : t array -> int array
-
 (** Bytes an operand of this size occupies in memory: 1 or 4. *)
 val size_bytes : size -> int
 

@@ -1,5 +1,5 @@
-(* Zero-dependency observability: counters, histograms, span timers and
-   a pluggable structured-event sink.
+(* Observability: counters, histograms, span timers and a pluggable
+   structured-event sink.
 
    Discipline: the disabled paths must be free.  [Counter.incr] is a
    [Domain.DLS.get] call, two bounds checks and a store (~7–10 ns), so
@@ -229,22 +229,17 @@ module Histogram = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Span timers: durations recorded into histograms.  The clock is
-   pluggable so the library stays dependency-free.  The default,
-   [Sys.time], is process CPU time summed over every domain, not wall
-   time; the binaries install a monotonic wall clock.  Durations are
-   observability data, never trace data.                               *)
+(* Span timers: durations recorded into histograms, in seconds of the
+   monotonic wall clock (not [Sys.time], which is process CPU time
+   summed over every domain).  Durations are observability data, never
+   trace data.                                                         *)
 
 module Span = struct
-  (* Configure the clock before spawning worker domains; it is read
-     concurrently afterwards. *)
-  let clock = ref Sys.time
-
-  let set_clock f = clock := f
+  let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
   let time h f =
-    let t0 = !clock () in
-    let finish () = Histogram.observe h (!clock () -. t0) in
+    let t0 = now () in
+    let finish () = Histogram.observe h (now () -. t0) in
     match f () with
     | v ->
       finish ();

@@ -1,5 +1,6 @@
-(** Zero-dependency observability: counters, histograms, span timers
-    and a pluggable structured-event sink.
+(** Observability: counters, histograms, span timers and a pluggable
+    structured-event sink.  Its one dependency is Bechamel's monotonic
+    clock, which {!Span} reads.
 
     Overhead discipline: the library must be free when observability is
     off.  {!Counter.incr} is a [Domain.DLS.get] call plus two bounds
@@ -72,19 +73,13 @@ module Histogram : sig
 end
 
 (** Span timing into a histogram; durations go to stats, never to the
-    trace.  The clock is pluggable.  The default, [Sys.time], is process
-    CPU time summed over all domains, not wall time: a span that sleeps
-    or waits reads ~0, and spans on parallel domains inflate each
-    other.  [hth_run] and [hth_serve] install a monotonic wall clock in
-    seconds; perfbench's service keeps the default. *)
+    trace.  Spans read the monotonic wall clock, so a span that sleeps
+    or waits reads its wall time, and spans on parallel domains do not
+    inflate each other. *)
 module Span : sig
-  val set_clock : (unit -> float) -> unit
-  (** Install the clock before starting any domain: it is read
-      concurrently afterwards. *)
-
   val time : Histogram.t -> (unit -> 'a) -> 'a
-  (** [time h f] runs [f], observing its duration (in the clock's
-      units) into [h] — also on exception. *)
+  (** [time h f] runs [f], observing its wall-clock duration in seconds
+      into [h] — also on exception. *)
 end
 
 type snapshot = (string * int) list

@@ -28,25 +28,22 @@ and segment = {
   seg_insns : Isa.Insn.t array;
   seg_image : string;
   seg_kind : Binary.Image.kind;
-  seg_lens : int array;
 }
 
 and hooks = {
   pre_insn : t -> int -> Isa.Insn.t -> unit;
   on_bb : t -> int -> unit;
-  on_block : t -> segment -> int -> int -> bool;
 }
 
 (* Sentinel "no segment": an empty interval, so the fetch fast path
    below never matches it. *)
 let no_seg =
   { seg_base = 0; seg_insns = [||]; seg_image = "";
-    seg_kind = Binary.Image.Executable; seg_lens = [||] }
+    seg_kind = Binary.Image.Executable }
 
 let no_hooks =
   { pre_insn = (fun _ _ _ -> ());
-    on_bb = (fun _ _ -> ());
-    on_block = (fun _ _ _ _ -> false) }
+    on_bb = (fun _ _ -> ()) }
 
 (* Guest memory is demand-paged: [mem_size] bytes in [page_size] pages.
    Every slot of a fresh machine points at [zero_page], which nothing
@@ -192,7 +189,7 @@ let read_cstring m addr =
 let map_image m (img : Binary.Image.t) =
   m.segs <-
     { seg_base = img.base; seg_insns = img.text; seg_image = img.path;
-      seg_kind = img.kind; seg_lens = img.blocks }
+      seg_kind = img.kind }
     :: m.segs;
   (* the new segment may shadow the cached one *)
   m.cur_seg <- no_seg;
@@ -212,7 +209,6 @@ let segment_at m addr =
    instruction). *)
 let c_instructions = Obs.Counter.make "vm.instructions"
 let c_blocks = Obs.Counter.make "vm.blocks"
-let c_compiled = Obs.Counter.make "vm.blocks.compiled"
 let c_fetch_hits = Obs.Counter.make "vm.fetch_cache.hits"
 let c_fetch_misses = Obs.Counter.make "vm.fetch_cache.misses"
 
@@ -447,32 +443,25 @@ let step m =
 (* One [run]'s counts, settled into the counters.  Every fetch attempt
    retires, so the fetch hits are the retired count less the misses; a
    bad fetch executes nothing, so it is no instruction. *)
-let settle out ~retired ~misses ~blocks ~compiled =
+let settle out ~retired ~misses ~blocks =
   let bad_fetch =
     match out with Stopped (Faulted (Bad_fetch _)) -> 1 | _ -> 0
   in
   Obs.Counter.add c_instructions (retired - bad_fetch);
   Obs.Counter.add c_blocks blocks;
-  Obs.Counter.add c_compiled compiled;
   Obs.Counter.add c_fetch_hits (retired - misses);
   Obs.Counter.add c_fetch_misses misses
 
-(* The quantum loop.  At a basic-block start whose straight-line body
-   fits the remaining fuel, the body is offered to the [on_block] hook;
-   an accepted body (the tier policy has promoted the block and applied
-   — or deliberately skipped — its taint summary) runs through [exec]
-   with no per-instruction hook calls.  Everything else interprets as
-   [step] does.  A body holds no terminator, so [exec] returns
-   [Continue] for each of its instructions.  The counts are local
-   variables, each bumped before what it counts runs, so they are exact
-   when a fault cuts the loop short; one handler covers the whole
-   loop. *)
+(* The quantum loop: each instruction interprets as [step] interprets
+   it.  The counts are local variables, each bumped before what it
+   counts runs, so they are exact when a fault cuts the loop short; one
+   handler covers the whole loop. *)
 let run m ~fuel =
   match m.status with
   | (Halted | Faulted _) as s -> (Stopped s, 0)
   | Running ->
     let out = ref Continue and retired = ref 0 and misses = ref 0 in
-    let blocks = ref 0 and compiled = ref 0 in
+    let blocks = ref 0 in
     (match
        while !out == Continue && !retired < fuel do
          let eip = m.eip in
@@ -483,37 +472,20 @@ let run m ~fuel =
              rescan m eip
            end
          in
+         incr retired;
          if seg == no_seg then begin
-           incr retired;
            m.status <- Faulted (Bad_fetch eip);
            out := Stopped m.status
          end
          else begin
-           let off = eip - seg.seg_base in
-           let len = if m.at_bb_start then seg.seg_lens.(off) else 0 in
-           if len > 0 && len <= fuel - !retired && m.h.on_block m seg eip len
-           then begin
+           let insn = seg.seg_insns.(eip - seg.seg_base) in
+           if m.at_bb_start then begin
              incr blocks;
-             incr compiled;
-             m.h.on_bb m eip;
-             m.at_bb_start <- false;
-             let insns = seg.seg_insns in
-             for i = off to off + len - 1 do
-               incr retired;
-               ignore (exec m insns.(i))
-             done
-           end
-           else begin
-             let insn = seg.seg_insns.(off) in
-             incr retired;
-             if m.at_bb_start then begin
-               incr blocks;
-               m.h.on_bb m eip
-             end;
-             m.h.pre_insn m eip insn;
-             m.at_bb_start <- Isa.Insn.writes_control_flow insn;
-             out := exec m insn
-           end
+             m.h.on_bb m eip
+           end;
+           m.h.pre_insn m eip insn;
+           m.at_bb_start <- Isa.Insn.writes_control_flow insn;
+           out := exec m insn
          end
        done
      with
@@ -522,11 +494,9 @@ let run m ~fuel =
        m.status <- Faulted f;
        out := Stopped m.status
      | exception e ->
-       settle !out ~retired:!retired ~misses:!misses ~blocks:!blocks
-         ~compiled:!compiled;
+       settle !out ~retired:!retired ~misses:!misses ~blocks:!blocks;
        raise e);
-    settle !out ~retired:!retired ~misses:!misses ~blocks:!blocks
-      ~compiled:!compiled;
+    settle !out ~retired:!retired ~misses:!misses ~blocks:!blocks;
     (!out, !retired)
 
 let pp_fault ppf = function

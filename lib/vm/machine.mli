@@ -35,8 +35,6 @@ type segment = {
   seg_insns : Isa.Insn.t array;
   seg_image : string;  (** image path, e.g. ["/lib/libc.so"] *)
   seg_kind : Binary.Image.kind;
-  seg_lens : int array;
-      (** straight-line body lengths, from {!Binary.Image.t.blocks} *)
 }
 
 (** Instrumentation callbacks.  Each machine carries its own set, so a
@@ -47,17 +45,9 @@ type hooks = {
       (** called with the address and instruction {e before} execution *)
   on_bb : t -> int -> unit;
       (** called when control enters a basic block (leader address) *)
-  on_block : t -> segment -> int -> int -> bool;
-      (** [on_block m seg addr len]: offered a straight-line body of
-          [len] instructions at block leader [addr] before it runs.
-          Return [true] to execute it as one unit, with no
-          per-instruction [pre_insn] calls — the hook owns whatever
-          per-block bookkeeping (taint summary application) replaces
-          them — or [false] to interpret as usual. *)
 }
 
-(** No-op hooks ([on_block] refuses every block, i.e. pure
-    interpretation): what {!create} installs. *)
+(** No-op hooks: what {!create} installs. *)
 val no_hooks : hooks
 
 (** Size of each process's address space (1 MiB). *)
@@ -152,17 +142,10 @@ val step : t -> outcome
 (** [run m ~fuel] runs up to [fuel] instructions — a scheduler quantum —
     and stops early at a syscall or when the machine stops; it returns
     that outcome ([Continue] when the fuel ran out) and the number of
-    instructions retired, a faulting one or a bad fetch included.  At a
-    basic-block start whose straight-line body fits the remaining fuel,
-    the body is offered to the [on_block] hook and — if accepted — runs
-    as one unit: the interpreter's own instruction semantics, with no
-    per-instruction hooks.  Each accepted body counts once in
-    [vm.blocks.compiled] (a strategy counter).  Every other instruction
-    is interpreted as {!step} interprets it.  The [vm.*] counters are
-    counted locally and settled once per call, on every exit; their
-    totals equal those of iterated {!step}s, apart from
-    [vm.blocks.compiled].  Equivalent to iterated {!step}s up to the
-    accepted per-block instrumentation. *)
+    instructions retired, a faulting one or a bad fetch included.  Every
+    instruction is interpreted as {!step} interprets it, hooks included.
+    The [vm.*] counters are counted locally and settled once per call,
+    on every exit; their totals equal those of iterated {!step}s. *)
 val run : t -> fuel:int -> outcome * int
 
 val pp_fault : Format.formatter -> fault -> unit

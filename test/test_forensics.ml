@@ -308,13 +308,9 @@ let test_histogram_percentiles () =
   Alcotest.(check int) "count tracks every observation" 10_000
     (Obs.Histogram.count a)
 
-(* The binaries time spans with Bechamel's monotonic clock.  A 50 ms
-   sleep must read as such; the [Sys.time] default, process CPU time,
-   reads ~0 for it. *)
+(* Spans read the monotonic wall clock.  A 50 ms sleep must read as
+   such; process CPU time ([Sys.time]) reads ~0 for it. *)
 let test_span_wall_clock () =
-  Obs.Span.set_clock (fun () ->
-      Int64.to_float (Monotonic_clock.now ()) *. 1e-9);
-  Fun.protect ~finally:(fun () -> Obs.Span.set_clock Sys.time) @@ fun () ->
   let h = Obs.Histogram.make "test.span.sleep" in
   Obs.Span.time h (fun () -> Unix.sleepf 0.05);
   let s = Obs.Histogram.maximum h in

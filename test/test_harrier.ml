@@ -229,52 +229,6 @@ let test_df_call_clears_ret_slot () =
   Alcotest.check tagset "return address untainted" Taint.Tagset.empty
     (Harrier.Shadow.range s (0xF000 - 4) 4)
 
-(* A summary's steady state allocates at most its outcome: the copy
-   kernel's body (lib/guest/perf_workload.ml), applied once its memo
-   holds, may build [Applied (Some guard)] — 4 words — and nothing
-   else. *)
-let test_summary_apply_allocation () =
-  let at r disp =
-    { Isa.Operand.base = Some r; index = None; scale = 1; disp }
-  in
-  let body =
-    [| Isa.Insn.Mov (B, Reg EAX, Mem (at ESI 0x3000));
-       Mov (B, Mem (at ESI 0x3100), Reg EAX);
-       Add (Reg EDX, Reg EAX);
-       Xor (Reg EDX, Imm 0x5A);
-       Shl (Reg EDX, Imm 1);
-       And (Reg EDX, Imm 0xFFFF);
-       Inc (Reg ESI);
-       Cmp (W, Reg ESI, Imm 64) |]
-  in
-  let summary =
-    match
-      Harrier.Summary.compile ~space:sp ~imm_tag body ~pos:0
-        ~len:(Array.length body)
-    with
-    | Some s -> s
-    | None -> Alcotest.fail "the copy kernel's body must summarize"
-  in
-  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp () in
-  Vm.Machine.set_reg m ESI 5;
-  Harrier.Shadow.set_range s 0x3000 64 (tag_of [ file_a ]);
-  let apply () =
-    match Harrier.Summary.apply summary s m with
-    | Harrier.Summary.Applied g -> g
-    | Deopt -> Alcotest.fail "in-bounds body deopted"
-  in
-  for _ = 1 to 3 do ignore (apply ()) done;
-  let runs = 1_000 in
-  let before = Gc.minor_words () in
-  for _ = 1 to runs do ignore (apply ()) done;
-  let words = (Gc.minor_words () -. before) /. float runs in
-  Alcotest.(check (option tagset))
-    "the guard" (Some (tag_of [ bin_x ])) (apply ());
-  Alcotest.check tagset "the copied byte" (tag_of [ file_a ])
-    (Harrier.Shadow.byte s 0x3105);
-  if words > 4. then
-    Alcotest.failf "one apply allocated %.1f minor words" words
-
 (* ------------------------------------------------------------------ *)
 (* Frequency                                                           *)
 
@@ -783,8 +737,6 @@ let suite =
     Alcotest.test_case "dataflow compare/test guard" `Quick test_df_guard;
     Alcotest.test_case "dataflow call clears return slot" `Quick
       test_df_call_clears_ret_slot;
-    Alcotest.test_case "summary apply allocates only its outcome" `Quick
-      test_summary_apply_allocation;
     Alcotest.test_case "frequency counting" `Quick test_freq_counting;
     Alcotest.test_case "frequency library attribution (Fig. 3)" `Quick
       test_freq_library_attribution;

@@ -566,32 +566,29 @@ let prop_obs_counters_ground_truth =
       && stat "secpert.warnings" = List.length r.warnings)
 
 (* ------------------------------------------------------------------ *)
-(* Tier equivalence: compiled blocks with fused taint summaries vs
-   pure interpretation.  A random branchy body runs in a counted loop
-   hot enough to promote at threshold 1, with tainted stdin read into
-   the data region before the loop and written out after it, together
-   with the final EAX–EDX.  The body mixes straight-line runs with
-   forward conditional skips (so jump targets land inside straight-line
-   runs), backward inner loops counted in EDI and register-indirect
-   jumps through EBP.  The generator deliberately includes blocks the
-   tier must reject or window (pop-to-memory, bodies longer than the
-   compile window), so the deopt paths are exercised too.  The whole
-   observable surface — trace bytes, events, counters, verdict, tick
-   count, console output — must be identical with tiering on and
-   off.                                                                 *)
+(* [Vm.Machine.run] vs iterated [Vm.Machine.step] on branchy code.  A
+   random body runs in a counted loop, with stdin read into the data
+   region before the loop and written out after it, together with the
+   final EAX–EDX.  The body mixes straight-line runs with forward
+   conditional skips (so jump targets land inside straight-line runs),
+   backward inner loops counted in EDI and register-indirect jumps
+   through EBP; unbalanced pushes and pops move the stack.  One machine
+   runs in quanta of random fuel (so quanta end mid-block, at
+   [int 0x80] and at stops), its twin one [step] at a time; both
+   emulate the two syscalls the same way.                             *)
 
-let tier_reg =
+let branchy_reg =
   Gen.oneofl [ Isa.Reg.EAX; Isa.Reg.EBX; Isa.Reg.ECX; Isa.Reg.EDX ]
 
-(* word-aligned slots inside the 16-byte tainted read buffer plus a
-   little untainted tail *)
-let tier_slot = Gen.map (fun k -> 0x4000 + (4 * k)) (Gen.int_bound 7)
+(* word-aligned slots inside the 16-byte read buffer plus a little
+   tail *)
+let branchy_slot = Gen.map (fun k -> 0x4000 + (4 * k)) (Gen.int_bound 7)
 
-let tier_body_gen : Isa.Insn.t Gen.t =
+let branchy_insn_gen : Isa.Insn.t Gen.t =
   let open Gen in
-  let reg = map (fun r -> Isa.Operand.Reg r) tier_reg in
+  let reg = map (fun r -> Isa.Operand.Reg r) branchy_reg in
   let imm = map (fun k -> Isa.Operand.Imm k) (int_bound 0xFFFF) in
-  let mem = map (fun d -> Isa.Operand.mem d) tier_slot in
+  let mem = map (fun d -> Isa.Operand.mem d) branchy_slot in
   let alu =
     map3
       (fun op d s : Isa.Insn.t ->
@@ -617,146 +614,33 @@ let tier_body_gen : Isa.Insn.t Gen.t =
           Isa.Insn.Lea
             (r, { Isa.Operand.base = Some b; index = None; scale = 1;
                   disp = d }))
-        tier_reg tier_reg (int_bound 64);
+        branchy_reg branchy_reg (int_bound 64);
       1,
       map2
         (fun r k -> Isa.Insn.Cmp (W, Isa.Operand.Reg r, Isa.Operand.Imm k))
-        tier_reg (int_bound 255);
+        branchy_reg (int_bound 255);
       1,
       map2
         (fun a b -> Isa.Insn.Test (Isa.Operand.Reg a, Isa.Operand.Reg b))
-        tier_reg tier_reg;
-      1, map (fun r -> Isa.Insn.Inc (Isa.Operand.Reg r)) tier_reg;
-      1, map (fun r -> Isa.Insn.Dec (Isa.Operand.Reg r)) tier_reg;
-      1, map (fun r -> Isa.Insn.Push (Isa.Operand.Reg r)) tier_reg;
-      1, map (fun r -> Isa.Insn.Pop (Isa.Operand.Reg r)) tier_reg;
+        branchy_reg branchy_reg;
+      1, map (fun r -> Isa.Insn.Inc (Isa.Operand.Reg r)) branchy_reg;
+      1, map (fun r -> Isa.Insn.Dec (Isa.Operand.Reg r)) branchy_reg;
+      1, map (fun r -> Isa.Insn.Push (Isa.Operand.Reg r)) branchy_reg;
+      1, map (fun r -> Isa.Insn.Pop (Isa.Operand.Reg r)) branchy_reg;
       1, map (fun m -> Isa.Insn.Pop m) mem;
       1, return Isa.Insn.Cpuid;
       1, return Isa.Insn.Nop ]
 
-(* ------------------------------------------------------------------ *)
-(* Summaries vs per-instruction dataflow on shadow state.  One
-   [Summary.apply] over a random straight-line body must leave the
-   shadow as running [Dataflow.step] before each instruction does: the
-   same register tags, the same tag on every byte the body can touch
-   (the data slots and the stack around ESP) and the same guard.
-   [prop_tier_equivalence] sees only the taint that reaches an event or
-   the console.  The suite case counts the bodies [compile] rejects and
-   [apply] deopts, and fails unless some were applied and compared. *)
-
-type summary_tally = {
-  mutable applied : int;
-  mutable rejected : int;
-  mutable deopted : int;
-}
-
-let summary_tally = { applied = 0; rejected = 0; deopted = 0 }
-
-(* ESP mostly mid-memory, sometimes at the very end of it, where a pop
-   reads past the address space and the summary must deopt *)
-let entry_esp_gen =
-  Gen.frequency
-    [ 4, Gen.map (fun k -> 0x8000 + (4 * k)) (Gen.int_bound 63);
-      1, Gen.map (fun k -> Vm.Machine.mem_size - (4 * k)) (Gen.int_bound 3) ]
-
-(* the body; EAX..EBP and ESP at entry; the 8 register tags, tagged
-   bytes among the data slots and tagged bytes around ESP *)
-let summary_case_gen =
-  let open Gen in
-  let tagged_bytes =
-    list_size (int_bound 24) (pair (int_bound 0x7F) tagset_gen)
-  in
-  triple
-    (list_size (int_range 1 24) tier_body_gen)
-    (pair (list_size (return 7) (int_bound 0xFFFF)) entry_esp_gen)
-    (triple (list_size (return Isa.Reg.count) tagset_gen) tagged_bytes
-       tagged_bytes)
-
-let prop_summary_matches_dataflow =
-  Test.make ~name:"summaries agree with per-instruction dataflow"
-    ~count:200 ~long_factor:10
-    (make
-       ~print:(fun (body, (_, esp), _) ->
-         Printf.sprintf "esp=0x%x body=[%s]" esp
-           (String.concat "; " (List.map Isa.Insn.to_string body)))
-       summary_case_gen)
-    (fun (body, (vals, esp), (reg_tags, slot_bytes, stack_bytes)) ->
-      let text = Array.of_list (body @ [ Isa.Insn.Hlt ]) in
-      let len = (Isa.Insn.body_lens text).(0) in
-      let m = Vm.Machine.create () in
-      Vm.Machine.map_image m
-        (Binary.Image.make ~path:"/img" ~kind:Binary.Image.Executable
-           ~base:0x1000 ~text ~sections:[] ~exports:[] ~relocs:[] ~needed:[]
-           ~entry:0x1000);
-      Vm.Machine.set_eip m 0x1000;
-      List.iteri (fun i v -> Vm.Machine.set_reg m (Isa.Reg.of_index i) v) vals;
-      Vm.Machine.set_reg m ESP esp;
-      let reference = Harrier.Shadow.create ~space:sp () in
-      List.iteri
-        (fun i t -> Harrier.Shadow.set_reg reference (Isa.Reg.of_index i) t)
-        reg_tags;
-      List.iter
-        (fun (off, t) -> Harrier.Shadow.set_byte reference (0x4000 + off) t)
-        slot_bytes;
-      List.iter
-        (fun (off, t) ->
-          Harrier.Shadow.set_byte reference (esp - 0x40 + off) t)
-        stack_bytes;
-      let summarized = Harrier.Shadow.clone reference in
-      match Harrier.Summary.compile ~space:sp ~imm_tag text ~pos:0 ~len with
-      | None ->
-        summary_tally.rejected <- summary_tally.rejected + 1;
-        true
-      | Some s ->
-        (match Harrier.Summary.apply s summarized m with
-         | Deopt ->
-           summary_tally.deopted <- summary_tally.deopted + 1;
-           true
-         | Applied guard ->
-           summary_tally.applied <- summary_tally.applied + 1;
-           (* the reference: the per-instruction rule before each
-              instruction executes; the last non-empty guard wins *)
-           let rec interpret i last =
-             if i = len then Some last
-             else
-               let g = Harrier.Dataflow.step reference m ~imm_tag text.(i) in
-               match Vm.Machine.step m with
-               | Vm.Machine.Continue ->
-                 interpret (i + 1)
-                   (if Taint.Tagset.is_empty g then last else Some g)
-               | Vm.Machine.Syscall _ | Vm.Machine.Stopped _ -> None
-           in
-           let same_bytes lo hi =
-             List.for_all
-               (fun a ->
-                 Taint.Tagset.equal
-                   (Harrier.Shadow.byte reference a)
-                   (Harrier.Shadow.byte summarized a))
-               (List.init (hi - lo) (fun k -> lo + k))
-           in
-           (match interpret 0 None with
-            | None -> false (* an applied body must run to its end *)
-            | Some last ->
-              List.for_all
-                (fun r ->
-                  Taint.Tagset.equal
-                    (Harrier.Shadow.reg reference r)
-                    (Harrier.Shadow.reg summarized r))
-                Isa.Reg.all
-              && same_bytes 0x4000 0x4080
-              && same_bytes (esp - 0x70) (esp + 0x70)
-              && Option.equal Taint.Tagset.equal guard last)))
-
 (* One piece of a loop body.  Jumps land on a piece boundary of their
    own sequence, at most at its end, so no jump enters an inner loop
-   past its counter set-up.  [tier_body_gen] writes only EAX–EDX, so
+   past its counter set-up.  [branchy_insn_gen] writes only EAX–EDX, so
    the EDI and ESI loop counters and the EBP jump register are the
    loops' and jumps' own. *)
-type tier_piece =
+type branchy_piece =
   | Straight of Isa.Insn.t
   | Skip of Isa.Insn.cond * int  (* jcc over the next k pieces *)
   | Via_ebp of int  (* mov ebp, <k pieces past the jmp>; jmp ebp *)
-  | Inner of int * tier_piece list  (* mov edi, n; L: ...; dec edi; jnz L *)
+  | Inner of int * branchy_piece list  (* mov edi, n; L: ...; dec edi; jnz L *)
 
 let rec piece_size = function
   | Straight _ | Skip _ -> 1
@@ -782,10 +666,10 @@ let rec lay_out pc pieces : Isa.Insn.t list =
            @ [ Dec (Reg EDI); Jcc (NZ, Imm head) ])
        pieces)
 
-let tier_piece_gen : tier_piece Gen.t =
+let branchy_piece_gen : branchy_piece Gen.t =
   let open Gen in
   let flat =
-    [ 12, map (fun i -> Straight i) tier_body_gen;
+    [ 12, map (fun i -> Straight i) branchy_insn_gen;
       2,
       map2 (fun c k -> Skip (c, k))
         (oneofl Isa.Insn.[ Z; NZ; L; LE; G; GE; S; NS ])
@@ -802,7 +686,7 @@ let tier_piece_gen : tier_piece Gen.t =
    EAX–EDX after the body's slots and write all 48 bytes to stdout;
    halt.  One address per instruction, so the loop head is
    base + 6. *)
-let tier_program iters pieces : Isa.Insn.t list =
+let branchy_program iters pieces : Isa.Insn.t list =
   let loop_head = 0x1000 + 6 in
   [ Isa.Insn.Mov (W, Reg EAX, Imm 3) (* SYS_read *);
     Mov (W, Reg EBX, Imm 0);
@@ -824,67 +708,95 @@ let tier_program iters pieces : Isa.Insn.t list =
       Int 0x80;
       Hlt ]
 
-let tier_session ~tier insns =
-  let img =
-    Binary.Image.make ~path:"/p" ~kind:Binary.Image.Executable ~base:0x1000
-      ~text:(Array.of_list insns) ~sections:[] ~exports:[] ~relocs:[]
-      ~needed:[] ~entry:0x1000
+(* The program's read and write, emulated on the machine alone: read
+   copies [input] into the buffer, write appends the buffer to [out];
+   each returns its byte count in EAX. *)
+let emulate_syscall m out =
+  let input = "ABCDEFGHIJKLMNOP" in
+  let get = Vm.Machine.get_reg m in
+  let buf = get ECX and len = get EDX in
+  let n =
+    match get EAX with
+    | 3 ->
+      let n = min len (String.length input) in
+      Vm.Machine.write_string m buf (String.sub input 0 n);
+      n
+    | 4 ->
+      Buffer.add_string out (Vm.Machine.read_bytes m buf len);
+      len
+    | _ -> -1
   in
-  let monitor_config =
-    if tier then
-      { Harrier.Monitor.default_config with tier = true; tier_threshold = 1 }
-    else { Harrier.Monitor.default_config with tier = false }
-  in
-  let buf = Buffer.create 4096 in
-  Obs.Trace.to_buffer buf;
-  let outcome =
-    Fun.protect
-      ~finally:Obs.Trace.disable
-      (fun () ->
-        Hth.Engine.run_outcome
-          (Hth.Engine.create ~monitor_config ())
-          (Hth.Engine.setup ~programs:[ img ]
-             ~user_input:[ "ABCDEFGHIJKLMNOP" ] ~main:"/p" ()))
-  in
-  Buffer.contents buf, outcome
+  Vm.Machine.set_reg m EAX n
 
-let prop_tier_equivalence =
-  Test.make
-    ~name:"tiered execution is observationally identical to interpretation"
-    ~count:40 ~long_factor:10
+(* Drive [branchy_program]'s machine to its stop with [advance], which
+   runs some instructions and returns the outcome and how many retired.
+   The result is the final machine, the console, the retired total, the
+   [on_bb] and [pre_insn] addresses in order, and the [vm.*] counter
+   diff. *)
+let drive insns advance =
+  let m = Vm.Machine.create () in
+  Vm.Machine.map_image m
+    (Binary.Image.make ~path:"/p" ~kind:Binary.Image.Executable ~base:0x1000
+       ~text:(Array.of_list insns) ~sections:[] ~exports:[] ~relocs:[]
+       ~needed:[] ~entry:0x1000);
+  Vm.Machine.set_eip m 0x1000;
+  Vm.Machine.set_reg m ESP 0xF000;
+  let bbs = ref [] and pres = ref [] in
+  Vm.Machine.set_hooks m
+    { on_bb = (fun _ addr -> bbs := addr :: !bbs);
+      pre_insn = (fun _ addr _ -> pres := addr :: !pres) };
+  let out = Buffer.create 64 in
+  let before = Obs.snapshot () in
+  let rec go k retired =
+    match advance k m with
+    | Vm.Machine.Stopped _, n -> retired + n
+    | Vm.Machine.Syscall _, n ->
+      emulate_syscall m out;
+      go (k + 1) (retired + n)
+    | Vm.Machine.Continue, n -> go (k + 1) (retired + n)
+  in
+  let retired = go 0 0 in
+  let vm =
+    List.filter
+      (fun (n, _) -> String.starts_with ~prefix:"vm." n)
+      (Obs.diff ~before ~after:(Obs.snapshot ()))
+  in
+  (m, Buffer.contents out, retired, List.rev !bbs, List.rev !pres, vm)
+
+let prop_run_matches_step =
+  Test.make ~name:"run agrees with step on branchy code" ~count:40
+    ~long_factor:10
     (make
-       ~print:(fun (iters, pieces) ->
-         Printf.sprintf "iters=%d body=[%s]" iters
+       ~print:(fun ((iters, pieces), fuels) ->
+         Printf.sprintf "iters=%d fuels=[%s] body=[%s]" iters
+           (String.concat "; " (List.map string_of_int fuels))
            (String.concat "; "
               (List.map Isa.Insn.to_string (lay_out 0x1006 pieces))))
-       Gen.(pair (int_range 1 8) (list_size (int_bound 24) tier_piece_gen)))
-    (fun (iters, pieces) ->
-      let insns = tier_program iters pieces in
-      let trace_on, on = tier_session ~tier:true insns in
-      let trace_off, off = tier_session ~tier:false insns in
-      trace_on = trace_off
-      &&
-      match on, off with
-      | Ok a, Ok b ->
-        (* with threshold 1 the entry block is promoted on first entry,
-           so the tiered run really did compile or reject something *)
-        a.Hth.Engine.tier.tc_compiled + a.Hth.Engine.tier.tc_deopt > 0
-        && b.Hth.Engine.tier.tc_compiled = 0
-        && a.stats = b.stats
-        && Hth.Report.equal_verdict (Hth.Report.verdict a)
-             (Hth.Report.verdict b)
-        && a.event_count = b.event_count
-        && a.os_report.rep_ticks = b.os_report.rep_ticks
-        && a.os_report.rep_console = b.os_report.rep_console
-        && a.os_report.rep_final = b.os_report.rep_final
-        && List.length a.events = List.length b.events
-        && List.for_all2
-             (fun x y ->
-               Fmt.to_to_string Harrier.Events.pp x
-               = Fmt.to_to_string Harrier.Events.pp y)
-             a.events b.events
-      | Error a, Error b -> Hth.Error.to_string a = Hth.Error.to_string b
-      | Ok _, Error _ | Error _, Ok _ -> false)
+       Gen.(
+         pair
+           (pair (int_range 1 8) (list_size (int_bound 24) branchy_piece_gen))
+           (list_size (int_range 1 8) (int_range 1 40))))
+    (fun ((iters, pieces), fuels) ->
+      let insns = branchy_program iters pieces in
+      let fuels = Array.of_list fuels in
+      let ran, out_r, retired_r, bbs_r, pres_r, vm_r =
+        drive insns (fun k m ->
+            Vm.Machine.run m ~fuel:fuels.(k mod Array.length fuels))
+      in
+      let stepped, out_s, retired_s, bbs_s, pres_s, vm_s =
+        drive insns (fun _ m -> (Vm.Machine.step m, 1))
+      in
+      let bytes m lo hi = Vm.Machine.read_bytes m lo (hi - lo) in
+      List.for_all
+        (fun r -> Vm.Machine.get_reg ran r = Vm.Machine.get_reg stepped r)
+        Isa.Reg.all
+      && Vm.Machine.eip ran = Vm.Machine.eip stepped
+      && Vm.Machine.status ran = Vm.Machine.status stepped
+      && bytes ran 0x4000 0x4100 = bytes stepped 0x4000 0x4100
+      && bytes ran 0xE000 Vm.Machine.mem_size
+         = bytes stepped 0xE000 Vm.Machine.mem_size
+      && out_r = out_s && retired_r = retired_s && bbs_r = bbs_s
+      && pres_r = pres_s && vm_r = vm_s)
 
 (* ------------------------------------------------------------------ *)
 (* Flow-line round trip for random events                               *)
@@ -1006,7 +918,7 @@ let props =
     prop_fs_roundtrip; prop_shadow_range_union; prop_engine_refraction;
     prop_secure_no_data; prop_trace_roundtrip;
     prop_dataflow_matches_reference; prop_obs_counters_ground_truth;
-    prop_tier_equivalence ]
+    prop_run_matches_step ]
 
 (* ------------------------------------------------------------------ *)
 (* Reproducible randomness.  QCHECK_SEED=<int> pins the generator seed;
@@ -1057,20 +969,5 @@ let seed_resolution_case =
       check "garbage falls back to fresh" 7 ~env:(Some "not-a-seed");
       check "absent falls back to fresh" 7 ~env:None)
 
-let summary_agreement_case =
-  let name, speed, run = to_alcotest_seeded prop_summary_matches_dataflow in
-  ( name,
-    speed,
-    fun () ->
-      summary_tally.applied <- 0;
-      summary_tally.rejected <- 0;
-      summary_tally.deopted <- 0;
-      run ();
-      Printf.printf "summaries: %d applied, %d rejected, %d deopted\n"
-        summary_tally.applied summary_tally.rejected summary_tally.deopted;
-      if summary_tally.applied = 0 then
-        Alcotest.fail "no body compiled and applied: nothing was compared" )
-
 let suite =
-  seed_resolution_case :: summary_agreement_case
-  :: List.map to_alcotest_seeded props
+  seed_resolution_case :: List.map to_alcotest_seeded props

@@ -582,18 +582,28 @@ let prop_index_chunking_invariant =
 (* ------------------------------------------------------------------ *)
 (* warehouse determinism across worker counts                          *)
 
-let fresh_dir =
-  let n = ref 0 in
-  fun prefix ->
-    incr n;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) !n)
-    in
-    if Sys.file_exists d then
-      Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d)) |> ignore;
-    d
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let dirs_made = ref 0
+
+(* [with_dir prefix f] is [f d] for a fresh path [d] under the temp
+   directory (not created: the store creates it), and [d] is removed
+   with everything in it on every exit path. *)
+let with_dir prefix f =
+  incr dirs_made;
+  let d =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) !dirs_made)
+  in
+  rm_rf d;
+  Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
 
 (* the manifest entry `hth_run` writes for a corpus run *)
 let record wh (sc : Guest.Scenario.t) result sealed =
@@ -641,7 +651,8 @@ let build_store ~jobs dir =
     outcomes
 
 let test_store_determinism () =
-  let d1 = fresh_dir "hth-store-j1" and d2 = fresh_dir "hth-store-j2" in
+  with_dir "hth-store-j1" @@ fun d1 ->
+  with_dir "hth-store-j2" @@ fun d2 ->
   let traces1 = build_store ~jobs:1 d1 in
   let traces2 = build_store ~jobs:2 d2 in
   List.iteri
@@ -716,7 +727,7 @@ let append_to_pack dir bytes =
 let test_pack_unpublished_tail () =
   List.iter
     (fun cut ->
-      let dir = fresh_dir "hth-store-tail" in
+      with_dir "hth-store-tail" @@ fun dir ->
       let wh = open_store dir in
       let published = List.map (append_run wh) [ "pma"; "ls" ] in
       Store.Warehouse.close wh;
@@ -735,7 +746,7 @@ let test_pack_unpublished_tail () =
    channel's position starts at 0, so offsets must come from the pack's
    size. *)
 let test_pack_reopen () =
-  let dir = fresh_dir "hth-store-reopen" in
+  with_dir "hth-store-reopen" @@ fun dir ->
   let runs =
     List.concat_map
       (fun names ->
@@ -756,7 +767,7 @@ let write_file path bytes =
 (* The pre-pack layout (one DIR/segments/<run>.seg per run) is not
    read: its entries are typed failures even with the file present. *)
 let test_old_layout_rejected () =
-  let dir = fresh_dir "hth-store-old" in
+  with_dir "hth-store-old" @@ fun dir ->
   let wh = open_store dir in
   let run, _, sealed = append_run wh "pma" in
   Store.Warehouse.close wh;
@@ -788,7 +799,7 @@ let test_old_layout_rejected () =
    and pack. *)
 let fuzz_base =
   lazy
-    (let dir = fresh_dir "hth-store-fuzz" in
+    (with_dir "hth-store-fuzz" @@ fun dir ->
      let wh = open_store dir in
      List.iter (fun n -> ignore (append_run wh n)) [ "pma"; "ls"; "column" ];
      Store.Warehouse.close wh;
@@ -853,10 +864,9 @@ let flip s pos mask =
 
 let cut s n = String.sub s 0 (n mod (String.length s + 1))
 
-(* Apply [muts] to the base store, write it to [dir] and read it back
-   through every read surface: each answer is a success or a typed
-   Load_failure, and nothing raises. *)
-let fuzz_dir = lazy (fresh_dir "hth-store-fuzzed")
+(* Apply [muts] to the base store, write it to a directory of its own
+   and read it back through every read surface: each answer is a
+   success or a typed Load_failure, and nothing raises. *)
 
 let prop_store_fuzz =
   Test.make ~count:200 ~long_factor:10
@@ -889,8 +899,8 @@ let prop_store_fuzz =
           (String.concat "" (List.map Store.Manifest.render entries), pack)
           muts
       in
-      let dir = Lazy.force fuzz_dir in
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      with_dir "hth-store-fuzzed" @@ fun dir ->
+      Sys.mkdir dir 0o755;
       write_file (Filename.concat dir "MANIFEST.jsonl") manifest;
       write_file (Filename.concat dir "segments.pack") pack;
       let typed = function
@@ -944,7 +954,7 @@ let test_store_answers_match_jsonl () =
 (* fleet queries                                                       *)
 
 let test_fleet_queries () =
-  let dir = fresh_dir "hth-store-q" in
+  with_dir "hth-store-q" @@ fun dir ->
   ignore (build_store ~jobs:2 dir);
   let view = load_store dir in
   (* verdict metadata predicate *)

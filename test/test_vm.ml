@@ -260,123 +260,44 @@ let vm_counters f =
       (fun (n, _) -> Astring.String.is_prefix ~affix:"vm." n)
       (Obs.diff ~before ~after:(Obs.snapshot ())) )
 
-(* An accepted body runs through the interpreter's [exec] with no
-   per-instruction hooks, and [run] settles the [vm.*] counters once;
-   a fault mid-body must leave registers, memory, [eip], status and
-   counters exactly as interpreting the same instructions does, apart
-   from the body's one [vm.blocks.compiled]. *)
-let test_accepted_body () =
-  let open Isa.Insn in
-  let compare ~load ~retired ~final =
-    let prog =
-      [ Mov (W, Reg EAX, Imm 7);
-        Add (Reg EAX, Imm 1);
-        Mov (W, Isa.Operand.abs 0x2000, Reg EAX);
-        Mov (W, Reg EBX, Isa.Operand.abs load);
-        Mov (W, Reg ECX, Imm 1);
-        Hlt ]
-    in
-    let pre = ref 0 in
-    let hooks =
-      { Machine.no_hooks with
-        pre_insn = (fun _ _ _ -> incr pre);
-        on_block = (fun _ _ _ len -> check_int "offered body" 5 len; true) }
-    in
-    let tiered = machine_of ~hooks prog in
-    let (outcome, n), tiered_counts =
-      vm_counters (fun () -> Machine.run tiered ~fuel:5)
-    in
-    let interp = machine_of prog in
-    let (), interp_counts =
-      vm_counters (fun () ->
-          for _ = 1 to retired do
-            ignore (Machine.step interp)
-          done)
-    in
-    check_int "instructions retired" retired n;
-    check "outcome" true
-      (match outcome with
-       | Machine.Continue -> final = None
-       | Machine.Stopped (Faulted f) -> final = Some f
-       | Machine.Syscall _ | Machine.Stopped _ -> false);
-    check_int "no per-instruction hook" 0 !pre;
-    check_int "eip" (Machine.eip interp) (Machine.eip tiered);
-    List.iter
-      (fun r ->
-        check_int (Isa.Reg.name r) (Machine.get_reg interp r)
-          (Machine.get_reg tiered r))
-      Isa.Reg.all;
-    check_int "stored word" (Machine.read_word interp 0x2000)
-      (Machine.read_word tiered 0x2000);
-    (* the accepted body counts once as compiled, a strategy counter
-       interpretation never bumps *)
-    Alcotest.(check (option int))
-      "one compiled body" (Some 1)
-      (List.assoc_opt "vm.blocks.compiled" tiered_counts);
-    Alcotest.(check (list (pair string int)))
-      "vm counters" interp_counts
-      (List.remove_assoc "vm.blocks.compiled" tiered_counts)
-  in
-  compare ~load:0x2000 ~retired:5 ~final:None;
-  (* a word load straddling the end of memory faults at the fourth
-     instruction, after three have retired *)
-  compare ~load:0xFFFFE ~retired:4 ~final:(Some (Machine.Bad_access 0x100001))
-
 (* [run ~fuel] against iterated [step]s on a twin machine, for quanta
    that end on spent fuel in straight-line code, at [int 0x80], at a
    faulting load and at a bad fetch: the same outcome, retired count,
-   registers, [eip], status and [vm.*] counter diffs.  Each case runs
-   under pure interpretation and under a hook that accepts every body
-   that fits the fuel left; [vm.blocks.compiled], which only [run]
-   counts, must then show [compiled] bodies. *)
+   registers, [eip], status and [vm.*] counter diffs. *)
 let test_run_matches_step () =
   let open Isa.Insn in
-  let accept_all =
-    { Machine.no_hooks with on_block = (fun _ _ _ _ -> true) }
-  in
-  let case name ~fuel ~want ~retired ~compiled prog =
+  let case name ~fuel ~want ~retired prog =
+    let ran = machine_of prog in
+    let (out, n), run_counts =
+      vm_counters (fun () -> Machine.run ran ~fuel)
+    in
+    let stepped = machine_of prog in
+    let (last, steps), step_counts =
+      vm_counters (fun () ->
+          let rec go k =
+            match Machine.step stepped with
+            | Machine.Continue when k < fuel -> go (k + 1)
+            | o -> (o, k)
+          in
+          go 1)
+    in
+    check (name ^ ": outcome") true (out = want && last = want);
+    check_int (name ^ ": retired") retired n;
+    check_int (name ^ ": steps") retired steps;
+    check_int (name ^ ": eip") (Machine.eip stepped) (Machine.eip ran);
+    check_str (name ^ ": status")
+      (Fmt.to_to_string Machine.pp_status (Machine.status stepped))
+      (Fmt.to_to_string Machine.pp_status (Machine.status ran));
     List.iter
-      (fun (mode, hooks, bodies) ->
-        let name = name ^ ", " ^ mode in
-        let ran = machine_of ~hooks prog in
-        let (out, n), run_counts =
-          vm_counters (fun () -> Machine.run ran ~fuel)
-        in
-        let stepped = machine_of ~hooks prog in
-        let (last, steps), step_counts =
-          vm_counters (fun () ->
-              let rec go k =
-                match Machine.step stepped with
-                | Machine.Continue when k < fuel -> go (k + 1)
-                | o -> (o, k)
-              in
-              go 1)
-        in
-        check (name ^ ": outcome") true (out = want && last = want);
-        check_int (name ^ ": retired") retired n;
-        check_int (name ^ ": steps") retired steps;
-        check_int (name ^ ": eip") (Machine.eip stepped) (Machine.eip ran);
-        check_str (name ^ ": status")
-          (Fmt.to_to_string Machine.pp_status (Machine.status stepped))
-          (Fmt.to_to_string Machine.pp_status (Machine.status ran));
-        List.iter
-          (fun r ->
-            check_int (name ^ ": " ^ Isa.Reg.name r)
-              (Machine.get_reg stepped r) (Machine.get_reg ran r))
-          Isa.Reg.all;
-        Alcotest.(check (option int))
-          (name ^ ": compiled bodies") bodies
-          (List.assoc_opt "vm.blocks.compiled" run_counts);
-        Alcotest.(check (list (pair string int)))
-          (name ^ ": vm counters") step_counts
-          (List.remove_assoc "vm.blocks.compiled" run_counts))
-      [ "interpreted", Machine.no_hooks, None;
-        "bodies accepted", accept_all, Some compiled ]
+      (fun r ->
+        check_int (name ^ ": " ^ Isa.Reg.name r)
+          (Machine.get_reg stepped r) (Machine.get_reg ran r))
+      Isa.Reg.all;
+    Alcotest.(check (list (pair string int)))
+      (name ^ ": vm counters") step_counts run_counts
   in
   let base = 0x1000 in
-  (* accepted: the 2-instruction body; then the next body (5) no longer
-     fits the 2 instructions of fuel left and interprets *)
-  case "fuel runs out" ~fuel:5 ~want:Machine.Continue ~retired:5 ~compiled:1
+  case "fuel runs out" ~fuel:5 ~want:Machine.Continue ~retired:5
     [ Mov (W, Reg EAX, Imm 1);
       Mov (W, Isa.Operand.abs 0x2000, Reg EAX);
       Jmp (Imm (base + 3));
@@ -387,7 +308,6 @@ let test_run_matches_step () =
       Mov (W, Reg EDX, Imm 5);
       Hlt ];
   case "syscall" ~fuel:100 ~want:(Machine.Syscall 0x80) ~retired:3
-    ~compiled:1
     [ Mov (W, Reg EAX, Imm 4);
       Mov (W, Reg EBX, Isa.Operand.abs 0x2000);
       Int 0x80;
@@ -395,7 +315,6 @@ let test_run_matches_step () =
       Hlt ];
   case "faulting load" ~fuel:100
     ~want:(Machine.Stopped (Faulted (Bad_access 0x200000))) ~retired:3
-    ~compiled:1
     [ Mov (W, Reg EAX, Imm 1);
       Mov (W, Reg EBX, Imm 2);
       Mov (W, Reg ECX, Isa.Operand.abs 0x200000);
@@ -403,7 +322,6 @@ let test_run_matches_step () =
       Hlt ];
   case "bad fetch" ~fuel:100
     ~want:(Machine.Stopped (Faulted (Bad_fetch 0x9999))) ~retired:3
-    ~compiled:1
     [ Mov (W, Reg EAX, Imm 1); Jmp (Imm 0x9999) ]
 
 (* The dense path allocates nothing per instruction: a 100,000-
@@ -716,8 +634,6 @@ let suite =
       test_cstring_and_bytes;
     Alcotest.test_case "clone isolation" `Quick test_clone_isolation;
     Alcotest.test_case "basic-block hook" `Quick test_bb_hook;
-    Alcotest.test_case "accepted body matches interpretation" `Quick
-      test_accepted_body;
     Alcotest.test_case "run matches step" `Quick test_run_matches_step;
     Alcotest.test_case "run allocates nothing per instruction" `Quick
       test_run_allocation;
