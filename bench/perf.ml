@@ -125,7 +125,9 @@ let secpert_execve_workload () =
   done
 
 let component_tests () =
-  let shadow = Harrier.Shadow.create ~space:sp () in
+  let shadow =
+    Harrier.Shadow.create ~space:sp ~counts:(Harrier.Shadow.counts ()) ()
+  in
   (* crosses the 4 KiB page boundary on purpose *)
   let straddle_addr = 0x8000 - 8 in
   Test.make_grouped ~name:"components"

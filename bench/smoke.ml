@@ -16,7 +16,9 @@ let () =
   let u = Taint.Tagset.union Perf.sp Perf.tag_a Perf.tag_b in
   check "union memoized"
     (Taint.Tagset.equal u (Taint.Tagset.union Perf.sp Perf.tag_b Perf.tag_a));
-  let shadow = Harrier.Shadow.create ~space:Perf.sp () in
+  let shadow =
+    Harrier.Shadow.create ~space:Perf.sp ~counts:(Harrier.Shadow.counts ()) ()
+  in
   let straddle = 0x1000 - 8 in
   Harrier.Shadow.set_range shadow straddle 64 u;
   check "straddling range"

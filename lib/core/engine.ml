@@ -193,87 +193,101 @@ let run_outcome_ambient eng ~budgets ~fault s =
   | exception e ->
     fail (Error.Crash { phase = "build"; exn = Printexc.to_string e })
   | kernel, monitor, secpert, events_log ->
-    (match phase "spawn" h_spawn (fun () -> spawn_main kernel s) with
-     | exception e ->
-       fail (Error.Crash { phase = "spawn"; exn = Printexc.to_string e })
+    let max_ticks =
+      match budgets.b_ticks with
+      | Some n -> min s.max_ticks n
+      | None -> s.max_ticks
+    in
+    let ran =
+      match phase "spawn" h_spawn (fun () -> spawn_main kernel s) with
+      | exception e ->
+        Stdlib.Error
+          (Error.Crash { phase = "spawn"; exn = Printexc.to_string e })
+      | Error e -> Error e
+      | Ok _ ->
+        (match phase "run" h_run (fun () -> Osim.Kernel.run kernel ~max_ticks)
+         with
+         | exception e ->
+           Error (Error.Crash { phase = "run"; exn = Printexc.to_string e })
+         | os_report -> Ok os_report)
+    in
+    (* The monitor counts its strategy traffic in fields; settle it here,
+       once, whichever way the spawn and run ended. *)
+    Harrier.Monitor.settle monitor;
+    (match ran with
      | Error e -> fail e
-     | Ok _ ->
-       let max_ticks =
-         match budgets.b_ticks with
-         | Some n -> min s.max_ticks n
-         | None -> s.max_ticks
+     | Ok os_report ->
+       (* A run that consumed its whole tick budget with processes
+          still live was truncated, not completed: a dormant program
+          whose trigger never arrived within the budget must come
+          back degraded, never silently "clean and done". *)
+       let live =
+         List.filter
+           (fun (_, _, st) ->
+             match (st : Osim.Process.run_state) with
+             | Exited _ | Killed _ -> false
+             | Runnable | Sleeping _ | Waiting_io -> true)
+           os_report.Osim.Kernel.rep_final
        in
-       (match phase "run" h_run (fun () -> Osim.Kernel.run kernel ~max_ticks)
-        with
+       let truncated =
+         if os_report.Osim.Kernel.rep_ticks >= max_ticks && live <> []
+         then
+           [ Fmt.str
+               "tick budget: run truncated at %d ticks with %d live \
+                process(es) — verdict covers the observed prefix only"
+               os_report.Osim.Kernel.rep_ticks (List.length live) ]
+         else []
+       in
+       let degraded =
+         Harrier.Monitor.degraded monitor
+         @ Secpert.System.degraded secpert
+         @ truncated
+       in
+       note_outcome (if degraded = [] then "ok" else "degraded");
+       let stats_raw = Obs.diff ~before ~after:(Obs.snapshot ()) in
+       (* Strategy counters measure {e how} the run was executed —
+          taint-arena cache traffic, shadow fast-path hit rates — not
+          what the guest did, so they are kept out of both
+          [result.stats] and the trace's embedded profile.
+          Guest-behaviour counters ([vm.instructions], [vm.blocks],
+          [vm.fetch_cache.*], [osim.*], events, policy) stay. *)
+       let strategy_counter n =
+         String.starts_with ~prefix:"taint." n
+         || String.starts_with ~prefix:"harrier.shadow." n
+       in
+       let stats =
+         List.filter (fun (n, _) -> not (strategy_counter n)) stats_raw
+       in
+       let tier =
+         { tc_interpreted =
+             Option.value (List.assoc_opt "vm.blocks" stats) ~default:0;
+           tc_compiled = 0; tc_summarized = 0; tc_deopt = 0 }
+       in
+       let hot_blocks = Harrier.Monitor.hot_blocks monitor ~limit:10 in
+       (* Embed the per-run profile in the trace so offline analysis
+          ([hth_trace profile]) reproduces the live [--stats] numbers
+          from the file alone.  A sink that fails on these lines fails
+          the session as a failure on its last flush does: a typed
+          [Crash] in phase "trace", its outcome already counted. *)
+       let profile () =
+         if Obs.Trace.enabled () then begin
+           List.iter
+             (fun (n, v) ->
+               Obs.Trace.emit "counter"
+                 [ "name", Obs.Str n; "value", Obs.Int v ])
+             stats;
+           List.iter
+             (fun (pid, addr, count) ->
+               Obs.Trace.emit "hot_block"
+                 [ "pid", Obs.Int pid; "addr", Obs.Int addr;
+                   "count", Obs.Int count ])
+             hot_blocks
+         end
+       in
+       (match profile () with
         | exception e ->
-          fail (Error.Crash { phase = "run"; exn = Printexc.to_string e })
-        | os_report ->
-          (* A run that consumed its whole tick budget with processes
-             still live was truncated, not completed: a dormant program
-             whose trigger never arrived within the budget must come
-             back degraded, never silently "clean and done". *)
-          let live =
-            List.filter
-              (fun (_, _, st) ->
-                match (st : Osim.Process.run_state) with
-                | Exited _ | Killed _ -> false
-                | Runnable | Sleeping _ | Waiting_io -> true)
-              os_report.Osim.Kernel.rep_final
-          in
-          let truncated =
-            if os_report.Osim.Kernel.rep_ticks >= max_ticks && live <> []
-            then
-              [ Fmt.str
-                  "tick budget: run truncated at %d ticks with %d live \
-                   process(es) — verdict covers the observed prefix only"
-                  os_report.Osim.Kernel.rep_ticks (List.length live) ]
-            else []
-          in
-          let degraded =
-            Harrier.Monitor.degraded monitor
-            @ Secpert.System.degraded secpert
-            @ truncated
-          in
-          note_outcome (if degraded = [] then "ok" else "degraded");
-          let stats_raw = Obs.diff ~before ~after:(Obs.snapshot ()) in
-          (* Strategy counters measure {e how} the run was executed —
-             taint-arena cache traffic, shadow fast-path hit rates — not
-             what the guest did, so they are kept out of both
-             [result.stats] and the trace's embedded profile.
-             Guest-behaviour counters ([vm.instructions], [vm.blocks],
-             [vm.fetch_cache.*], [osim.*], events, policy) stay. *)
-          let strategy_counter n =
-            let has_prefix p =
-              String.length n >= String.length p
-              && String.sub n 0 (String.length p) = p
-            in
-            has_prefix "taint." || has_prefix "harrier.shadow."
-          in
-          let stats =
-            List.filter (fun (n, _) -> not (strategy_counter n)) stats_raw
-          in
-          let tier =
-            { tc_interpreted =
-                Option.value (List.assoc_opt "vm.blocks" stats) ~default:0;
-              tc_compiled = 0; tc_summarized = 0; tc_deopt = 0 }
-          in
-          let hot_blocks = Harrier.Monitor.hot_blocks monitor ~limit:10 in
-          (* Embed the per-run profile in the trace so offline analysis
-             ([hth_trace profile]) reproduces the live [--stats] numbers
-             from the file alone. *)
-          if Obs.Trace.enabled () then begin
-            List.iter
-              (fun (n, v) ->
-                Obs.Trace.emit "counter"
-                  [ "name", Obs.Str n; "value", Obs.Int v ])
-              stats;
-            List.iter
-              (fun (pid, addr, count) ->
-                Obs.Trace.emit "hot_block"
-                  [ "pid", Obs.Int pid; "addr", Obs.Int addr;
-                    "count", Obs.Int count ])
-              hot_blocks
-          end;
+          Error (Error.Crash { phase = "trace"; exn = Printexc.to_string e })
+        | () ->
           Ok
             { os_report;
               events = List.rev !events_log;

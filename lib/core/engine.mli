@@ -86,7 +86,9 @@ type result = {
           [harrier.shadow.*] — measure how the run was executed rather
           than what the guest did, and are excluded from stats (and
           the embedded trace profile); read them through {!Obs.diff}
-          directly when profiling. *)
+          around {!run_outcome} when profiling.  They are settled into
+          the counters once, when the session's run ends, on every
+          exit path. *)
   hot_blocks : (int * int * int) list;
       (** top-10 hottest application basic blocks as
           [(pid, leader, count)], deterministic ordering — also
@@ -146,10 +148,13 @@ val create :
     [trace] scopes a sink to this session: the engine installs it
     before the first trace line, and flushes + removes it on every exit
     path (including session-path failures, so a crashed run's partial
-    trace still reaches the destination).  The sink is removed before
-    its last chunk is handed over; if that hand-over raises, a session
-    that succeeded becomes [Error (Crash { phase = "trace"; _ })] and a
-    failed one keeps its own error.  Without [trace] the ambient
+    trace still reaches the destination).  A sink that raises on the
+    session's closing profile lines (["counter"], ["hot_block"]) makes
+    the session [Error (Crash { phase = "trace"; _ })].  The sink is
+    removed before its last chunk is handed over; if that hand-over
+    raises, a session that succeeded becomes
+    [Error (Crash { phase = "trace"; _ })] and a failed one keeps its
+    own error.  Without [trace] the ambient
     {!Obs.Trace} sink — whatever the caller installed — is used.
 
     Reusing the engine across calls reuses its compiled policy; results

@@ -1,75 +1,81 @@
-(* This runs on every instruction, so the operand helpers are called
-   saturated — no per-step closure allocation — and unions rely on the
-   interned tag-set fast paths. *)
+(* This runs on every instruction, so it works on the tag ids the
+   shadow stores, end to end: operands are read as ids, unioned through
+   the space's id-level memo ([Taint.Tagset.union_id]) and written back
+   as ids, and no tag-set node is touched on a memo hit.  The operand
+   helpers are called saturated — no per-step closure allocation. *)
 
-let operand_tag shadow m imm_tag size (op : Isa.Operand.t) =
+let[@inline] operand_id shadow m imm size (op : Isa.Operand.t) =
   match op with
-  | Imm _ -> imm_tag
-  | Reg r -> Shadow.reg shadow r
+  | Imm _ -> imm
+  | Reg r -> Shadow.reg_id shadow r
   | Mem ref ->
-    Shadow.range shadow (Vm.Machine.eff_addr m ref) (Isa.Insn.size_bytes size)
+    Shadow.range_id shadow (Vm.Machine.eff_addr m ref)
+      (Isa.Insn.size_bytes size)
 
-let write_tag shadow m size (op : Isa.Operand.t) tag =
+let[@inline] write_id shadow m size (op : Isa.Operand.t) id =
   match op with
   | Imm _ -> ()
-  | Reg r -> Shadow.set_reg shadow r tag
+  | Reg r -> Shadow.set_reg_id shadow r id
   | Mem ref ->
-    Shadow.set_range shadow (Vm.Machine.eff_addr m ref)
-      (Isa.Insn.size_bytes size) tag
+    Shadow.set_range_id shadow (Vm.Machine.eff_addr m ref)
+      (Isa.Insn.size_bytes size) id
+
+let[@inline] reg_or_empty shadow = function
+  | None -> 0
+  | Some reg -> Shadow.reg_id shadow reg
 
 (* The guard rule: immediates count as untainted on purpose — only
    {e data} taint reaching a compare marks trigger-gated flow. *)
-let guard_tag shadow m sp size a b =
-  Taint.Tagset.union sp
-    (operand_tag shadow m Taint.Tagset.empty size a)
-    (operand_tag shadow m Taint.Tagset.empty size b)
+let[@inline] guard_id shadow m sp size a b =
+  Taint.Tagset.union_id sp
+    (operand_id shadow m 0 size a)
+    (operand_id shadow m 0 size b)
 
-let step shadow m ~imm_tag (insn : Isa.Insn.t) =
+let step shadow m ~imm (insn : Isa.Insn.t) =
   let sp = Shadow.space shadow in
   match insn with
   | Mov (sz, dst, s) ->
-    write_tag shadow m sz dst (operand_tag shadow m imm_tag sz s);
-    Taint.Tagset.empty
+    write_id shadow m sz dst (operand_id shadow m imm sz s);
+    0
   | Lea (r, ref) ->
-    let reg_tag = function
-      | None -> Taint.Tagset.empty
-      | Some reg -> Shadow.reg shadow reg
-    in
-    Shadow.set_reg shadow r
-      (Taint.Tagset.union sp imm_tag
-         (Taint.Tagset.union sp (reg_tag ref.base) (reg_tag ref.index)));
-    Taint.Tagset.empty
+    Shadow.set_reg_id shadow r
+      (Taint.Tagset.union_id sp imm
+         (Taint.Tagset.union_id sp
+            (reg_or_empty shadow ref.base)
+            (reg_or_empty shadow ref.index)));
+    0
   | Add (d, s) | Sub (d, s) | And (d, s) | Or (d, s) | Xor (d, s)
   | Mul (d, s) | Div (d, s) | Shl (d, s) | Shr (d, s) ->
-    let tag =
-      Taint.Tagset.union sp
-        (operand_tag shadow m imm_tag Isa.Insn.W d)
-        (operand_tag shadow m imm_tag Isa.Insn.W s)
+    let id =
+      Taint.Tagset.union_id sp
+        (operand_id shadow m imm Isa.Insn.W d)
+        (operand_id shadow m imm Isa.Insn.W s)
     in
-    write_tag shadow m Isa.Insn.W d tag;
-    Taint.Tagset.empty
+    write_id shadow m Isa.Insn.W d id;
+    0
   | Inc d | Dec d ->
-    write_tag shadow m Isa.Insn.W d
-      (Taint.Tagset.union sp (operand_tag shadow m imm_tag Isa.Insn.W d)
-         imm_tag);
-    Taint.Tagset.empty
-  | Cmp (sz, a, b) -> guard_tag shadow m sp sz a b
-  | Test (a, b) -> guard_tag shadow m sp Isa.Insn.W a b
+    write_id shadow m Isa.Insn.W d
+      (Taint.Tagset.union_id sp (operand_id shadow m imm Isa.Insn.W d) imm);
+    0
+  | Cmp (sz, a, b) -> guard_id shadow m sp sz a b
+  | Test (a, b) -> guard_id shadow m sp Isa.Insn.W a b
   | Push a ->
     let sp = Vm.Machine.get_reg m ESP - 4 in
-    Shadow.set_range shadow sp 4 (operand_tag shadow m imm_tag Isa.Insn.W a);
-    Taint.Tagset.empty
+    Shadow.set_range_id shadow sp 4 (operand_id shadow m imm Isa.Insn.W a);
+    0
   | Pop dst ->
     let sp = Vm.Machine.get_reg m ESP in
-    write_tag shadow m Isa.Insn.W dst (Shadow.range shadow sp 4);
-    Taint.Tagset.empty
+    write_id shadow m Isa.Insn.W dst (Shadow.range_id shadow sp 4);
+    0
   | Call _ ->
     (* the CPU pushes an untainted return address *)
     let sp = Vm.Machine.get_reg m ESP - 4 in
-    Shadow.set_range shadow sp 4 Taint.Tagset.empty;
-    Taint.Tagset.empty
+    Shadow.set_range_id shadow sp 4 0;
+    0
   | Cpuid ->
-    let hw = Taint.Tagset.singleton sp Taint.Source.Hardware in
-    List.iter (fun (r, _) -> Shadow.set_reg shadow r hw) Isa.Insn.cpuid_words;
-    Taint.Tagset.empty
-  | Jmp _ | Jcc _ | Ret | Int _ | Nop | Hlt -> Taint.Tagset.empty
+    let hw = Taint.Tagset.(id (singleton sp Taint.Source.Hardware)) in
+    List.iter
+      (fun (r, _) -> Shadow.set_reg_id shadow r hw)
+      Isa.Insn.cpuid_words;
+    0
+  | Jmp _ | Jcc _ | Ret | Int _ | Nop | Hlt -> 0

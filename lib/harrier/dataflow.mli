@@ -12,12 +12,15 @@
     - comparisons and control transfers propagate nothing (implicit flows
       are out of scope, as in the prototype).  A compare or test does
       yield a {e guard} tag: the union of its operands' tags, with
-      immediates untainted — the data that steers the next branch. *)
+      immediates untainted — the data that steers the next branch.
 
-(** [step shadow machine ~imm_tag insn] updates [shadow] for the effects
-    of [insn] and returns its guard tag: the operand taint of a [cmp] or
-    [test], and [Taint.Tagset.empty] for every other instruction.
-    [imm_tag] is the BINARY tag of the executing image. *)
-val step :
-  Shadow.t -> Vm.Machine.t -> imm_tag:Taint.Tagset.t -> Isa.Insn.t ->
-  Taint.Tagset.t
+    Tags travel as the ids of the shadow's taint space
+    ({!Taint.Tagset.id}; 0 is the empty set): the shadow stores ids and
+    the unions run on them ({!Taint.Tagset.union_id}), so the step
+    converts nothing. *)
+
+(** [step shadow machine ~imm insn] updates [shadow] for the effects of
+    [insn] and returns the id of its guard tag: the operand taint of a
+    [cmp] or [test], and 0 (the empty set) for every other instruction.
+    [imm] is the id of the BINARY tag of the executing image. *)
+val step : Shadow.t -> Vm.Machine.t -> imm:int -> Isa.Insn.t -> int

@@ -26,7 +26,7 @@ let recent_clone_ticks = 3000
 type seg_info = {
   si_base : int;
   si_limit : int;
-  si_tag : Taint.Tagset.t;  (* BINARY tag of the segment's image *)
+  si_imm : int;  (* id of the BINARY tag of the segment's image *)
   si_app : bool;  (* executable (application) segment? *)
 }
 
@@ -56,6 +56,9 @@ type t = {
   cfg : config;
   space : Taint.Tagset.space;
       (* taint arena shared by every process shadow *)
+  counts : Shadow.counts;
+      (* load and store counts of every process shadow, replaced ones
+         included *)
   kernel : Osim.Kernel.t;
   procs : (int, pstate) Hashtbl.t;
       (* pid -> record, for the kernel callbacks and the reports *)
@@ -157,29 +160,32 @@ let string_origin s m addr =
 
 (* Sentinel for "no segment at this address": an empty interval, so the
    cache-hit test never matches it and lookups stay allocation-free. *)
-let no_seg_info =
-  { si_base = 0; si_limit = 0; si_tag = Taint.Tagset.empty; si_app = false }
+let no_seg_info = { si_base = 0; si_limit = 0; si_imm = 0; si_app = false }
 
-let seg_info_at t s m addr =
+let[@inline never] seg_info_miss t s m addr =
+  match Vm.Machine.segment_at m addr with
+  | None -> no_seg_info
+  | Some seg ->
+    let si =
+      { si_base = seg.seg_base;
+        si_limit = seg.seg_base + Array.length seg.seg_insns;
+        si_imm = Taint.Tagset.id (imm_tag t seg.seg_image);
+        si_app = seg.seg_kind = Binary.Image.Executable }
+    in
+    s.seg_info <- Some si;
+    si
+
+let[@inline] seg_info_at t s m addr =
   match s.seg_info with
   | Some si when addr >= si.si_base && addr < si.si_limit -> si
-  | _ ->
-    (match Vm.Machine.segment_at m addr with
-     | None -> no_seg_info
-     | Some seg ->
-       let si =
-         { si_base = seg.seg_base;
-           si_limit = seg.seg_base + Array.length seg.seg_insns;
-           si_tag = imm_tag t seg.seg_image;
-           si_app = seg.seg_kind = Binary.Image.Executable }
-       in
-       s.seg_info <- Some si;
-       si)
+  | _ -> seg_info_miss t s m addr
 
 let hook_bb t s m addr =
   Freq.on_bb s.freq ~is_app:(seg_info_at t s m addr).si_app addr
 
-let hook_insn t s m addr insn =
+(* Inlined into the hook closure below, which so calls [Dataflow.step]
+   directly. *)
+let[@inline] hook_insn t s m addr insn =
   (match (insn : Isa.Insn.t) with
    | Call target ->
      let dest = Vm.Machine.read_operand m Isa.Insn.W target in
@@ -191,9 +197,9 @@ let hook_insn t s m addr insn =
    | _ -> ());
   if t.cfg.track_dataflow then begin
     let guard =
-      Dataflow.step s.shadow m ~imm_tag:(seg_info_at t s m addr).si_tag insn
+      Dataflow.step s.shadow m ~imm:(seg_info_at t s m addr).si_imm insn
     in
-    if not (Taint.Tagset.is_empty guard) then s.guard <- guard
+    if guard <> 0 then s.guard <- Taint.Tagset.of_id t.space guard
   end
 
 (* [s]'s machine hooks: closures over the record, written at full arity
@@ -226,7 +232,8 @@ let on_process_start t (p : Osim.Process.t) =
   let s =
     { pid = p.pid;
       shadow =
-        Shadow.create ?page_budget:t.cfg.shadow_page_budget ~space:t.space ();
+        Shadow.create ?page_budget:t.cfg.shadow_page_budget ~space:t.space
+          ~counts:t.counts ();
       sc = Shortcircuit.create t.cfg.shortcircuit; freq = Freq.create ();
       res; pending_origin = None;
       guard = Taint.Tagset.empty; seg_info = None }
@@ -431,7 +438,8 @@ let on_post_syscall t p (sc : Osim.Syscall.t) ~result =
 
 let attach ?(config = default_config) ~judge kernel =
   let t =
-    { cfg = config; space = Taint.Tagset.make_space (); kernel;
+    { cfg = config; space = Taint.Tagset.make_space ();
+      counts = Shadow.counts (); kernel;
       procs = Hashtbl.create 8; routines = Hashtbl.create 8;
       name_origins = Hashtbl.create 32; imm_tags = Hashtbl.create 8;
       clone_times = []; judge; count = 0 }
@@ -443,6 +451,10 @@ let attach ?(config = default_config) ~judge kernel =
   mon.on_pre_syscall <- on_pre_syscall t;
   mon.on_post_syscall <- (fun p sc ~result -> on_post_syscall t p sc ~result);
   t
+
+let settle t =
+  Shadow.settle t.counts;
+  Taint.Tagset.settle t.space
 
 let instrumentation_table =
   [ "Information Flow", "Instruction",

@@ -61,6 +61,15 @@ val event_count : t -> int
     process's counts restart at [execve]. *)
 val hot_blocks : t -> limit:int -> (int * int * int) list
 
+(** [settle t] adds the session's strategy counts — the loads and
+    stores of every process shadow, and the taint space's intern and
+    union-memo hits and misses — to the [harrier.shadow.*] and
+    [taint.*] counters, once.  They are counted in plain fields while
+    the session runs (a counter increment per instruction operand would
+    cost more than the operand); the engine settles when the session's
+    run ends, however it ends.  A second [settle] adds nothing. *)
+val settle : t -> unit
+
 (** [degraded t] lists one human-readable reason per process whose
     shadow tripped its page budget (pid order, deterministic); empty
     when monitoring stayed exact.  Degraded runs over-taint — they may

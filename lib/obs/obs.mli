@@ -6,9 +6,12 @@
     off.  {!Counter.incr} is a [Domain.DLS.get] call plus two bounds
     checks and a store: ~7–10 ns, against ~1.5 ns for an empty loop
     iteration (2-vCPU Xeon), so it is too dear for a per-instruction
-    path.  The rule: a hot loop counts in local variables and settles
-    each counter in bulk with one {!Counter.add} when it exits (the VM
-    settles once per scheduler quantum).  {!Trace.emit} does nothing
+    path.  The rule: a hot loop counts in local variables (or plain
+    record fields) and settles each counter in bulk with one
+    {!Counter.add} when it exits.  The VM settles its [vm.*] counters
+    once per scheduler quantum; Harrier's strategy counters
+    ([harrier.shadow.*], [taint.*]), counted per instruction operand,
+    are settled once per session, when its run ends however it ends.  {!Trace.emit} does nothing
     under the no-op sink, and call sites are expected to guard with
     {!Trace.enabled} before building field lists so the disabled path
     allocates nothing.  Wall-clock time never enters the trace (only a
@@ -139,6 +142,10 @@ val add_json_string : Buffer.t -> string -> unit
 
 val json_string : string -> string
 (** [json_string s] is [s] as a quoted JSON string literal. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int b n] appends [n] in decimal, as {!Trace.emit} renders an
+    [Int] field: digit by digit, without [string_of_int]'s C call. *)
 
 val add_json_fields : Buffer.t -> (string * value) list -> unit
 (** [add_json_fields b fields] appends [fields] as the members of a

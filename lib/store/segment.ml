@@ -144,6 +144,18 @@ module Writer = struct
 
   let render_index b ix =
     let open Obs in
+    (* a name posting's steps, comma-separated, with the trace lines'
+       digit writer: no string per step *)
+    let steps_buf = Buffer.create 64 in
+    let steps_string steps =
+      Buffer.clear steps_buf;
+      List.iteri
+        (fun i step ->
+          if i > 0 then Buffer.add_char steps_buf ',';
+          Obs.add_int steps_buf step)
+        steps;
+      Buffer.contents steps_buf
+    in
     List.iter
       (fun c ->
         add_line b
@@ -160,7 +172,7 @@ module Writer = struct
       (fun (name, steps) ->
         add_line b
           [ "ix", Str "name"; "name", Str name;
-            "steps", Str (String.concat "," (List.map string_of_int steps)) ])
+            "steps", Str (steps_string steps) ])
       ix.ix_names;
     List.iter
       (fun (pid, addr, count) ->

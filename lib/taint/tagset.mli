@@ -9,8 +9,8 @@
     intern and union-memo tables.  Allocating operations take the space
     as their first argument; read-only interrogations need none.  Tag
     sets created in different spaces must not be mixed in one
-    computation: contents stay correct, but [equal] (pointer equality)
-    only holds within a space. *)
+    computation: [equal] (pointer equality) only holds within a space,
+    and a union resolves its operands' ids in the space it is given. *)
 
 type t
 
@@ -18,11 +18,13 @@ type t
     binary-union memo used by every allocating operation, sized for one
     session.  Each session interns into a fresh space of its own, so
     nothing one session interned affects the next, and its cache
-    statistics depend on that session alone.
+    statistics depend on that session alone.  The space counts its
+    intern and memo hits and misses in plain fields; {!settle} adds them
+    to the [taint.*] counters.
 
     Tag sets from different spaces must never be mixed in one
-    computation: contents stay correct, but pointer equality (and the
-    union memo) only hold within a space. *)
+    computation: pointer equality, ids and the union memo only hold
+    within a space. *)
 type space
 
 (** A fresh, empty space.  {!empty} is pre-seeded (id 0); new tag sets
@@ -44,8 +46,24 @@ val to_list : t -> Source.t list
 val add : space -> Source.t -> t -> t
 
 (** [union sp a b] combines provenance, as performed by every
-    data-producing instruction on its operand tags. *)
+    data-producing instruction on its operand tags.  It is
+    [of_id sp (union_id sp (id a) (id b))]. *)
 val union : space -> t -> t -> t
+
+(** [union_id sp a b] is the {!id} of the union of the tag sets of [sp]
+    whose ids are [a] and [b]: the union the per-instruction dataflow
+    performs on the ids the shadow stores, without touching a node on a
+    memo hit.  Equal or empty operands return without consulting the
+    memo; otherwise the pair is looked up in the space's one
+    direct-mapped memo, and a miss interns the union.  Raises
+    [Invalid_argument] on a miss whose operand [sp] never interned. *)
+val union_id : space -> int -> int -> int
+
+(** [settle sp] adds the intern and memo hits and misses counted in
+    [sp] since the last [settle] to the [taint.intern.*] and
+    [taint.union_memo.*] counters, and restarts the count.  A session
+    settles its space once, when it ends. *)
+val settle : space -> unit
 
 val mem : Source.t -> t -> bool
 

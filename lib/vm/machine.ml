@@ -88,15 +88,24 @@ let set_eip m a =
   m.eip <- a;
   m.at_bb_start <- true
 
-let get_reg m r = m.regs.(Isa.Reg.index r)
-let set_reg m r v = m.regs.(Isa.Reg.index r) <- v land 0xFFFFFFFF
+(* [Isa.Reg.index] is 0-7 by construction and [regs] has
+   [Isa.Reg.count] slots. *)
+let[@inline] get_reg m r = Array.unsafe_get m.regs (Isa.Reg.index r)
 
-let check_addr addr =
-  if addr < 0 || addr >= mem_size then raise (Fault_exn (Bad_access addr))
+let[@inline] set_reg m r v =
+  Array.unsafe_set m.regs (Isa.Reg.index r) (v land 0xFFFFFFFF)
+
+let[@inline never] bad_access addr = raise (Fault_exn (Bad_access addr))
+
+(* [mem_size] is a power of two, so one test rejects an address past
+   the end and a negative one (its sign bit is set) alike. *)
+let[@inline] check_addr addr =
+  if addr land lnot (mem_size - 1) <> 0 then bad_access addr
 
 (* Every accessor checks both ends of its range before [page] is
-   reached, so the table's own bounds check never fails. *)
-let[@inline] page m addr = m.pages.(addr lsr page_bits)
+   reached, so the table index is always in bounds, and so is
+   [addr land page_mask] in the page. *)
+let[@inline] page m addr = Array.unsafe_get m.pages (addr lsr page_bits)
 
 let[@inline never] own_page m i =
   let p = Bytes.make page_size '\000' in
@@ -107,14 +116,14 @@ let[@inline] writable_page m addr =
   let p = page m addr in
   if p != zero_page then p else own_page m (addr lsr page_bits)
 
-let read_byte m addr =
+let[@inline] read_byte m addr =
   check_addr addr;
-  Char.code (Bytes.get (page m addr) (addr land page_mask))
+  Char.code (Bytes.unsafe_get (page m addr) (addr land page_mask))
 
-let write_byte m addr v =
+let[@inline] write_byte m addr v =
   check_addr addr;
-  Bytes.set (writable_page m addr) (addr land page_mask)
-    (Char.chr (v land 0xFF))
+  Bytes.unsafe_set (writable_page m addr) (addr land page_mask)
+    (Char.unsafe_chr (v land 0xFF))
 
 (* Words that straddle a page boundary, byte by byte (little-endian). *)
 let[@inline never] read_word_straddle m addr =
@@ -129,7 +138,7 @@ let[@inline never] write_word_straddle m addr v =
       (Char.chr ((v lsr (8 * i)) land 0xFF))
   done
 
-let read_word m addr =
+let[@inline] read_word m addr =
   check_addr addr;
   check_addr (addr + 3);
   let off = addr land page_mask in
@@ -137,7 +146,7 @@ let read_word m addr =
     Int32.to_int (Bytes.get_int32_le (page m addr) off) land 0xFFFFFFFF
   else read_word_straddle m addr
 
-let write_word m addr v =
+let[@inline] write_word m addr v =
   check_addr addr;
   check_addr (addr + 3);
   let off = addr land page_mask in
@@ -244,7 +253,7 @@ let fetch m addr =
    would allocate a closure per memory operand. *)
 let[@inline] reg_or_zero m = function None -> 0 | Some r -> get_reg m r
 
-let eff_addr m (r : Isa.Operand.mem_ref) =
+let[@inline] eff_addr m (r : Isa.Operand.mem_ref) =
   (r.disp + reg_or_zero m r.base + (reg_or_zero m r.index * r.scale))
   land 0xFFFFFFFF
 
@@ -277,7 +286,7 @@ let write_operand m size op v =
 
 let sign32 v = if v land 0x80000000 <> 0 then v - 0x1_0000_0000 else v
 
-let set_flags m r =
+let[@inline] set_flags m r =
   let r = r land 0xFFFFFFFF in
   m.zf <- r = 0;
   m.sf <- r land 0x80000000 <> 0;
@@ -320,21 +329,15 @@ let rec set_regs m = function
     set_reg m r v;
     set_regs m rest
 
-(* Saturated top-level helper, so [exec] allocates no closures on the
-   per-instruction path; the operator arguments below are static
-   constant closures. *)
-let alu m f dst src =
-  let a = read_operand m Isa.Insn.W dst and b = read_operand m Isa.Insn.W src in
-  let r = f a b land 0xFFFFFFFF in
+(* An ALU instruction's last steps, given its result [r]: flags,
+   destination, [eip].  Each ALU case of [exec] reads its destination
+   operand, then its source, and applies its operator to them itself,
+   so no operator is called through a closure. *)
+let[@inline] alu m dst r =
+  let r = r land 0xFFFFFFFF in
   set_flags m r;
   write_operand m Isa.Insn.W dst r;
   m.eip <- m.eip + 1
-
-let sdiv a b = sign32 a / sign32 b
-let shl a b = a lsl (b land 31)
-let shr a b = a lsr (b land 31)
-let incr1 a _ = a + 1
-let decr1 a _ = a - 1
 
 let exec m insn =
   let open Isa.Insn in
@@ -347,21 +350,45 @@ let exec m insn =
     set_reg m r (eff_addr m ref);
     m.eip <- m.eip + 1;
     Continue
-  | Add (d, s) -> alu m ( + ) d s; Continue
-  | Sub (d, s) -> alu m ( - ) d s; Continue
-  | And (d, s) -> alu m ( land ) d s; Continue
-  | Or (d, s) -> alu m ( lor ) d s; Continue
-  | Xor (d, s) -> alu m ( lxor ) d s; Continue
-  | Mul (d, s) -> alu m ( * ) d s; Continue
+  | Add (d, s) ->
+    let a = read_operand m W d in
+    alu m d (a + read_operand m W s);
+    Continue
+  | Sub (d, s) ->
+    let a = read_operand m W d in
+    alu m d (a - read_operand m W s);
+    Continue
+  | And (d, s) ->
+    let a = read_operand m W d in
+    alu m d (a land read_operand m W s);
+    Continue
+  | Or (d, s) ->
+    let a = read_operand m W d in
+    alu m d (a lor read_operand m W s);
+    Continue
+  | Xor (d, s) ->
+    let a = read_operand m W d in
+    alu m d (a lxor read_operand m W s);
+    Continue
+  | Mul (d, s) ->
+    let a = read_operand m W d in
+    alu m d (a * read_operand m W s);
+    Continue
   | Div (d, s) ->
     let b = read_operand m W s in
     if b = 0 then raise (Fault_exn Div_by_zero);
-    alu m sdiv d s;
+    alu m d (sign32 (read_operand m W d) / sign32 b);
     Continue
-  | Shl (d, s) -> alu m shl d s; Continue
-  | Shr (d, s) -> alu m shr d s; Continue
-  | Inc d -> alu m incr1 d (Imm 0); Continue
-  | Dec d -> alu m decr1 d (Imm 0); Continue
+  | Shl (d, s) ->
+    let a = read_operand m W d in
+    alu m d (a lsl (read_operand m W s land 31));
+    Continue
+  | Shr (d, s) ->
+    let a = read_operand m W d in
+    alu m d (a lsr (read_operand m W s land 31));
+    Continue
+  | Inc d -> alu m d (read_operand m W d + 1); Continue
+  | Dec d -> alu m d (read_operand m W d - 1); Continue
   | Cmp (sz, a, b) ->
     let x = read_operand m sz a and y = read_operand m sz b in
     let sx, sy =

@@ -375,6 +375,11 @@ echo "== fleet race gate =="
 # little: the fleet and supervise suites must pass 10 runs each.
 dune build test/test_hth.exe
 race_ok=1
+# The suites' stores live in the temp directory under "hth-" names and
+# must be removed on every exit path: the count may not grow.
+tmp_root=${TMPDIR:-/tmp}
+hth_entries() { find "$tmp_root" -maxdepth 1 -name 'hth-*' | wc -l; }
+hth_before=$(hth_entries)
 for i in 1 2 3 4 5 6 7 8 9 10; do
   for suite in fleet supervise; do
     if ! _build/default/test/test_hth.exe test "$suite" > "$tmp/race.out" 2>&1
@@ -387,6 +392,13 @@ for i in 1 2 3 4 5 6 7 8 9 10; do
   done
 done
 [ "$race_ok" -eq 1 ] && echo "  ok: fleet and supervise suites, 10 runs each"
+hth_after=$(hth_entries)
+if [ "$hth_after" -gt "$hth_before" ]; then
+  echo "  TEMP LEAK: hth-* entries in $tmp_root grew $hth_before -> $hth_after" >&2
+  status=1
+else
+  echo "  ok: no hth-* temp entries left ($hth_before -> $hth_after)"
+fi
 
 echo "== dormancy gate =="
 # Every dormant scenario's live trace must match its committed golden

@@ -343,8 +343,111 @@ let dense_allocation_case =
            more words)"
           per_insn (long_insns - short_insns) (long_words -. short_words))
 
+(* A chunk writer that fails on the session's closing profile lines
+   (its first chunk holding a "counter" line; at threshold 1 every line
+   is its own chunk) fails the session with a typed [Crash] in phase
+   "trace", as a failure on the last flush does: [run_outcome ~trace]
+   returns its typed error rather than raising. *)
+let failing_profile_case =
+  Alcotest.test_case "failing chunk writer on counter lines: typed crash"
+    `Quick (fun () ->
+      let target =
+        Obs.Trace.chunk_target ~threshold:1
+          ~line:(fun _ _ _ -> ())
+          (fun chunk ->
+            if Astring.String.is_infix ~affix:{|"ev":"counter"|} chunk then
+              failwith "disk full")
+      in
+      match
+        Hth.Engine.run_outcome (Hth.Engine.create ()) ~trace:target
+          (find "pma").sc_setup
+      with
+      | Error (Hth.Error.Crash { phase = "trace"; _ }) -> ()
+      | Ok _ -> Alcotest.fail "the writer's failure was lost"
+      | Error e -> Alcotest.failf "wrong error: %s" (Hth.Error.to_string e)
+      | exception e ->
+        Alcotest.failf "the session raised %s" (Printexc.to_string e))
+
+(* The strategy counters ([taint.*], [harrier.shadow.*]) are counted in
+   the session's own fields and settled once per session.  Their totals,
+   read as [Obs.diff] around [run_outcome] as perfbench reads them, are
+   pinned here on every exit path: a completed session, a corpus pass
+   (whose exec'd processes replace their monitor records mid-session)
+   under both policies, a run truncated by its tick budget and a run
+   whose event path raises on its second event (a [Crash]). *)
+let strategy_counts f =
+  let before = Obs.snapshot () in
+  f ();
+  Obs.diff ~before ~after:(Obs.snapshot ())
+  |> List.filter (fun (n, _) ->
+         String.starts_with ~prefix:"taint." n
+         || String.starts_with ~prefix:"harrier.shadow." n)
+
+let strategy_totals ~loads ~stores ~memo:(mh, mm) ~intern:(ih, im) =
+  [ "harrier.shadow.loads", loads; "harrier.shadow.stores", stores;
+    "taint.intern.hits", ih; "taint.intern.misses", im;
+    "taint.union_memo.hits", mh; "taint.union_memo.misses", mm ]
+
+let check_counts msg expected f =
+  Alcotest.(check (list (pair string int))) msg expected (strategy_counts f)
+
+let strategy_counters_case =
+  Alcotest.test_case "strategy counters settled on every exit path" `Quick
+    (fun () ->
+      let eng = Hth.Engine.create () in
+      let copy iters = (Guest.Perf_workload.scenario ~iters).sc_setup in
+      check_counts "copy kernel, 100 iterations"
+        (strategy_totals ~loads:6407 ~stores:6406 ~memo:(25597, 3)
+           ~intern:(2, 4))
+        (fun () -> ignore (Hth.Engine.run_outcome eng (copy 100)));
+      let corpus = strategy_totals ~loads:1570 ~stores:1492 ~memo:(255, 20)
+          ~intern:(2, 291)
+      in
+      List.iter
+        (fun (name, policy) ->
+          let eng = Hth.Engine.create ~policy () in
+          check_counts ("corpus pass, " ^ name) corpus (fun () ->
+              List.iter
+                (fun (sc : Guest.Scenario.t) ->
+                  ignore (Hth.Engine.run_outcome eng sc.sc_setup))
+                Guest.Corpus.all))
+        [ "native", Secpert.System.Native; "clips", Secpert.System.Clips ];
+      let budgets =
+        match Hth.Engine.parse_budgets [ "ticks=4000" ] with
+        | Ok b -> b
+        | Error msg -> Alcotest.fail msg
+      in
+      check_counts "truncated by ticks=4000"
+        (strategy_totals ~loads:443 ~stores:445 ~memo:(1757, 3)
+           ~intern:(2, 4))
+        (fun () ->
+          match Hth.Engine.run_outcome eng ~budgets (copy 1000) with
+          | Ok r when r.degraded <> [] -> ()
+          | Ok _ -> Alcotest.fail "the session was not truncated"
+          | Error e -> Alcotest.failf "truncated: %s" (Hth.Error.to_string e));
+      let flows = ref 0 in
+      let raising =
+        Obs.Trace.chunk_target
+          ~line:(fun _ ev _ ->
+            if ev = "flow" then begin
+              incr flows;
+              if !flows = 2 then failwith "event path"
+            end)
+          ignore
+      in
+      check_counts "crash on the second event"
+        (strategy_totals ~loads:13 ~stores:19 ~memo:(13, 2) ~intern:(1, 3))
+        (fun () ->
+          match Hth.Engine.run_outcome eng ~trace:raising (find "pma").sc_setup
+          with
+          | Error (Hth.Error.Crash { phase = "run"; _ }) -> ()
+          | Ok _ -> Alcotest.fail "the raising event path was lost"
+          | Error e ->
+            Alcotest.failf "wrong error: %s" (Hth.Error.to_string e)))
+
 let suite =
   List.map scenario_case golden_scenarios
-  @ [ no_events_case; killed_event_case; failing_sink_case; duplicate_path_case;
-      unresolved_spawn_case; unresolved_exec_case; dense_allocation_case ]
+  @ [ no_events_case; killed_event_case; failing_sink_case;
+      failing_profile_case; duplicate_path_case; unresolved_spawn_case;
+      unresolved_exec_case; dense_allocation_case; strategy_counters_case ]
   @ needed_cycle_cases

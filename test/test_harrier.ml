@@ -6,6 +6,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let sp = Taint.Tagset.make_space ()
+let counts = Harrier.Shadow.counts ()
 let tag_of l = Taint.Tagset.of_list sp l
 let user = Taint.Source.User_input
 let file_a = Taint.Source.File "/a"
@@ -18,7 +19,7 @@ let tagset =
 (* Shadow                                                              *)
 
 let test_shadow_regs () =
-  let s = Harrier.Shadow.create ~space:sp () in
+  let s = Harrier.Shadow.create ~space:sp ~counts () in
   Alcotest.check tagset "initially empty" Taint.Tagset.empty
     (Harrier.Shadow.reg s EAX);
   Harrier.Shadow.set_reg s EAX (tag_of [ user ]);
@@ -28,7 +29,7 @@ let test_shadow_regs () =
     (Harrier.Shadow.reg s EBX)
 
 let test_shadow_memory () =
-  let s = Harrier.Shadow.create ~space:sp () in
+  let s = Harrier.Shadow.create ~space:sp ~counts () in
   Harrier.Shadow.set_byte s 100 (tag_of [ user ]);
   Harrier.Shadow.set_byte s 101 (tag_of [ file_a ]);
   Alcotest.check tagset "range unions" (tag_of [ user; file_a ])
@@ -37,7 +38,7 @@ let test_shadow_memory () =
   check_int "empty tags are not stored" 0 (Harrier.Shadow.tagged_bytes s)
 
 let test_shadow_clone () =
-  let s = Harrier.Shadow.create ~space:sp () in
+  let s = Harrier.Shadow.create ~space:sp ~counts () in
   Harrier.Shadow.set_byte s 5 (tag_of [ user ]);
   let c = Harrier.Shadow.clone s in
   Harrier.Shadow.set_byte c 5 (tag_of [ bin_x ]);
@@ -60,7 +61,7 @@ let test_shadow_wide_ids () =
   check "id past 65535" true (Taint.Tagset.id high > 65_535);
   check "of_id inverts id" true
     (Taint.Tagset.of_id big (Taint.Tagset.id high) == high);
-  let s = Harrier.Shadow.create ~space:big () in
+  let s = Harrier.Shadow.create ~space:big ~counts () in
   Harrier.Shadow.set_byte s 0x1FFF high;
   Harrier.Shadow.set_byte s 0x2000 small;
   Harrier.Shadow.set_range s 0x2FFC 8 mid;
@@ -87,7 +88,7 @@ let test_shadow_wide_ids () =
 (* Past the 1 MiB address space nothing is tagged: stores there
    allocate no page and never touch the page budget. *)
 let test_shadow_out_of_space () =
-  let s = Harrier.Shadow.create ~page_budget:1 ~space:sp () in
+  let s = Harrier.Shadow.create ~page_budget:1 ~space:sp ~counts () in
   let a = tag_of [ user ] and b = tag_of [ file_a ] in
   Harrier.Shadow.set_byte s 0x100000 a;
   Harrier.Shadow.set_range s 0x100010 64 a;
@@ -125,24 +126,26 @@ let machine_with insns =
 
 let imm_tag = tag_of [ bin_x ]
 
-let step_df s m insn = ignore (Harrier.Dataflow.step s m ~imm_tag insn)
+let imm = Taint.Tagset.id imm_tag
+
+let step_df s m insn = ignore (Harrier.Dataflow.step s m ~imm insn)
 
 let test_df_mov_reg () =
-  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp () in
+  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp ~counts () in
   Harrier.Shadow.set_reg s EBX (tag_of [ user ]);
   step_df s m (Mov (W, Reg EAX, Reg EBX));
   Alcotest.check tagset "reg copy replaces" (tag_of [ user ])
     (Harrier.Shadow.reg s EAX)
 
 let test_df_mov_imm () =
-  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp () in
+  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp ~counts () in
   Harrier.Shadow.set_reg s EAX (tag_of [ user ]);
   step_df s m (Mov (W, Reg EAX, Imm 4));
   Alcotest.check tagset "immediate brings BINARY and clears old" imm_tag
     (Harrier.Shadow.reg s EAX)
 
 let test_df_mov_memory () =
-  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp () in
+  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp ~counts () in
   Harrier.Shadow.set_byte s 0x2001 (tag_of [ user ]);
   Harrier.Shadow.set_byte s 0x2003 (tag_of [ file_a ]);
   step_df s m (Mov (W, Reg EAX, Isa.Operand.abs 0x2000));
@@ -155,7 +158,7 @@ let test_df_mov_memory () =
     (Harrier.Shadow.byte s 0x3003)
 
 let test_df_mov_byte () =
-  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp () in
+  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp ~counts () in
   Harrier.Shadow.set_byte s 0x2000 (tag_of [ user ]);
   step_df s m (Mov (B, Isa.Operand.abs 0x3000, Isa.Operand.abs 0x2000));
   Alcotest.check tagset "byte copy" (tag_of [ user ])
@@ -165,7 +168,7 @@ let test_df_mov_byte () =
 
 let test_df_alu_union () =
   (* the paper's example: add %ebx,%eax unions both sets *)
-  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp () in
+  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp ~counts () in
   Harrier.Shadow.set_reg s EAX (tag_of [ user ]);
   Harrier.Shadow.set_reg s EBX (tag_of [ file_a ]);
   step_df s m (Add (Reg EAX, Reg EBX));
@@ -175,7 +178,7 @@ let test_df_alu_union () =
     (Harrier.Shadow.reg s EBX)
 
 let test_df_cpuid () =
-  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp () in
+  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp ~counts () in
   step_df s m Isa.Insn.Cpuid;
   List.iter
     (fun r ->
@@ -185,7 +188,7 @@ let test_df_cpuid () =
     [ Isa.Reg.EAX; Isa.Reg.EBX; Isa.Reg.ECX; Isa.Reg.EDX ]
 
 let test_df_push_pop () =
-  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp () in
+  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp ~counts () in
   Harrier.Shadow.set_reg s EAX (tag_of [ user ]);
   (* push: the slot below esp gets eax's tag *)
   step_df s m (Push (Reg EAX));
@@ -198,7 +201,7 @@ let test_df_push_pop () =
     (Harrier.Shadow.reg s EBX)
 
 let test_df_cmp_propagates_nothing () =
-  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp () in
+  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp ~counts () in
   Harrier.Shadow.set_reg s EAX (tag_of [ user ]);
   step_df s m (Cmp (W, Reg EBX, Reg EAX));
   Alcotest.check tagset "cmp leaves dst alone" Taint.Tagset.empty
@@ -207,8 +210,10 @@ let test_df_cmp_propagates_nothing () =
 (* A compare or test returns its operands' taint as the guard, with
    immediates untainted; every other instruction returns the empty set. *)
 let test_df_guard () =
-  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp () in
-  let guard insn = Harrier.Dataflow.step s m ~imm_tag insn in
+  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp ~counts () in
+  let guard insn =
+    Taint.Tagset.of_id sp (Harrier.Dataflow.step s m ~imm insn)
+  in
   Harrier.Shadow.set_reg s EAX (tag_of [ user ]);
   Harrier.Shadow.set_byte s 0x2002 (tag_of [ file_a ]);
   Alcotest.check tagset "cmp unions both operands" (tag_of [ user; file_a ])
@@ -223,7 +228,7 @@ let test_df_guard () =
     (guard (Mov (W, Reg EBX, Reg EAX)))
 
 let test_df_call_clears_ret_slot () =
-  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp () in
+  let m = machine_with [] and s = Harrier.Shadow.create ~space:sp ~counts () in
   Harrier.Shadow.set_range s (0xF000 - 4) 4 (tag_of [ user ]);
   step_df s m (Call (Imm 0x200));
   Alcotest.check tagset "return address untainted" Taint.Tagset.empty
@@ -341,7 +346,7 @@ let test_shortcircuit_frames () =
   in
   let t = Harrier.Shortcircuit.create [ spec ] in
   let m = machine_with [] in
-  let s = Harrier.Shadow.create ~space:sp () in
+  let s = Harrier.Shadow.create ~space:sp ~counts () in
   (* simulate: Call at esp=0xF000 *)
   Vm.Machine.set_reg m ESP 0xF000;
   Harrier.Shortcircuit.on_call t ~routine:"resolve" m s ~ret_addr:0x123;
@@ -361,7 +366,7 @@ let test_shortcircuit_inner_ret_ignored () =
   in
   let t = Harrier.Shortcircuit.create [ spec ] in
   let m = machine_with [] in
-  let s = Harrier.Shadow.create ~space:sp () in
+  let s = Harrier.Shadow.create ~space:sp ~counts () in
   Vm.Machine.set_reg m ESP 0xF000;
   Harrier.Shortcircuit.on_call t ~routine:"r" m s ~ret_addr:0x123;
   (* a nested call's ret: deeper stack, different return address *)
@@ -372,7 +377,7 @@ let test_shortcircuit_inner_ret_ignored () =
 let test_shortcircuit_unknown_routine () =
   let t = Harrier.Shortcircuit.create [] in
   let m = machine_with [] in
-  let s = Harrier.Shadow.create ~space:sp () in
+  let s = Harrier.Shadow.create ~space:sp ~counts () in
   Harrier.Shortcircuit.on_call t ~routine:"anything" m s ~ret_addr:1;
   Harrier.Shortcircuit.on_ret t m s  (* no frames: no-op *)
 

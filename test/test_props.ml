@@ -5,6 +5,7 @@
 
 open QCheck
 let sp = Taint.Tagset.make_space ()
+let counts = Harrier.Shadow.counts ()
 
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
@@ -286,7 +287,7 @@ let prop_shadow_range_union =
   Test.make ~name:"shadow range is the union of its bytes" ~count:100
     (list_of_size (Gen.int_bound 6) (pair (int_bound 16) tagset))
     (fun writes ->
-      let s = Harrier.Shadow.create ~space:sp () in
+      let s = Harrier.Shadow.create ~space:sp ~counts () in
       List.iter (fun (a, t) -> Harrier.Shadow.set_byte s a t) writes;
       let expected =
         List.fold_left
@@ -345,7 +346,7 @@ let prop_shadow_matches_byte_map =
   Test.make ~name:"paged shadow agrees with a byte-map model" ~count:300
     shadow_ops
     (fun ops ->
-      let s = Harrier.Shadow.create ~space:sp () in
+      let s = Harrier.Shadow.create ~space:sp ~counts () in
       let model = Hashtbl.create 64 in
       List.iter
         (fun op ->
@@ -371,7 +372,7 @@ let prop_shadow_clone_independent =
   Test.make ~name:"shadow clone is a deep copy" ~count:100
     (pair shadow_ops shadow_ops)
     (fun (ops, after) ->
-      let s = Harrier.Shadow.create ~space:sp () in
+      let s = Harrier.Shadow.create ~space:sp ~counts () in
       List.iter
         (function
           | Sset_byte (a, t) -> Harrier.Shadow.set_byte s a t
@@ -481,7 +482,7 @@ let prop_dataflow_matches_reference =
         take 4 init
       in
       let m = Vm.Machine.create () in
-      let shadow = Harrier.Shadow.create ~space:sp () in
+      let shadow = Harrier.Shadow.create ~space:sp ~counts () in
       List.iteri
         (fun i t -> Harrier.Shadow.set_reg shadow (Isa.Reg.of_index i) t)
         init;
@@ -493,7 +494,8 @@ let prop_dataflow_matches_reference =
       List.iter
         (fun step ->
           ignore
-            (Harrier.Dataflow.step shadow m ~imm_tag (insn_of_tstep step)))
+            (Harrier.Dataflow.step shadow m ~imm:(Taint.Tagset.id imm_tag)
+               (insn_of_tstep step)))
         steps;
       List.for_all
         (fun (i, expected) ->

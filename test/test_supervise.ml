@@ -379,17 +379,9 @@ let store_query_case =
          queries go on a second connection: serve_connection returning
          means every admitted run is already appended (durable before
          visible), so the second connection's answers are
-         deterministic. *)
-      let dir =
-        let d =
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "hth-serve-squery-%d" (Unix.getpid ()))
-        in
-        if Sys.file_exists d then
-          ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d)));
-        d
-      in
+         deterministic.  The store's directory is removed on every exit
+         path. *)
+      Test_store.with_dir "hth-serve-squery" @@ fun dir ->
       let wh =
         match Store.Warehouse.open_ dir with
         | Ok wh -> wh

@@ -156,6 +156,72 @@ let test_table2_combinations () =
         [ "USER_INPUT"; "FILE"; "SOCKET"; "BINARY" ])
     [ "FILE"; "SOCKET" ]
 
+(* Two strategies must agree: the id-level union ([union_id], through
+   the direct-mapped memo) and plain set union.  Random union sequences
+   over small sets drawn from twelve sources intern enough distinct ids
+   that pairs collide in the 256-slot memo.  Every result must hold
+   exactly the union of its operands' sources, equal sets must have
+   equal ids, and the node-level [union] must return the node of the
+   id-level result. *)
+let union_agrees_prop =
+  let pool =
+    Array.init 12 (fun i ->
+        match i mod 3 with
+        | 0 -> Source.File (Printf.sprintf "/f%d" i)
+        | 1 -> Source.Socket (Printf.sprintf "h%d:80" i)
+        | _ -> Source.Binary (Printf.sprintf "/bin/b%d" i))
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 24) (list_size (int_bound 4) (int_bound 11)))
+        (list_size (int_range 1 300) (pair nat nat)))
+  in
+  QCheck.Test.make ~count:100 ~long_factor:10
+    ~name:"tagset: id-level union agrees with set union" (QCheck.make gen)
+    (fun (seeds, ops) ->
+      let sp = Tagset.make_space () in
+      let sources = Hashtbl.create 64 (* id -> its sorted sources *) in
+      let by_set = Hashtbl.create 64 (* sorted sources -> id *) in
+      let ids = Array.make (List.length seeds + List.length ops) 0 in
+      let n = ref 0 in
+      let note id expected =
+        let got = Tagset.to_list (Tagset.of_id sp id) in
+        if got <> expected then
+          QCheck.Test.fail_reportf "id %d holds %d sources, expected %d" id
+            (List.length got) (List.length expected);
+        (match Hashtbl.find_opt by_set expected with
+         | Some other when other <> id ->
+           QCheck.Test.fail_reportf "one set has ids %d and %d" other id
+         | _ -> Hashtbl.replace by_set expected id);
+        Hashtbl.replace sources id expected;
+        ids.(!n) <- id;
+        incr n
+      in
+      List.iter
+        (fun seed ->
+          let l = List.map (fun i -> pool.(i)) seed in
+          note
+            (Tagset.id (Tagset.of_list sp l))
+            (List.sort_uniq Source.compare l))
+        seeds;
+      List.iter
+        (fun (i, j) ->
+          let a = ids.(i mod !n) and b = ids.(j mod !n) in
+          let r = Tagset.union_id sp a b in
+          if
+            not
+              (Tagset.equal (Tagset.of_id sp r)
+                 (Tagset.union sp (Tagset.of_id sp a) (Tagset.of_id sp b)))
+          then
+            QCheck.Test.fail_reportf "union and union_id differ on %d, %d" a
+              b;
+          note r
+            (List.sort_uniq Source.compare
+               (Hashtbl.find sources a @ Hashtbl.find sources b)))
+        ops;
+      true)
+
 let suite =
   [ Alcotest.test_case "source equality" `Quick test_source_equal;
     Alcotest.test_case "source ordering" `Quick test_source_order;
@@ -171,4 +237,5 @@ let suite =
     Alcotest.test_case "origin classify_all" `Quick test_origin_classify_all;
     Alcotest.test_case "origin type names" `Quick test_origin_type_names;
     Alcotest.test_case "table 2 combinations" `Quick
-      test_table2_combinations ]
+      test_table2_combinations;
+    QCheck_alcotest.to_alcotest union_agrees_prop ]
