@@ -4,7 +4,7 @@
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe table6     -- one artifact
-     dune exec bench/main.exe perf       -- Bechamel timings only *)
+     dune exec bench/main.exe perf       -- Section 9 timings only *)
 
 let usage () =
   print_endline

@@ -7,7 +7,9 @@ type t = {
          only ever look at facts of the pattern's template *)
   wm_by_id : (int, Fact.t) Hashtbl.t;
   mutable next_id : int;
-  fired : (string, unit) Hashtbl.t;  (* refraction keys *)
+  agenda : (string, bool) Hashtbl.t;
+      (* every activation key seen, and whether it has fired: a key is
+         counted when it first enters, and a fired key is refracted *)
   fns : (string, Value.t list -> Value.t) Hashtbl.t;
   globals : (string, Value.t) Hashtbl.t;
   mutable buffered : string list;  (* reversed *)
@@ -47,7 +49,7 @@ let create () =
   { templates = Hashtbl.create 16; rules_rev = []; rules_fwd = Some [];
     wm_by_tpl = Hashtbl.create 16; wm_by_id = Hashtbl.create 64;
     next_id = 1;
-    fired = Hashtbl.create 64; fns = Hashtbl.create 16;
+    agenda = Hashtbl.create 64; fns = Hashtbl.create 16;
     globals = Hashtbl.create 16; buffered = []; current = None }
 
 let deftemplate e tpl = Hashtbl.replace e.templates tpl.Template.tpl_name tpl
@@ -147,10 +149,8 @@ let activations e rule =
     match patterns with
     | [] ->
       let matched = List.rev matched in
-      if rule.guard e bindings && negation_clear bindings then begin
-        Obs.Counter.incr c_activations;
+      if rule.guard e bindings && negation_clear bindings then
         (bindings, matched) :: acc
-      end
       else acc
     | p :: rest ->
       List.fold_left
@@ -170,8 +170,13 @@ let next_activation e =
         List.filter_map
           (fun (bindings, matched) ->
             let key = activation_key rule matched in
-            if Hashtbl.mem e.fired key then None
-            else Some (rule, bindings, matched, key))
+            match Hashtbl.find_opt e.agenda key with
+            | Some true -> None
+            | Some false -> Some (rule, bindings, matched, key)
+            | None ->
+              Hashtbl.replace e.agenda key false;
+              Obs.Counter.incr c_activations;
+              Some (rule, bindings, matched, key))
           (activations e rule))
       (rules e)
   in
@@ -193,7 +198,7 @@ let run ?(limit = 10_000) e =
       match next_activation e with
       | None -> fired
       | Some (rule, bindings, matched, key) ->
-        Hashtbl.replace e.fired key ();
+        Hashtbl.replace e.agenda key true;
         Obs.Counter.incr c_firings;
         Obs.Counter.incr rule.firings;
         if Obs.Trace.enabled () then

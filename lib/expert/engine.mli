@@ -95,7 +95,11 @@ val drain_output : t -> string list
 (** {2 Inference} *)
 
 (** [run ?limit e] fires activations until the agenda is empty or [limit]
-    firings happened (default 10_000); returns the number of firings. *)
+    firings happened (default 10_000); returns the number of firings.
+    The [expert.activations] counter counts each activation once, when
+    its rule and fact ids first enter the agenda, however often the
+    agenda is enumerated again after later firings; [expert.firings]
+    counts the ones fired. *)
 val run : ?limit:int -> t -> int
 
 (** [current_activation e] is the activation being fired right now —

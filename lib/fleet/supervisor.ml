@@ -35,7 +35,6 @@ type t = {
   engines : (string * Hth.Engine.t) list;  (* shared by every worker *)
   default_deadline : float option;
   max_inflight : int;
-  poll : float;
   mu : Mutex.t;
   work : Condition.t;  (* a task was queued, an epoch moved, or stopping *)
   moved : Condition.t;
@@ -191,22 +190,23 @@ let scan t =
                else None)
              overdue))
 
+(* the watchdog's scan period, in seconds *)
+let poll = 0.02
+
 let rec watchdog t =
-  Thread.delay t.poll;
+  Thread.delay poll;
   match scan t with
   | None -> ()
   | Some fresh ->
     List.iter (fun (w, e) -> try replace t w e with _ -> ()) fresh;
     watchdog t
 
-let create ?deadline ?(max_inflight = 256) ?(poll = 0.02) ?(jobs = 1)
-    engines =
+let create ?deadline ?(max_inflight = 256) ?(jobs = 1) engines =
   let jobs = max 1 jobs in
   let t =
     { engines;
       default_deadline = deadline;
       max_inflight = max 1 max_inflight;
-      poll = (if poll > 0. then poll else 0.02);
       mu = Mutex.create ();
       work = Condition.create ();
       moved = Condition.create ();

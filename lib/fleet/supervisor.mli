@@ -51,17 +51,16 @@ type health = {
   h_stats : Pool.stats;  (** [respawns] counts worker domains replaced *)
 }
 
-(** [create ?deadline ?max_inflight ?poll ~jobs engines] spawns
+(** [create ?deadline ?max_inflight ~jobs engines] spawns
     [max 1 jobs] worker domains sharing the named engines and starts
     the watchdog.  The engines stay usable by the caller.  [deadline]
     is applied to submitted jobs that carry none
     (omit it and deadline-less jobs run unsupervised); [max_inflight]
-    (default 256) caps admitted jobs globally; [poll] (default 0.02s)
-    is the watchdog scan period. *)
+    (default 256) caps admitted jobs globally.  The watchdog scans the
+    running jobs every 20 ms. *)
 val create :
   ?deadline:float ->
   ?max_inflight:int ->
-  ?poll:float ->
   ?jobs:int ->
   (string * Hth.Engine.t) list ->
   t

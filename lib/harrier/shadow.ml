@@ -82,7 +82,7 @@ let settle c =
 let create ?page_budget ~space ~counts () =
   { space; counts; regs = Array.make Isa.Reg.count 0;
     pages = Array.make n_pages no_page;
-    budget = (match page_budget with Some b -> max 0 b | None -> max_int);
+    budget = (match page_budget with Some b -> Int.max 0 b | None -> max_int);
     mapped = 0; overflow = 0; tagged = 0 }
 
 let space s = s.space
@@ -146,7 +146,7 @@ let rec union_pages s pos stop acc =
   if pos >= stop then acc
   else begin
     let off = pos land page_mask in
-    let n = min (stop - pos) (page_size - off) in
+    let n = Int.min (stop - pos) (page_size - off) in
     let p = page s (pos lsr page_bits) in
     union_pages s (pos + n) stop
       (if p == no_page then acc else union_ids s.space p off (off + n) acc)
@@ -168,7 +168,7 @@ let range_id s addr len =
   end
   else
     (* only bytes inside the address space can carry a tag *)
-    widen s (union_pages s (max addr 0) (min (addr + len) mem_size) 0)
+    widen s (union_pages s (Int.max addr 0) (Int.min (addr + len) mem_size) 0)
 
 let range s addr len = Taint.Tagset.of_id s.space (range_id s addr len)
 
@@ -246,7 +246,7 @@ let set_in_page s i off n id =
 let rec set_pages s pos stop id =
   if pos < stop then begin
     let off = pos land page_mask in
-    let n = min (stop - pos) (page_size - off) in
+    let n = Int.min (stop - pos) (page_size - off) in
     set_in_page s (pos lsr page_bits) off n id;
     set_pages s (pos + n) stop id
   end
@@ -257,7 +257,7 @@ let set_range_id s addr len id =
     let off = addr land page_mask in
     if off + len <= page_size then
       set_in_page s (addr lsr page_bits) off len id
-    else set_pages s (max addr 0) (min (addr + len) mem_size) id
+    else set_pages s (Int.max addr 0) (Int.min (addr + len) mem_size) id
   end
 
 let set_range s addr len tag = set_range_id s addr len (Taint.Tagset.id tag)

@@ -161,7 +161,7 @@ let[@inline] write_word m addr v =
 let rec chunks addr len pos f =
   if len > 0 then begin
     let off = addr land page_mask in
-    let n = min len (page_size - off) in
+    let n = Int.min len (page_size - off) in
     f addr off pos n;
     chunks (addr + n) (len - n) (pos + n) f
   end

@@ -159,15 +159,31 @@ fi
 echo "== section 9 ladder gate =="
 # EXPERIMENTS.md section 9's ladder table quotes the "levels" rows of
 # the committed BENCH_perf.json (one row per line): each table row's
-# current milliseconds (ns_per_run / 1e6) and slowdown must match its
-# row, and every level needs a table row.
+# median and quartiles in milliseconds (ns_per_run, q1_ns and q3_ns
+# over 1e6) and its slowdown must match its row, and every level needs
+# a table row.  Every row of every group must carry quartiles that
+# bracket its median, and the file must record at least 100 rounds.
 if awk '
+  function field(k,  v) {
+    if ($0 !~ ("\"" k "\": ")) return ""
+    v = $0; sub(".*\"" k "\": *", "", v); sub(/[,}].*/, "", v)
+    return v
+  }
   FNR == NR {
-    if ($0 !~ /"harrier-levels\//) next
-    name = $0; sub(/.*"harrier-levels\//, "", name); sub(/".*/, "", name)
-    ns = $0; sub(/.*"ns_per_run": */, "", ns); sub(/[,}].*/, "", ns)
-    x = $0; sub(/.*"slowdown_vs_native": */, "", x); sub(/[,}].*/, "", x)
-    want[name] = sprintf("%.2f ms | %.2fx", ns / 1e6, x)
+    if ($0 ~ /^ *"rounds": /) rounds = field("rounds")
+    if ($0 !~ /"ns_per_run": /) next
+    name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name)
+    ns = field("ns_per_run"); q1 = field("q1_ns"); q3 = field("q3_ns")
+    if (q1 == "" || q3 == "") {
+      print "  " name ": no q1_ns/q3_ns"; bad = 1
+    } else if (q1 + 0 > ns + 0 || ns + 0 > q3 + 0) {
+      print "  " name ": quartiles " q1 "-" q3 " do not bracket " ns
+      bad = 1
+    }
+    if (name !~ /^harrier-levels\//) next
+    sub(/^harrier-levels\//, "", name)
+    want[name] = sprintf("%.2f ms | %.2f-%.2f ms | %.2fx", ns / 1e6,
+                         q1 / 1e6, q3 / 1e6, field("slowdown_vs_native"))
     next
   }
   /^## / { s9 = ($0 ~ /^## Section 9/) }
@@ -176,7 +192,7 @@ if awk '
   tab && !/^\|---/ {
     split($0, c, "|")
     for (i = 2; i <= 5; i++) gsub(/^ +| +$/, "", c[i])
-    got = c[4] " | " c[5]
+    got = c[3] " | " c[4] " | " c[5]
     if (!(c[2] in want)) {
       print "  table row with no levels entry: " c[2]; bad = 1
     } else if (want[c[2]] != got) {
@@ -187,14 +203,20 @@ if awk '
     seen[c[2]] = 1
   }
   END {
+    if (rounds == "" || rounds + 0 < 100) {
+      print "  BENCH_perf.json records " (rounds == "" ? "no" : rounds) \
+        " rounds, fewer than 100"
+      bad = 1
+    }
     for (k in want) if (!(k in seen)) {
       print "  no table row for level: " k; bad = 1
     }
     exit bad
   }' BENCH_perf.json EXPERIMENTS.md > "$tmp/ladder"; then
-  echo "  ok: EXPERIMENTS.md section 9 quotes BENCH_perf.json's levels"
+  echo "  ok: EXPERIMENTS.md section 9 quotes BENCH_perf.json's levels," \
+       "every row's quartiles bracket its median"
 else
-  echo "  SECTION 9 DISAGREES WITH BENCH_perf.json:" >&2
+  echo "  SECTION 9 LADDER GATE FAILED:" >&2
   cat "$tmp/ladder" >&2
   status=1
 fi

@@ -162,6 +162,21 @@ let test_engine_refraction () =
   ignore (Engine.assert_fact e "ev" []);
   check_int "new fact fires again" 1 (Engine.run e)
 
+(* [run] enumerates the agenda again after every firing; an activation
+   is counted once, when it first enters, not once per enumeration. *)
+let test_engine_activations_counted_once () =
+  let e = fresh_engine () in
+  Engine.defrule e
+    (Engine.rule ~name:(Engine.name "r") [ Pattern.make "ev" [] ] (fun _ _ _ -> ()));
+  ignore (Engine.assert_fact e "ev" []);
+  ignore (Engine.assert_fact e "ev" []);
+  let before = Obs.snapshot () in
+  check_int "both fire" 2 (Engine.run e);
+  let diff = Obs.diff ~before ~after:(Obs.snapshot ()) in
+  let read name = Option.value (List.assoc_opt name diff) ~default:0 in
+  check_int "expert.activations" 2 (read "expert.activations");
+  check_int "expert.firings" 2 (read "expert.firings")
+
 let test_engine_salience () =
   let e = fresh_engine () in
   let order = ref [] in
@@ -507,6 +522,8 @@ let suite =
     Alcotest.test_case "engine fires matching rule" `Quick
       test_engine_fires;
     Alcotest.test_case "engine refraction" `Quick test_engine_refraction;
+    Alcotest.test_case "engine counts each activation once" `Quick
+      test_engine_activations_counted_once;
     Alcotest.test_case "engine salience" `Quick test_engine_salience;
     Alcotest.test_case "engine multi-pattern join" `Quick test_engine_join;
     Alcotest.test_case "engine guard" `Quick test_engine_guard;

@@ -101,28 +101,28 @@ let prop_deflate_roundtrip =
    after any encoder change must stay byte-identical.  A regenerated
    golden is a new input: record its pin with an unchanged encoder. *)
 let deflate_pins =
-  [ "ElmExploit.jsonl", 1340, "4312d3620e2c422af2516ba4323b8cb5";
-    "column.jsonl", 1129, "c494737bfaceb33f4e3cb6e2b8aea3fa";
-    "grabem.jsonl", 1511, "e2bdae96313255142a54b3d006494553";
+  [ "ElmExploit.jsonl", 1337, "366a088dbc48b95078af8e8272385d52";
+    "column.jsonl", 1130, "dd94809cd799fabcf7ef0cb5e996c400";
+    "grabem.jsonl", 1508, "5a25ace7541cd2e8a20359f6a0e73aa3";
     "logic_bomb_defused.jsonl", 786, "5a6e53adb4a0e6fc4de37b1ec8fb9159";
     "logic_bomb_idle.jsonl", 881, "d20932ba4812ca084a1543fd09813522";
-    "logic_bomb_triggered.jsonl", 1440, "01cd57be61524835f9b72c8f3cedbbad";
-    "ls.jsonl", 880, "fe99c3a0d996a947b35216a25ca4e4de";
-    "nlspath.jsonl", 755, "0b2996c5fc12d6e2bd1470ee0de4adba";
-    "pma.jsonl", 1968, "ad2c5f14f6d3a0b48991d7d7faa30e30";
-    "procex.jsonl", 1440, "ffc261917ee7c47d7716ce347da7e636";
+    "logic_bomb_triggered.jsonl", 1437, "88456ba8d56985788eaae9599d79b829";
+    "ls.jsonl", 880, "d0b942303de0155690ab7287e3d7dc33";
+    "nlspath.jsonl", 753, "e4acdb043cf6a922df78fd81096d9488";
+    "pma.jsonl", 1966, "d14ea92e4c0450c82a690b242e8a4f31";
+    "procex.jsonl", 1439, "c4e87b341a41a6051f329ad0a61a450b";
     "sleeper_daemon_disarmed.jsonl", 886, "5dbc264138873018611ba5e6b7eab393";
     "sleeper_daemon_idle.jsonl", 932, "16498790844c11d11c66679ce0ad2aaa";
-    "sleeper_daemon_triggered.jsonl", 1681, "a2268f312f0de42d0684be17ebaad5d4";
-    "superforker.jsonl", 3360, "570cbb3a9aeb0852d66fc2ada4d41e7c";
-    "update_client_idle.jsonl", 1111, "79597828989f01e3e78c3328a3e81ab3";
-    "update_client_rejected.jsonl", 1121, "4a7a66c9485bdaffc3f53a4e48926927";
-    "update_client_triggered.jsonl", 1951, "a2fbf56c79a508a63b23d9615f5654ec";
-    "vixie_crontab.jsonl", 1202, "0aaad336279f6faa4c20a21e9d8027b2";
-    "worm_pair_idle.jsonl", 881, "7f963749bff1837bc61e21dfdd11a424";
-    "worm_pair_recalled.jsonl", 889, "6cf9cc4f62735a26a010033de54227f0";
-    "worm_pair_triggered.jsonl", 1454, "8dc59cad81c2214c15bc1ee1794177b0";
-    "all goldens", 13788, "071f4de135e86f872312d690cbdf83a3";
+    "sleeper_daemon_triggered.jsonl", 1680, "7e1e4e5689e6e79109c0982acc20a9e7";
+    "superforker.jsonl", 3356, "ae2df5966119c805ff1f1cd066926718";
+    "update_client_idle.jsonl", 1112, "5ec237a392008c8db0c134117f99260e";
+    "update_client_rejected.jsonl", 1123, "276e08918d43eba125ccc476515e0a37";
+    "update_client_triggered.jsonl", 1949, "f2b7d21bba83cc430a1c0d8e00bc1671";
+    "vixie_crontab.jsonl", 1199, "0b213607e5f6cc195af5d1acc1498410";
+    "worm_pair_idle.jsonl", 882, "98214b4f4c8bfb1799c0c81b449fb0f7";
+    "worm_pair_recalled.jsonl", 892, "7fc1ca159d8d2a69570fbebb016c472c";
+    "worm_pair_triggered.jsonl", 1449, "f162871074b09c99405d18251f011cab";
+    "all goldens", 13755, "2fd874ff994c57c392fd54b45436e901";
     "empty", 2, "598f4fe64aefab8f00bcbea4c9239abf";
     "a", 3, "e266db42a8cd74035cfd93adeabf41e3";
     "hello, world", 14, "2f8d48710d6e4229b032397b2492f0c2";
@@ -309,29 +309,29 @@ let test_corpus_roundtrip () =
    change is a new input, whose pins are recorded with an unchanged
    writer. *)
 let segment_pins =
-  [ "ElmExploit", 1963, "486d1bcf07b3f465669c6f62dceed621";
-    "nlspath", 1239, "1ba977ec83d5407eeb861d9058a40a46";
-    "procex", 2127, "de66691a6264e57b7622d2cadc90fea6";
-    "grabem", 2122, "23c9cc74db066c7f8f28002903424dbb";
-    "vixie crontab", 1805, "127f70376a24849cd13906ab2e35396b";
-    "pma", 2719, "223adde74219a61b3184a247117bcac9";
-    "superforker", 4283, "98a2909e6ac0ffea47d91a56d18b054f";
-    "ls", 1409, "91a44e2ba35ee74f30941f4c100a52b6";
-    "column", 1694, "bdfd84c7dc9a58d8a9d0a6c106bbe0c2";
+  [ "ElmExploit", 1958, "cff9e68fe53bb735321bdba8ec745cba";
+    "nlspath", 1232, "9b090004a3095bac3003a3bb659084fa";
+    "procex", 2124, "2eba9396181dafc2891134c9486f12c2";
+    "grabem", 2117, "e14dee5d36b37c5049abaabd8f7b6b04";
+    "vixie crontab", 1801, "b293cec28ba00116a20dc8bdaaf349d9";
+    "pma", 2714, "fa10089995c785209433782bc6529859";
+    "superforker", 4276, "3b5061735f241e379dd829d889f28c2b";
+    "ls", 1411, "dfe6bf45900509f4445f22cadfc01d2b";
+    "column", 1699, "26b0295459259110a6765eb00469323b";
     "sleeper daemon idle", 1491, "a83896b6bea2ebe3688da329315ec1c3";
-    "sleeper daemon triggered", 2460, "02d2a0eeacd7240936ead85425f72ba4";
+    "sleeper daemon triggered", 2454, "0d885259e6b6fe10dcd278476301ea2a";
     "sleeper daemon disarmed", 1441, "9c7b637ef394675a50988cd47e22fe74";
     "logic bomb idle", 1411, "a1158d0643ea588ba39738c385f5bd62";
-    "logic bomb triggered", 2125, "e86155e9c7aeeda284318a54f065162a";
+    "logic bomb triggered", 2116, "e62afd8411999a0bf52b46584d4a5bf6";
     "logic bomb defused", 1270, "841edbb436f5b5da799f7f14ee9bb77e";
-    "worm pair idle", 1443, "205dd34a50ca6bf0b0acf951b44d88f8";
-    "worm pair triggered", 2136, "52f5d8a219064219b55ba7d289512122";
-    "worm pair recalled", 1449, "cf249618e1409b179fb57f972cb56289";
-    "update client idle", 1728, "564df6c8c7438a3799defabe502c6943";
-    "update client triggered", 2761, "7a9006ca00fb136b2ca70f90d1a35b6e";
-    "update client rejected", 1740, "a10c193ac3c0af9bfc5199e6d8cba9e9";
-    "pma (clips)", 2780, "a303b064f041381c5f96f513c53b6470";
-    "superforker (clips)", 4111, "f7871b1a867ed0577591c43275271de5" ]
+    "worm pair idle", 1445, "c95b11769ad77c430f01dd5286b9fd50";
+    "worm pair triggered", 2128, "c83663fe8c4c88e5915243e8ba7243f3";
+    "worm pair recalled", 1454, "34da7d590d66b717794b8af0f3f478a0";
+    "update client idle", 1727, "df061d7901e7f2c7d3ea1bcf7777b73f";
+    "update client triggered", 2761, "e418139a29c33a7aa95b124d49fa1057";
+    "update client rejected", 1741, "b774f2d3c1f2d6f3b40eb653c21fac6e";
+    "pma (clips)", 2776, "1b7f508de3b6cd4331719e4c8a8c14e3";
+    "superforker (clips)", 4110, "09a8f9f89589f15788424be892410b68" ]
 
 let test_segment_pinned () =
   let native = Hth.Engine.create () in

@@ -64,8 +64,7 @@ let watchdog_case =
       (* deadline-less default 0.25s catches the slow session; the
          verification job carries its own generous deadline *)
       let sup =
-        Fleet.Supervisor.create ~deadline:0.25 ~poll:0.01 ~jobs:1
-          [ "default", eng ]
+        Fleet.Supervisor.create ~deadline:0.25 ~jobs:1 [ "default", eng ]
       in
       (* ~14M-tick workload: far past the deadline on any host *)
       let slow = Guest.Perf_workload.scenario ~iters:20_000 in
